@@ -79,13 +79,6 @@ MachineConfig::fromEnv()
     }
     Profiler::parseSpec(envStr("ISRF_PROFILE"), profileEnabled,
                         profileStride, &errs);
-    deadlineCheckCycles =
-        envU64("ISRF_DEADLINE_CHECK", deadlineCheckCycles, &errs);
-    if (deadlineCheckCycles == 0) {
-        errs.push_back("ISRF_DEADLINE_CHECK=0 is invalid; using "
-                       "default 1024");
-        deadlineCheckCycles = 1024;
-    }
     traceCapacity = envU64("ISRF_TRACE_CAPACITY", traceCapacity, &errs);
     if (traceCapacity == 0) {
         errs.push_back(strprintf("ISRF_TRACE_CAPACITY=0 is invalid; "

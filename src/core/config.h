@@ -69,18 +69,6 @@ struct MachineConfig
      */
     EngineMode engineMode = EngineMode::Dense;
 
-    /**
-     * Cycles between wall-clock deadline checks in Engine::pollCancel.
-     * The default keeps batch sweeps cheap; the sweep service daemon
-     * tightens it (e.g. to 64) so ms-scale per-request deadlines are
-     * observed promptly on slow jobs. Observability-only — it changes
-     * when an expired deadline is noticed, never the results of a run
-     * that completes — so it is excluded from job fingerprints
-     * (SweepRunner::observabilityKnobs()). fromEnv() overlays
-     * ISRF_DEADLINE_CHECK here.
-     */
-    uint64_t deadlineCheckCycles = 1024;
-
     uint64_t seed = 1;
 
     /**

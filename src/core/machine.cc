@@ -18,7 +18,6 @@ Machine::init(const MachineConfig &cfg)
     // clock); clear() is the one sanctioned way to rebuild.
     engine_.clear();
     engine_.setMode(cfg_.engineMode);
-    engine_.setDeadlineCheckCycles(cfg_.deadlineCheckCycles);
     active_.reset();
     activeOutputs_.clear();
     activeIdxWriteSlots_.clear();

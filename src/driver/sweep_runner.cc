@@ -35,7 +35,6 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 // Fingerprinting
 // ----------------------------------------------------------------------
 
-// FNV-1a (util/hash.h): the store and the journal must hash alike.
 /** Journal format version; bump on any record-layout change. */
 constexpr uint64_t kJournalVersion = 1;
 
@@ -53,10 +52,6 @@ constexpr uint64_t kJournalVersion = 1;
  *                       default 0 — see there)
  *   profileEnabled      host-time profiling reads only the wall clock
  *   profileStride       ditto
- *   deadlineCheckCycles poll interval for wall-clock deadlines; it
- *                       changes when a TimedOut is noticed, never the
- *                       results of a run that completes (TimedOut is
- *                       not replayable anyway)
  *
  * Keep this list, canonicalJob(), and the fromEnv() doc comment in
  * sync; tests assert canonical text is unchanged for non-observability
@@ -68,7 +63,6 @@ observabilityKnobList()
     static const std::vector<std::string> knobs = {
         "engineMode",        "traceSpec",      "traceCapacity",
         "statSampleInterval", "profileEnabled", "profileStride",
-        "deadlineCheckCycles",
     };
     return knobs;
 }

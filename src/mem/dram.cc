@@ -1,6 +1,7 @@
 #include "mem/dram.h"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "sim/trace.h"
 #include "util/log.h"

@@ -36,13 +36,13 @@ Engine::pollCancel()
         return RunStatus::Done;
     // The atomic flag is a relaxed load — cheap enough for every
     // check point. The wall clock is read at most once per
-    // deadlineCheckCycles_ simulated cycles; skip-mode jumps may cross
+    // kDeadlineCheckCycles simulated cycles; skip-mode jumps may cross
     // several boundaries, which only means the next poll reads the
     // clock once (deadlines stay honored, just never over-sampled).
     if (cancel_->cancelRequested())
         return RunStatus::Cancelled;
     if (now_ >= nextDeadlineCheck_) {
-        nextDeadlineCheck_ = now_ + deadlineCheckCycles_;
+        nextDeadlineCheck_ = now_ + kDeadlineCheckCycles;
         if (cancel_->deadlineExpired())
             return RunStatus::TimedOut;
     }

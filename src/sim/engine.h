@@ -169,7 +169,7 @@ class Engine
      * token. runUntil() — and any external drive loop that calls
      * pollCancel(), e.g. StreamProgram::run — checks the token at
      * cycle boundaries: the cancelled flag every check, the wall-clock
-     * deadline only once per deadlineCheckCycles() so the hot loop
+     * deadline only once per kDeadlineCheckCycles so the hot loop
      * never pays a clock read per cycle. Identical in dense and skip
      * mode: cancellation is only ever observed between engine steps,
      * at a consistent machine state.
@@ -189,26 +189,14 @@ class Engine
      */
     RunStatus pollCancel();
 
-    /** Default cycles between wall-clock deadline checks. */
-    static constexpr Cycle kDeadlineCheckCycles = 1024;
-
     /**
-     * Cycles between wall-clock deadline checks in pollCancel(). The
-     * default (kDeadlineCheckCycles) keeps batch sweeps cheap; the
-     * serving daemon tightens it so ms-scale per-request deadlines
-     * are observed promptly even on slow jobs. Purely an
-     * observability/latency knob: it changes *when* an expired
-     * deadline is noticed, never the results of a run that completes
-     * (MachineConfig::deadlineCheckCycles, excluded from job
-     * fingerprints via SweepRunner::observabilityKnobs()).
+     * Cycles between wall-clock deadline checks in pollCancel(): often
+     * enough for second-scale sweep deadlines, rare enough that the hot
+     * loop never pays a clock read per cycle. It changes only *when* an
+     * expired deadline is noticed, never the results of a run that
+     * completes.
      */
-    void
-    setDeadlineCheckCycles(Cycle n)
-    {
-        deadlineCheckCycles_ = n ? n : 1;
-        nextDeadlineCheck_ = 0;
-    }
-    Cycle deadlineCheckCycles() const { return deadlineCheckCycles_; }
+    static constexpr Cycle kDeadlineCheckCycles = 1024;
 
     /**
      * Advance one dense cycle; in skip mode, then fast-forward over any
@@ -289,7 +277,6 @@ class Engine
     const CancelToken *cancel_ = nullptr;
     /** Next absolute cycle at which pollCancel reads the wall clock. */
     Cycle nextDeadlineCheck_ = 0;
-    Cycle deadlineCheckCycles_ = kDeadlineCheckCycles;
 };
 
 } // namespace isrf

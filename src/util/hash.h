@@ -1,9 +1,7 @@
 /**
  * @file
  * FNV-1a hashing shared by the sweep fingerprints (driver/) and the
- * content-addressed result store (service/). One definition so the two
- * layers can never drift: a store keyed by SweepRunner::fingerprint()
- * values must hash exactly like the journal that seeded it.
+ * snapshot checksums (util/snapshot.cc).
  */
 #ifndef ISRF_UTIL_HASH_H
 #define ISRF_UTIL_HASH_H

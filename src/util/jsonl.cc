@@ -7,6 +7,7 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "util/durable.h"
 #include "util/json.h"
 #include "util/log.h"
 
@@ -24,6 +25,14 @@ JsonlWriter::open(const std::string &path, bool append)
     if (!f_) {
         ISRF_WARN("JsonlWriter: cannot open '%s': %s", path.c_str(),
                   std::strerror(errno));
+        return false;
+    }
+    // append() fsyncs the file's bytes, not its name: a newly created
+    // journal also needs its directory entry made durable.
+    if (!fsyncParentDir(path)) {
+        ISRF_WARN("JsonlWriter: cannot sync the directory of '%s': %s",
+                  path.c_str(), std::strerror(errno));
+        close();
         return false;
     }
     path_ = path;
@@ -49,9 +58,8 @@ JsonlWriter::append(const std::string &json)
     if (std::fflush(f_) != 0)
         return false;
     // fsync per record is the durability contract: a record the caller
-    // saw append() succeed for survives a SIGKILL of this process.
-    // (It does not survive power loss of the whole host without a
-    // journaling filesystem, which is out of scope.)
+    // saw append() succeed for survives a SIGKILL of this process, and
+    // (with the directory fsync in open()) a power loss of the host.
     return fsync(fileno(f_)) == 0;
 }
 

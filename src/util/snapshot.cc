@@ -5,8 +5,10 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
+#include "util/durable.h"
 #include "util/hash.h"
 #include "util/log.h"
 
@@ -192,24 +194,44 @@ bool
 Snapshot::writeAtomic(const std::string &path, std::string &err) const
 {
     const std::string bytes = serialize();
-    const std::string tmp = path + ".tmp";
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    // A unique temp name per call: two processes checkpointing the same
+    // job into one directory never truncate or rename each other's file.
+    std::string tmp = path + ".tmp.XXXXXX";
+    const int fd = ::mkstemp(tmp.data());
+    if (fd < 0) {
+        err = strprintf("cannot create %s: %s", tmp.c_str(),
+                        std::strerror(errno));
+        return false;
+    }
+    std::FILE *f = ::fdopen(fd, "wb");
     if (!f) {
         err = strprintf("cannot open %s: %s", tmp.c_str(),
                         std::strerror(errno));
+        ::close(fd);
+        ::unlink(tmp.c_str());
         return false;
     }
     const bool ok =
         std::fwrite(bytes.data(), 1, bytes.size(), f) ==
             bytes.size() &&
-        std::fflush(f) == 0 && ::fsync(fileno(f)) == 0;
+        std::fflush(f) == 0 && ::fsync(fd) == 0;
+    const int writeErrno = errno;
     std::fclose(f);
+    if (!ok)
+        errno = writeErrno;
     // rename() is atomic on POSIX: a crash leaves either the previous
     // checkpoint or this one, never a half-written file under `path`.
     if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
         err = strprintf("cannot write %s: %s", path.c_str(),
                         std::strerror(errno));
-        std::remove(tmp.c_str());
+        ::unlink(tmp.c_str());
+        return false;
+    }
+    // The rename is only durable across power loss once the directory
+    // entry is on disk.
+    if (!fsyncParentDir(path)) {
+        err = strprintf("cannot sync the directory of %s: %s",
+                        path.c_str(), std::strerror(errno));
         return false;
     }
     return true;
@@ -252,7 +274,6 @@ void
 CheckpointContext::removeFile()
 {
     std::remove(path_.c_str());
-    std::remove((path_ + ".tmp").c_str());
 }
 
 std::string

@@ -10,8 +10,10 @@
  * SnapshotReader; Machine::saveSnapshot()/loadSnapshot() orchestrate
  * the section registry.
  *
- * Durability contract: files are written tmp+rename+fsync, so a crash
- * leaves either the previous checkpoint or the new one, never a blend.
+ * Durability contract: files are written to a unique temp file, fsync'd,
+ * renamed into place and the directory fsync'd, so a crash or power
+ * loss leaves either the previous checkpoint or the new one, never a
+ * blend.
  * On load every checksum is verified before any simulator state is
  * touched; a torn, truncated or bit-flipped file is detected,
  * quarantined (renamed to <path>.bad) and the job restarts from zero —
@@ -20,7 +22,6 @@
 #ifndef ISRF_UTIL_SNAPSHOT_H
 #define ISRF_UTIL_SNAPSHOT_H
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -279,7 +280,11 @@ struct Snapshot
      */
     bool parse(const std::string &bytes, std::string &err);
 
-    /** tmp + rename + fsync; false (with err) on any I/O failure. */
+    /**
+     * Write to a unique `<path>.tmp.XXXXXX`, fsync it, rename it over
+     * `path`, then fsync the directory. False (with err, and the temp
+     * file removed) on any I/O failure.
+     */
     bool writeAtomic(const std::string &path, std::string &err) const;
 };
 
@@ -303,13 +308,9 @@ SnapshotLoad loadSnapshotFile(const std::string &path,
 
 /**
  * Per-job checkpoint policy + accounting, shared between the run loop
- * (StreamProgram::run saves/restores through it), the sweep runner
- * (creates one per job, aggregates its counters into SweepTiming) and
- * the daemon (requests asynchronous saves on its periodic tick and
- * during SIGTERM drain via requestSave()).
- *
- * Threading: one job thread owns the context; only requestSave() may
- * be called from other threads.
+ * (StreamProgram::run saves/restores through it) and the sweep runner
+ * (creates one per job, aggregates its counters into SweepTiming).
+ * Owned and used by one job thread.
  */
 class CheckpointContext
 {
@@ -325,19 +326,10 @@ class CheckpointContext
     uint64_t fingerprint() const { return fingerprint_; }
     uint64_t everyCycles() const { return everyCycles_; }
 
-    /** Async save request (daemon tick / drain); one atomic store. */
-    void
-    requestSave()
-    {
-        saveRequested_.store(true, std::memory_order_relaxed);
-    }
-
     /** Should the run loop save at cycle `now`? */
     bool
     saveDue(uint64_t now) const
     {
-        if (saveRequested_.load(std::memory_order_relaxed))
-            return true;
         return everyCycles_ != 0 &&
                now - lastSaveCycle_ >= everyCycles_;
     }
@@ -345,7 +337,6 @@ class CheckpointContext
     void
     noteSaved(uint64_t cycle)
     {
-        saveRequested_.store(false, std::memory_order_relaxed);
         lastSaveCycle_ = cycle;
         saves_++;
     }
@@ -355,7 +346,6 @@ class CheckpointContext
     void
     noteSaveFailed(uint64_t cycle)
     {
-        saveRequested_.store(false, std::memory_order_relaxed);
         lastSaveCycle_ = cycle;
         saveFailures_++;
     }
@@ -396,7 +386,6 @@ class CheckpointContext
     std::string path_;
     uint64_t fingerprint_;
     uint64_t everyCycles_;
-    std::atomic<bool> saveRequested_{false};
     uint64_t lastSaveCycle_ = 0;
     uint64_t restoredCycle_ = 0;
     uint64_t saves_ = 0;

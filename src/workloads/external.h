@@ -1,8 +1,7 @@
 /**
  * @file
  * External dataset ingestion: turn a user-supplied MatrixMarket file
- * into a registered SpMV workload (`--dataset` on the bench drivers
- * and the sweep daemon).
+ * into a registered SpMV workload (`--dataset` on the bench drivers).
  *
  * The file is parsed eagerly at registration (so a bad file fails fast
  * with the reader's collect-all diagnostics) and re-read at run time

@@ -101,7 +101,7 @@ void registerWorkload(const std::string &name, WorkloadRunner runner);
 
 /**
  * All registered workload names, alphabetized — the diagnostic shown
- * when an unknown name reaches a bench driver or the daemon `run` op.
+ * when an unknown name reaches a bench driver.
  */
 std::vector<std::string> workloadNames();
 

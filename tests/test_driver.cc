@@ -485,6 +485,61 @@ TEST(SweepResilience, PartialJournalRunsOnlyTheMissingJobs)
     EXPECT_EQ(runner.timing().replayed, 2u);
 }
 
+TEST(SweepResilience, TornFinalRecordIsTrimmedBeforeResumeAppends)
+{
+    WorkloadOptions opts;
+    opts.repeats = 1;
+    auto jobs = SweepRunner::matrix(
+        {"Sort"}, {MachineKind::Base, MachineKind::ISRF4}, opts);
+
+    TempJournal journal("torn");
+    SweepPolicy policy;
+    policy.journalPath = journal.path();
+    SweepRunner runner(1);
+    auto full = runner.run(jobs, policy);
+
+    // Header + first job's record, then half of the second job's
+    // record with no newline: a sweep SIGKILLed mid-append.
+    JsonlReadResult rec = readJsonl(journal.path());
+    ASSERT_TRUE(rec.ok()) << rec.error;
+    ASSERT_EQ(rec.records.size(), 3u);
+    {
+        JsonlWriter w;
+        ASSERT_TRUE(w.open(journal.path(), false));
+        ASSERT_TRUE(w.append(rec.records[0]));
+        ASSERT_TRUE(w.append(rec.records[1]));
+    }
+    const std::string torn =
+        rec.records[2].substr(0, rec.records[2].size() / 2);
+    {
+        std::FILE *f = std::fopen(journal.path().c_str(), "ab");
+        ASSERT_NE(f, nullptr);
+        EXPECT_EQ(std::fwrite(torn.data(), 1, torn.size(), f),
+                  torn.size());
+        std::fclose(f);
+    }
+
+    policy.resume = true;
+    auto out = runner.run(jobs, policy);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_TRUE(out[0].fromJournal);
+    EXPECT_FALSE(out[1].fromJournal);
+    for (size_t i = 0; i < 2; i++)
+        EXPECT_EQ(out[i].resultText, full[i].resultText)
+            << "resumed sweep must serialize byte-identically";
+    EXPECT_EQ(runner.timing().tornRecordsDropped, 1u);
+    EXPECT_EQ(runner.timing().tornBytesDropped, torn.size());
+
+    // The re-run job's record starts on a fresh line: had the torn
+    // bytes stayed, it would have glued onto them and corrupted the
+    // journal for every later reader.
+    JsonlReadResult after = readJsonl(journal.path());
+    ASSERT_TRUE(after.ok()) << after.error;
+    EXPECT_FALSE(after.tornFinalLine);
+    EXPECT_EQ(after.droppedLines(), 0u);
+    EXPECT_EQ(after.records.size(), 3u);
+}
+
 TEST(SweepResilienceDeathTest, StaleJournalIsRejectedNotMerged)
 {
     WorkloadOptions opts;

@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "core/breakdown.h"
 #include "sim/engine.h"
 #include "workloads/trace_util.h"
@@ -81,6 +84,35 @@ TEST(Engine, NullComponentPanics)
 {
     Engine e;
     EXPECT_DEATH(e.add(nullptr), "null component");
+}
+
+TEST(DeadlinePolling, ExpiredDeadlineObservedWithinGranularity)
+{
+    const auto never = [] { return false; };
+    const uint64_t limit = 10 * Engine::kDeadlineCheckCycles;
+    {
+        // Already expired when attached: the first poll reads the clock.
+        Engine e;
+        CancelToken tok;
+        tok.setTimeout(1e-9);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        e.setCancel(&tok);
+        RunResult r = e.runUntil(never, limit);
+        EXPECT_EQ(r.status, RunStatus::TimedOut);
+        EXPECT_LE(r.cycles, Engine::kDeadlineCheckCycles);
+    }
+    // Expires between two clock reads: noticed at the next read, at
+    // most one polling window after the previous one.
+    Engine e;
+    CancelToken tok;
+    e.setCancel(&tok);
+    EXPECT_EQ(e.pollCancel(), RunStatus::Done);  // clock read at cycle 0
+    tok.setTimeout(1e-9);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    RunResult r = e.runUntil(never, limit);
+    EXPECT_EQ(r.status, RunStatus::TimedOut);
+    EXPECT_GT(e.now(), 0u);
+    EXPECT_LE(e.now(), Engine::kDeadlineCheckCycles);
 }
 
 TEST(Breakdown, TotalsAndAccumulate)

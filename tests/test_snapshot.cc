@@ -20,15 +20,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/machine.h"
@@ -53,7 +57,7 @@ class TempCkptDir
     ~TempCkptDir()
     {
         // Best-effort cleanup of the flat files this suite creates.
-        for (const char *suffix : {"", ".bad", ".tmp"}) {
+        for (const char *suffix : {"", ".bad"}) {
             std::remove((path_ + "/job.ckpt" + suffix).c_str());
             std::remove((path_ + "/fuzz.ckpt" + suffix).c_str());
         }
@@ -233,6 +237,53 @@ TEST(SnapshotFile, LoadFileOkMissingStale)
     EXPECT_EQ(loadSnapshotFile(dir.file("nope.ckpt"), 1, out, err),
               SnapshotLoad::Missing);
     EXPECT_TRUE(err.empty());
+}
+
+TEST(SnapshotFile, ConcurrentWritersOfOnePathAllSucceed)
+{
+    // Two processes checkpointing the same job into a shared directory:
+    // every write succeeds, the file is always one whole snapshot, and
+    // no temp file is left behind.
+    TempCkptDir dir("race");
+    const std::string path = dir.file("job.ckpt");
+    Snapshot a = syntheticSnapshot();
+    Snapshot b = syntheticSnapshot();
+    b.cycle = a.cycle + 1;
+    SnapshotWriter pad;
+    pad.str(std::string(1 << 16, 'x'));
+    a.addSection(kSnapCrossbar, pad);
+    b.addSection(kSnapCrossbar, pad);
+
+    std::atomic<int> failures{0};
+    auto writer = [&](const Snapshot &s) {
+        for (int i = 0; i < 200; i++) {
+            std::string err;
+            if (!s.writeAtomic(path, err))
+                failures++;
+        }
+    };
+    std::thread ta(writer, std::cref(a));
+    std::thread tb(writer, std::cref(b));
+    ta.join();
+    tb.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    Snapshot out;
+    std::string err;
+    ASSERT_EQ(loadSnapshotFile(path, a.fingerprint, out, err),
+              SnapshotLoad::Ok) << err;
+    EXPECT_TRUE(out.cycle == a.cycle || out.cycle == b.cycle)
+        << out.cycle;
+
+    std::vector<std::string> entries;
+    if (DIR *d = ::opendir(dir.path().c_str())) {
+        while (const dirent *e = ::readdir(d))
+            if (std::string(e->d_name) != "." &&
+                std::string(e->d_name) != "..")
+                entries.push_back(e->d_name);
+        ::closedir(d);
+    }
+    EXPECT_EQ(entries, std::vector<std::string>{"job.ckpt"});
 }
 
 TEST(SnapshotFile, QuarantineRenamesToBad)
