@@ -1,8 +1,7 @@
 /**
  * @file
- * Microbenchmark of the SRF port-arbitration hot path (host side, like
- * bench_components — this measures the *simulator*, not the modeled
- * hardware). Four fixed-work scenarios cover the regimes the
+ * Microbenchmark of the SRF port-arbitration hot path (host side:
+ * this measures the *simulator*, not the modeled hardware). Four fixed-work scenarios cover the regimes the
  * event-driven overhaul cares about:
  *
  *   arb/idle-heavy      zero-claim cycles dominate (quiescent machine)

@@ -335,8 +335,8 @@ main(int argc, char **argv)
         writeBenchPerfJson(benchJsonPath, "sweep", args,
                            engineModeName(jobs[0].cfg.engineMode),
                            runner, outcomes);
-    BenchArgs traceOnly = args;
-    traceOnly.jsonPath.clear();
-    finishBench(traceOnly);
+    BenchArgs observeOnly = args;
+    observeOnly.jsonPath.clear();
+    finishBench(observeOnly, sweepRuns(outcomes), &runner.profiler());
     return allGood ? 0 : 1;
 }

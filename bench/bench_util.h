@@ -107,6 +107,9 @@ progressf(const char *fmt, ...)
 // Result cache
 // ----------------------------------------------------------------------
 
+/** Finished runs in submission order (what --trace/--profile fold). */
+using RunList = std::vector<const WorkloadResult *>;
+
 /**
  * Runs-and-caches workload results within one bench binary.
  *
@@ -158,9 +161,11 @@ class ResultCache
             });
         for (auto &o : outcomes) {
             warnIncorrect(o.workload, o.kind, o.result);
-            cache_.emplace(key(o.workload, o.kind),
-                           std::move(o.result));
+            auto it = cache_.emplace(key(o.workload, o.kind),
+                                     std::move(o.result)).first;
+            runs_.push_back(&it->second);
         }
+        driverProfile_.mergeFrom(runner.profiler());
     }
 
     const WorkloadResult &
@@ -172,6 +177,7 @@ class ResultCache
             progressf("  [running %s on %s...]\n", name.c_str(),
                       machineKindName(kind));
             it = cache_.emplace(k, runWorkload(name, kind, opts_)).first;
+            runs_.push_back(&it->second);
             warnIncorrect(name, kind, it->second);
         }
         return it->second;
@@ -184,6 +190,12 @@ class ResultCache
     {
         return cache_;
     }
+
+    /** The same results in the order they were run. */
+    const RunList &runs() const { return runs_; }
+
+    /** Host phases of the sweeps prefetch() ran (SweepRunner's own). */
+    const Profiler &driverProfile() const { return driverProfile_; }
 
   private:
     static std::string
@@ -209,6 +221,8 @@ class ResultCache
     WorkloadOptions opts_;
     unsigned jobs_ = 1;
     std::map<std::string, WorkloadResult> cache_;
+    RunList runs_;  ///< into cache_ (std::map nodes never move)
+    Profiler driverProfile_;
 };
 
 // ----------------------------------------------------------------------
@@ -275,8 +289,6 @@ parseBenchArgs(int argc, char **argv,
                const std::vector<BenchFlag> &extra = {})
 {
     BenchArgs args;
-    // Force construction so ISRF_TRACE is parsed before any on() check.
-    Tracer::instance();
     auto next = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc) {
             std::fprintf(stderr, "%s requires an argument\n", flag);
@@ -299,11 +311,9 @@ parseBenchArgs(int argc, char **argv,
         } else if (s == "--profile") {
             args.profilePath = next(i, "--profile");
         } else if (s == "--trace-channels") {
-            std::string spec = next(i, "--trace-channels");
-            // Machines snapshot ISRF_TRACE via fromEnv(); the global
-            // shim gates trace merging and does the export.
-            setenv("ISRF_TRACE", spec.c_str(), 1);
-            Tracer::instance().enableChannels(spec);
+            // Machines snapshot ISRF_TRACE via fromEnv().
+            setenv("ISRF_TRACE", next(i, "--trace-channels").c_str(),
+                   1);
         } else if (s == "--faults") {
             setenv("ISRF_FAULTS", next(i, "--faults").c_str(), 1);
         } else if (s == "--jobs") {
@@ -383,17 +393,13 @@ parseBenchArgs(int argc, char **argv,
         std::fprintf(stderr, "--resume requires --journal <path>\n");
         std::exit(2);
     }
-    if (!args.tracePath.empty() && !Tracer::instance().on()) {
+    // --trace and --profile turn their feature on unless the
+    // environment already chose a setting (a channel list, a custom
+    // stride, or an explicit off to measure the dump path alone).
+    if (!args.tracePath.empty() && envStr("ISRF_TRACE").empty())
         setenv("ISRF_TRACE", "all", 1);
-        Tracer::instance().enableChannels("all");
-    }
-    // --profile turns profiling on unless ISRF_PROFILE already chose a
-    // setting (e.g. a custom stride, or an explicit off to measure the
-    // dump path alone). Exported before the shim constructs so its
-    // one-time env parse sees the final value.
     if (!args.profilePath.empty() && envStr("ISRF_PROFILE").empty())
         setenv("ISRF_PROFILE", "on", 1);
-    Profiler::instance();
     return args;
 }
 
@@ -418,16 +424,49 @@ writeBenchJson(const std::string &path,
 }
 
 /**
- * Write the --json/--trace/--profile outputs for a binary without a
- * ResultCache (its --json report is an empty results object).
+ * The environment's trace and profile settings, read the one way every
+ * machine reads them: MachineConfig::fromEnv().
+ */
+inline MachineConfig
+envObservability()
+{
+    return MachineConfig::make(MachineKind::Base).fromEnv();
+}
+
+/**
+ * The host profile a binary reports: every run's, folded in order,
+ * plus the sweep driver's own phases (`driver`, when one ran them).
  */
 inline void
-finishBench(const BenchArgs &args)
+foldProfiles(const RunList &runs, const Profiler *driver,
+             Profiler &profile)
+{
+    const MachineConfig env = envObservability();
+    profile.configure(env.profileEnabled, env.profileStride);
+    for (const WorkloadResult *r : runs)
+        if (r->profile)
+            profile.mergeFrom(*r->profile);
+    if (driver)
+        profile.mergeFrom(*driver);
+}
+
+/**
+ * Write the --json/--trace/--profile outputs (no-ops without them).
+ * --trace and --profile export `runs`' traces and host profiles,
+ * folded in submission order, so the files do not depend on --jobs;
+ * --profile adds the `driver` profile of the sweep that ran them. A
+ * binary without a ResultCache writes an empty --json results object.
+ */
+inline void
+finishBench(const BenchArgs &args, const RunList &runs = {},
+            const Profiler *driver = nullptr)
 {
     if (!args.jsonPath.empty())
         writeBenchJson(args.jsonPath, {});
     if (!args.profilePath.empty()) {
-        if (Profiler::instance().writeChromeTrace(args.profilePath))
+        Profiler profile;
+        foldProfiles(runs, driver, profile);
+        if (profile.writeChromeTrace(args.profilePath))
             std::fprintf(stderr, "wrote host profile to %s\n",
                          args.profilePath.c_str());
         else
@@ -436,24 +475,39 @@ finishBench(const BenchArgs &args)
     }
     if (args.tracePath.empty())
         return;
-    if (Tracer::instance().writeChromeJson(args.tracePath)) {
+    Tracer trace;
+    trace.setCapacity(envObservability().traceCapacity);
+    for (const WorkloadResult *r : runs)
+        if (r->trace)
+            trace.mergeFrom(*r->trace);
+    if (trace.writeChromeJson(args.tracePath)) {
         std::fprintf(stderr, "wrote trace to %s (%zu events)\n",
-                     args.tracePath.c_str(), Tracer::instance().size());
+                     args.tracePath.c_str(), trace.size());
     } else {
         std::fprintf(stderr, "ERROR: could not write trace to %s\n",
                      args.tracePath.c_str());
     }
 }
 
-/** Write --json results and the --trace output (no-ops without them). */
+/** finishBench() over a ResultCache's results. */
 inline void
 finishBench(const BenchArgs &args, const ResultCache &cache)
 {
     if (!args.jsonPath.empty())
         writeBenchJson(args.jsonPath, cache.results());
-    BenchArgs traceOnly = args;
-    traceOnly.jsonPath.clear();
-    finishBench(traceOnly);
+    BenchArgs observeOnly = args;
+    observeOnly.jsonPath.clear();
+    finishBench(observeOnly, cache.runs(), &cache.driverProfile());
+}
+
+/** A sweep's results in submission order. */
+inline RunList
+sweepRuns(const std::vector<SweepOutcome> &outcomes)
+{
+    RunList runs;
+    for (const SweepOutcome &o : outcomes)
+        runs.push_back(&o.result);
+    return runs;
 }
 
 // ----------------------------------------------------------------------
@@ -487,8 +541,9 @@ gitSha()
  * Write one perf record (schema isrf-perf-record-v1) for a finished
  * sweep: host metadata, sweep totals (wall time, parallel speedup,
  * simulated cycles per host second), per-job wall times, and — when
- * profiling is on — the aggregate host-time profile. This is the
- * BENCH_*.json format tools/perf_diff compares.
+ * profiling is on — the host-time profile: every job's, plus the
+ * runner's own phases. This is the BENCH_*.json format tools/perf_diff
+ * compares.
  */
 inline void
 writeBenchPerfJson(const std::string &path, const std::string &bench,
@@ -550,10 +605,11 @@ writeBenchPerfJson(const std::string &path, const std::string &bench,
         w.endObject();
     }
     w.endArray();
-    if (Profiler::instance().enabled() &&
-        Profiler::instance().hasData()) {
+    Profiler profile;
+    foldProfiles(sweepRuns(outcomes), &runner.profiler(), profile);
+    if (profile.enabled() && profile.hasData()) {
         w.key("profile");
-        Profiler::instance().reportJson(w);
+        profile.reportJson(w);
     }
     w.endObject();
     if (writeTextFile(path, w.str()))

@@ -32,12 +32,7 @@ for b in "$BUILD"/bench/bench_*; do
     name="$(basename "$b")"
     [ "$name" = bench_sweep ] && continue   # already run above
     echo "############ $name ############"
-    if [ "$name" = bench_components ]; then
-        # google-benchmark binary: no --json/--trace support.
-        "$b"
-    else
-        "$b" --jobs "$JOBS" --json "$REPORTS/$name.json"
-    fi
+    "$b" --jobs "$JOBS" --json "$REPORTS/$name.json"
 done 2>/dev/null | tee bench_output.txt | grep -E "^Reproduces|speedup range"
 
 echo "==> machine-readable results in $REPORTS/*.json"

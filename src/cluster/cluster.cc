@@ -63,11 +63,11 @@ void
 Cluster::init(uint32_t lane, Srf *srf, Crossbar *dataNet,
               Tracer *tracer)
 {
-    trc_ = tracer ? tracer : &Tracer::instance();
+    trc_ = tracer;
     lane_ = lane;
     srf_ = srf;
     dataNet_ = dataNet;
-    traceCh_ = trc_->channel("cluster");
+    traceCh_ = trc_ ? trc_->channel("cluster") : 0;
 }
 
 void
@@ -91,7 +91,7 @@ Cluster::bind(const KernelInvocation *inv, Cycle now)
     pendingIdxR_.assign(nSlots, {});
     pendingIdxW_.assign(nSlots, {});
     doneReported_ = false;
-    if (trc_->on())
+    if (trc_ && trc_->on())
         trc_->instant(traceCh_, "bind", now, lane_);
 }
 
@@ -504,7 +504,7 @@ Cluster::tick(Cycle now)
     if (itersIssued_ >= total) {
         if (!doneReported_) {
             doneReported_ = true;
-            if (trc_->on())
+            if (trc_ && trc_->on())
                 trc_->instant(traceCh_, "lane_done", now,
                                            lane_);
         }

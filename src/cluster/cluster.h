@@ -209,7 +209,7 @@ class Cluster
     LaneCycles cycles_;
     CycleCat lastCat_ = CycleCat::Idle;
 
-    Tracer *trc_ = nullptr;  ///< owning machine's tracer
+    Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
     bool doneReported_ = false;  ///< "lane_done" emitted for this bind
 };

@@ -81,19 +81,18 @@ class Machine : public Ticked
 
     /**
      * This machine's private event tracer. Every component of this
-     * machine records here (never into the global Tracer::instance()),
-     * so concurrent machines in one process stay fully isolated.
-     * Configured from cfg.traceSpec / cfg.traceCapacity at init.
+     * machine records here, so concurrent machines in one process stay
+     * fully isolated. Configured from cfg.traceSpec / cfg.traceCapacity
+     * at init; copied into the WorkloadResult at harvest.
      */
     Tracer &tracer() { return tracer_; }
     const Tracer &tracer() const { return tracer_; }
 
     /**
      * This machine's private host-time profiler (same isolation rule
-     * as the tracer: nothing in this machine touches the global
-     * Profiler::instance()). Configured from cfg.profileEnabled /
-     * cfg.profileStride at init; merged into the global aggregate at
-     * workload harvest.
+     * as the tracer). Configured from cfg.profileEnabled /
+     * cfg.profileStride at init; copied into the WorkloadResult at
+     * harvest.
      */
     Profiler &profiler() { return profiler_; }
     const Profiler &profiler() const { return profiler_; }

@@ -10,7 +10,6 @@
 #include <mutex>
 #include <thread>
 
-#include "sim/profiler.h"
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/jsonl.h"
@@ -459,12 +458,20 @@ std::vector<SweepOutcome>
 SweepRunner::run(const std::vector<SweepJob> &jobs,
                  const SweepPolicy &policy, ProgressFn progress)
 {
-    // Force the lazy registries into existence before any worker
-    // starts. Magic statics are thread-safe, but initializing them
-    // here keeps worker wall times honest and the first jobs fast.
+    // Force the lazy registry into existence before any worker
+    // starts. Magic statics are thread-safe, but initializing it here
+    // keeps worker wall times honest and the first jobs fast.
     workloadRegistry();
-    Tracer::instance();
-    Profiler::instance();
+    // The runner's own phases (Report, Journal) are profiled exactly
+    // when its jobs are.
+    profiler_.configure(false);
+    for (const SweepJob &job : jobs) {
+        if (job.cfg.profileEnabled) {
+            profiler_.configure(true, job.cfg.profileStride);
+            break;
+        }
+    }
+    profiler_.reset();
 
     std::vector<SweepOutcome> out(jobs.size());
     timing_ = SweepTiming();
@@ -637,14 +644,12 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             o.attempts = attempt;
             o.wallSeconds += wall;
             {
-                Profiler::Scope prof(Profiler::instance(),
-                                     Profiler::Report);
+                Profiler::Scope prof(profiler_, Profiler::Report);
                 o.resultText = resultJson(o.result);
             }
 
             if (journal.isOpen()) {
-                Profiler::Scope prof(Profiler::instance(),
-                                     Profiler::Journal);
+                Profiler::Scope prof(profiler_, Profiler::Journal);
                 std::lock_guard<std::mutex> lock(journalMu);
                 journal.append(attemptRecord(fps[idx], o, attempt,
                                              wall));

@@ -10,11 +10,12 @@
  * regardless of completion order.
  *
  * Soundness rests on the de-globalized simulation core: every Machine
- * owns its Tracer and StatSampler, and all ISRF_* environment reads
- * happen once, up front, in MachineConfig::fromEnv() — never from a
- * worker thread. A job therefore touches no mutable process-global
- * state except the (mutex-guarded) CLI trace shim and progress
- * printing.
+ * owns its Tracer, Profiler and StatSampler, and all ISRF_*
+ * environment reads happen once, up front, in MachineConfig::fromEnv()
+ * — never from a worker thread. A job therefore touches no mutable
+ * process-global state; its trace and profile come back inside its
+ * WorkloadResult, and the runner's own phases record into a Profiler
+ * the runner owns.
  *
  * Determinism guarantee: each job's WorkloadResult depends only on
  * (workload, config, options), all captured at submission time, so a
@@ -32,6 +33,7 @@
 
 #include "core/config.h"
 #include "sim/engine.h"
+#include "sim/profiler.h"
 #include "workloads/workload.h"
 
 namespace isrf {
@@ -271,6 +273,13 @@ class SweepRunner
     const SweepTiming &timing() const { return timing_; }
 
     /**
+     * Host-time profile of the most recent run()'s own phases (result
+     * serialization, journal appends). Enabled when any job's config
+     * profiles; the jobs' machine profiles are in their results.
+     */
+    const Profiler &profiler() const { return profiler_; }
+
+    /**
      * Build the full benchmarks x machine-kinds job matrix in figure
      * order. Configs are resolved (make + fromEnv) here, on the
      * calling thread, so workers never consult the environment.
@@ -283,6 +292,7 @@ class SweepRunner
   private:
     unsigned threads_ = 1;
     SweepTiming timing_;
+    Profiler profiler_;
 };
 
 } // namespace isrf

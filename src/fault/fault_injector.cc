@@ -16,7 +16,7 @@ FaultInjector::init(const FaultConfig &cfg, uint64_t machineSeed,
                     Srf *srf, MemorySystem *mem, Crossbar *xbar,
                     Tracer *tracer)
 {
-    trc_ = tracer ? tracer : &Tracer::instance();
+    trc_ = tracer;
     cfg_ = cfg;
     srf_ = srf;
     mem_ = mem;
@@ -26,7 +26,7 @@ FaultInjector::init(const FaultConfig &cfg, uint64_t machineSeed,
     for (const FaultScheduleEntry &e : cfg.schedule)
         sched_.push_back({e, e.start, e.count});
     totalInjected_ = 0;
-    traceCh_ = trc_->channel("fault");
+    traceCh_ = trc_ ? trc_->channel("fault") : 0;
 }
 
 bool
@@ -53,7 +53,7 @@ FaultInjector::fire(const FaultScheduleEntry &e, Cycle now)
 {
     totalInjected_++;
     stats_.counter(faultKindName(e.kind)).inc();
-    if (trc_->on())
+    if (trc_ && trc_->on())
         trc_->instant(traceCh_, faultKindName(e.kind), now);
 
     switch (e.kind) {

@@ -79,7 +79,7 @@ class FaultInjector
     std::vector<EntryState> sched_;
     uint64_t totalInjected_ = 0;
     StatGroup stats_{"fault"};
-    Tracer *trc_ = nullptr;  ///< owning machine's tracer
+    Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
 };
 

@@ -52,8 +52,9 @@ Watchdog::tick(Cycle now)
     triggeredCycle_ = now;
     // Same diagnosis aid as the runUntil deadlock path: the last
     // grants/stalls in the trace buffer say who stopped making progress.
-    const Tracer &t = tracer_ ? *tracer_ : Tracer::instance();
-    t.dumpTail(stderr, Engine::kDeadlockDumpEvents, label_.c_str());
+    if (tracer_)
+        tracer_->dumpTail(stderr, Engine::kDeadlockDumpEvents,
+                          label_.c_str());
     ISRF_WARN("watchdog: no progress for %llu cycles (%u x %llu-cycle "
               "intervals) at cycle %llu; stopping run",
               static_cast<unsigned long long>(

@@ -33,7 +33,7 @@ class Watchdog : public Ticked
     /**
      * `tracer`/`label` select whose trace tail the trip diagnostic
      * dumps and how it is tagged (the owning machine's tracer and
-     * config name); defaulted, the dump uses the global tracer.
+     * config name); defaulted, the trip dumps no trace.
      */
     void init(uint64_t intervalCycles, uint32_t stallIntervals,
               ProgressFn progress, Tracer *tracer = nullptr,

@@ -26,8 +26,8 @@ Dram::init(const DramConfig &cfg, Tracer *tracer)
     now_ = 0;
     rowHits_ = 0;
     rowMisses_ = 0;
-    trc_ = tracer ? tracer : &Tracer::instance();
-    traceCh_ = trc_->channel("dram");
+    trc_ = tracer;
+    traceCh_ = trc_ ? trc_->channel("dram") : 0;
     resetStats();
 }
 
@@ -181,7 +181,7 @@ Dram::tryAccessWord(uint64_t addr)
     } else {
         rowMisses_++;
         randomWords_++;
-        if (trc_->on())
+        if (trc_ && trc_->on())
             trc_->instant(traceCh_, "row_miss", now_, bank);
     }
     return true;

@@ -151,7 +151,7 @@ class Dram
     std::vector<int64_t> openRow_;
     double tokens_ = 0;
     Cycle now_ = 0;  ///< cycles ticked (trace timestamps)
-    Tracer *trc_ = nullptr;  ///< owning machine's tracer
+    Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
     uint64_t rowHits_ = 0;
     uint64_t rowMisses_ = 0;

@@ -30,7 +30,7 @@ MemorySystem::init(const MemSystemConfig &cfg, const DramConfig &dramCfg,
 {
     cfg_ = cfg;
     srf_ = srf;
-    trc_ = tracer ? tracer : &Tracer::instance();
+    trc_ = tracer;
     dram_.init(dramCfg, trc_);
     cache_.init(cacheCfg);
     units_.assign(cfg.units, StreamMemUnit());
@@ -43,7 +43,7 @@ MemorySystem::init(const MemSystemConfig &cfg, const DramConfig &dramCfg,
     nextId_ = 1;
     lastCompletion_ = kNoEvent;
     stats_.resetAll();
-    traceCh_ = trc_->channel("mem");
+    traceCh_ = trc_ ? trc_->channel("mem") : 0;
     queueDepthHist_ = &stats_.histogram("queue_depth", 0,
         static_cast<double>(cfg.units + 16), cfg.units + 16);
 }
@@ -113,7 +113,7 @@ MemorySystem::tick(Cycle now)
             continue;
         units_[u].start(queue_.front().op, now);
         unitOpId_[u] = queue_.front().id;
-        if (trc_->on()) {
+        if (trc_ && trc_->on()) {
             trc_->instant(traceCh_,
                 memOpName(queue_.front().op.kind), now,
                 static_cast<uint64_t>(queue_.front().id));
@@ -130,7 +130,7 @@ MemorySystem::tick(Cycle now)
             stats_.counter("ops_completed").inc();
             if (units_[u].opPoisoned())
                 stats_.counter("ops_poisoned").inc();
-            if (trc_->on()) {
+            if (trc_ && trc_->on()) {
                 trc_->instant(traceCh_, "op_done", now,
                     static_cast<uint64_t>(unitOpId_[u]));
             }

@@ -114,7 +114,7 @@ class MemorySystem
     /** Cycle of the most recent op completion (driver-visible event). */
     Cycle lastCompletion_ = kNoEvent;
     StatGroup stats_{"mem"};
-    Tracer *trc_ = nullptr;  ///< owning machine's tracer
+    Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
     /** Distribution of in-flight ops while the system is busy. */
     Histogram *queueDepthHist_ = nullptr;

@@ -11,14 +11,14 @@ void
 StreamMemUnit::init(Dram *dram, Cache *cache, Srf *srf,
                     uint32_t stagingWords, Tracer *tracer)
 {
-    trc_ = tracer ? tracer : &Tracer::instance();
+    trc_ = tracer;
     dram_ = dram;
     cache_ = cache;
     srf_ = srf;
     stagingCap_ = stagingWords;
     if (cache_)
-        cacheTraceCh_ = trc_->channel("cache");
-    faultTraceCh_ = trc_->channel("fault");
+        cacheTraceCh_ = trc_ ? trc_->channel("cache") : 0;
+    faultTraceCh_ = trc_ ? trc_->channel("fault") : 0;
 }
 
 void
@@ -123,13 +123,13 @@ StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw)
     if (fullLineStore)
         bw.cacheTokens -= 1.0;
     CacheAccessResult r = cache_->access(line, isWrite);
-    if (trc_->on())
+    if (trc_ && trc_->on())
         trc_->instant(cacheTraceCh_, "miss", curCycle_, line);
     if (r.writeback) {
         // Writeback bandwidth: retroactive token consumption; allow the
         // bucket to go negative via a forced grab so timing still pays.
         dram_->requestWords(cache_->config().lineWords, true);
-        if (trc_->on()) {
+        if (trc_ && trc_->on()) {
             trc_->instant(cacheTraceCh_, "writeback",
                                        curCycle_, line);
         }
@@ -160,7 +160,7 @@ StreamMemUnit::readWithRetry(uint64_t addr, Word *out)
         retryNotBefore_ = curCycle_ +
             (static_cast<Cycle>(faults_.retryBackoffBase)
              << (retriesThisWord_ - 1));
-        if (trc_->on())
+        if (trc_ && trc_->on())
             trc_->instant(faultTraceCh_, "mem_retry",
                                        curCycle_, addr);
         return false;
@@ -173,7 +173,7 @@ StreamMemUnit::readWithRetry(uint64_t addr, Word *out)
     ISRF_WARN("StreamMemUnit: uncorrectable DRAM word at %llu after %u "
               "retries; poisoning",
               static_cast<unsigned long long>(addr), faults_.retryLimit);
-    if (trc_->on())
+    if (trc_ && trc_->on())
         trc_->instant(faultTraceCh_, "mem_poison",
                                    curCycle_, addr);
     *out = kPoisonWord;
@@ -259,7 +259,7 @@ StreamMemUnit::injectDrop()
     staging_.pop_back();
     dramCursor_--;
     droppedWords_++;
-    if (trc_->on())
+    if (trc_ && trc_->on())
         trc_->instant(faultTraceCh_, "mem_drop", curCycle_,
                                    dramCursor_);
     return true;

@@ -149,7 +149,7 @@ class StreamMemUnit
     double dramCostFactor_ = 1.0;
     Cycle startCycle_ = 0;
     Cycle curCycle_ = 0;  ///< latest tick() cycle (trace timestamps)
-    Tracer *trc_ = nullptr;  ///< owning machine's tracer
+    Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t cacheTraceCh_ = 0;
     uint64_t dramCursor_ = 0;  ///< stream words done on the DRAM side
     uint64_t srfCursor_ = 0;   ///< stream words done on the SRF side

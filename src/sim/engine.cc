@@ -137,8 +137,9 @@ Engine::runUntil(const std::function<bool()> &done, uint64_t limit)
             // model's last grants/stalls are the diagnosis. Use the
             // owning machine's tracer so a multi-machine process never
             // prints another run's events.
-            const Tracer &t = tracer_ ? *tracer_ : Tracer::instance();
-            t.dumpTail(stderr, kDeadlockDumpEvents, label_.c_str());
+            if (tracer_)
+                tracer_->dumpTail(stderr, kDeadlockDumpEvents,
+                                  label_.c_str());
             ISRF_WARN("Engine::runUntil%s%s%s: cycle limit %llu exceeded "
                       "after %llu cycles, at cycle %llu (model "
                       "deadlock?)",

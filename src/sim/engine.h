@@ -151,9 +151,8 @@ class Engine
 
     /**
      * Tracer to dump diagnostics from (the owning machine's), plus a
-     * label (machine/config name) tagging those dumps. Without one,
-     * runUntil falls back to the process-global Tracer::instance() —
-     * the standalone-engine path.
+     * label (machine/config name) tagging those dumps. Without one
+     * (the standalone-engine path), runUntil dumps no trace.
      */
     void
     setTracer(Tracer *tracer, std::string label)

@@ -50,26 +50,6 @@ Profiler::phaseSampled(Phase p)
     }
 }
 
-Profiler &
-Profiler::instance()
-{
-    // CLI shim, mirroring Tracer::instance(): the one profiler that
-    // reads the environment, because it exists before any
-    // MachineConfig::fromEnv() snapshot (bench --profile exports
-    // ISRF_PROFILE and then forces construction).
-    static Profiler *global = [] {
-        auto *p = new Profiler();
-        bool enabled = false;
-        uint64_t stride = kDefaultStride;
-        std::vector<std::string> errs;
-        if (parseSpec(envStr("ISRF_PROFILE"), enabled, stride, &errs))
-            p->configure(enabled, stride);
-        warnEnvErrors(errs);
-        return p;
-    }();
-    return *global;
-}
-
 bool
 Profiler::parseSpec(const std::string &spec, bool &enabled,
                     uint64_t &stride, std::vector<std::string> *errs)

@@ -21,9 +21,10 @@
  *     extrapolates (ns * calls / timed). Coarse phases (journal,
  *     report serialization, whole runs) are always timed.
  *  3. Isolation. Each Machine owns a Profiler (like its Tracer), so
- *     parallel sweep workers never contend; per-machine profiles are
- *     folded into the process-global instance() shim at harvest time
- *     via lock-free mergeFrom (all accumulators are relaxed atomics).
+ *     parallel sweep workers never contend. A finished run's profile
+ *     travels in its WorkloadResult; a bench binary folds those into
+ *     its own aggregate via lock-free mergeFrom (all accumulators are
+ *     relaxed atomics). There is no process-global profiler.
  *
  * Enabling (see MachineConfig::fromEnv and bench --profile):
  *   ISRF_PROFILE=on        enable, default stride
@@ -79,16 +80,6 @@ class Profiler
     Profiler() = default;
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
-
-    /**
-     * The process-global aggregate (CLI shim, like Tracer::instance()).
-     * First call parses ISRF_PROFILE (warn-and-default on a malformed
-     * value). Per-machine profiles are merged into it at workload
-     * harvest; the sweep runner's journal/report scopes record here
-     * directly. All mutation is relaxed-atomic, so concurrent sweep
-     * workers need no lock.
-     */
-    static Profiler &instance();
 
     /**
      * Parse an ISRF_PROFILE-style spec ("0"/"off", "1"/"on",
@@ -208,11 +199,10 @@ class Profiler
         std::atomic<uint64_t> timed{0};
         std::atomic<uint64_t> ns{0};
         /**
-         * Live scope nesting for the reentrancy guard. On the shared
-         * instance() shim a concurrent same-phase scope on another
-         * thread is treated like a reentrant one (not timed, not
-         * counted); in practice shim phases (Journal under its mutex,
-         * Report) do not overlap same-phase.
+         * Live scope nesting for the reentrancy guard. On a profiler
+         * shared by threads (the SweepRunner's) a concurrent
+         * same-phase scope on another thread is treated like a
+         * reentrant one (not timed, not counted).
          */
         std::atomic<uint32_t> depth{0};
     };

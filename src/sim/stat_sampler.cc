@@ -79,8 +79,8 @@ StatSampler::sampleNow(Cycle now)
     for (const auto &gf : gauges_)
         iv.gauges[gf.first] = gf.second();
 
-    Tracer &t = tracer_ ? *tracer_ : Tracer::instance();
-    if (t.on()) {
+    if (tracer_ && tracer_->on()) {
+        Tracer &t = *tracer_;
         if (!traceChInit_) {
             traceCh_ = t.channel("stats");
             traceChInit_ = true;

@@ -52,7 +52,7 @@ class StatSampler : public Ticked
 
     /**
      * Tracer to emit Counter events into (the owning machine's).
-     * Unset, the sampler falls back to the global Tracer::instance().
+     * Unset, the sampler emits no trace events.
      */
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
 

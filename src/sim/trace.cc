@@ -6,7 +6,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "util/env.h"
 #include "util/log.h"
 
 namespace isrf {
@@ -20,10 +19,6 @@ mergeMutex()
     static std::mutex mu;
     return mu;
 }
-
-} // namespace
-
-namespace {
 
 /** Split a comma-separated list, dropping empty fields. */
 std::vector<std::string>
@@ -79,33 +74,6 @@ jsonEscape(const char *s)
 }
 
 } // namespace
-
-Tracer &
-Tracer::instance()
-{
-    // The CLI shim keeps the historical behavior of configuring itself
-    // from the environment on first use; per-machine tracers are
-    // configured explicitly from MachineConfig instead.
-    static Tracer t;
-    static bool envApplied = [] {
-        std::vector<std::string> errs;
-        uint64_t cap =
-            envU64("ISRF_TRACE_CAPACITY", kDefaultCapacity, &errs);
-        if (cap == 0) {
-            errs.push_back("ISRF_TRACE_CAPACITY=0 is invalid; using "
-                           "default");
-            cap = kDefaultCapacity;
-        }
-        t.setCapacity(cap);
-        std::string spec = envStr("ISRF_TRACE");
-        if (!spec.empty())
-            t.enableChannels(spec);
-        warnEnvErrors(errs);
-        return true;
-    }();
-    (void)envApplied;
-    return t;
-}
 
 uint16_t
 Tracer::channel(const std::string &name)
@@ -260,6 +228,8 @@ Tracer::lastEvents(size_t n) const
 {
     n = std::min(n, count_);
     std::vector<TraceEvent> out;
+    if (n == 0)
+        return out;  // also covers a never-enabled tracer's empty ring
     out.reserve(n);
     // Oldest of the n requested events sits n slots behind head_.
     size_t start = (head_ + ring_.size() - n) % ring_.size();

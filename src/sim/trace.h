@@ -5,9 +5,11 @@
  * Components register named *channels* ("srf", "mem", "dram", ...) and
  * emit timestamped events into a bounded ring buffer: Begin/End spans,
  * Instant markers, and Counter samples. Tracing is runtime-enabled —
- * via the ISRF_TRACE environment variable or Tracer::enableChannels() —
- * and costs a single predictable branch per call site when off, so the
- * instrumentation can live permanently in hot paths.
+ * through Tracer::enableChannels(), which Machine::init feeds from
+ * MachineConfig::traceSpec (the ISRF_TRACE environment variable, via
+ * MachineConfig::fromEnv) — and costs a single predictable branch per
+ * call site when off, so the instrumentation can live permanently in
+ * hot paths. A component handed no tracer (nullptr) is untraced.
  *
  * The buffer exports as Chrome trace-event JSON (loadable in Perfetto
  * or chrome://tracing; one "thread" per channel) and as CSV. The tail
@@ -60,9 +62,9 @@ struct TraceEvent
  *
  * A freshly constructed tracer is disabled, reads no environment, and
  * allocates no ring until a channel is enabled or setCapacity() is
- * called. The process-global instance() shim survives for the CLI
- * path: bench binaries enable it, per-machine traces are merged into
- * it (mergeFrom) at harvest time, and it is what --trace exports.
+ * called. There is no process-global tracer: a finished run's events
+ * travel in its WorkloadResult, and a bench binary's --trace export
+ * folds those results (mergeFrom) in submission order.
  *
  * Channel ids are stable for the tracer's lifetime; clear() drops
  * buffered events but keeps channel registrations and enablement.
@@ -73,14 +75,6 @@ class Tracer
     Tracer() = default;
     Tracer(const Tracer &) = delete;
     Tracer &operator=(const Tracer &) = delete;
-
-    /**
-     * The global tracer (CLI shim). First call parses ISRF_TRACE and
-     * ISRF_TRACE_CAPACITY with validated parsing (bad values warn and
-     * fall back to defaults). Construction is thread-safe; concurrent
-     * mutation is only safe through mergeFrom().
-     */
-    static Tracer &instance();
 
     /** Fast-path check for call sites: any channel enabled? */
     bool on() const { return anyEnabled_; }
@@ -118,8 +112,8 @@ class Tracer
      * re-interning event names so they outlive the source. Events are
      * appended regardless of this tracer's channel enablement — the
      * source already filtered. Thread-safe against concurrent
-     * mergeFrom() calls on the same destination (the CLI shim receives
-     * merges from parallel sweep workers); not against concurrent
+     * mergeFrom() calls on the same destination (parallel sweep
+     * workers may fold into one shared tracer); not against concurrent
      * record()/export on it.
      */
     void mergeFrom(const Tracer &other);

@@ -11,7 +11,7 @@ void
 Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
           Tracer *tracer)
 {
-    trc_ = tracer ? tracer : &Tracer::instance();
+    trc_ = tracer;
     // Backstop only: MachineConfig::validate() reports this collect-all
     // style before any machine is built. Direct init() callers (tests,
     // benches) bypass validate(), and serviceSeqSlot's row buffer is 8
@@ -58,7 +58,7 @@ Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
     seqWords_ = 0;
     idxInLaneWords_ = 0;
     idxCrossWords_ = 0;
-    traceCh_ = trc_->channel("srf");
+    traceCh_ = trc_ ? trc_->channel("srf") : 0;
     // Conflict degree caps at the per-cycle indexed access attempts:
     // lanes x sub-arrays is a generous upper bound for the range.
     conflictHist_ = &stats_.histogram("idx_conflict_degree", 0,
@@ -835,7 +835,7 @@ Srf::serviceIndexed(Cycle now)
     // cycle suffered (the Figure 15/17 throughput-loss mechanism).
     uint64_t degree = subArrayConflicts() - conflicts0;
     conflictHist_->sample(static_cast<double>(degree));
-    if (trc_->on() && degree > 0)
+    if (trc_ && trc_->on() && degree > 0)
         trc_->instant(traceCh_, "idx_conflicts", now, degree);
 }
 
@@ -919,7 +919,7 @@ Srf::endCycle(Cycle now)
     int granted = idxUrgent ? static_cast<int>(nSlots)
                             : globalArb_.arbitrate(claims);
     if (granted == static_cast<int>(nSlots)) {
-        if (trc_->on())
+        if (trc_ && trc_->on())
             trc_->instant(traceCh_, "idx_grant", now,
                           idxUrgent ? 1 : 0);
         serviceIndexed(now);
@@ -933,7 +933,7 @@ Srf::endCycle(Cycle now)
                 break;
             }
         }
-        if (trc_->on())
+        if (trc_ && trc_->on())
             trc_->instant(traceCh_,
                 dmaServed ? "dma_grant" : "seq_grant", now,
                 static_cast<uint64_t>(granted));

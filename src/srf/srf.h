@@ -423,7 +423,7 @@ class Srf
     uint64_t seqWords_ = 0;
     uint64_t idxInLaneWords_ = 0;
     uint64_t idxCrossWords_ = 0;
-    Tracer *trc_ = nullptr;  ///< owning machine's tracer
+    Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
     /** Per-idx-cycle sub-array conflict-degree distribution. */
     Histogram *conflictHist_ = nullptr;

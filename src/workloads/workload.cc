@@ -1,6 +1,5 @@
 #include "workloads/workload.h"
 
-#include "sim/profiler.h"
 #include "util/json.h"
 #include "util/log.h"
 #include "workloads/fft.h"
@@ -107,15 +106,20 @@ runWorkload(const std::string &name, const MachineConfig &cfg,
 void
 harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
 {
-    // The machine's private trace dies with it; fold it into the CLI
-    // shim tracer (what --trace exports) while the machine is alive.
-    // mergeFrom serializes concurrent harvests from sweep workers.
-    if (Tracer::instance().on() && m.tracer().size() > 0)
-        Tracer::instance().mergeFrom(m.tracer());
-    // Same for the machine's host-time profile (--profile exports the
-    // shim's aggregate). Lock-free: mergeFrom is relaxed-atomic.
-    if (m.profiler().enabled())
-        Profiler::instance().mergeFrom(m.profiler());
+    // The machine's private trace and profile die with it; the result
+    // carries copies to whoever folds them (bench --trace/--profile).
+    if (m.tracer().size() > 0) {
+        auto trace = std::make_shared<Tracer>();
+        trace->setCapacity(m.tracer().capacity());
+        trace->mergeFrom(m.tracer());
+        res.trace = std::move(trace);
+    }
+    if (m.profiler().enabled()) {
+        auto profile = std::make_shared<Profiler>();
+        profile->configure(true, m.profiler().stride());
+        profile->mergeFrom(m.profiler());
+        res.profile = std::move(profile);
+    }
     res.kind = m.config().kind;
     res.cycles = cycles;
     res.breakdown = m.breakdown();

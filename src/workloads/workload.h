@@ -12,6 +12,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,6 +52,14 @@ struct WorkloadResult
     std::string error;
     /** Workload-specific extras (strip sizes, schedule lengths, ...). */
     std::map<std::string, double> extra;
+    /**
+     * This run's trace events (null unless its machine recorded any)
+     * and host-time profile (null unless profiling was on). They are
+     * observability only: resultJson() never serialises them, and
+     * copies of a result share them.
+     */
+    std::shared_ptr<const Tracer> trace;
+    std::shared_ptr<const Profiler> profile;
 };
 
 /** Options shared by all workload runners. */
@@ -126,7 +135,10 @@ WorkloadResult runWorkload(const std::string &name,
                            const MachineConfig &cfg,
                            const WorkloadOptions &opts);
 
-/** Fill a WorkloadResult's common fields from a finished machine. */
+/**
+ * Fill a WorkloadResult's common fields from a finished machine,
+ * including copies of its trace and host profile.
+ */
 void harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles);
 
 class JsonWriter;

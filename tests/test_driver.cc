@@ -128,6 +128,71 @@ TEST(SweepRunner, TimingAccountsForEveryJob)
               runner.timing().sumJobSeconds * 0.5);
 }
 
+/** One trace event with its channel and name resolved to strings. */
+std::string
+eventText(const Tracer &t, const TraceEvent &e)
+{
+    return std::to_string(e.ts) + "," + t.channelName(e.channel) + "," +
+        std::to_string(static_cast<int>(e.type)) + "," + e.name + "," +
+        std::to_string(e.arg);
+}
+
+TEST(SweepRunner, TracesAndProfilesInvariantUnderThreadCount)
+{
+    // Each job's trace and profile come back in its own result, so the
+    // thread count cannot change them (only wall time).
+    WorkloadOptions opts;
+    opts.repeats = 1;
+    std::vector<SweepJob> jobs;
+    for (MachineKind kind : {MachineKind::Base, MachineKind::ISRF1,
+                             MachineKind::ISRF4, MachineKind::Cache}) {
+        SweepJob j;
+        j.workload = "Sort";
+        j.cfg = MachineConfig::make(kind);
+        j.cfg.traceSpec = "all";
+        j.cfg.traceCapacity = 1 << 12;
+        j.cfg.profileEnabled = true;
+        j.cfg.profileStride = 8;
+        j.opts = opts;
+        jobs.push_back(std::move(j));
+    }
+
+    SweepRunner serial(1);
+    auto a = serial.run(jobs);
+    SweepRunner pool(4);
+    auto b = pool.run(jobs);
+
+    ASSERT_EQ(a.size(), jobs.size());
+    ASSERT_EQ(b.size(), jobs.size());
+    for (size_t i = 0; i < jobs.size(); i++) {
+        const WorkloadResult &ra = a[i].result, &rb = b[i].result;
+        ASSERT_NE(ra.trace, nullptr) << i;
+        ASSERT_NE(rb.trace, nullptr) << i;
+        auto ea = ra.trace->events(), eb = rb.trace->events();
+        EXPECT_GT(ea.size(), 0u) << i;
+        ASSERT_EQ(ea.size(), eb.size()) << i;
+        for (size_t k = 0; k < ea.size(); k++)
+            ASSERT_EQ(eventText(*ra.trace, ea[k]),
+                      eventText(*rb.trace, eb[k]))
+                << "job " << i << " event " << k;
+
+        ASSERT_NE(ra.profile, nullptr) << i;
+        ASSERT_NE(rb.profile, nullptr) << i;
+        EXPECT_GT(ra.profile->phase(Profiler::Run).calls, 0u) << i;
+        for (int p = 0; p < Profiler::kPhaseCount; p++) {
+            auto ph = static_cast<Profiler::Phase>(p);
+            EXPECT_EQ(ra.profile->phase(ph).calls,
+                      rb.profile->phase(ph).calls)
+                << "job " << i << " phase " << Profiler::phaseName(ph);
+        }
+    }
+    // The runner's own phases go to its own profiler: one result
+    // serialization per job on the serial run.
+    EXPECT_TRUE(serial.profiler().enabled());
+    EXPECT_EQ(serial.profiler().phase(Profiler::Report).calls,
+              jobs.size());
+}
+
 TEST(MachineIsolation, FaultAndTraceConfigsDoNotLeak)
 {
     // Machine A: faults + tracing. Machine B: neither. Both live in

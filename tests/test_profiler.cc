@@ -325,20 +325,28 @@ TEST(ProfilerInvariance, MachineReportGainsProfileOnlyWhenEnabled)
     }
 }
 
-TEST(ProfilerInvariance, HarvestMergesIntoGlobalAggregate)
+TEST(ProfilerInvariance, ResultCarriesItsOwnProfile)
 {
-    uint64_t before =
-        Profiler::instance().phase(Profiler::Run).calls;
-    runProfiled(EngineMode::Dense, true);
-    uint64_t after = Profiler::instance().phase(Profiler::Run).calls;
-    EXPECT_GT(after, before)
-        << "profiled machines must fold into Profiler::instance()";
+    // A run's host profile travels in its result; nothing is folded
+    // into process-wide state, so runs never see each other's counts.
+    WorkloadResult first = runProfiled(EngineMode::Dense, true);
+    ASSERT_NE(first.profile, nullptr)
+        << "a profiled result must carry its profile";
+    EXPECT_TRUE(first.profile->enabled());
+    EXPECT_EQ(first.profile->stride(), 8u);
+    uint64_t runCalls = first.profile->phase(Profiler::Run).calls;
+    EXPECT_GT(runCalls, 0u);
 
-    // Unprofiled machines must NOT touch the global aggregate.
-    before = after;
-    runProfiled(EngineMode::Dense, false);
-    after = Profiler::instance().phase(Profiler::Run).calls;
-    EXPECT_EQ(after, before);
+    WorkloadResult second = runProfiled(EngineMode::Dense, true);
+    ASSERT_NE(second.profile, nullptr);
+    EXPECT_EQ(second.profile->phase(Profiler::Run).calls, runCalls)
+        << "a second run must not accumulate onto the first";
+    EXPECT_EQ(first.profile->phase(Profiler::Run).calls, runCalls);
+
+    WorkloadResult off = runProfiled(EngineMode::Dense, false);
+    EXPECT_EQ(off.profile, nullptr)
+        << "an unprofiled result must carry no profile";
+    EXPECT_EQ(off.trace, nullptr) << "nor a trace when untraced";
 }
 
 // ----------------------------------------------------------------------

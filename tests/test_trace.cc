@@ -4,8 +4,8 @@
  * wraparound, Chrome trace-event JSON structure, CSV export, name
  * interning, and the TraceScope RAII helper.
  *
- * The tracer is a process-wide singleton, so every test runs through a
- * fixture that disables tracing and clears the buffer on both sides.
+ * Every test records into its own tracer (the fixture's, or locals),
+ * so no state carries over between tests.
  */
 #include <gtest/gtest.h>
 
@@ -18,23 +18,14 @@ namespace {
 class TraceTest : public ::testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        Tracer::instance().disable();
-        Tracer::instance().setCapacity(1 << 16);
-    }
-    void
-    TearDown() override
-    {
-        Tracer::instance().disable();
-        Tracer::instance().setCapacity(1 << 16);
-    }
+    void SetUp() override { tracer_.setCapacity(1 << 16); }
+
+    Tracer tracer_;
 };
 
 TEST_F(TraceTest, DisabledRecordsNothing)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     EXPECT_FALSE(t.on());
     uint16_t ch = t.channel("trace_test_off");
     t.instant(ch, "ev", 1);
@@ -44,7 +35,7 @@ TEST_F(TraceTest, DisabledRecordsNothing)
 
 TEST_F(TraceTest, ChannelFiltering)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     t.enableChannels("trace_test_a");
     EXPECT_TRUE(t.on());
     uint16_t a = t.channel("trace_test_a");
@@ -62,7 +53,7 @@ TEST_F(TraceTest, ChannelFiltering)
 
 TEST_F(TraceTest, EnableSpecParsing)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     uint16_t ch = t.channel("trace_test_spec");
     t.enableChannels("all");
     EXPECT_TRUE(t.channelEnabled(ch));
@@ -79,7 +70,7 @@ TEST_F(TraceTest, EnableSpecParsing)
 
 TEST_F(TraceTest, RingWraparound)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     t.enableChannels("trace_test_ring");
     uint16_t ch = t.channel("trace_test_ring");
     t.setCapacity(8);
@@ -102,7 +93,7 @@ TEST_F(TraceTest, RingWraparound)
 
 TEST_F(TraceTest, ChromeJsonStructure)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     t.enableChannels("all");
     uint16_t a = t.channel("trace_test_ch1");
     uint16_t b = t.channel("trace_test_ch2");
@@ -129,7 +120,7 @@ TEST_F(TraceTest, ChromeJsonStructure)
 
 TEST_F(TraceTest, CsvExport)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     t.enableChannels("all");
     uint16_t ch = t.channel("trace_test_csv");
     t.instant(ch, "ev", 3, 7);
@@ -141,7 +132,7 @@ TEST_F(TraceTest, CsvExport)
 
 TEST_F(TraceTest, InternedNamesOutliveSource)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     const char *p1;
     {
         std::string dynamic = "kernel_" + std::to_string(123);
@@ -154,7 +145,7 @@ TEST_F(TraceTest, InternedNamesOutliveSource)
 
 TEST_F(TraceTest, TraceScopeEmitsBeginEnd)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     t.enableChannels("all");
     uint16_t ch = t.channel("trace_test_scope");
     {
@@ -172,14 +163,14 @@ TEST_F(TraceTest, TraceScopeEmitsBeginEnd)
 TEST_F(TraceTest, InstancesAreIndependent)
 {
     // Per-machine tracers must not share channels, filters, or rings
-    // with each other or with the global CLI shim.
+    // with each other or with any other tracer in the process.
     Tracer a, b;
     a.enableChannels("all");
     uint16_t chA = a.channel("iso_a");
     a.instant(chA, "ev", 1);
     EXPECT_TRUE(a.on());
     EXPECT_FALSE(b.on());
-    EXPECT_FALSE(Tracer::instance().on());
+    EXPECT_FALSE(tracer_.on());
     EXPECT_EQ(a.size(), 1u);
     EXPECT_EQ(b.size(), 0u);
     b.enableChannels("iso_b_only");
@@ -190,24 +181,26 @@ TEST_F(TraceTest, InstancesAreIndependent)
 
 TEST_F(TraceTest, MergeFromRemapsChannelsAndNames)
 {
-    Tracer &g = Tracer::instance();
+    Tracer &g = tracer_;
     g.enableChannels("all");
     uint16_t gch = g.channel("trace_test_merge_pre");
     g.instant(gch, "pre", 1);
 
-    Tracer m;
-    m.enableChannels("all");
-    uint16_t mch = m.channel("trace_test_merge_src");
     {
+        // The source dies right after the merge, taking its intern
+        // pool (where the runtime-built name lives) with it.
+        Tracer m;
+        m.enableChannels("all");
+        uint16_t mch = m.channel("trace_test_merge_src");
         std::string dynamicName = "dyn_ev";
-        m.instant(mch, dynamicName.c_str(), 5, 42);
+        m.instant(mch, m.intern(dynamicName), 5, 42);
+        g.mergeFrom(m);
     }
-    g.mergeFrom(m);
 
     auto evs = g.events();
     ASSERT_EQ(evs.size(), 2u);
-    // Merged event lands on the *global* channel of the same name,
-    // with its name re-interned into the global tracer.
+    // Merged event lands on the destination's channel of the same
+    // name, with its name re-interned into the destination tracer.
     uint16_t expect = g.channel("trace_test_merge_src");
     EXPECT_EQ(evs[1].channel, expect);
     EXPECT_STREQ(evs[1].name, "dyn_ev");
@@ -238,7 +231,7 @@ TEST_F(TraceTest, DumpTailIsLabelled)
 
 TEST_F(TraceTest, ClearKeepsRegistrations)
 {
-    Tracer &t = Tracer::instance();
+    Tracer &t = tracer_;
     t.enableChannels("all");
     uint16_t ch = t.channel("trace_test_clear");
     t.instant(ch, "ev", 1);
