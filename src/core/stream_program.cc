@@ -183,6 +183,11 @@ StreamProgram::dependsOn(ProgOpId after, ProgOpId before)
             static_cast<size_t>(after) >= ops_.size() ||
             static_cast<size_t>(before) >= ops_.size())
         panic("StreamProgram::dependsOn: bad op ids %d, %d", after, before);
+    // A self or forward edge would deadlock (or reorder) the program;
+    // the scoreboard and the snapshot checks rely on backward edges.
+    if (before >= after)
+        panic("StreamProgram::dependsOn: op %d cannot wait for op %d "
+              "(edges must point backwards)", after, before);
     ops_[after].deps.push_back(before);
 }
 
@@ -211,64 +216,121 @@ StreamProgram::inferDeps(Op &op)
         readersSinceWrite_[r].push_back(id);
 }
 
-bool
-StreamProgram::depsDone(const Op &op) const
+size_t
+StreamProgram::firstIncomplete() const
 {
-    for (ProgOpId d : op.deps)
-        if (!ops_[d].completed)
-            return false;
-    return true;
+    size_t i = 0;
+    while (i < ops_.size() && ops_[i].completed)
+        i++;
+    return i;
+}
+
+void
+StreamProgram::buildScoreboard()
+{
+    // Explicit dependsOn() edges may arrive after inferDeps, and a
+    // restore rewrites the flags, so the scoreboard is derived from
+    // the graph and the flags here rather than kept up to date while
+    // the program is being built.
+    const size_t n = ops_.size();
+    pending_.assign(n, 0);
+    dependents_.assign(n, {});
+    readyMem_.clear();
+    readyKernels_ = {};
+    inFlight_.clear();
+    completedOps_ = 0;
+    for (size_t i = 0; i < n; i++) {
+        const Op &op = ops_[i];
+        auto id = static_cast<ProgOpId>(i);
+        if (op.completed) {
+            completedOps_++;
+            continue;
+        }
+        for (ProgOpId d : op.deps) {
+            if (!ops_[d].completed) {
+                pending_[i]++;
+                dependents_[d].push_back(id);
+            }
+        }
+        if (!op.issued) {
+            if (pending_[i] == 0)
+                makeReady(id);
+        } else if (op.kind == Op::Kind::Mem) {
+            inFlight_.push_back(id);
+        }
+    }
+}
+
+void
+StreamProgram::makeReady(ProgOpId id)
+{
+    if (ops_[id].kind == Op::Kind::Mem)
+        readyMem_.push_back(id);
+    else
+        readyKernels_.push(id);
+}
+
+void
+StreamProgram::retire(ProgOpId id)
+{
+    ops_[id].completed = true;
+    completedOps_++;
+    for (ProgOpId d : dependents_[id])
+        if (--pending_[d] == 0)
+            makeReady(d);
 }
 
 void
 StreamProgram::tryIssue()
 {
-    for (size_t i = scanFrom_; i < ops_.size(); i++) {
-        Op &op = ops_[i];
-        if (op.issued || !depsDone(op))
-            continue;
-        if (op.kind == Op::Kind::Mem) {
+    // Issue-order contract: the same calls, in the same order, as one
+    // index-ordered pass over every unissued op whose deps are done —
+    // every ready mem op is submitted, and the lowest ready kernel is
+    // launched at its index position when no kernel is active. A
+    // kernel blocked by the active one never holds back mem ops.
+    std::sort(readyMem_.begin(), readyMem_.end());
+    ProgOpId kernelOp = -1;
+    if (!readyKernels_.empty() && !machine_.kernelActive() &&
+            activeKernelOp_ < 0)
+        kernelOp = readyKernels_.top();
+    size_t m = 0;
+    auto submitUpTo = [&](ProgOpId limit) {
+        for (; m < readyMem_.size() && readyMem_[m] < limit; m++) {
+            Op &op = ops_[readyMem_[m]];
             op.memId = machine_.mem().submit(op.mem);
             op.issued = true;
-        } else {
-            if (machine_.kernelActive() || activeKernelOp_ >= 0)
-                continue;
-            machine_.launchKernel(op.inv);
-            activeKernelOp_ = static_cast<ProgOpId>(i);
-            op.issued = true;
+            inFlight_.push_back(readyMem_[m]);
         }
+    };
+    if (kernelOp >= 0) {
+        submitUpTo(kernelOp);
+        readyKernels_.pop();
+        machine_.launchKernel(ops_[kernelOp].inv);
+        activeKernelOp_ = kernelOp;
+        ops_[kernelOp].issued = true;
     }
+    submitUpTo(static_cast<ProgOpId>(ops_.size()));
+    readyMem_.clear();
 }
 
 void
 StreamProgram::updateCompletion()
 {
-    for (size_t i = scanFrom_; i < ops_.size(); i++) {
-        Op &op = ops_[i];
-        if (!op.issued || op.completed)
-            continue;
-        if (op.kind == Op::Kind::Mem) {
-            op.completed = machine_.mem().done(op.memId);
-        } else if (static_cast<ProgOpId>(i) == activeKernelOp_ &&
-                   !machine_.kernelActive()) {
-            op.completed = true;
-            activeKernelOp_ = -1;
+    for (size_t j = 0; j < inFlight_.size();) {
+        ProgOpId id = inFlight_[j];
+        if (machine_.mem().done(ops_[id].memId)) {
+            inFlight_[j] = inFlight_.back();
+            inFlight_.pop_back();
+            retire(id);
+        } else {
+            j++;
         }
     }
-    // Deps only ever point backwards, so a contiguous completed prefix
-    // never needs rescanning. Issue order is preserved for the ops the
-    // window still covers.
-    while (scanFrom_ < ops_.size() && ops_[scanFrom_].completed)
-        scanFrom_++;
-}
-
-bool
-StreamProgram::allDone() const
-{
-    for (size_t i = scanFrom_; i < ops_.size(); i++)
-        if (!ops_[i].completed)
-            return false;
-    return true;
+    if (activeKernelOp_ >= 0 && !machine_.kernelActive()) {
+        ProgOpId id = activeKernelOp_;
+        activeKernelOp_ = -1;
+        retire(id);
+    }
 }
 
 uint64_t
@@ -307,7 +369,8 @@ void
 StreamProgram::saveState(SnapshotWriter &w) const
 {
     w.u64(structureHash());
-    w.u64(scanFrom_);
+    // The PROG format's scan-window start: the first incomplete op.
+    w.u64(firstIncomplete());
     w.i64(activeKernelOp_);
     w.u64(ops_.size());
     for (const Op &op : ops_) {
@@ -337,15 +400,46 @@ StreamProgram::loadState(SnapshotReader &r)
         r.markFailed();
         return false;
     }
-    if (activeOp >= 0 && ops_[static_cast<size_t>(activeOp)].kind !=
-            Op::Kind::Kernel) {
-        r.markFailed();
-        return false;
-    }
-    for (Op &op : ops_)
-        if (!r.b(op.issued) || !r.b(op.completed) || !r.i64(op.memId))
+    struct Flags
+    {
+        bool issued = false;
+        bool completed = false;
+        MemOpId memId = 0;
+    };
+    std::vector<Flags> flags(ops_.size());
+    for (Flags &f : flags)
+        if (!r.b(f.issued) || !r.b(f.completed) || !r.i64(f.memId))
             return false;
-    scanFrom_ = static_cast<size_t>(scan);
+    // The scoreboard is rebuilt from these flags, so they must describe
+    // a state the driver could have reached (see loadState's contract).
+    for (size_t i = 0; i < ops_.size(); i++) {
+        const Flags &f = flags[i];
+        bool consistent = f.issued || !f.completed;
+        if (f.issued)
+            for (ProgOpId d : ops_[i].deps)
+                consistent = consistent && flags[d].completed;
+        if (ops_[i].kind == Op::Kind::Kernel && f.issued && !f.completed)
+            consistent = consistent && static_cast<int64_t>(i) == activeOp;
+        if (i < scan)
+            consistent = consistent && f.completed;
+        if (!consistent) {
+            r.markFailed();
+            return false;
+        }
+    }
+    if (activeOp >= 0) {
+        const auto k = static_cast<size_t>(activeOp);
+        if (ops_[k].kind != Op::Kind::Kernel || !flags[k].issued ||
+                flags[k].completed) {
+            r.markFailed();
+            return false;
+        }
+    }
+    for (size_t i = 0; i < ops_.size(); i++) {
+        ops_[i].issued = flags[i].issued;
+        ops_[i].completed = flags[i].completed;
+        ops_[i].memId = flags[i].memId;
+    }
     activeKernelOp_ = static_cast<ProgOpId>(activeOp);
     return true;
 }
@@ -449,6 +543,7 @@ StreamProgram::run(uint64_t maxCycles)
     CheckpointContext *ckpt = machine_.checkpoint();
     if (ckpt)
         maybeRestore(*ckpt);
+    buildScoreboard();
     const Cycle execStart = machine_.now();
     cycles = execStart - start;
     while (true) {

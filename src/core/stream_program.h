@@ -11,7 +11,9 @@
 #ifndef ISRF_CORE_STREAM_PROGRAM_H
 #define ISRF_CORE_STREAM_PROGRAM_H
 
+#include <functional>
 #include <memory>
+#include <queue>
 #include <string>
 #include <vector>
 
@@ -37,7 +39,13 @@ using ProgOpId = int32_t;
  * @endcode
  *
  * Dependencies are inferred from stream usage (RAW, WAR, WAW on SRF
- * slots); explicit extra edges can be added with dependsOn().
+ * slots); explicit extra edges can be added with dependsOn(). Every
+ * edge points backwards (to a lower op id), so the graph is acyclic.
+ *
+ * run() drives the ops through a scoreboard (DESIGN.md §18): per-op
+ * pending-dependency counts, dependents lists, an index-ordered ready
+ * set and an in-flight list, so each cycle costs O(ready + in-flight)
+ * rather than O(ops).
  */
 class StreamProgram
 {
@@ -111,7 +119,11 @@ class StreamProgram
                      uint32_t recordWords = 1, bool cached = false);
     ProgOpId kernel(std::shared_ptr<KernelInvocation> inv);
 
-    /** Add an explicit ordering edge: `after` waits for `before`. */
+    /**
+     * Add an explicit ordering edge: `after` waits for `before`.
+     * Panics unless `before < after` (edges point backwards). A
+     * duplicate of an existing edge is kept as given.
+     */
     void dependsOn(ProgOpId after, ProgOpId before);
 
     // ------------------------------------------------------------------
@@ -156,6 +168,15 @@ class StreamProgram
 
     /** Runtime cursor only (see above). */
     void saveState(SnapshotWriter &w) const;
+
+    /**
+     * Restore the cursor. Rejects (markFailed, program untouched) a
+     * cursor for another graph, and a checksum-valid but inconsistent
+     * one: an op completed but not issued, or issued before its deps
+     * completed; an active kernel op that is not an issued, incomplete
+     * kernel, or a second issued, incomplete kernel; an incomplete op
+     * below the saved scan start.
+     */
     bool loadState(SnapshotReader &r);
 
   private:
@@ -186,15 +207,33 @@ class StreamProgram
     ProgOpId addMemOp(MemOp op, std::vector<SlotId> reads,
                       std::vector<SlotId> writes);
     void inferDeps(Op &op);
-    bool depsDone(const Op &op) const;
+    /** Index of the first incomplete op (ops_.size() when all done). */
+    size_t firstIncomplete() const;
+    /** Rebuild the scoreboard from the ops' issued/completed flags. */
+    void buildScoreboard();
+    /** An unissued op's last dep completed: queue it for issue. */
+    void makeReady(ProgOpId id);
+    /** Mark an op completed and release its dependents. */
+    void retire(ProgOpId id);
     void tryIssue();
     void updateCompletion();
-    bool allDone() const;
+    bool allDone() const { return completedOps_ == ops_.size(); }
 
     Machine &machine_;
     std::vector<Op> ops_;
-    /** Ops below this index are all completed (scan-window start). */
-    size_t scanFrom_ = 0;
+    // Scoreboard, rebuilt by buildScoreboard() at the start of run().
+    /** Per op: deps not yet completed (duplicate edges counted). */
+    std::vector<uint32_t> pending_;
+    /** Per op: ops holding an incomplete-dep edge on it. */
+    std::vector<std::vector<ProgOpId>> dependents_;
+    /** Mem ops that became ready since the last tryIssue(). */
+    std::vector<ProgOpId> readyMem_;
+    /** Ready kernels, lowest op id on top. */
+    std::priority_queue<ProgOpId, std::vector<ProgOpId>,
+                        std::greater<ProgOpId>> readyKernels_;
+    /** Issued, incomplete mem ops (unordered). */
+    std::vector<ProgOpId> inFlight_;
+    size_t completedOps_ = 0;
     /** Per-slot last writer / readers since last write (dep inference). */
     std::vector<ProgOpId> lastWriter_;
     std::vector<std::vector<ProgOpId>> readersSinceWrite_;

@@ -69,10 +69,9 @@ MemorySystem::done(MemOpId id) const
     for (size_t u = 0; u < units_.size(); u++)
         if (units_[u].busy() && unitOpId_[u] == id)
             return false;
-    for (const auto &p : queue_)
-        if (p.id == id)
-            return false;
-    return true;
+    // Ids are assigned in increasing order and dispatched FIFO, so the
+    // queue holds exactly the ids from its front one up.
+    return queue_.empty() || id < queue_.front().id;
 }
 
 bool

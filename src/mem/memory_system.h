@@ -40,7 +40,7 @@ class MemorySystem
     /** Submit an op; runs when a unit frees up (FIFO). */
     MemOpId submit(MemOp op);
 
-    /** True once the op has fully completed. */
+    /** True once the op has fully completed. O(units). */
     bool done(MemOpId id) const;
 
     /** True when no op is queued or executing. */

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "mem/memory_system.h"
+#include "util/random.h"
+#include "util/snapshot.h"
 
 namespace isrf {
 namespace {
@@ -328,6 +330,65 @@ TEST_F(MemSysTest, OpsQueueBeyondUnits)
     EXPECT_EQ(mem_.inFlight(), 3u);
     runCycles(600);
     EXPECT_TRUE(mem_.idle());
+}
+
+TEST_F(MemSysTest, DoneMatchesBruteForceOverRandomTraffic)
+{
+    // done() answers from the FIFO order of ids instead of scanning the
+    // queue. Check it on every cycle against a brute-force scan over
+    // every id ever handed out: the not-done ids are exactly the ops
+    // queued or executing (inFlight()), ids never handed out are not
+    // done, and a done id stays done — including across a snapshot
+    // save/load of the memory system.
+    SlotId s[4];
+    for (uint32_t i = 0; i < 4; i++)
+        s[i] = openStriped(64, i * 64);
+    Rng rng(2024);
+    MemOpId lastId = 0;
+    std::vector<bool> wasDone(1, false);
+    for (uint32_t cycle = 0; cycle < 3000 || !mem_.idle(); cycle++) {
+        ASSERT_LT(cycle, 200000u) << "memory system never drained";
+        if (cycle < 3000 && rng.below(8) == 0) {
+            MemOp op;
+            op.kind = static_cast<MemOpKind>(rng.below(4));
+            op.srfSlot = s[rng.below(4)];
+            op.memBase = rng.below(64) * 64;
+            if (op.kind == MemOpKind::Gather ||
+                    op.kind == MemOpKind::Scatter) {
+                op.indices.resize(1 + rng.below(64));
+                for (uint32_t &x : op.indices)
+                    x = static_cast<uint32_t>(rng.below(4096));
+            }
+            lastId = mem_.submit(op);
+            wasDone.push_back(false);
+        }
+        if (cycle % 500 == 250) {
+            // Save, reset to a freshly initialised system, restore.
+            SnapshotWriter w;
+            mem_.saveState(w);
+            MemSystemConfig mc;
+            DramConfig dc;
+            dc.capacityWords = 1 << 16;
+            dc.accessLatency = 4;
+            mem_.init(mc, dc, CacheConfig{}, &srf_);
+            ASSERT_TRUE(mem_.idle());
+            SnapshotReader r(w.data());
+            ASSERT_TRUE(mem_.loadState(r) && r.atEnd());
+        }
+        runCycles(1);
+        size_t notDone = 0;
+        for (MemOpId id = 1; id <= lastId; id++) {
+            bool d = mem_.done(id);
+            ASSERT_FALSE(wasDone[id] && !d) << "id " << id << " cycle "
+                                            << cycle;
+            wasDone[id] = d;
+            notDone += d ? 0 : 1;
+        }
+        ASSERT_EQ(notDone, mem_.inFlight()) << "cycle " << cycle;
+        EXPECT_FALSE(mem_.done(0));
+        EXPECT_FALSE(mem_.done(lastId + 1));
+    }
+    EXPECT_GT(lastId, 300);
 }
 
 /** Cache-enabled memory system. */

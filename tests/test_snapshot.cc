@@ -36,9 +36,11 @@
 #include <vector>
 
 #include "core/machine.h"
+#include "core/stream_program.h"
 #include "driver/sweep_runner.h"
 #include "util/snapshot.h"
 #include "workloads/workload.h"
+#include "test_helpers.h"
 
 namespace isrf {
 namespace {
@@ -375,9 +377,53 @@ TEST(SnapshotFuzz, BitFlipAtEveryByteOffsetIsDetected)
  * report to be byte-identical to the uninterrupted run's, with the
  * resumed process having executed strictly fewer cycles.
  */
+/** Issued-but-incomplete ops recorded in a checkpoint's PROG cursor. */
+struct SavedCursor
+{
+    bool kernelInFlight = false;
+    uint64_t memInFlight = 0;
+};
+
+SavedCursor
+readSavedCursor(const std::string &path, uint64_t fp)
+{
+    SavedCursor c;
+    Snapshot snap;
+    std::string err;
+    EXPECT_EQ(loadSnapshotFile(path, fp, snap, err), SnapshotLoad::Ok)
+        << err;
+    const std::string *prog = snap.findSection(kSnapProgram);
+    if (!prog) {
+        ADD_FAILURE() << "no PROG section";
+        return c;
+    }
+    SnapshotReader r(*prog);
+    uint64_t hash = 0, scan = 0, nops = 0;
+    int64_t active = -1;
+    EXPECT_TRUE(r.u64(hash) && r.u64(scan) && r.i64(active) &&
+                r.u64(nops));
+    for (uint64_t i = 0; i < nops; i++) {
+        bool issued = false, completed = false;
+        int64_t memId = 0;
+        EXPECT_TRUE(r.b(issued) && r.b(completed) && r.i64(memId));
+        if (issued && !completed && static_cast<int64_t>(i) != active)
+            c.memInFlight++;
+    }
+    c.kernelInFlight = active >= 0;
+    return c;
+}
+
+/**
+ * `cadenceDivisor` sets the save cadence to base.cycles / divisor.
+ * With `expectInFlight`, the saved cursor must catch a kernel and at
+ * least one memory op in flight, so the resume rebuilds a scoreboard
+ * with in-flight work.
+ */
 void
 expectResumeEquivalent(const std::string &workload, MachineKind kind,
-                       EngineMode mode, const char *tag)
+                       EngineMode mode, const char *tag,
+                       uint64_t cadenceDivisor = 3,
+                       bool expectInFlight = false)
 {
     SCOPED_TRACE(workload + " / " + machineKindName(kind) + " / " +
                  engineModeName(mode));
@@ -396,7 +442,8 @@ expectResumeEquivalent(const std::string &workload, MachineKind kind,
     TempCkptDir dir(tag);
     const std::string path = dir.file("job.ckpt");
     const uint64_t fp = 0x1234ABCDull;
-    const uint64_t cadence = std::max<uint64_t>(1, base.cycles / 3);
+    const uint64_t cadence =
+        std::max<uint64_t>(1, base.cycles / cadenceDivisor);
 
     // Interrupted run: save one mid-flight checkpoint, then stop (the
     // stopAfterSave hook stands in for a SIGKILL at that cycle).
@@ -409,6 +456,11 @@ expectResumeEquivalent(const std::string &workload, MachineKind kind,
     ASSERT_EQ(part.status, RunStatus::Cancelled);
     ASSERT_LT(part.cycles, base.cycles);
     ASSERT_TRUE(fileExists(path));
+    if (expectInFlight) {
+        SavedCursor saved = readSavedCursor(path, fp);
+        EXPECT_TRUE(saved.kernelInFlight);
+        EXPECT_GT(saved.memInFlight, 0u);
+    }
 
     // Resume in a fresh Machine (the workload rebuilds it), run to
     // completion: the report must be byte-identical.
@@ -477,6 +529,163 @@ TEST(CheckpointResume, GoldenEquivalenceSkipEngine)
                            EngineMode::Skip, "gskip");
     expectResumeEquivalent("SpMV Power", MachineKind::Cache,
                            EngineMode::Skip, "gskip2");
+}
+
+// IG_SML: strip-mined, software-pipelined programs. A cadence of 1/38
+// of the run lands the first save while a kernel and memory ops are in
+// flight on every machine kind (checked from the saved cursor).
+TEST(CheckpointResume, GoldenEquivalenceIgSmlBase)
+{
+    expectResumeEquivalent("IG_SML", MachineKind::Base, EngineMode::Dense,
+                           "gigb", 38, true);
+}
+
+TEST(CheckpointResume, GoldenEquivalenceIgSmlIsrf1)
+{
+    expectResumeEquivalent("IG_SML", MachineKind::ISRF1,
+                           EngineMode::Dense, "gig1", 38, true);
+}
+
+TEST(CheckpointResume, GoldenEquivalenceIgSmlIsrf4)
+{
+    expectResumeEquivalent("IG_SML", MachineKind::ISRF4,
+                           EngineMode::Dense, "gig4", 38, true);
+}
+
+TEST(CheckpointResume, GoldenEquivalenceIgSmlCache)
+{
+    expectResumeEquivalent("IG_SML", MachineKind::Cache,
+                           EngineMode::Dense, "gigc", 38, true);
+}
+
+TEST(CheckpointResume, GoldenEquivalenceIgSmlSkipEngine)
+{
+    expectResumeEquivalent("IG_SML", MachineKind::ISRF4, EngineMode::Skip,
+                           "gigs", 38, true);
+}
+
+// ----------------------------------------------------------------------
+// StreamProgram::loadState semantic checks: checksum-valid cursors that
+// describe a state the driver could never reach are rejected.
+// ----------------------------------------------------------------------
+
+/**
+ * ops: 0 load s0; 1 kernel s0->s1 (dep 0); 2 store s1 (dep 1);
+ *      3 load s2; 4 kernel s2->s3 (dep 3).
+ */
+class ProgCursorTest : public ::testing::Test
+{
+  protected:
+    void SetUp() override { prog_ = build(m_); }
+
+    /** Initialise `m` and build the five-op program on it. */
+    std::unique_ptr<StreamProgram>
+    build(Machine &m) const
+    {
+        MachineConfig cfg = MachineConfig::make(MachineKind::Base);
+        cfg.dram.capacityWords = 1 << 16;
+        m.init(cfg);
+        m.mem().dram().fill(0, data_);
+        auto prog = std::make_unique<StreamProgram>(m);
+        SlotId s[4];
+        for (int i = 0; i < 4; i++)
+            s[i] = prog->addStream("s" + std::to_string(i), 256);
+        prog->load(s[0], 0);
+        prog->kernel(test::makeCopyInvocation(m, &graph_, s[0], s[1],
+                                              data_));
+        prog->store(s[1], 4096);
+        prog->load(s[2], 0);
+        prog->kernel(test::makeCopyInvocation(m, &graph_, s[2], s[3],
+                                              data_));
+        return prog;
+    }
+
+    /** A PROG section; `flags` holds "ic" pairs per op (1 = set). */
+    std::string
+    section(uint64_t scan, int64_t active,
+            const std::vector<const char *> &flags) const
+    {
+        SnapshotWriter w;
+        w.u64(prog_->structureHash());
+        w.u64(scan);
+        w.i64(active);
+        w.u64(flags.size());
+        for (size_t i = 0; i < flags.size(); i++) {
+            w.b(flags[i][0] == '1');
+            w.b(flags[i][1] == '1');
+            w.i64(flags[i][0] == '1' ? static_cast<int64_t>(i) + 1 : 0);
+        }
+        return w.data();
+    }
+
+    /** Load `bytes`; true iff accepted. Rejection must mark the reader. */
+    bool
+    load(const std::string &bytes)
+    {
+        SnapshotReader r(bytes);
+        bool ok = prog_->loadState(r);
+        EXPECT_EQ(ok, r.ok());
+        return ok && r.atEnd();
+    }
+
+    Machine m_;
+    std::vector<Word> data_ = std::vector<Word>(256, 5);
+    KernelGraph graph_ = test::makeCopyKernel();
+    std::unique_ptr<StreamProgram> prog_;
+};
+
+TEST_F(ProgCursorTest, ConsistentCursorAccepted)
+{
+    // Load 0 done, kernel 1 active, load 3 in flight.
+    EXPECT_TRUE(load(section(1, 1, {"11", "10", "00", "10", "00"})));
+}
+
+TEST_F(ProgCursorTest, CompletedButNotIssuedRejected)
+{
+    EXPECT_FALSE(load(section(0, -1, {"00", "00", "00", "01", "00"})));
+}
+
+TEST_F(ProgCursorTest, IssuedBeforeDepsCompleteRejected)
+{
+    // Kernel 1 issued while its load (op 0) is still in flight.
+    EXPECT_FALSE(load(section(0, 1, {"10", "10", "00", "00", "00"})));
+    // Store 2 issued while kernel 1 has not run.
+    EXPECT_FALSE(load(section(1, -1, {"11", "00", "10", "00", "00"})));
+}
+
+TEST_F(ProgCursorTest, ActiveKernelOpMustBeIssuedIncompleteKernel)
+{
+    // Not issued.
+    EXPECT_FALSE(load(section(1, 1, {"11", "00", "00", "00", "00"})));
+    // Already completed.
+    EXPECT_FALSE(load(section(2, 1, {"11", "11", "00", "00", "00"})));
+    // Not a kernel.
+    EXPECT_FALSE(load(section(0, 0, {"10", "00", "00", "00", "00"})));
+}
+
+TEST_F(ProgCursorTest, SecondIssuedKernelRejected)
+{
+    // Kernel 1 is active; kernel 4 is also issued and incomplete.
+    EXPECT_FALSE(load(section(1, 1, {"11", "10", "00", "11", "10"})));
+    // An issued, incomplete kernel with no active kernel recorded.
+    EXPECT_FALSE(load(section(1, -1, {"11", "10", "00", "00", "00"})));
+}
+
+TEST_F(ProgCursorTest, IncompleteOpBelowScanStartRejected)
+{
+    EXPECT_FALSE(load(section(2, 1, {"11", "10", "00", "00", "00"})));
+}
+
+TEST_F(ProgCursorTest, RejectedCursorLeavesProgramUntouched)
+{
+    EXPECT_FALSE(load(section(2, 1, {"11", "10", "00", "00", "00"})));
+    EXPECT_FALSE(load(section(0, -1, {"11", "11", "11", "11", "01"})));
+    uint64_t cycles = prog_->run();
+    EXPECT_EQ(prog_->lastStatus(), RunStatus::Done);
+
+    Machine fresh;
+    EXPECT_EQ(build(fresh)->run(), cycles);
+    EXPECT_EQ(m_.mem().dram().dump(4096, 256), data_);
 }
 
 // ----------------------------------------------------------------------
