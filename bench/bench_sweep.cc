@@ -136,16 +136,11 @@ writeSweepJson(const std::string &path,
                      path.c_str());
 }
 
-/**
- * A component that is never quiescent: nextEvent is always now + 1, so
- * the engine can never skip ahead and a hang burns cycles identically
- * under ISRF_ENGINE=dense and skip.
- */
+/** A component that ticks forever: the hung job's only work. */
 struct Spinner : Ticked
 {
     uint64_t ticks = 0;
     void tick(Cycle) override { ticks++; }
-    Cycle nextEvent(Cycle now) override { return now + 1; }
     std::string tickedName() const override { return "spinner"; }
 };
 
@@ -162,7 +157,6 @@ runHang(const MachineConfig &cfg, const WorkloadOptions &opts)
     res.workload = "Hang";
     res.kind = cfg.kind;
     Engine eng;
-    eng.setMode(cfg.engineMode);
     Spinner spin;
     eng.add(&spin);
     eng.setCancel(opts.cancel);
@@ -332,9 +326,8 @@ main(int argc, char **argv)
     if (!timingPath.empty())
         writeTimingJson(timingPath, runner, outcomes);
     if (!benchJsonPath.empty())
-        writeBenchPerfJson(benchJsonPath, "sweep", args,
-                           engineModeName(jobs[0].cfg.engineMode),
-                           runner, outcomes);
+        writeBenchPerfJson(benchJsonPath, "sweep", args, runner,
+                           outcomes);
     BenchArgs observeOnly = args;
     observeOnly.jsonPath.clear();
     finishBench(observeOnly, sweepRuns(outcomes), &runner.profiler());

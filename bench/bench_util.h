@@ -547,8 +547,7 @@ gitSha()
  */
 inline void
 writeBenchPerfJson(const std::string &path, const std::string &bench,
-                   const BenchArgs &args, const std::string &engineMode,
-                   const SweepRunner &runner,
+                   const BenchArgs &args, const SweepRunner &runner,
                    const std::vector<SweepOutcome> &outcomes)
 {
     const SweepTiming &t = runner.timing();
@@ -570,7 +569,6 @@ writeBenchPerfJson(const std::string &path, const std::string &bench,
     w.field("cpus", static_cast<uint64_t>(
         std::thread::hardware_concurrency()));
     w.field("jobs", static_cast<uint64_t>(args.jobs));
-    w.field("engine_mode", engineMode);
     w.endObject();
     w.key("totals").beginObject();
     w.field("wall_seconds", t.wallSeconds);

@@ -248,77 +248,6 @@ Cluster::issueIteration(Cycle now)
     drainPending(now);
 }
 
-Cycle
-Cluster::nextEvent(Cycle now) const
-{
-    if (!inv_)
-        return kNoEvent;
-    // Dispatch overhead: every cycle before bindCycle_ + startOverhead
-    // is an unconditional Overhead cycle.
-    Cycle ovhEnd = bindCycle_ + inv_->startOverhead;
-    if (now + 1 < ovhEnd)
-        return ovhEnd;
-    // In-flight stream work negotiates with the SRF/network every
-    // cycle — cannot be skipped over.
-    if (pendingCommSends_ > 0)
-        return now + 1;
-    for (const auto &q : dataNeeds_)
-        if (!q.empty())
-            return now + 1;
-    for (size_t s = 0; s < pendingIn_.size(); s++) {
-        if (pendingIn_[s] > 0 || !pendingOut_[s].empty() ||
-                !pendingIdxR_[s].empty() || !pendingIdxW_[s].empty()) {
-            return now + 1;
-        }
-    }
-    uint64_t total = inv_->laneTraces[lane_].iterations;
-    if (itersIssued_ >= total) {
-        // Software-pipeline drain: the next observable transition is
-        // the "lane_done" report, then done() turning true at
-        // lastIssue_ + schedule length.
-        if (!doneReported_)
-            return now + 1;
-        Cycle drainEnd = lastIssue_ + inv_->sched.length;
-        if (total > 0 && now + 1 < drainEnd)
-            return drainEnd;
-        // done(); still bound until the machine unbinds (dense there).
-        return now + 1;
-    }
-    // Initiation-interval wait: nothing happens until nextIssue_.
-    if (nextIssue_ > now + 1)
-        return nextIssue_;
-    return now + 1;
-}
-
-CycleCat
-Cluster::skipCycles(Cycle from, Cycle to)
-{
-    uint64_t n = to - from;
-    CycleCat cat;
-    if (!inv_) {
-        cat = CycleCat::Idle;
-        cycles_.idle += n;
-    } else if (from < bindCycle_ + inv_->startOverhead ||
-               itersIssued_ >= inv_->laneTraces[lane_].iterations) {
-        // Dispatch overhead or pipeline drain, both Overhead — and,
-        // per nextEvent(), uniform across the whole window.
-        cat = CycleCat::Overhead;
-        cycles_.overhead += n;
-    } else {
-        // Initiation-interval wait: dense ticks charge these as loop
-        // body once the pipeline reaches steady state.
-        bool steady = itersIssued_ + 1 >= inv_->sched.stages() &&
-            inv_->laneTraces[lane_].iterations >= inv_->sched.stages();
-        cat = steady ? CycleCat::Loop : CycleCat::Overhead;
-        if (steady)
-            cycles_.loopBody += n;
-        else
-            cycles_.overhead += n;
-    }
-    lastCat_ = cat;
-    return cat;
-}
-
 void
 Cluster::saveState(SnapshotWriter &w) const
 {

@@ -126,24 +126,6 @@ class Cluster
 
     void tick(Cycle now);
 
-    /**
-     * Earliest future cycle this cluster's tick can do anything but
-     * burn a predictable stall/idle cycle, queried after tick(now) in
-     * skip mode. Unbound lanes report kNoEvent; dispatch overhead and
-     * the initiation-interval wait report their release cycle; any
-     * in-flight stream work (pending queues, outstanding indexed data,
-     * comm sends) pins the lane dense at now + 1.
-     */
-    Cycle nextEvent(Cycle now) const;
-
-    /**
-     * Bulk-credit skipped cycles [from, to) to the category a dense
-     * tick would have charged each of them (constant across the window
-     * by construction of nextEvent()). @return that category so the
-     * machine can mirror it into the Figure 12 breakdown.
-     */
-    CycleCat skipCycles(Cycle from, Cycle to);
-
     uint32_t lane() const { return lane_; }
     const LaneCycles &cycles() const { return cycles_; }
     void resetCycles() { cycles_.reset(); }

@@ -66,17 +66,6 @@ MachineConfig::fromEnv()
     std::string traceEnv = envStr("ISRF_TRACE");
     if (!traceEnv.empty())
         traceSpec = traceEnv == "0" ? "" : traceEnv;
-    std::string engineEnv = envStr("ISRF_ENGINE");
-    if (engineEnv == "dense") {
-        engineMode = EngineMode::Dense;
-    } else if (engineEnv == "skip") {
-        engineMode = EngineMode::Skip;
-    } else if (!engineEnv.empty()) {
-        errs.push_back(strprintf("ISRF_ENGINE='%s' is invalid (expected "
-                                 "dense|skip); using %s",
-                                 engineEnv.c_str(),
-                                 engineModeName(engineMode)));
-    }
     Profiler::parseSpec(envStr("ISRF_PROFILE"), profileEnabled,
                         profileStride, &errs);
     traceCapacity = envU64("ISRF_TRACE_CAPACITY", traceCapacity, &errs);

@@ -61,14 +61,6 @@ struct MachineConfig
      */
     uint64_t statSampleInterval = 0;
 
-    /**
-     * Tick-engine mode: Dense ticks every component every cycle (the
-     * oracle); Skip fast-forwards over provably quiescent cycles while
-     * keeping all statistics cycle-for-cycle identical (DESIGN.md
-     * §sim). fromEnv() overlays ISRF_ENGINE (dense|skip) here.
-     */
-    EngineMode engineMode = EngineMode::Dense;
-
     uint64_t seed = 1;
 
     /**
@@ -111,15 +103,13 @@ struct MachineConfig
 
     /**
      * Overlay the ISRF_* environment overrides (ISRF_FAULTS,
-     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_ENGINE,
-     * ISRF_PROFILE)
-     * onto this config
-     * and return it. This is the ONE place the environment is
-     * consulted: Machine::init reads only the config it is handed, so
-     * machines built in the same process can never observe each
-     * other's configuration. Malformed numeric values are collected
-     * and reported in a single warning, then defaulted (a bad
-     * ISRF_FAULTS spec is still a user error and fatal()s, as
+     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE)
+     * onto this config and return it. This is the ONE place the
+     * environment is consulted: Machine::init reads only the config
+     * it is handed, so machines built in the same process can never
+     * observe each other's configuration. Malformed numeric values are
+     * collected and reported in a single warning, then defaulted (a
+     * bad ISRF_FAULTS spec is still a user error and fatal()s, as
      * before).
      */
     MachineConfig &fromEnv();

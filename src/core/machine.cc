@@ -1,7 +1,5 @@
 #include "core/machine.h"
 
-#include <algorithm>
-
 #include "util/hash.h"
 #include "util/log.h"
 
@@ -17,13 +15,11 @@ Machine::init(const MachineConfig &cfg)
     // pointers to the watchdog/sampler destroyed below (and a stale
     // clock); clear() is the one sanctioned way to rebuild.
     engine_.clear();
-    engine_.setMode(cfg_.engineMode);
     active_.reset();
     activeOutputs_.clear();
     activeIdxWriteSlots_.clear();
     flushing_ = false;
     kernelStart_ = 0;
-    kernelEventCycle_ = kNoEvent;
     activeKernelName_ = nullptr;
     bwSeq0_ = bwIn0_ = bwCross0_ = 0;
     lastRunStatus_ = RunStatus::Done;
@@ -237,67 +233,6 @@ Machine::finishKernelIfDone(Cycle now)
     }
     active_.reset();
     flushing_ = false;
-    // The stream-program driver observes this completion between ticks
-    // and may immediately issue dependent work: keep the next cycle
-    // dense so both engine modes see that work start at the same cycle.
-    kernelEventCycle_ = now;
-}
-
-Cycle
-Machine::nextEvent(Cycle now)
-{
-    Profiler::Scope prof(profiler_, Profiler::SkipJump);
-    // Comm-occupancy draws the RNG per lane per cycle; skipping cycles
-    // would desync the stream from dense mode.
-    if (cfg_.commOccupancy > 0)
-        return now + 1;
-    if (kernelEventCycle_ == now)
-        return now + 1;
-    // The SRF's pending-claims mask makes its query O(1); ask it first
-    // so a busy SRF short-circuits the per-cluster scan. now + 1 is the
-    // global minimum any component may report, so an early exit cannot
-    // change the resulting min.
-    Cycle wake = srf_.nextEvent(now);
-    if (wake == now + 1)
-        return wake;
-    if (injector_)
-        wake = std::min(wake, injector_->nextEvent(now));
-    for (auto &c : clusters_) {
-        wake = std::min(wake, c.nextEvent(now));
-        if (wake == now + 1)
-            return wake;
-    }
-    wake = std::min(wake, mem_.nextEvent(now));
-    return wake;
-}
-
-void
-Machine::skipTo(Cycle from, Cycle to)
-{
-    Profiler::Scope prof(profiler_, Profiler::SkipJump);
-    uint64_t n = to - from;
-    if (active_) {
-        // Mirror the dense per-cluster classification into the
-        // Figure 12 buckets, n cycles at a time.
-        for (auto &c : clusters_) {
-            switch (c.skipCycles(from, to)) {
-              case CycleCat::Loop: breakdown_.loopBody += n; break;
-              case CycleCat::SrfStall: breakdown_.srfStall += n; break;
-              case CycleCat::Overhead:
-              case CycleCat::Idle: breakdown_.overhead += n; break;
-            }
-        }
-    } else {
-        // Unbound lanes still burn (and account) idle cycles densely.
-        for (auto &c : clusters_)
-            c.skipCycles(from, to);
-        if (mem_.inFlight() > 0)
-            breakdown_.memStall += static_cast<uint64_t>(lanes()) * n;
-        else
-            breakdown_.overhead += static_cast<uint64_t>(lanes()) * n;
-    }
-    srf_.skipCycles(from, to);
-    mem_.skipCycles(from, to);
 }
 
 void
@@ -408,7 +343,6 @@ Machine::saveMachineSection(SnapshotWriter &w) const
         w.u32(static_cast<uint32_t>(id));
     w.b(flushing_);
     w.u64(kernelStart_);
-    w.u64(kernelEventCycle_);
     w.u64(bwSeq0_);
     w.u64(bwIn0_);
     w.u64(bwCross0_);
@@ -462,8 +396,7 @@ Machine::loadMachineSection(SnapshotReader &r)
             return false;
         id = static_cast<SlotId>(raw);
     }
-    if (!r.b(flushing_) || !r.u64(kernelStart_) ||
-        !r.u64(kernelEventCycle_) || !r.u64(bwSeq0_) ||
+    if (!r.b(flushing_) || !r.u64(kernelStart_) || !r.u64(bwSeq0_) ||
         !r.u64(bwIn0_) || !r.u64(bwCross0_) ||
         !r.u64(breakdown_.loopBody) || !r.u64(breakdown_.memStall) ||
         !r.u64(breakdown_.srfStall) || !r.u64(breakdown_.overhead))

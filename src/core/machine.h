@@ -117,18 +117,6 @@ class Machine : public Ticked
     void tick(Cycle now) override;
     std::string tickedName() const override { return "machine"; }
 
-    /**
-     * Skip-mode event horizon: the minimum over the fault injector,
-     * every cluster, the SRF, and the memory system — with two forced
-     * dense cases: per-cycle comm-occupancy RNG draws (bulk replay
-     * would desync the stream) and the cycle right after a kernel
-     * completes (the stream-program driver reacts to it).
-     */
-    Cycle nextEvent(Cycle now) override;
-
-    /** Credit skipped cycles to lanes, breakdown, SRF and memory. */
-    void skipTo(Cycle from, Cycle to) override;
-
     /** Step the engine n cycles. */
     void step(uint64_t n = 1) { engine_.steps(n); }
 
@@ -267,8 +255,6 @@ class Machine : public Ticked
     std::vector<SlotId> activeIdxWriteSlots_;
     bool flushing_ = false;
     Cycle kernelStart_ = 0;
-    /** Cycle the active kernel finished (forces a dense cycle after). */
-    Cycle kernelEventCycle_ = kNoEvent;
     uint64_t bwSeq0_ = 0, bwIn0_ = 0, bwCross0_ = 0;
     uint16_t traceCh_ = 0;
     const char *activeKernelName_ = nullptr;  ///< interned, for spans

@@ -43,7 +43,7 @@ machineReport(Machine &m, const ReportOptions &opts)
     }
 
     // Only abnormal endings are surfaced, so reports of healthy runs
-    // stay byte-identical across engine modes and run-loop details.
+    // stay byte-identical across run-loop details.
     if (m.lastRunStatus() != RunStatus::Done)
         out << "run status: " << runStatusName(m.lastRunStatus())
             << "\n";

@@ -526,12 +526,6 @@ StreamProgram::saveCheckpoint(CheckpointContext &ckpt)
 uint64_t
 StreamProgram::run(uint64_t maxCycles)
 {
-    // Engine::step() advances one cycle in dense mode but may advance
-    // through a whole quiescent region in skip mode, so progress is
-    // measured on the machine clock, not loop iterations. Every cycle
-    // this driver could react to (op/kernel completion) is pinned
-    // dense by the components' nextEvent() contracts, so the sequence
-    // of issue decisions is identical in both modes.
     const Cycle start = machine_.now();
     uint64_t cycles = 0;
     status_ = RunStatus::Done;
@@ -563,7 +557,7 @@ StreamProgram::run(uint64_t maxCycles)
         // Cooperative cancellation/deadline (Engine::setCancel): the
         // same check points as Engine::runUntil — between steps, after
         // the completion test, so a finished program is never reported
-        // cancelled and dense/skip modes stop identically.
+        // cancelled.
         RunStatus cs = machine_.engine().pollCancel();
         if (cs != RunStatus::Done) {
             ISRF_WARN("StreamProgram::run: %s at cycle %llu; stopping",

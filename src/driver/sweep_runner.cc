@@ -43,7 +43,6 @@ constexpr uint64_t kJournalVersion = 1;
  * enter canonicalJob() below. Any knob listed here can change between
  * a journal being written and being resumed without invalidating it:
  *
- *   engineMode          dense and skip produce byte-identical stats
  *   traceSpec           event tracing is side-effect-free
  *   traceCapacity       ring size only bounds what --trace exports
  *   statSampleInterval  samples read counters, never write state
@@ -60,8 +59,8 @@ const std::vector<std::string> &
 observabilityKnobList()
 {
     static const std::vector<std::string> knobs = {
-        "engineMode",        "traceSpec",      "traceCapacity",
-        "statSampleInterval", "profileEnabled", "profileStride",
+        "traceSpec",      "traceCapacity",  "statSampleInterval",
+        "profileEnabled", "profileStride",
     };
     return knobs;
 }

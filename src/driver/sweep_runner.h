@@ -228,9 +228,8 @@ class SweepRunner
      * canonicalJobText() — a canonical dump of every
      * simulation-affecting field of (workload, config, options).
      * Observability-only knobs (see observabilityKnobs()) are
-     * deliberately excluded so a journal written under ISRF_ENGINE=
-     * dense resumes cleanly under skip, with tracing, sampling or
-     * profiling toggled, and vice versa.
+     * deliberately excluded so a journal resumes cleanly with tracing,
+     * sampling or profiling toggled.
      */
     static uint64_t fingerprint(const SweepJob &job);
 

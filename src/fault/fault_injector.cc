@@ -103,19 +103,6 @@ FaultInjector::inject(Cycle now)
     }
 }
 
-Cycle
-FaultInjector::nextEvent(Cycle now) const
-{
-    Cycle wake = kNoEvent;
-    for (const EntryState &st : sched_)
-        if (st.remaining > 0)
-            wake = std::min(wake, st.next);
-    // A still-due entry (period 0 edge case) pins the machine dense.
-    if (wake != kNoEvent && wake <= now)
-        return now + 1;
-    return wake;
-}
-
 void
 FaultInjector::saveState(SnapshotWriter &w) const
 {

@@ -38,13 +38,6 @@ class FaultInjector
     /** Fire every schedule entry due at `now`. */
     void inject(Cycle now);
 
-    /**
-     * Earliest cycle a schedule entry fires next (skip mode); kNoEvent
-     * once the schedule is exhausted. After inject(now), every live
-     * entry's next fire time is strictly in the future.
-     */
-    Cycle nextEvent(Cycle now) const;
-
     /** True once every schedule entry has fired its full count. */
     bool exhausted() const;
 

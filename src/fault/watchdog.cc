@@ -20,7 +20,7 @@ Watchdog::init(uint64_t intervalCycles, uint32_t stallIntervals,
     progress_ = std::move(progress);
     tracer_ = tracer;
     label_ = std::move(label);
-    nextCheck_ = kNoEvent;
+    nextCheck_ = kUnarmed;
     lastProgress_ = progress_ ? progress_() : 0;
     stalled_ = 0;
     triggered_ = false;
@@ -35,7 +35,7 @@ Watchdog::tick(Cycle now)
     // Lazy arming: the first ticked cycle counts as one elapsed cycle,
     // so the check lands interval_ ticks after registration (identical
     // to the old per-tick counter under dense ticking).
-    if (nextCheck_ == kNoEvent)
+    if (nextCheck_ == kUnarmed)
         nextCheck_ = now + interval_ - 1;
     if (now < nextCheck_)
         return;
@@ -77,24 +77,12 @@ Watchdog::reportJson() const
     return w.str();
 }
 
-Cycle
-Watchdog::nextEvent(Cycle now)
-{
-    if (interval_ == 0)
-        return kNoEvent;
-    if (triggered_)
-        return triggeredCycle_ == now ? now + 1 : kNoEvent;
-    if (nextCheck_ == kNoEvent)
-        return now + 1;  // not yet armed; arm on the next dense tick
-    return nextCheck_ > now ? nextCheck_ : now + 1;
-}
-
 void
 Watchdog::rearm()
 {
     triggered_ = false;
     stalled_ = 0;
-    nextCheck_ = kNoEvent;
+    nextCheck_ = kUnarmed;
     if (progress_)
         lastProgress_ = progress_();
 }

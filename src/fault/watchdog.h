@@ -42,14 +42,6 @@ class Watchdog : public Ticked
     void tick(Cycle now) override;
     std::string tickedName() const override { return "watchdog"; }
 
-    /**
-     * Next interval boundary (absolute). After a trip the watchdog goes
-     * quiet (kNoEvent) once the trip cycle itself has been observed
-     * densely, so the run loop breaks at the same cycle in both engine
-     * modes.
-     */
-    Cycle nextEvent(Cycle now) override;
-
     /** True once the stall threshold has been reached. */
     bool triggered() const { return triggered_; }
     Cycle triggeredCycle() const { return triggeredCycle_; }
@@ -72,13 +64,13 @@ class Watchdog : public Ticked
     Tracer *tracer_ = nullptr;
     std::string label_;
 
+    static constexpr Cycle kUnarmed = ~Cycle(0);
     /**
-     * Absolute cycle of the next progress check; kNoEvent = unarmed
-     * (armed lazily on the first tick so a watchdog registered mid-run
-     * still gets full intervals). Absolute rather than a per-tick
-     * counter so skipped cycles need no crediting.
+     * Absolute cycle of the next progress check; kUnarmed until armed
+     * (lazily, on the first tick, so a watchdog registered mid-run
+     * still gets full intervals).
      */
-    Cycle nextCheck_ = kNoEvent;
+    Cycle nextCheck_ = kUnarmed;
     uint64_t lastProgress_ = 0;
     uint32_t stalled_ = 0;
     bool triggered_ = false;

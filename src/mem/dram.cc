@@ -123,21 +123,6 @@ Dram::tick()
     tokens_ = std::min(tokens_ + cfg_.wordsPerCycle, cfg_.burstTokens);
 }
 
-void
-Dram::skipCycles(uint64_t n)
-{
-    now_ += n;
-    // Replay the per-cycle accrual so the float state matches dense
-    // ticking bit for bit; the bucket saturates within
-    // ceil(burstTokens / wordsPerCycle) iterations (~7 with Table 3
-    // parameters), after which each tick is a no-op.
-    while (n > 0 && tokens_ < cfg_.burstTokens) {
-        tokens_ = std::min(tokens_ + cfg_.wordsPerCycle,
-                           cfg_.burstTokens);
-        n--;
-    }
-}
-
 bool
 Dram::tryConsumeExact(uint32_t words, bool sequential)
 {

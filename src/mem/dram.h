@@ -83,14 +83,6 @@ class Dram
     void tick();
 
     /**
-     * Equivalent of n consecutive tick()s with no token consumption in
-     * between (skip-mode bulk credit). Bitwise-identical to dense
-     * ticking: the floating-point accrual is replayed step by step
-     * until the bucket saturates, then further ticks are no-ops.
-     */
-    void skipCycles(uint64_t n);
-
-    /**
      * Try to move up to `want` words this cycle.
      * @param sequential true for streaming access patterns.
      * @return number of words granted (tokens consumed).

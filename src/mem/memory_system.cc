@@ -1,7 +1,5 @@
 #include "mem/memory_system.h"
 
-#include <algorithm>
-
 #include "sim/trace.h"
 #include "util/log.h"
 
@@ -41,7 +39,6 @@ MemorySystem::init(const MemSystemConfig &cfg, const DramConfig &dramCfg,
     }
     queue_.clear();
     nextId_ = 1;
-    lastCompletion_ = kNoEvent;
     stats_.resetAll();
     traceCh_ = trc_ ? trc_->channel("mem") : 0;
     queueDepthHist_ = &stats_.histogram("queue_depth", 0,
@@ -125,7 +122,6 @@ MemorySystem::tick(Cycle now)
         bool wasBusy = units_[u].busy();
         units_[u].tick(now, bw);
         if (wasBusy && !units_[u].busy()) {
-            lastCompletion_ = now;
             stats_.counter("ops_completed").inc();
             if (units_[u].opPoisoned())
                 stats_.counter("ops_poisoned").inc();
@@ -135,44 +131,6 @@ MemorySystem::tick(Cycle now)
             }
         }
     }
-}
-
-Cycle
-MemorySystem::nextEvent(Cycle now) const
-{
-    // An op just completed: the driver (stream program) may react next
-    // cycle by submitting dependents — stay dense.
-    if (lastCompletion_ == now)
-        return now + 1;
-    // A queued op dispatches as soon as a unit frees; with a free unit
-    // it dispatches next cycle.
-    if (!queue_.empty()) {
-        for (const auto &u : units_)
-            if (!u.busy())
-                return now + 1;
-    }
-    Cycle wake = kNoEvent;
-    for (const auto &u : units_)
-        wake = std::min(wake, u.nextEvent(now));
-    // Busy units also imply a queue-depth histogram sample every cycle,
-    // but that is a bulk-creditable side effect (skipCycles), so it
-    // does not force density here.
-    return wake;
-}
-
-void
-MemorySystem::skipCycles(Cycle from, Cycle to)
-{
-    uint64_t n = to - from;
-    dram_.skipCycles(n);
-    // Every dense tick with in-flight work samples the depth once; the
-    // depth cannot change across quiescent cycles (no dispatch, no
-    // completion), so one weighted sample reproduces n dense samples.
-    size_t depth = inFlight();
-    if (depth > 0)
-        queueDepthHist_->sample(static_cast<double>(depth), n);
-    for (auto &u : units_)
-        u.skipCycles(from, to);
 }
 
 void
@@ -254,7 +212,6 @@ MemorySystem::saveState(SnapshotWriter &w) const
         saveMemOp(w, p.op);
     }
     w.i64(nextId_);
-    w.u64(lastCompletion_);
     stats_.saveState(w);
 }
 
@@ -282,8 +239,7 @@ MemorySystem::loadState(SnapshotReader &r)
             return false;
         queue_.push_back(std::move(p));
     }
-    return r.i64(nextId_) && r.u64(lastCompletion_) &&
-        stats_.loadState(r);
+    return r.i64(nextId_) && stats_.loadState(r);
 }
 
 } // namespace isrf

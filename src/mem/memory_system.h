@@ -51,21 +51,6 @@ class MemorySystem
 
     void tick(Cycle now);
 
-    /**
-     * Earliest future cycle the memory system can change observable
-     * state, queried after the tick at `now` (skip mode). Forces a
-     * dense next cycle after any op completion so the stream-program
-     * driver can react (issue dependents) exactly as in dense mode.
-     */
-    Cycle nextEvent(Cycle now) const;
-
-    /**
-     * Credit skipped cycles [from, to): DRAM token accrual, the
-     * per-busy-cycle queue-depth histogram samples, and unit trace
-     * clocks — everything a dense tick touches while quiescent.
-     */
-    void skipCycles(Cycle from, Cycle to);
-
     Dram &dram() { return dram_; }
     const Dram &dram() const { return dram_; }
     Cache &cache() { return cache_; }
@@ -111,8 +96,6 @@ class MemorySystem
     std::vector<MemOpId> unitOpId_;
     std::deque<Pending> queue_;
     MemOpId nextId_ = 1;
-    /** Cycle of the most recent op completion (driver-visible event). */
-    Cycle lastCompletion_ = kNoEvent;
     StatGroup stats_{"mem"};
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;

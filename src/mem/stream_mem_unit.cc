@@ -275,39 +275,6 @@ StreamMemUnit::injectDelay(uint32_t cycles)
     }
 }
 
-Cycle
-StreamMemUnit::nextEvent(Cycle now) const
-{
-    if (!busy_)
-        return kNoEvent;
-    // tick() is a pure no-op (except curCycle_, handled by skipCycles)
-    // until both the injected-stall gate and the fixed access-latency
-    // window have passed.
-    Cycle gate = std::max(stallUntil_,
-                          startCycle_ + dram_->accessLatency());
-    if (gate > now + 1)
-        return gate;
-    // Retry backoff fully idles the load side only while the staging
-    // buffer is empty (otherwise staging -> SRF transfers continue).
-    bool loadSide = op_.kind == MemOpKind::Load ||
-        op_.kind == MemOpKind::Gather;
-    if (loadSide && staging_.empty() && dramCursor_ < totalWords() &&
-            retryNotBefore_ > now + 1) {
-        return retryNotBefore_;
-    }
-    return now + 1;
-}
-
-void
-StreamMemUnit::skipCycles(Cycle from, Cycle to)
-{
-    (void)from;
-    // Dense ticks set curCycle_ every cycle (trace timestamps and
-    // injected-delay arithmetic read it); the last skipped cycle is
-    // to - 1.
-    curCycle_ = to - 1;
-}
-
 void
 StreamMemUnit::tick(Cycle now, MemBandwidth &bw)
 {

@@ -76,17 +76,6 @@ class StreamMemUnit
     /** Progress one cycle; bw carries shared cache bandwidth. */
     void tick(Cycle now, MemBandwidth &bw);
 
-    /**
-     * Earliest future cycle this unit can move data, queried after the
-     * tick at `now` (skip mode). kNoEvent while idle; the DRAM access
-     * latency window, injected stalls, and retry backoff report their
-     * release cycle; any state where words can move reports now + 1.
-     */
-    Cycle nextEvent(Cycle now) const;
-
-    /** Credit skipped cycles [from, to): only curCycle_ advances. */
-    void skipCycles(Cycle from, Cycle to);
-
     /** Words moved on the DRAM side so far (progress/debug). */
     uint64_t dramWordsDone() const { return dramCursor_; }
 

@@ -1,7 +1,5 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-
 #include "sim/trace.h"
 #include "util/log.h"
 
@@ -36,9 +34,7 @@ Engine::pollCancel()
         return RunStatus::Done;
     // The atomic flag is a relaxed load — cheap enough for every
     // check point. The wall clock is read at most once per
-    // kDeadlineCheckCycles simulated cycles; skip-mode jumps may cross
-    // several boundaries, which only means the next poll reads the
-    // clock once (deadlines stay honored, just never over-sampled).
+    // kDeadlineCheckCycles simulated cycles.
     if (cancel_->cancelRequested())
         return RunStatus::Cancelled;
     if (now_ >= nextDeadlineCheck_) {
@@ -50,7 +46,7 @@ Engine::pollCancel()
 }
 
 void
-Engine::tickOnce()
+Engine::step()
 {
     for (Ticked *c : components_)
         c->tick(now_);
@@ -60,55 +56,10 @@ Engine::tickOnce()
 }
 
 void
-Engine::fastForward(Cycle bound)
-{
-    // now_ - 1 is the cycle every component just ticked at; each
-    // reports the earliest future cycle it can act. The minimum is the
-    // next cycle worth simulating densely.
-    const Cycle last = now_ - 1;
-    Cycle wake = kNoEvent;
-    for (Ticked *c : components_) {
-        Cycle ne = c->nextEvent(last);
-        if (ne <= last)
-            panic("Engine: component '%s' returned stale nextEvent "
-                  "%llu at cycle %llu (time travel)",
-                  c->tickedName().c_str(),
-                  static_cast<unsigned long long>(ne),
-                  static_cast<unsigned long long>(last));
-        wake = std::min(wake, ne);
-        // now_ is the minimum any component may legally report; once
-        // reached, the remaining queries cannot lower it.
-        if (wake == now_)
-            return;
-    }
-    if (wake == kNoEvent)
-        return;  // nothing self-driven pending: stay dense, don't spin
-    if (bound != kNoEvent)
-        wake = std::min(wake, bound);
-    if (wake <= now_)
-        return;
-    for (Ticked *c : components_)
-        c->skipTo(now_, wake);
-    now_ = wake;
-}
-
-void
-Engine::step()
-{
-    tickOnce();
-    if (mode_ == EngineMode::Skip && !components_.empty())
-        fastForward(kNoEvent);
-}
-
-void
 Engine::steps(uint64_t n)
 {
-    const Cycle target = now_ + n;
-    while (now_ < target) {
-        tickOnce();
-        if (mode_ == EngineMode::Skip && !components_.empty())
-            fastForward(target);
-    }
+    for (uint64_t i = 0; i < n; i++)
+        step();
 }
 
 RunResult
@@ -119,7 +70,7 @@ Engine::runUntil(const std::function<bool()> &done, uint64_t limit)
         uint64_t executed = now_ - start;
         // Cooperative cancellation/deadline: checked between steps
         // (after the done() test), so a satisfied predicate always
-        // wins and both engine modes stop at a cycle boundary with a
+        // wins and the run stops at a cycle boundary with a
         // consistent machine state.
         RunStatus cs = pollCancel();
         if (cs != RunStatus::Done) {
@@ -150,11 +101,7 @@ Engine::runUntil(const std::function<bool()> &done, uint64_t limit)
                       static_cast<unsigned long long>(now_));
             return {RunStatus::Limit, executed};
         }
-        tickOnce();
-        // Clamp jumps to the limit boundary so `executed` and the
-        // deadlock diagnostics stay exact in skip mode.
-        if (mode_ == EngineMode::Skip && !components_.empty())
-            fastForward(start + limit);
+        step();
     }
     return {RunStatus::Done, now_ - start};
 }
@@ -185,16 +132,6 @@ runStatusFromName(const std::string &name, RunStatus &out)
         }
     }
     return false;
-}
-
-const char *
-engineModeName(EngineMode mode)
-{
-    switch (mode) {
-      case EngineMode::Dense: return "dense";
-      case EngineMode::Skip: return "skip";
-    }
-    return "?";
 }
 
 } // namespace isrf

@@ -123,12 +123,6 @@ struct RunResult
  * component in order, then postTick() on every component in order.
  * runUntil() steps until a predicate is satisfied or a cycle limit is
  * hit (the limit guards against deadlocked models).
- *
- * In EngineMode::Skip the engine additionally queries every component's
- * nextEvent() after each dense cycle and, when the minimum lies beyond
- * the next cycle, credits the quiescent gap via skipTo() and jumps the
- * clock there in one step (see DESIGN.md §sim). Dense mode never calls
- * nextEvent()/skipTo() and remains the oracle.
  */
 class Engine
 {
@@ -145,9 +139,6 @@ class Engine
      * that latch absolute cycle numbers in sync with the clock.
      */
     void clear();
-
-    void setMode(EngineMode mode) { mode_ = mode; }
-    EngineMode mode() const { return mode_; }
 
     /**
      * Tracer to dump diagnostics from (the owning machine's), plus a
@@ -169,9 +160,8 @@ class Engine
      * pollCancel(), e.g. StreamProgram::run — checks the token at
      * cycle boundaries: the cancelled flag every check, the wall-clock
      * deadline only once per kDeadlineCheckCycles so the hot loop
-     * never pays a clock read per cycle. Identical in dense and skip
-     * mode: cancellation is only ever observed between engine steps,
-     * at a consistent machine state.
+     * never pays a clock read per cycle. Cancellation is only ever
+     * observed between engine steps, at a consistent machine state.
      */
     void
     setCancel(const CancelToken *token)
@@ -197,16 +187,10 @@ class Engine
      */
     static constexpr Cycle kDeadlineCheckCycles = 1024;
 
-    /**
-     * Advance one dense cycle; in skip mode, then fast-forward over any
-     * provably quiescent gap (so one step() may advance many cycles).
-     */
+    /** Advance one cycle: tick all, postTick all, now()++. */
     void step();
 
-    /**
-     * Advance exactly n cycles in both modes (skip-mode jumps are
-     * clamped to the target, so tests can still single-step).
-     */
+    /** Advance exactly n cycles. */
     void steps(uint64_t n);
 
     /**
@@ -218,8 +202,7 @@ class Engine
      * With a cancel token attached (setCancel), returns
      * RunStatus::Cancelled / TimedOut as soon as the token trips —
      * checked before each step, so a finished run is never reported
-     * cancelled and both engine modes stop at the same observable
-     * points (cycle boundaries).
+     * cancelled and a stopped run halts at a cycle boundary.
      *
      * @param done Predicate checked after each cycle.
      * @param limit Max cycles to run (deadlock guard).
@@ -256,21 +239,10 @@ class Engine
     size_t componentCount() const { return components_.size(); }
 
   private:
-    /** One dense cycle: tick all, postTick all, now_++. */
-    void tickOnce();
-
-    /**
-     * Skip mode: query min(nextEvent) and jump the clock over the
-     * quiescent gap, crediting it via skipTo(). `bound` (kNoEvent =
-     * none) is the first cycle the jump must not pass.
-     */
-    void fastForward(Cycle bound);
-
     std::vector<Ticked *> components_;
     /** Subset of components_ whose hasPostTick() is true. */
     std::vector<Ticked *> postTickers_;
     Cycle now_ = 0;
-    EngineMode mode_ = EngineMode::Dense;
     Tracer *tracer_ = nullptr;
     std::string label_;
     const CancelToken *cancel_ = nullptr;

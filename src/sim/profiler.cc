@@ -26,7 +26,6 @@ Profiler::phaseName(Phase p)
       case ClusterTick: return "cluster_tick";
       case SrfCycle: return "srf_port_arb";
       case MemTick: return "mem_tick";
-      case SkipJump: return "skip_jump";
       case Journal: return "journal";
       case Report: return "report_serialize";
       case Run: return "run_loop";
@@ -43,7 +42,6 @@ Profiler::phaseSampled(Phase p)
       case ClusterTick:
       case SrfCycle:
       case MemTick:
-      case SkipJump:
         return true;
       default:
         return false;

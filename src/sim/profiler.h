@@ -5,10 +5,10 @@
  *
  * The tracer and sampler (sim/trace.h, sim/stat_sampler.h) observe
  * *simulated* time; this profiler attributes *host* time to a fixed
- * set of phases (dense component ticks, skip-jump bookkeeping, SRF
- * port arbitration, the memory system, journal fsyncs, report
- * serialization) so the ROADMAP's "as fast as the hardware allows"
- * work can be profile-driven instead of guessed.
+ * set of phases (component ticks, SRF port arbitration, the memory
+ * system, journal fsyncs, report serialization) so the ROADMAP's
+ * "as fast as the hardware allows" work can be profile-driven instead
+ * of guessed.
  *
  * Design constraints, in order:
  *  1. Zero observable effect on simulation results. The profiler only
@@ -62,7 +62,6 @@ class Profiler
         ClusterTick,  ///< all lanes' cluster ticks (sampled)
         SrfCycle,     ///< SRF endCycle: port arbitration (sampled)
         MemTick,      ///< memory system tick (sampled)
-        SkipJump,     ///< skip-mode nextEvent/skipTo bookkeeping (sampled)
         Journal,      ///< sweep journal append + fsync (always timed)
         Report,       ///< report/result JSON serialization (always timed)
         Run,          ///< whole StreamProgram::run drive loops (timed)

@@ -49,16 +49,6 @@ StatSampler::tick(Cycle now)
     sampleNow(now + 1);
 }
 
-Cycle
-StatSampler::nextEvent(Cycle now)
-{
-    if (interval_ == 0)
-        return kNoEvent;
-    // tick() samples at cycles t with (t + 1) % interval_ == 0; the
-    // first such t strictly after `now`:
-    return ((now + 1) / interval_ + 1) * interval_ - 1;
-}
-
 void
 StatSampler::sampleNow(Cycle now)
 {

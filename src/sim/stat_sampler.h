@@ -75,9 +75,6 @@ class StatSampler : public Ticked
     void tick(Cycle now) override;
     std::string tickedName() const override { return "stat_sampler"; }
 
-    /** Next interval-boundary cycle (skip mode); kNoEvent if disabled. */
-    Cycle nextEvent(Cycle now) override;
-
     /** Force a sample at `now` (e.g. end of run, partial interval). */
     void sampleNow(Cycle now);
 

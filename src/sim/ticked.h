@@ -21,20 +21,6 @@ using Cycle = uint64_t;
 /** A 32-bit machine word: the unit of SRF and DRAM storage (Table 3). */
 using Word = uint32_t;
 
-/**
- * nextEvent() sentinel: the component has no self-driven future event
- * (it only reacts to other components or external stimulus).
- */
-constexpr Cycle kNoEvent = ~Cycle(0);
-
-/** Tick-engine mode (MachineConfig::engineMode / ISRF_ENGINE). */
-enum class EngineMode : uint8_t {
-    Dense,  ///< tick every component every cycle (the oracle)
-    Skip,   ///< jump over provably quiescent cycles (same stats)
-};
-
-const char *engineModeName(EngineMode mode);
-
 /** Interface for components advanced by the tick engine. */
 class Ticked
 {
@@ -55,37 +41,6 @@ class Ticked
 
     /** Declare that postTick() is overridden (see above). */
     virtual bool hasPostTick() const { return false; }
-
-    /**
-     * Earliest cycle at which this component can next change observable
-     * state, queried right after it ticked at `now` (skip mode only).
-     *
-     * Contract (see DESIGN.md §sim):
-     *  - the return value must be > now or kNoEvent; a value <= now is
-     *    a model bug and panics the engine (no time travel);
-     *  - conservative-early is always legal (the default `now + 1`
-     *    means "I may act every cycle" and disables skipping);
-     *  - late is a model bug: the engine will not tick the component
-     *    again before the reported cycle, so under-reporting activity
-     *    silently diverges from dense mode;
-     *  - kNoEvent means the component will never act again on its own.
-     */
-    virtual Cycle nextEvent(Cycle now) { return now + 1; }
-
-    /**
-     * Credit the skipped cycles [from, to) — cycles this component will
-     * never be ticked at. Must reproduce, in bulk, every side effect a
-     * dense tick would have had on those cycles (per-cycle counters,
-     * histogram samples, round-robin pointer rotation, breakdown
-     * buckets), so skip-mode statistics stay cycle-for-cycle identical
-     * to dense mode. Only called when every registered component agreed
-     * (via nextEvent) that [from, to) is quiescent.
-     */
-    virtual void skipTo(Cycle from, Cycle to)
-    {
-        (void)from;
-        (void)to;
-    }
 
     /** Component name for stats and tracing. */
     virtual std::string tickedName() const = 0;

@@ -98,10 +98,9 @@ class RoundRobinArbiter
     uint32_t priority() const { return next_; }
 
     /**
-     * Bulk-credit n claimless arbitration cycles (skip mode and the
-     * SRF's quiescent fast path). Matches n arbitrate() calls with
-     * zero claims: idleCycles_ grows, the priority pointer does not
-     * move.
+     * Credit n claimless arbitration cycles (the SRF's quiescent fast
+     * path). Matches n arbitrate() calls with zero claims: idleCycles_
+     * grows, the priority pointer does not move.
      */
     void skipIdle(uint64_t n) { idleCycles_ += n; }
 

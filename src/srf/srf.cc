@@ -877,8 +877,8 @@ Srf::endCycle(Cycle now)
     // sequential stream (or DMA transfer) or the indexed-access bundle;
     // stage two (per-lane) happens inside serviceIndexed(). Claims are
     // maintained at enqueue/dequeue time (DESIGN.md §15), so a fully
-    // quiescent cycle reduces to the same bulk idle credit skip mode
-    // uses — no arbitration, no slot scans.
+    // quiescent cycle reduces to an idle credit — no arbitration, no
+    // slot scans.
     const uint32_t nSlots = geom_.maxStreamSlots;
     const bool idxWork = inLaneFifoEntries_ > 0 || remoteEntries_ > 0;
     if (!idxWork && seqClaimMask_ == 0 && memClaims_.empty() &&
@@ -953,32 +953,6 @@ Srf::endCycle(Cycle now)
             static_cast<uint32_t>(slots_.size());
     if (returnEntries_ > 0)
         progressReturns(now);
-}
-
-Cycle
-Srf::nextEvent(Cycle now) const
-{
-    // Any buffered work means a dense endCycle can move words (or at
-    // least a queue head can age toward eligibility) next cycle. The
-    // pending-claims mask and occupancy counters are exact mirrors of
-    // the buffer state, so no slot scan is needed.
-    if (seqClaimMask_ != 0 || inLaneFifoEntries_ > 0 ||
-            crossFifoEntries_ > 0 || remoteEntries_ > 0 ||
-            returnEntries_ > 0)
-        return now + 1;
-    // Quiescent: every per-cycle side effect left is bulk-creditable
-    // via skipCycles (idle counters, RR rotation).
-    return kNoEvent;
-}
-
-void
-Srf::skipCycles(Cycle from, Cycle to)
-{
-    // Same bulk credit the dense fast path takes one cycle at a time —
-    // shared code, so the two cannot drift apart.
-    creditIdleCycles(to - from);
-    // beginCycle() stamps the cycle; the last skipped cycle is to - 1.
-    curCycle_ = to - 1;
 }
 
 uint64_t

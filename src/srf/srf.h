@@ -218,22 +218,6 @@ class Srf
     void beginCycle(Cycle now);
     void endCycle(Cycle now);
 
-    /**
-     * Earliest future cycle the SRF itself can make progress, queried
-     * after endCycle(now) in skip mode. The SRF is a slave of its
-     * clients: it either has buffered work (any seq refill/drain
-     * pending, any address FIFO or remote/return queue non-empty) and
-     * reports now + 1, or it is fully quiescent and reports kNoEvent.
-     */
-    Cycle nextEvent(Cycle now) const;
-
-    /**
-     * Bulk-credit n skipped quiescent cycles: the idle-port counters,
-     * the cross-lane routing round-robin rotation, and the cycle stamp
-     * — exactly what n dense begin/endCycle pairs do when quiescent.
-     */
-    void skipCycles(Cycle from, Cycle to);
-
     // ------------------------------------------------------------------
     // Statistics
     // ------------------------------------------------------------------
@@ -364,9 +348,8 @@ class Srf
     /**
      * Credit n fully quiescent cycles: the port-idle counter, the
      * global arbiter's idle count (priority pointer frozen), and the
-     * cross-lane routing round-robin rotation. Shared by the dense
-     * zero-claims fast path and skip-mode bulk crediting so the two
-     * are identical by construction.
+     * cross-lane routing round-robin rotation: the zero-claims fast
+     * path of endCycle(), with no arbitration and no slot scans.
      */
     void creditIdleCycles(uint64_t n);
 
@@ -396,10 +379,10 @@ class Srf
     Cycle curCycle_ = 0;
 
     // Event-driven arbitration state (DESIGN.md §15): claims are
-    // tracked at enqueue/dequeue time so endCycle() and nextEvent()
-    // never scan quiescent slots. seqClaimMask_ bit i mirrors
-    // slotWantsSeqPort(i) exactly; the occupancy counters mirror the
-    // address FIFOs / remote queues / return queues of open slots.
+    // tracked at enqueue/dequeue time so endCycle() never scans
+    // quiescent slots. seqClaimMask_ bit i mirrors slotWantsSeqPort(i)
+    // exactly; the occupancy counters mirror the address FIFOs /
+    // remote queues / return queues of open slots.
     uint64_t seqClaimMask_ = 0;
     uint64_t inLaneIdxOpenMask_ = 0;  ///< open && indexed && !crossLane
     uint64_t crossIdxOpenMask_ = 0;   ///< open && indexed && crossLane

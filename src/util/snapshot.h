@@ -237,8 +237,11 @@ constexpr uint32_t kSnapSampler = snapTag('S', 'A', 'M', 'P');
 constexpr uint32_t kSnapFaults = snapTag('F', 'I', 'N', 'J');
 constexpr uint32_t kSnapProgram = snapTag('P', 'R', 'O', 'G');
 
-/** Bumped whenever any section layout changes. */
-constexpr uint32_t kSnapshotFormatVersion = 1;
+/**
+ * Bumped whenever any section layout changes. Version 2 dropped the
+ * MACH and MEMS fields that only the retired skip engine read.
+ */
+constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /**
  * An in-memory snapshot: header fields plus tagged sections. The

@@ -12,20 +12,20 @@ Histogram::Histogram(double lo, double hi, size_t buckets)
 }
 
 void
-Histogram::sample(double v, uint64_t weight)
+Histogram::sample(double v)
 {
-    total_ += weight;
-    weightedSum_ += v * static_cast<double>(weight);
+    total_++;
+    sum_ += v;
     if (v < lo_) {
-        underflow_ += weight;
+        underflow_++;
     } else if (v >= hi_) {
-        overflow_ += weight;
+        overflow_++;
     } else {
         auto idx = static_cast<size_t>(
             (v - lo_) / (hi_ - lo_) * static_cast<double>(buckets_.size()));
         if (idx >= buckets_.size())
             idx = buckets_.size() - 1;
-        buckets_[idx] += weight;
+        buckets_[idx]++;
     }
 }
 
@@ -35,7 +35,7 @@ Histogram::reset()
     for (auto &b : buckets_)
         b = 0;
     underflow_ = overflow_ = total_ = 0;
-    weightedSum_ = 0;
+    sum_ = 0;
 }
 
 double
@@ -118,7 +118,7 @@ Histogram::saveState(SnapshotWriter &w) const
     w.u64(underflow_);
     w.u64(overflow_);
     w.u64(total_);
-    w.f64(weightedSum_);
+    w.f64(sum_);
 }
 
 bool
@@ -128,7 +128,7 @@ Histogram::loadState(SnapshotReader &r)
         if (!r.u64(b))
             return false;
     return r.u64(underflow_) && r.u64(overflow_) && r.u64(total_) &&
-           r.f64(weightedSum_);
+           r.f64(sum_);
 }
 
 void

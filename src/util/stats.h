@@ -92,7 +92,7 @@ class Histogram
   public:
     Histogram(double lo = 0, double hi = 1, size_t buckets = 10);
 
-    void sample(double v, uint64_t weight = 1);
+    void sample(double v);
     void reset();
 
     uint64_t totalSamples() const { return total_; }
@@ -101,7 +101,7 @@ class Histogram
     const std::vector<uint64_t> &buckets() const { return buckets_; }
     double bucketLow(size_t i) const;
     double bucketHigh(size_t i) const;
-    double mean() const { return total_ ? weightedSum_ / total_ : 0.0; }
+    double mean() const { return total_ ? sum_ / total_ : 0.0; }
 
     /** Bucket contents only; geometry (lo/hi/count) is construction
      *  state and must already match. */
@@ -117,7 +117,7 @@ class Histogram
     uint64_t underflow_ = 0;
     uint64_t overflow_ = 0;
     uint64_t total_ = 0;
-    double weightedSum_ = 0;
+    double sum_ = 0;
 };
 
 /**

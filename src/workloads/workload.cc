@@ -128,6 +128,7 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
     res.srfIdxWords = m.srf().idxInLaneWords() + m.srf().idxCrossWords();
     res.cacheWords = m.mem().cache().hits();
     res.kernelBw = m.kernelBw();
+    checkBreakdownInvariant(res, m.lanes());
     if (m.faultsEnabled()) {
         // Background-scrub before harvesting so lingering correctable
         // faults are repaired (and counted) ahead of validation dumps.
@@ -148,6 +149,29 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
         res.extra["degraded_subarrays"] =
             static_cast<double>(m.srf().offlineSubArrays());
     }
+}
+
+bool
+checkBreakdownInvariant(WorkloadResult &res, uint32_t lanes)
+{
+    const TimeBreakdown &b = res.breakdown;
+    const uint64_t want = static_cast<uint64_t>(lanes) * res.cycles;
+    if (b.total() == want)
+        return true;
+    res.status = RunStatus::Failed;
+    res.correct = false;
+    res.error = strprintf(
+        "breakdown invariant violated: loop_body %llu + srf_stall %llu + "
+        "mem_stall %llu + overhead %llu = %llu lane-cycles, expected "
+        "%u lanes x %llu cycles = %llu",
+        static_cast<unsigned long long>(b.loopBody),
+        static_cast<unsigned long long>(b.srfStall),
+        static_cast<unsigned long long>(b.memStall),
+        static_cast<unsigned long long>(b.overhead),
+        static_cast<unsigned long long>(b.total()), lanes,
+        static_cast<unsigned long long>(res.cycles),
+        static_cast<unsigned long long>(want));
+    return false;
 }
 
 void

@@ -45,7 +45,8 @@ struct WorkloadResult
      * (watchdog), TimedOut (deadline) or Cancelled when the drive loop
      * stopped early (validation is skipped, correct=false); Failed
      * when the workload threw (set by the sweep driver, with the
-     * exception message in `error`).
+     * exception message in `error`) or its harvested breakdown broke
+     * the Figure 12 invariant (see checkBreakdownInvariant).
      */
     RunStatus status = RunStatus::Done;
     /** Human-readable failure detail (Failed outcomes); else empty. */
@@ -137,9 +138,18 @@ WorkloadResult runWorkload(const std::string &name,
 
 /**
  * Fill a WorkloadResult's common fields from a finished machine,
- * including copies of its trace and host profile.
+ * including copies of its trace and host profile, then check the
+ * breakdown invariant (checkBreakdownInvariant).
  */
 void harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles);
+
+/**
+ * The Figure 12 invariant: every lane-cycle of the run is charged to
+ * exactly one bucket, so loop_body + srf_stall + mem_stall + overhead
+ * == lanes x res.cycles. On violation marks `res` Failed with the
+ * sums in `error` (so validation is skipped) and returns false.
+ */
+bool checkBreakdownInvariant(WorkloadResult &res, uint32_t lanes);
 
 class JsonWriter;
 

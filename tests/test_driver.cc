@@ -304,14 +304,10 @@ class TempJournal
     std::string path_;
 };
 
-/**
- * A component that is never quiescent, so a hang cannot be skipped
- * over in EngineMode::Skip — the engine steps densely in both modes.
- */
+/** A component that ticks forever: the hung job's only work. */
 struct Spinner : Ticked
 {
     void tick(Cycle) override {}
-    Cycle nextEvent(Cycle now) override { return now + 1; }
     std::string tickedName() const override { return "spinner"; }
 };
 
@@ -323,7 +319,6 @@ hangRunner(const MachineConfig &cfg, const WorkloadOptions &opts)
     res.workload = "Hang";
     res.kind = cfg.kind;
     Engine eng;
-    eng.setMode(cfg.engineMode);
     Spinner spin;
     eng.add(&spin);
     eng.setCancel(opts.cancel);
@@ -334,31 +329,27 @@ hangRunner(const MachineConfig &cfg, const WorkloadOptions &opts)
 }
 
 SweepJob
-hangJob(EngineMode mode)
+hangJob()
 {
     SweepJob j;
     j.workload = "Hang";
     j.cfg = MachineConfig::make(MachineKind::Base);
-    j.cfg.engineMode = mode;
     j.runner = hangRunner;
     return j;
 }
 
-TEST(SweepResilience, TimeoutUnhangsAJobInBothEngineModes)
+TEST(SweepResilience, TimeoutUnhangsAJob)
 {
-    for (EngineMode mode : {EngineMode::Dense, EngineMode::Skip}) {
-        SweepPolicy policy;
-        policy.timeoutSeconds = 0.2;
-        SweepRunner runner(1);
-        auto out = runner.run({hangJob(mode)}, policy);
-        ASSERT_EQ(out.size(), 1u);
-        EXPECT_EQ(out[0].status, RunStatus::TimedOut)
-            << engineModeName(mode);
-        EXPECT_EQ(out[0].attempts, 1u);
-        EXPECT_GT(out[0].result.cycles, 0u);
-        EXPECT_LT(out[0].wallSeconds, 30.0)
-            << "the deadline must actually bound the attempt";
-    }
+    SweepPolicy policy;
+    policy.timeoutSeconds = 0.2;
+    SweepRunner runner(1);
+    auto out = runner.run({hangJob()}, policy);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].status, RunStatus::TimedOut);
+    EXPECT_EQ(out[0].attempts, 1u);
+    EXPECT_GT(out[0].result.cycles, 0u);
+    EXPECT_LT(out[0].wallSeconds, 30.0)
+        << "the deadline must actually bound the attempt";
 }
 
 TEST(SweepResilience, SweepCancelStopsJobsAndNeverHangsThePool)
@@ -370,9 +361,7 @@ TEST(SweepResilience, SweepCancelStopsJobsAndNeverHangsThePool)
     SweepPolicy policy;
     policy.cancel = &cancel;
     SweepRunner runner(2);
-    auto out =
-        runner.run({hangJob(EngineMode::Dense),
-                    hangJob(EngineMode::Skip)}, policy);
+    auto out = runner.run({hangJob(), hangJob()}, policy);
     ASSERT_EQ(out.size(), 2u);
     for (const auto &o : out) {
         EXPECT_EQ(o.status, RunStatus::Cancelled);
@@ -766,10 +755,8 @@ TEST(SweepResilience, FingerprintSeparatesExperiments)
               SweepRunner::fingerprint(other));
 
     // Observability-only knobs do NOT change the fingerprint: a
-    // journal written under dense resumes under skip, traced or not,
-    // profiled or not, sampled or not.
+    // journal resumes traced or not, profiled or not, sampled or not.
     other = base;
-    other.cfg.engineMode = EngineMode::Skip;
     other.cfg.traceSpec = "all";
     other.cfg.traceCapacity = 4096;
     other.cfg.profileEnabled = true;

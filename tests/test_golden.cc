@@ -2,9 +2,14 @@
  * @file
  * Golden pins: the model's output for a fixed job set, committed under
  * tests/data/golden/ so that a change to simulated behaviour shows up
- * across commits, not only as a dense-vs-skip mismatch inside one
- * build. Each pin is a job's `cycles` plus the FNV-1a digest of its
- * resultJson (default WorkloadOptions, MachineConfig::make).
+ * across commits. Each pin is a job's `cycles` plus the FNV-1a digest
+ * of its resultJson (default WorkloadOptions, MachineConfig::make).
+ *
+ * The job set is every workload of `bench_sweep --suite all`, plus
+ * tests/data/tiny.mtx registered the way `--dataset` registers it, each
+ * on all four machine kinds. One parameterized test per workload, so
+ * `ctest -j` runs them in parallel; each names the first job of its
+ * workload that diverges.
  *
  * Regenerate the pins, only when the model changes on purpose:
  *
@@ -12,8 +17,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -21,15 +28,45 @@
 #include <vector>
 
 #include "util/hash.h"
+#include "workloads/external.h"
 #include "workloads/workload.h"
 
 namespace isrf {
 namespace {
 
-const char *const kWorkloads[] = {"IG_SML", "IG_SCL", "Filter",
-                                  "Histogram", "SpMV Banded"};
 const MachineKind kKinds[] = {MachineKind::Base, MachineKind::ISRF1,
                               MachineKind::ISRF4, MachineKind::Cache};
+
+/**
+ * The external-dataset workload: tests/data/tiny.mtx, registered once
+ * per process exactly as `bench_sweep --dataset` does.
+ */
+const std::string &
+datasetWorkload()
+{
+    static const std::string name = [] {
+        std::string n;
+        std::vector<std::string> errs;
+        const std::string path = std::string(ISRF_TEST_DATA_DIR) +
+            "/tiny.mtx";
+        if (!registerExternalDataset(path, &n, &errs)) {
+            std::fprintf(stderr, "cannot register %s\n", path.c_str());
+            std::abort();
+        }
+        return n;
+    }();
+    return name;
+}
+
+/** `bench_sweep --suite all` order, then the external dataset. */
+std::vector<std::string>
+goldenWorkloads()
+{
+    return {"FFT 2D", "Rijndael", "Sort", "Filter", "IG_SML", "IG_DMS",
+            "IG_DCS", "IG_SCL", "SpMV Banded", "SpMV Random", "SpMV Power",
+            "Stencil 2D5", "Stencil 2D9", "Stencil 3D27", "Histogram",
+            datasetWorkload()};
+}
 
 struct Pin
 {
@@ -89,27 +126,61 @@ readPins(const std::string &path)
     return pins;
 }
 
-TEST(GoldenPins, JobsMatchCommittedPins)
+TEST(GoldenPins, FileCoversEveryJobInOrder)
 {
     const std::vector<Pin> pins = readPins(pinsPath());
-    ASSERT_EQ(pins.size(), std::size(kWorkloads) * std::size(kKinds))
+    const std::vector<std::string> workloads = goldenWorkloads();
+    ASSERT_EQ(pins.size(), workloads.size() * std::size(kKinds))
         << "unexpected pin count in " << pinsPath();
     size_t i = 0;
-    for (const char *w : kWorkloads) {
+    for (const std::string &w : workloads) {
         for (MachineKind k : kKinds) {
-            const Pin &want = pins[i++];
-            ASSERT_EQ(want.workload + "/" + want.machine,
-                      std::string(w) + "/" + machineKindName(k))
-                << "pins file out of order";
-            const Pin got = computePin(w, k);
-            ASSERT_TRUE(got.cycles == want.cycles &&
-                        got.digest == want.digest)
-                << "first diverging job: " << want.workload << "/"
-                << want.machine << "\n  pinned:   " << formatPin(want)
-                << "\n  computed: " << formatPin(got);
+            const Pin &p = pins[i++];
+            EXPECT_EQ(p.workload + "/" + p.machine,
+                      w + "/" + machineKindName(k))
+                << "pins file out of order at line " << i;
         }
     }
 }
+
+class Workload : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(Workload, JobsMatchCommittedPins)
+{
+    const std::string &w = GetParam();
+    std::vector<Pin> want;
+    for (const Pin &p : readPins(pinsPath()))
+        if (p.workload == w)
+            want.push_back(p);
+    ASSERT_EQ(want.size(), std::size(kKinds))
+        << "no full pin set for " << w << " in " << pinsPath();
+    for (size_t i = 0; i < want.size(); i++) {
+        ASSERT_EQ(want[i].machine, machineKindName(kKinds[i]))
+            << "pins file out of order";
+        const Pin got = computePin(w, kKinds[i]);
+        ASSERT_TRUE(got.cycles == want[i].cycles &&
+                    got.digest == want[i].digest)
+            << "first diverging job: " << w << "/" << want[i].machine
+            << "\n  pinned:   " << formatPin(want[i])
+            << "\n  computed: " << formatPin(got);
+    }
+}
+
+/** Test-name suffix: the workload name with non-alphanumerics as '_'. */
+std::string
+paramName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string s = info.param;
+    for (char &c : s)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
+INSTANTIATE_TEST_SUITE_P(GoldenPins, Workload,
+                         ::testing::ValuesIn(goldenWorkloads()),
+                         paramName);
 
 } // namespace
 } // namespace isrf
@@ -120,7 +191,7 @@ main(int argc, char **argv)
     if (argc == 3 && std::strcmp(argv[1], "--write-golden") == 0) {
         std::ofstream f(argv[2]);
         f << "# workload\tmachine\tcycles\tfnv1a(resultJson)\n";
-        for (const char *w : isrf::kWorkloads)
+        for (const std::string &w : isrf::goldenWorkloads())
             for (isrf::MachineKind k : isrf::kKinds)
                 f << isrf::formatPin(isrf::computePin(w, k)) << "\n";
         return f.good() ? 0 : 1;

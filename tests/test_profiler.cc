@@ -280,10 +280,9 @@ TEST(ProfilerExport, ReportAndChromeTraceAreValidJson)
 // ----------------------------------------------------------------------
 
 WorkloadResult
-runProfiled(EngineMode mode, bool profiled)
+runProfiled(bool profiled)
 {
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
-    cfg.engineMode = mode;
     cfg.profileEnabled = profiled;
     cfg.profileStride = 8;
     WorkloadOptions opts;
@@ -293,17 +292,10 @@ runProfiled(EngineMode mode, bool profiled)
 
 TEST(ProfilerInvariance, ResultJsonByteIdenticalDense)
 {
-    std::string off = resultJson(runProfiled(EngineMode::Dense, false));
-    std::string on = resultJson(runProfiled(EngineMode::Dense, true));
+    std::string off = resultJson(runProfiled(false));
+    std::string on = resultJson(runProfiled(true));
     EXPECT_EQ(off, on)
         << "profiling must not perturb simulation results";
-}
-
-TEST(ProfilerInvariance, ResultJsonByteIdenticalSkip)
-{
-    std::string off = resultJson(runProfiled(EngineMode::Skip, false));
-    std::string on = resultJson(runProfiled(EngineMode::Skip, true));
-    EXPECT_EQ(off, on);
 }
 
 TEST(ProfilerInvariance, MachineReportGainsProfileOnlyWhenEnabled)
@@ -329,7 +321,7 @@ TEST(ProfilerInvariance, ResultCarriesItsOwnProfile)
 {
     // A run's host profile travels in its result; nothing is folded
     // into process-wide state, so runs never see each other's counts.
-    WorkloadResult first = runProfiled(EngineMode::Dense, true);
+    WorkloadResult first = runProfiled(true);
     ASSERT_NE(first.profile, nullptr)
         << "a profiled result must carry its profile";
     EXPECT_TRUE(first.profile->enabled());
@@ -337,13 +329,13 @@ TEST(ProfilerInvariance, ResultCarriesItsOwnProfile)
     uint64_t runCalls = first.profile->phase(Profiler::Run).calls;
     EXPECT_GT(runCalls, 0u);
 
-    WorkloadResult second = runProfiled(EngineMode::Dense, true);
+    WorkloadResult second = runProfiled(true);
     ASSERT_NE(second.profile, nullptr);
     EXPECT_EQ(second.profile->phase(Profiler::Run).calls, runCalls)
         << "a second run must not accumulate onto the first";
     EXPECT_EQ(first.profile->phase(Profiler::Run).calls, runCalls);
 
-    WorkloadResult off = runProfiled(EngineMode::Dense, false);
+    WorkloadResult off = runProfiled(false);
     EXPECT_EQ(off.profile, nullptr)
         << "an unprofiled result must carry no profile";
     EXPECT_EQ(off.trace, nullptr) << "nor a trace when untraced";

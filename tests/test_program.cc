@@ -546,10 +546,9 @@ buildRandomProgram(Driver &driver, Machine &m, const KernelGraph &g,
  * machine report must be identical.
  */
 void
-expectScoreboardMatchesScan(MachineKind kind, EngineMode mode)
+expectScoreboardMatchesScan(MachineKind kind)
 {
     MachineConfig cfg = smallConfig(kind);
-    cfg.engineMode = mode;
     std::vector<Word> dram(1 << 13);
     for (size_t i = 0; i < dram.size(); i++)
         dram[i] = static_cast<Word>(i * 2654435761u);
@@ -590,22 +589,12 @@ expectScoreboardMatchesScan(MachineKind kind, EngineMode mode)
 
 TEST(StreamProgramDifferential, MatchesScanOracleBaseDense)
 {
-    expectScoreboardMatchesScan(MachineKind::Base, EngineMode::Dense);
-}
-
-TEST(StreamProgramDifferential, MatchesScanOracleBaseSkip)
-{
-    expectScoreboardMatchesScan(MachineKind::Base, EngineMode::Skip);
+    expectScoreboardMatchesScan(MachineKind::Base);
 }
 
 TEST(StreamProgramDifferential, MatchesScanOracleIsrf4Dense)
 {
-    expectScoreboardMatchesScan(MachineKind::ISRF4, EngineMode::Dense);
-}
-
-TEST(StreamProgramDifferential, MatchesScanOracleIsrf4Skip)
-{
-    expectScoreboardMatchesScan(MachineKind::ISRF4, EngineMode::Skip);
+    expectScoreboardMatchesScan(MachineKind::ISRF4);
 }
 
 TEST(MachineConfigValidate, RejectsInconsistentCombos)

@@ -12,8 +12,8 @@
  *  - the keystone golden-equivalence property: run to cycle C,
  *    snapshot, load into a fresh Machine, run to completion — the
  *    workload report is byte-identical to an uninterrupted run,
- *    across all four machine kinds, representative workloads
- *    (including SpMV and stencil) and both engine modes;
+ *    across all four machine kinds and representative workloads
+ *    (including SpMV and stencil);
  *  - the SweepRunner checkpoint lifecycle: resume-from-checkpoint
  *    executes strictly fewer cycles, files are removed once a job's
  *    outcome is journal-replayable.
@@ -421,14 +421,11 @@ readSavedCursor(const std::string &path, uint64_t fp)
  */
 void
 expectResumeEquivalent(const std::string &workload, MachineKind kind,
-                       EngineMode mode, const char *tag,
-                       uint64_t cadenceDivisor = 3,
+                       const char *tag, uint64_t cadenceDivisor = 3,
                        bool expectInFlight = false)
 {
-    SCOPED_TRACE(workload + " / " + machineKindName(kind) + " / " +
-                 engineModeName(mode));
+    SCOPED_TRACE(workload + " / " + machineKindName(kind));
     MachineConfig cfg = MachineConfig::make(kind);
-    cfg.engineMode = mode;
     WorkloadOptions opts;
     opts.repeats = 2;
 
@@ -481,54 +478,39 @@ expectResumeEquivalent(const std::string &workload, MachineKind kind,
 
 TEST(CheckpointResume, GoldenEquivalenceBase)
 {
-    expectResumeEquivalent("Histogram", MachineKind::Base,
-                           EngineMode::Dense, "gbase");
+    expectResumeEquivalent("Histogram", MachineKind::Base, "gbase");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIsrf1)
 {
-    expectResumeEquivalent("Histogram", MachineKind::ISRF1,
-                           EngineMode::Dense, "gisrf1");
+    expectResumeEquivalent("Histogram", MachineKind::ISRF1, "gisrf1");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIsrf4)
 {
-    expectResumeEquivalent("Histogram", MachineKind::ISRF4,
-                           EngineMode::Dense, "gisrf4");
+    expectResumeEquivalent("Histogram", MachineKind::ISRF4, "gisrf4");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceCache)
 {
-    expectResumeEquivalent("Histogram", MachineKind::Cache,
-                           EngineMode::Dense, "gcache");
+    expectResumeEquivalent("Histogram", MachineKind::Cache, "gcache");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceSpmv)
 {
-    expectResumeEquivalent("SpMV Random", MachineKind::ISRF4,
-                           EngineMode::Dense, "gspmv");
-    expectResumeEquivalent("SpMV Banded", MachineKind::Base,
-                           EngineMode::Dense, "gspmvb");
+    expectResumeEquivalent("SpMV Random", MachineKind::ISRF4, "gspmv");
+    expectResumeEquivalent("SpMV Banded", MachineKind::Base, "gspmvb");
+    expectResumeEquivalent("SpMV Power", MachineKind::Cache, "gspmvp");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceStencil)
 {
-    expectResumeEquivalent("Stencil 2D5", MachineKind::Cache,
-                           EngineMode::Dense, "gsten");
+    expectResumeEquivalent("Stencil 2D5", MachineKind::Cache, "gsten");
 }
 
 TEST(CheckpointResume, GoldenEquivalenceFft)
 {
-    expectResumeEquivalent("FFT 2D", MachineKind::ISRF4,
-                           EngineMode::Dense, "gfft");
-}
-
-TEST(CheckpointResume, GoldenEquivalenceSkipEngine)
-{
-    expectResumeEquivalent("Histogram", MachineKind::ISRF4,
-                           EngineMode::Skip, "gskip");
-    expectResumeEquivalent("SpMV Power", MachineKind::Cache,
-                           EngineMode::Skip, "gskip2");
+    expectResumeEquivalent("FFT 2D", MachineKind::ISRF4, "gfft");
 }
 
 // IG_SML: strip-mined, software-pipelined programs. A cadence of 1/38
@@ -536,32 +518,22 @@ TEST(CheckpointResume, GoldenEquivalenceSkipEngine)
 // flight on every machine kind (checked from the saved cursor).
 TEST(CheckpointResume, GoldenEquivalenceIgSmlBase)
 {
-    expectResumeEquivalent("IG_SML", MachineKind::Base, EngineMode::Dense,
-                           "gigb", 38, true);
+    expectResumeEquivalent("IG_SML", MachineKind::Base, "gigb", 38, true);
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIgSmlIsrf1)
 {
-    expectResumeEquivalent("IG_SML", MachineKind::ISRF1,
-                           EngineMode::Dense, "gig1", 38, true);
+    expectResumeEquivalent("IG_SML", MachineKind::ISRF1, "gig1", 38, true);
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIgSmlIsrf4)
 {
-    expectResumeEquivalent("IG_SML", MachineKind::ISRF4,
-                           EngineMode::Dense, "gig4", 38, true);
+    expectResumeEquivalent("IG_SML", MachineKind::ISRF4, "gig4", 38, true);
 }
 
 TEST(CheckpointResume, GoldenEquivalenceIgSmlCache)
 {
-    expectResumeEquivalent("IG_SML", MachineKind::Cache,
-                           EngineMode::Dense, "gigc", 38, true);
-}
-
-TEST(CheckpointResume, GoldenEquivalenceIgSmlSkipEngine)
-{
-    expectResumeEquivalent("IG_SML", MachineKind::ISRF4, EngineMode::Skip,
-                           "gigs", 38, true);
+    expectResumeEquivalent("IG_SML", MachineKind::Cache, "gigc", 38, true);
 }
 
 // ----------------------------------------------------------------------
@@ -736,6 +708,59 @@ TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
     EXPECT_TRUE(res.correct);
     EXPECT_EQ(resultJson(res), baseJson);
     std::remove((path + ".bad").c_str());
+}
+
+TEST(CheckpointResume, OldFormatVersionQuarantinedAndRestartsClean)
+{
+    // A checkpoint written by a build with an older section layout
+    // (format version 1 carried MACH/MEMS fields this build no longer
+    // has) is checksum-valid but unreadable: the loader must refuse
+    // it, the job must quarantine it and rerun from cycle 0.
+    const std::string workload = "Histogram";
+    MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
+    WorkloadOptions opts;
+    opts.repeats = 2;
+    WorkloadResult base = runWorkload(workload, cfg, opts);
+    ASSERT_EQ(base.status, RunStatus::Done);
+    const std::string baseJson = resultJson(base);
+
+    TempCkptDir dir("oldver");
+    const std::string path = dir.file("job.ckpt");
+    const uint64_t fp = 0x99ull;
+    CheckpointContext c1(path, fp,
+                         std::max<uint64_t>(1, base.cycles / 3));
+    c1.stopAfterSave = true;
+    WorkloadOptions o1 = opts;
+    o1.checkpoint = &c1;
+    runWorkload(workload, cfg, o1);
+    ASSERT_EQ(c1.saves(), 1u);
+
+    // Re-serialize the real checkpoint under version 1: serialize()
+    // recomputes every checksum, so only the version is wrong.
+    ASSERT_GT(kSnapshotFormatVersion, 1u);
+    Snapshot snap;
+    std::string err;
+    ASSERT_TRUE(snap.parse(readBytes(path), err)) << err;
+    snap.version = 1;
+    writeBytes(path, snap.serialize());
+    Snapshot out;
+    EXPECT_EQ(loadSnapshotFile(path, fp, out, err), SnapshotLoad::Corrupt);
+    EXPECT_NE(err.find("unsupported snapshot format version 1"),
+              std::string::npos) << err;
+
+    CheckpointContext c2(path, fp, 0);  // cadence 0: no periodic saves
+    WorkloadOptions o2 = opts;
+    o2.checkpoint = &c2;
+    WorkloadResult res = runWorkload(workload, cfg, o2);
+    EXPECT_EQ(c2.restores(), 0u);
+    EXPECT_EQ(c2.quarantined(), 1u);
+    EXPECT_EQ(c2.executedCycles(), base.cycles)
+        << "the job must rerun from cycle 0";
+    EXPECT_FALSE(fileExists(path));
+    EXPECT_TRUE(fileExists(path + ".bad"));
+    EXPECT_EQ(res.status, RunStatus::Done);
+    EXPECT_TRUE(res.correct);
+    EXPECT_EQ(resultJson(res), baseJson);
 }
 
 TEST(CheckpointResume, TruncatedCheckpointQuarantinedAtManyOffsets)

@@ -215,44 +215,6 @@ TEST_F(SrfSeqTest, IndexedIssueOnSequentialOnlyDies)
                  "sequential-only");
 }
 
-TEST(SrfSkipCredit, QuiescentDenseCyclesMatchBulkCredit)
-{
-    // A quiescent endCycle() takes the zero-mask fast path; its
-    // crediting must be indistinguishable from skip-mode bulk credit:
-    // same counters, same arbiter state, same rotation state.
-    SrfGeometry geom;
-    Srf dense, skip;
-    dense.init(geom, SrfMode::SequentialOnly, nullptr);
-    skip.init(geom, SrfMode::SequentialOnly, nullptr);
-
-    for (Cycle c = 0; c < 777; c++) {
-        dense.beginCycle(c);
-        dense.endCycle(c);
-    }
-    skip.skipCycles(0, 777);
-
-    EXPECT_EQ(dense.stats().counter("port_idle_cycles").value(), 777u);
-    EXPECT_EQ(skip.stats().counter("port_idle_cycles").value(), 777u);
-
-    // Arbitration after the idle stretch behaves identically too.
-    SlotConfig cfg;
-    cfg.lengthWords = 32;
-    SlotId d = dense.openSlot(cfg);
-    SlotId s = skip.openSlot(cfg);
-    int denseGrants = 0, skipGrants = 0;
-    for (Cycle c = 777; c < 787; c++) {
-        dense.beginCycle(c);
-        dense.memClaim(d, [&] { denseGrants++; });
-        dense.endCycle(c);
-        skip.beginCycle(c);
-        skip.memClaim(s, [&] { skipGrants++; });
-        skip.endCycle(c);
-    }
-    EXPECT_EQ(denseGrants, skipGrants);
-    EXPECT_EQ(dense.stats().counter("dma_grant_cycles").value(),
-              skip.stats().counter("dma_grant_cycles").value());
-}
-
 /**
  * Drive a mixed stream + DMA load and return the DMA grant count.
  * Used to compare a re-initialized Srf against a fresh one.

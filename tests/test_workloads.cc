@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include "core/stream_program.h"
+#include "test_helpers.h"
 #include "workloads/fft.h"
 #include "workloads/workload.h"
 
@@ -281,6 +283,64 @@ TEST(WorkloadRegistry, ContainsAllBuiltinBenchmarks)
     // The unknown-name diagnostic lists every registered workload.
     EXPECT_DEATH(runWorkload("nope", MachineKind::Base, fastOpts()),
                  "unknown workload.*registered:.*FFT 2D");
+}
+
+// ----------------------------------------------------------------------
+// Harvest-time invariant: the Figure 12 buckets sum to lanes x cycles
+// ----------------------------------------------------------------------
+
+TEST(HarvestInvariant, CorruptBucketFailsTheJob)
+{
+    const WorkloadResult &good = result("Histogram", MachineKind::ISRF4);
+    const uint32_t lanes = MachineConfig::isrf4().srf.lanes;
+    WorkloadResult ok = good;
+    EXPECT_TRUE(checkBreakdownInvariant(ok, lanes));
+    EXPECT_EQ(ok.status, RunStatus::Done);
+    // One lane-cycle gained or lost in any single bucket is caught.
+    for (uint64_t TimeBreakdown::*bucket :
+         {&TimeBreakdown::loopBody, &TimeBreakdown::srfStall,
+          &TimeBreakdown::memStall, &TimeBreakdown::overhead}) {
+        for (int delta : {+1, -1}) {
+            WorkloadResult bad = good;
+            bad.breakdown.*bucket += static_cast<uint64_t>(delta);
+            EXPECT_FALSE(checkBreakdownInvariant(bad, lanes));
+            EXPECT_EQ(bad.status, RunStatus::Failed);
+            EXPECT_FALSE(bad.correct);
+            EXPECT_NE(bad.error.find("breakdown invariant violated"),
+                      std::string::npos)
+                << bad.error;
+        }
+    }
+}
+
+TEST(HarvestInvariant, HarvestFailsAJobWhoseCyclesDisagree)
+{
+    // The same check runs inside harvestResult: a cycle count that
+    // disagrees with the lane-cycles the machine charged fails the job.
+    MachineConfig cfg = MachineConfig::isrf4();
+    cfg.dram.capacityWords = 1 << 16;
+    Machine m;
+    m.init(cfg);
+    std::vector<Word> data(256, 5);
+    m.mem().dram().fill(0, data);
+    StreamProgram prog(m);
+    SlotId in = prog.addStream("in", 256);
+    SlotId out = prog.addStream("out", 256);
+    prog.load(in, 0);
+    static KernelGraph g = test::makeCopyKernel();
+    prog.kernel(test::makeCopyInvocation(m, &g, in, out, data));
+    const uint64_t cycles = prog.run();
+
+    WorkloadResult exact;
+    harvestResult(exact, m, cycles);
+    EXPECT_EQ(exact.status, RunStatus::Done) << exact.error;
+
+    WorkloadResult off;
+    harvestResult(off, m, cycles + 1);
+    EXPECT_EQ(off.status, RunStatus::Failed);
+    EXPECT_NE(off.error.find("breakdown invariant violated"),
+              std::string::npos)
+        << off.error;
 }
 
 } // namespace
