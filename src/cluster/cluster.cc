@@ -220,7 +220,7 @@ Cluster::resourcesReady(Cycle now) const
 void
 Cluster::issueIteration(Cycle now)
 {
-    LaneTrace &tr = const_cast<LaneTrace &>(inv_->laneTraces[lane_]);
+    const LaneTrace &tr = inv_->laneTraces[lane_];
     size_t nSlots = inv_->slots.size();
     for (size_t s = 0; s < nSlots; s++) {
         pendingIn_[s] += inv_->seqReadsPerIter[s];
@@ -249,159 +249,55 @@ Cluster::issueIteration(Cycle now)
 }
 
 void
-Cluster::saveState(SnapshotWriter &w) const
+Cluster::snapshot(SnapshotIo &io)
 {
-    w.b(inv_ != nullptr);
-    w.u64(bindCycle_);
-    w.u64(itersIssued_);
-    w.u64(nextIssue_);
-    w.u64(lastIssue_);
-    w.u32(pendingCommSends_);
-    w.u64(dataNeeds_.size());
-    for (const auto &q : dataNeeds_) {
-        w.u64(q.size());
-        for (Cycle c : q)
-            w.u64(c);
-    }
-    for (size_t v : seqWriteCur_)
-        w.u64(v);
-    for (size_t v : idxReadCur_)
-        w.u64(v);
-    for (size_t v : idxWriteCur_)
-        w.u64(v);
-    for (const auto &q : pendingOut_) {
-        w.u64(q.size());
-        for (Word x : q)
-            w.u32(x);
-    }
-    for (uint32_t v : pendingIn_)
-        w.u32(v);
-    for (const auto &q : pendingIdxR_) {
-        w.u64(q.size());
-        for (uint32_t x : q)
-            w.u32(x);
-    }
-    for (const auto &q : pendingIdxW_) {
-        w.u64(q.size());
-        for (const IdxWriteTraceEntry &e : q) {
-            w.u32(e.recordIndex);
-            for (Word d : e.data)
-                w.u32(d);
-        }
-    }
-    w.u64(cycles_.loopBody);
-    w.u64(cycles_.overhead);
-    w.u64(cycles_.srfStall);
-    w.u64(cycles_.idle);
-    w.u8(static_cast<uint8_t>(lastCat_));
-    w.b(doneReported_);
-}
-
-bool
-Cluster::loadState(SnapshotReader &r)
-{
-    bool bound = false;
-    if (!r.b(bound))
-        return false;
+    bool bound = inv_ != nullptr;
+    io.b(bound);
     // The machine restoreBind()s us to the rebuilt invocation (or to
-    // nullptr) before handing over the reader; a mismatch means the
-    // program state and machine state disagree — reject, don't guess.
-    if (bound != (inv_ != nullptr)) {
-        r.markFailed();
-        return false;
+    // nullptr) before a load; a mismatch means the program state and
+    // machine state disagree — reject, don't guess.
+    io.require(bound == (inv_ != nullptr));
+    io.u64(bindCycle_);
+    io.u64(itersIssued_);
+    io.u64(nextIssue_);
+    io.u64(lastIssue_);
+    io.u32(pendingCommSends_);
+    uint64_t nslots = dataNeeds_.size();
+    io.len(nslots, 1);
+    if (!io.require(!inv_ || nslots == inv_->slots.size()))
+        return;
+    if (io.loading()) {
+        dataNeeds_.assign(nslots, {});
+        seqWriteCur_.assign(nslots, 0);
+        idxReadCur_.assign(nslots, 0);
+        idxWriteCur_.assign(nslots, 0);
+        pendingOut_.assign(nslots, {});
+        pendingIn_.assign(nslots, 0);
+        pendingIdxR_.assign(nslots, {});
+        pendingIdxW_.assign(nslots, {});
     }
-    uint64_t nslots = 0;
-    if (!r.u64(bindCycle_) || !r.u64(itersIssued_) ||
-        !r.u64(nextIssue_) || !r.u64(lastIssue_) ||
-        !r.u32(pendingCommSends_) || !r.len(nslots, 1))
-        return false;
-    if (inv_ && nslots != inv_->slots.size()) {
-        r.markFailed();
-        return false;
-    }
-    dataNeeds_.assign(nslots, {});
-    for (auto &q : dataNeeds_) {
-        uint64_t nq = 0;
-        if (!r.len(nq, 8))
-            return false;
-        for (uint64_t i = 0; i < nq; i++) {
-            Cycle c = 0;
-            if (!r.u64(c))
-                return false;
-            q.push_back(c);
-        }
-    }
-    seqWriteCur_.assign(nslots, 0);
-    idxReadCur_.assign(nslots, 0);
-    idxWriteCur_.assign(nslots, 0);
-    for (size_t &v : seqWriteCur_) {
-        uint64_t x = 0;
-        if (!r.u64(x))
-            return false;
-        v = static_cast<size_t>(x);
-    }
-    for (size_t &v : idxReadCur_) {
-        uint64_t x = 0;
-        if (!r.u64(x))
-            return false;
-        v = static_cast<size_t>(x);
-    }
-    for (size_t &v : idxWriteCur_) {
-        uint64_t x = 0;
-        if (!r.u64(x))
-            return false;
-        v = static_cast<size_t>(x);
-    }
-    pendingOut_.assign(nslots, {});
-    for (auto &q : pendingOut_) {
-        uint64_t nq = 0;
-        if (!r.len(nq, 4))
-            return false;
-        for (uint64_t i = 0; i < nq; i++) {
-            Word x = 0;
-            if (!r.u32(x))
-                return false;
-            q.push_back(x);
-        }
-    }
-    pendingIn_.assign(nslots, 0);
-    for (uint32_t &v : pendingIn_)
-        if (!r.u32(v))
-            return false;
-    pendingIdxR_.assign(nslots, {});
-    for (auto &q : pendingIdxR_) {
-        uint64_t nq = 0;
-        if (!r.len(nq, 4))
-            return false;
-        for (uint64_t i = 0; i < nq; i++) {
-            uint32_t x = 0;
-            if (!r.u32(x))
-                return false;
-            q.push_back(x);
-        }
-    }
-    pendingIdxW_.assign(nslots, {});
+    for (auto &q : dataNeeds_)
+        io.seq(q);
+    io.each(seqWriteCur_);
+    io.each(idxReadCur_);
+    io.each(idxWriteCur_);
+    for (auto &q : pendingOut_)
+        io.seq(q);
+    io.each(pendingIn_);
+    for (auto &q : pendingIdxR_)
+        io.seq(q);
     for (auto &q : pendingIdxW_) {
-        uint64_t nq = 0;
-        if (!r.len(nq, 20))
-            return false;
-        for (uint64_t i = 0; i < nq; i++) {
-            IdxWriteTraceEntry e;
-            if (!r.u32(e.recordIndex))
-                return false;
-            for (Word &d : e.data)
-                if (!r.u32(d))
-                    return false;
-            q.push_back(e);
-        }
+        io.seq(q, 20, [&](IdxWriteTraceEntry &e) {
+            io.u32(e.recordIndex);
+            io.each(e.data);
+        });
     }
-    uint8_t cat = 0;
-    if (!r.u64(cycles_.loopBody) || !r.u64(cycles_.overhead) ||
-        !r.u64(cycles_.srfStall) || !r.u64(cycles_.idle) ||
-        !r.u8(cat) || !r.b(doneReported_))
-        return false;
-    lastCat_ = static_cast<CycleCat>(cat);
-    return true;
+    io.u64(cycles_.loopBody);
+    io.u64(cycles_.overhead);
+    io.u64(cycles_.srfStall);
+    io.u64(cycles_.idle);
+    io.asU8(lastCat_);
+    io.b(doneReported_);
 }
 
 void

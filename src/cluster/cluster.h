@@ -143,13 +143,12 @@ class Cluster
     /**
      * Point this lane back at a deterministically rebuilt invocation
      * (or nullptr for an unbound lane) WITHOUT resetting progress —
-     * snapshot restore only; loadState() then refills the cursors and
+     * snapshot restore only; snapshot() then refills the cursors and
      * pending queues. Normal kernel launches go through bind().
      */
     void restoreBind(const KernelInvocation *inv) { inv_ = inv; }
 
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     bool resourcesReady(Cycle now) const;

@@ -331,94 +331,64 @@ Machine::geometryHash() const
 }
 
 void
-Machine::saveMachineSection(SnapshotWriter &w) const
+Machine::snapshotMachineSection(SnapshotIo &io)
 {
-    rng_.saveState(w);
-    w.b(active_ != nullptr);
-    w.u64(activeOutputs_.size());
-    for (SlotId id : activeOutputs_)
-        w.u32(static_cast<uint32_t>(id));
-    w.u64(activeIdxWriteSlots_.size());
-    for (SlotId id : activeIdxWriteSlots_)
-        w.u32(static_cast<uint32_t>(id));
-    w.b(flushing_);
-    w.u64(kernelStart_);
-    w.u64(bwSeq0_);
-    w.u64(bwIn0_);
-    w.u64(bwCross0_);
-    w.u64(breakdown_.loopBody);
-    w.u64(breakdown_.memStall);
-    w.u64(breakdown_.srfStall);
-    w.u64(breakdown_.overhead);
-    w.u64(kernelBw_.size());
-    for (const auto &[name, rec] : kernelBw_) {
-        w.str(name);
-        w.u64(rec.laneCycles);
-        w.u64(rec.seqWords);
-        w.u64(rec.inLaneWords);
-        w.u64(rec.crossWords);
-        w.u64(rec.invocations);
-    }
-    w.u8(static_cast<uint8_t>(lastRunStatus_));
+    rng_.snapshot(io);
+    bool wasActive = active_ != nullptr;
+    io.b(wasActive);
+    // A load restoreBind()s the rebuilt invocation (or clears it)
+    // first; a disagreement means the program state and machine state
+    // drifted apart.
+    io.require(wasActive == (active_ != nullptr));
+    auto slotIds = [&](std::vector<SlotId> &ids) {
+        io.seq(ids, 4, [&](SlotId &id) { io.asU32(id); });
+    };
+    slotIds(activeOutputs_);
+    slotIds(activeIdxWriteSlots_);
+    io.b(flushing_);
+    io.u64(kernelStart_);
+    io.u64(bwSeq0_);
+    io.u64(bwIn0_);
+    io.u64(bwCross0_);
+    io.u64(breakdown_.loopBody);
+    io.u64(breakdown_.memStall);
+    io.u64(breakdown_.srfStall);
+    io.u64(breakdown_.overhead);
+    io.map(kernelBw_, 48, [&](KernelBwRecord &rec) {
+        io.u64(rec.laneCycles);
+        io.u64(rec.seqWords);
+        io.u64(rec.inLaneWords);
+        io.u64(rec.crossWords);
+        io.u64(rec.invocations);
+    });
+    io.asU8(lastRunStatus_);
 }
 
-bool
-Machine::loadMachineSection(SnapshotReader &r)
+std::vector<Machine::SnapshotSection>
+Machine::snapshotSections()
 {
-    if (!rng_.loadState(r))
-        return false;
-    bool wasActive = false;
-    if (!r.b(wasActive))
-        return false;
-    // The caller restoreBind()s the rebuilt invocation (or clears it)
-    // before handing over the reader; a disagreement means the program
-    // state and machine state drifted apart.
-    if (wasActive != (active_ != nullptr)) {
-        r.markFailed();
-        return false;
-    }
-    uint64_t n = 0;
-    if (!r.len(n, 4))
-        return false;
-    activeOutputs_.resize(n);
-    for (SlotId &id : activeOutputs_) {
-        uint32_t raw = 0;
-        if (!r.u32(raw))
-            return false;
-        id = static_cast<SlotId>(raw);
-    }
-    if (!r.len(n, 4))
-        return false;
-    activeIdxWriteSlots_.resize(n);
-    for (SlotId &id : activeIdxWriteSlots_) {
-        uint32_t raw = 0;
-        if (!r.u32(raw))
-            return false;
-        id = static_cast<SlotId>(raw);
-    }
-    if (!r.b(flushing_) || !r.u64(kernelStart_) || !r.u64(bwSeq0_) ||
-        !r.u64(bwIn0_) || !r.u64(bwCross0_) ||
-        !r.u64(breakdown_.loopBody) || !r.u64(breakdown_.memStall) ||
-        !r.u64(breakdown_.srfStall) || !r.u64(breakdown_.overhead))
-        return false;
-    uint64_t nbw = 0;
-    if (!r.len(nbw, 48))
-        return false;
-    kernelBw_.clear();
-    for (uint64_t i = 0; i < nbw; i++) {
-        std::string name;
-        KernelBwRecord rec;
-        if (!r.str(name) || !r.u64(rec.laneCycles) ||
-            !r.u64(rec.seqWords) || !r.u64(rec.inLaneWords) ||
-            !r.u64(rec.crossWords) || !r.u64(rec.invocations))
-            return false;
-        kernelBw_[name] = rec;
-    }
-    uint8_t status = 0;
-    if (!r.u8(status))
-        return false;
-    lastRunStatus_ = static_cast<RunStatus>(status);
-    return true;
+    auto of = [](auto *c) -> std::function<void(SnapshotIo &)> {
+        if (!c)
+            return nullptr;
+        return [c](SnapshotIo &io) { c->snapshot(io); };
+    };
+    return {
+        {kSnapMachine, "machine",
+         [this](SnapshotIo &io) { snapshotMachineSection(io); }, false},
+        {kSnapSrf, "srf", of(&srf_), false},
+        {kSnapCrossbar, "crossbar", of(&dataNet_), false},
+        {kSnapClusters, "clusters",
+         [this](SnapshotIo &io) {
+             io.expect(clusters_.size(), 1);
+             for (Cluster &c : clusters_)
+                 c.snapshot(io);
+         },
+         false},
+        {kSnapMemory, "memory", of(&mem_), false},
+        {kSnapWatchdog, "watchdog", of(watchdog_.get()), true},
+        {kSnapSampler, "sampler", of(sampler_.get()), true},
+        {kSnapFaults, "faults", of(injector_.get()), true},
+    };
 }
 
 void
@@ -428,98 +398,40 @@ Machine::saveSnapshot(Snapshot &snap)
     snap.cycle = engine_.now();
     snap.geometry = geometryHash();
     snap.sections.clear();
-
-    SnapshotWriter mach;
-    saveMachineSection(mach);
-    snap.addSection(kSnapMachine, mach);
-
-    SnapshotWriter srf;
-    srf_.saveState(srf);
-    snap.addSection(kSnapSrf, srf);
-
-    SnapshotWriter xbar;
-    dataNet_.saveState(xbar);
-    snap.addSection(kSnapCrossbar, xbar);
-
-    SnapshotWriter clus;
-    clus.u64(clusters_.size());
-    for (const Cluster &c : clusters_)
-        c.saveState(clus);
-    snap.addSection(kSnapClusters, clus);
-
-    SnapshotWriter mem;
-    mem_.saveState(mem);
-    snap.addSection(kSnapMemory, mem);
-
-    if (watchdog_) {
-        SnapshotWriter wdog;
-        watchdog_->saveState(wdog);
-        snap.addSection(kSnapWatchdog, wdog);
-    }
-    if (sampler_) {
-        SnapshotWriter samp;
-        sampler_->saveState(samp);
-        snap.addSection(kSnapSampler, samp);
-    }
-    if (injector_) {
-        SnapshotWriter finj;
-        injector_->saveState(finj);
-        snap.addSection(kSnapFaults, finj);
+    for (const SnapshotSection &s : snapshotSections()) {
+        if (!s.io)
+            continue;
+        SnapshotWriter w;
+        SnapshotIo io(w);
+        s.io(io);
+        snap.addSection(s.tag, w);
     }
 }
-
-namespace {
-
-/** One section restore: present, parsed whole, and consumed whole. */
-template <typename F>
-bool
-loadSection(const Snapshot &snap, uint32_t tag, const char *what,
-            std::string *err, F &&load)
-{
-    const std::string *payload = snap.findSection(tag);
-    if (!payload) {
-        if (err)
-            *err = strprintf("snapshot: missing %s section", what);
-        return false;
-    }
-    SnapshotReader r(*payload);
-    if (!load(r) || !r.atEnd()) {
-        if (err)
-            *err = strprintf("snapshot: malformed %s section", what);
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 bool
 Machine::loadSnapshot(const Snapshot &snap,
                       std::shared_ptr<KernelInvocation> activeInv,
                       std::string *err)
 {
-    if (snap.geometry != geometryHash()) {
+    auto fail = [&](std::string why) {
         if (err)
-            *err = strprintf("snapshot: geometry hash mismatch "
-                             "(%016llx vs %016llx)",
-                             static_cast<unsigned long long>(
-                                 snap.geometry),
-                             static_cast<unsigned long long>(
-                                 geometryHash()));
+            *err = std::move(why);
         return false;
-    }
+    };
+    if (snap.geometry != geometryHash())
+        return fail(strprintf("snapshot: geometry hash mismatch "
+                              "(%016llx vs %016llx)",
+                              static_cast<unsigned long long>(
+                                  snap.geometry),
+                              static_cast<unsigned long long>(
+                                  geometryHash())));
+    const std::vector<SnapshotSection> sections = snapshotSections();
     // Optional sections must mirror the config-driven component set.
-    if ((snap.findSection(kSnapWatchdog) != nullptr) !=
-            (watchdog_ != nullptr) ||
-        (snap.findSection(kSnapSampler) != nullptr) !=
-            (sampler_ != nullptr) ||
-        (snap.findSection(kSnapFaults) != nullptr) !=
-            (injector_ != nullptr)) {
-        if (err)
-            *err = "snapshot: optional section set does not match "
-                   "the machine's component set";
-        return false;
-    }
+    for (const SnapshotSection &s : sections)
+        if (s.optional &&
+                (snap.findSection(s.tag) != nullptr) != (s.io != nullptr))
+            return fail("snapshot: optional section set does not match "
+                        "the machine's component set");
 
     // Wire the active kernel before the sections that validate
     // against it (MACH's active flag, each cluster's slot count).
@@ -531,50 +443,20 @@ Machine::loadSnapshot(const Snapshot &snap,
     activeKernelName_ = active_ && tracer_.on()
         ? tracer_.intern(active_->graph->name()) : nullptr;
 
-    bool ok =
-        loadSection(snap, kSnapMachine, "machine", err,
-                    [&](SnapshotReader &r) {
-                        return loadMachineSection(r);
-                    }) &&
-        loadSection(snap, kSnapSrf, "srf", err,
-                    [&](SnapshotReader &r) {
-                        return srf_.loadState(r);
-                    }) &&
-        loadSection(snap, kSnapCrossbar, "crossbar", err,
-                    [&](SnapshotReader &r) {
-                        return dataNet_.loadState(r);
-                    }) &&
-        loadSection(snap, kSnapClusters, "clusters", err,
-                    [&](SnapshotReader &r) {
-                        uint64_t n = 0;
-                        if (!r.len(n, 1) || n != clusters_.size())
-                            return false;
-                        for (Cluster &c : clusters_)
-                            if (!c.loadState(r))
-                                return false;
-                        return true;
-                    }) &&
-        loadSection(snap, kSnapMemory, "memory", err,
-                    [&](SnapshotReader &r) {
-                        return mem_.loadState(r);
-                    });
-    if (ok && watchdog_)
-        ok = loadSection(snap, kSnapWatchdog, "watchdog", err,
-                         [&](SnapshotReader &r) {
-                             return watchdog_->loadState(r);
-                         });
-    if (ok && sampler_)
-        ok = loadSection(snap, kSnapSampler, "sampler", err,
-                         [&](SnapshotReader &r) {
-                             return sampler_->loadState(r);
-                         });
-    if (ok && injector_)
-        ok = loadSection(snap, kSnapFaults, "faults", err,
-                         [&](SnapshotReader &r) {
-                             return injector_->loadState(r);
-                         });
-    if (!ok)
-        return false;
+    // Each section present, parsed whole, and consumed whole.
+    for (const SnapshotSection &s : sections) {
+        if (!s.io)
+            continue;
+        const std::string *payload = snap.findSection(s.tag);
+        if (!payload)
+            return fail(strprintf("snapshot: missing %s section", s.name));
+        SnapshotReader r(*payload);
+        SnapshotIo io(r);
+        s.io(io);
+        if (!r.atEnd())
+            return fail(strprintf("snapshot: malformed %s section",
+                                  s.name));
+    }
 
     // Every component's absolute-cycle state is from `snap`; move the
     // clock last so the machine resumes exactly at the saved boundary.

@@ -8,6 +8,7 @@
 #ifndef ISRF_CORE_MACHINE_H
 #define ISRF_CORE_MACHINE_H
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -229,8 +230,22 @@ class Machine : public Ticked
     void finishKernelIfDone(Cycle now);
     void initSampler();
     void initFaults();
-    void saveMachineSection(SnapshotWriter &w) const;
-    bool loadMachineSection(SnapshotReader &r);
+
+    /** One row of the snapshot section table (DESIGN.md §17). */
+    struct SnapshotSection
+    {
+        uint32_t tag;
+        const char *name;  ///< in load diagnostics
+        /** The section's field list; null when its component is not
+         *  configured. */
+        std::function<void(SnapshotIo &)> io;
+        /** Present in a snapshot iff its component is configured. */
+        bool optional;
+    };
+    /** Every machine section, in file order. */
+    std::vector<SnapshotSection> snapshotSections();
+    /** The MACH section: RNG, active-kernel bookkeeping, breakdown. */
+    void snapshotMachineSection(SnapshotIo &io);
 
     MachineConfig cfg_;
     Tracer tracer_;

@@ -366,40 +366,22 @@ StreamProgram::structureHash() const
 }
 
 void
-StreamProgram::saveState(SnapshotWriter &w) const
+StreamProgram::snapshot(SnapshotIo &io)
 {
-    w.u64(structureHash());
+    const uint64_t mine = structureHash();
+    uint64_t hash = mine;
+    io.u64(hash);
+    if (!io.require(hash == mine))
+        return;
     // The PROG format's scan-window start: the first incomplete op.
-    w.u64(firstIncomplete());
-    w.i64(activeKernelOp_);
-    w.u64(ops_.size());
-    for (const Op &op : ops_) {
-        w.b(op.issued);
-        w.b(op.completed);
-        w.i64(op.memId);
-    }
-}
-
-bool
-StreamProgram::loadState(SnapshotReader &r)
-{
-    uint64_t hash = 0;
-    if (!r.u64(hash))
-        return false;
-    if (hash != structureHash()) {
-        r.markFailed();
-        return false;
-    }
-    uint64_t scan = 0;
-    int64_t activeOp = -1;
-    uint64_t nops = 0;
-    if (!r.u64(scan) || !r.i64(activeOp) || !r.len(nops, 10))
-        return false;
-    if (nops != ops_.size() || scan > nops ||
-        activeOp >= static_cast<int64_t>(nops)) {
-        r.markFailed();
-        return false;
-    }
+    uint64_t scan = firstIncomplete();
+    int64_t activeOp = activeKernelOp_;
+    io.u64(scan);
+    io.i64(activeOp);
+    io.expect(ops_.size(), 10);
+    const auto nops = static_cast<int64_t>(ops_.size());
+    if (!io.require(scan <= ops_.size() && activeOp < nops))
+        return;
     struct Flags
     {
         bool issued = false;
@@ -407,11 +389,19 @@ StreamProgram::loadState(SnapshotReader &r)
         MemOpId memId = 0;
     };
     std::vector<Flags> flags(ops_.size());
-    for (Flags &f : flags)
-        if (!r.b(f.issued) || !r.b(f.completed) || !r.i64(f.memId))
-            return false;
+    for (size_t i = 0; i < ops_.size(); i++) {
+        Flags &f = flags[i];
+        if (io.saving())
+            f = {ops_[i].issued, ops_[i].completed, ops_[i].memId};
+        io.b(f.issued);
+        io.b(f.completed);
+        io.i64(f.memId);
+    }
+    if (!io.loading() || !io.ok())
+        return;
     // The scoreboard is rebuilt from these flags, so they must describe
-    // a state the driver could have reached (see loadState's contract).
+    // a state the driver could have reached (see the contract in the
+    // header) before any of them is committed.
     for (size_t i = 0; i < ops_.size(); i++) {
         const Flags &f = flags[i];
         bool consistent = f.issued || !f.completed;
@@ -422,18 +412,14 @@ StreamProgram::loadState(SnapshotReader &r)
             consistent = consistent && static_cast<int64_t>(i) == activeOp;
         if (i < scan)
             consistent = consistent && f.completed;
-        if (!consistent) {
-            r.markFailed();
-            return false;
-        }
+        if (!io.require(consistent))
+            return;
     }
     if (activeOp >= 0) {
         const auto k = static_cast<size_t>(activeOp);
-        if (ops_[k].kind != Op::Kind::Kernel || !flags[k].issued ||
-                flags[k].completed) {
-            r.markFailed();
-            return false;
-        }
+        if (!io.require(ops_[k].kind == Op::Kind::Kernel &&
+                        flags[k].issued && !flags[k].completed))
+            return;
     }
     for (size_t i = 0; i < ops_.size(); i++) {
         ops_[i].issued = flags[i].issued;
@@ -441,7 +427,6 @@ StreamProgram::loadState(SnapshotReader &r)
         ops_[i].memId = flags[i].memId;
     }
     activeKernelOp_ = static_cast<ProgOpId>(activeOp);
-    return true;
 }
 
 void
@@ -474,10 +459,12 @@ StreamProgram::maybeRestore(CheckpointContext &ckpt)
         return;
     }
     SnapshotReader pr(*prog);
-    // loadState checks the structural hash before touching any state,
+    SnapshotIo pio(pr);
+    // snapshot() checks the structural hash before touching any state,
     // so a checkpoint from another phase of a multi-program workload
     // is skipped cleanly here (the right program will pick it up).
-    if (!loadState(pr) || !pr.atEnd()) {
+    snapshot(pio);
+    if (!pr.atEnd()) {
         ISRF_WARN("checkpoint %s: not for this stream program; "
                   "starting from zero", ckpt.path().c_str());
         return;
@@ -488,13 +475,16 @@ StreamProgram::maybeRestore(CheckpointContext &ckpt)
     if (!machine_.loadSnapshot(snap, std::move(activeInv), &err)) {
         // Unreachable for on-disk corruption (every checksum, the
         // geometry hash and the program hash verified above, before
-        // any machine mutation); reaching it means this binary's
-        // section layout drifted without a format-version bump, and
-        // the machine is part-restored — stopping is the only path
-        // that cannot produce a wrong result.
+        // any machine mutation). Reaching it means the checkpoint's
+        // program and machine sections disagree (run() saves only
+        // where they agree), or a section layout changed without a
+        // format-version bump. The machine is part-restored; stopping
+        // is the only path that cannot produce a wrong result.
         quarantineSnapshotFile(ckpt.path(), err);
         panic("StreamProgram: verified checkpoint failed to apply "
-              "(%s) — snapshot layout drift?", err.c_str());
+              "(%s): its program and machine sections disagree, or "
+              "its section layout differs from this build's",
+              err.c_str());
     }
     ckpt.noteRestored(machine_.now());
     ISRF_WARN("resumed from checkpoint %s at cycle %llu",
@@ -509,7 +499,8 @@ StreamProgram::saveCheckpoint(CheckpointContext &ckpt)
     machine_.saveSnapshot(snap);
     snap.fingerprint = ckpt.fingerprint();
     SnapshotWriter pw;
-    saveState(pw);
+    SnapshotIo pio(pw);
+    snapshot(pio);
     snap.addSection(kSnapProgram, pw);
     std::string err;
     if (snap.writeAtomic(ckpt.path(), err)) {
@@ -542,6 +533,17 @@ StreamProgram::run(uint64_t maxCycles)
     cycles = execStart - start;
     while (true) {
         updateCompletion();
+        // Save here, not right after step(): only once updateCompletion()
+        // has retired what the last step finished do the program cursor
+        // and the machine agree (a kernel the machine has just unbound
+        // is no longer active in the cursor either).
+        if (ckpt && ckpt->saveDue(machine_.now())) {
+            saveCheckpoint(*ckpt);
+            if (ckpt->stopAfterSave && ckpt->saves() > 0) {
+                status_ = RunStatus::Cancelled;
+                break;
+            }
+        }
         if (allDone() && machine_.mem().idle() && !machine_.kernelActive())
             break;
         // Watchdog trip: stop gracefully with the cycles spent so far;
@@ -572,13 +574,6 @@ StreamProgram::run(uint64_t maxCycles)
         if (cycles > maxCycles)
             panic("StreamProgram::run: exceeded %llu cycles (deadlock?)",
                   static_cast<unsigned long long>(maxCycles));
-        if (ckpt && ckpt->saveDue(machine_.now())) {
-            saveCheckpoint(*ckpt);
-            if (ckpt->stopAfterSave && ckpt->saves() > 0) {
-                status_ = RunStatus::Cancelled;
-                break;
-            }
-        }
     }
     if (ckpt)
         ckpt->addExecuted(machine_.now() - execStart);

@@ -166,18 +166,15 @@ class StreamProgram
     /** FNV-1a over the op graph's structure (kinds, slots, deps). */
     uint64_t structureHash() const;
 
-    /** Runtime cursor only (see above). */
-    void saveState(SnapshotWriter &w) const;
-
     /**
-     * Restore the cursor. Rejects (markFailed, program untouched) a
-     * cursor for another graph, and a checksum-valid but inconsistent
-     * one: an op completed but not issued, or issued before its deps
-     * completed; an active kernel op that is not an issued, incomplete
-     * kernel, or a second issued, incomplete kernel; an incomplete op
-     * below the saved scan start.
+     * The runtime cursor only (see above). A load rejects (marks the
+     * reader failed, program untouched) a cursor for another graph, and
+     * a checksum-valid but inconsistent one: an op completed but not
+     * issued, or issued before its deps completed; an active kernel op
+     * that is not an issued, incomplete kernel, or a second issued,
+     * incomplete kernel; an incomplete op below the saved scan start.
      */
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     /**

@@ -95,42 +95,32 @@ EccDomain::clear()
 }
 
 void
-EccDomain::saveState(SnapshotWriter &w) const
+EccDomain::snapshot(SnapshotIo &io)
 {
-    std::vector<uint64_t> addrs;
-    addrs.reserve(entries_.size());
-    for (const auto &kv : entries_)
-        addrs.push_back(kv.first);
-    std::sort(addrs.begin(), addrs.end());
-    w.u64(addrs.size());
-    for (uint64_t addr : addrs) {
-        const Entry &e = entries_.at(addr);
-        w.u64(addr);
-        w.u32(e.mask);
-        w.b(e.transient);
+    // The hash map's order is not deterministic: a save sorts the
+    // pending faults by address, a load rebuilds the map from them.
+    std::vector<std::pair<uint64_t, Entry>> sorted;
+    if (io.saving()) {
+        sorted.assign(entries_.begin(), entries_.end());
+        std::sort(sorted.begin(), sorted.end(),
+                  [](const auto &a, const auto &b) {
+                      return a.first < b.first;
+                  });
     }
-    w.u64(faultsInjected_);
-    w.u64(bitsFlipped_);
-    w.u64(corrected_);
-    w.u64(uncorrectable_);
-}
-
-bool
-EccDomain::loadState(SnapshotReader &r)
-{
-    uint64_t n = 0;
-    if (!r.len(n, 13))
-        return false;
-    entries_.clear();
-    for (uint64_t i = 0; i < n; i++) {
-        uint64_t addr;
-        Entry e;
-        if (!r.u64(addr) || !r.u32(e.mask) || !r.b(e.transient))
-            return false;
-        entries_[addr] = e;
+    io.seq(sorted, 13, [&](std::pair<uint64_t, Entry> &p) {
+        io.u64(p.first);
+        io.u32(p.second.mask);
+        io.b(p.second.transient);
+    });
+    if (io.loading() && io.ok()) {
+        entries_.clear();
+        for (const auto &[addr, e] : sorted)
+            entries_[addr] = e;
     }
-    return r.u64(faultsInjected_) && r.u64(bitsFlipped_) &&
-           r.u64(corrected_) && r.u64(uncorrectable_);
+    io.u64(faultsInjected_);
+    io.u64(bitsFlipped_);
+    io.u64(corrected_);
+    io.u64(uncorrectable_);
 }
 
 } // namespace isrf

@@ -85,8 +85,7 @@ class EccDomain
 
     /** Pending fault masks (address-sorted for determinism) and
      *  counters (util/snapshot.h). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     struct Entry

@@ -104,30 +104,16 @@ FaultInjector::inject(Cycle now)
 }
 
 void
-FaultInjector::saveState(SnapshotWriter &w) const
+FaultInjector::snapshot(SnapshotIo &io)
 {
-    rng_.saveState(w);
-    w.u64(sched_.size());
-    for (const EntryState &st : sched_) {
-        w.u64(st.next);
-        w.u64(st.remaining);
+    rng_.snapshot(io);
+    io.expect(sched_.size(), 16);
+    for (EntryState &st : sched_) {
+        io.u64(st.next);
+        io.u64(st.remaining);
     }
-    w.u64(totalInjected_);
-    stats_.saveState(w);
-}
-
-bool
-FaultInjector::loadState(SnapshotReader &r)
-{
-    if (!rng_.loadState(r))
-        return false;
-    uint64_t n = 0;
-    if (!r.len(n, 16) || n != sched_.size())
-        return false;
-    for (EntryState &st : sched_)
-        if (!r.u64(st.next) || !r.u64(st.remaining))
-            return false;
-    return r.u64(totalInjected_) && stats_.loadState(r);
+    io.u64(totalInjected_);
+    stats_.snapshot(io);
 }
 
 } // namespace isrf

@@ -50,8 +50,7 @@ class FaultInjector
 
     /** RNG + per-entry fire schedule + stats (util/snapshot.h).
      *  The schedule itself is init() config and must match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     struct EntryState

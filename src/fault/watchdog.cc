@@ -88,20 +88,13 @@ Watchdog::rearm()
 }
 
 void
-Watchdog::saveState(SnapshotWriter &w) const
+Watchdog::snapshot(SnapshotIo &io)
 {
-    w.u64(nextCheck_);
-    w.u64(lastProgress_);
-    w.u32(stalled_);
-    w.b(triggered_);
-    w.u64(triggeredCycle_);
-}
-
-bool
-Watchdog::loadState(SnapshotReader &r)
-{
-    return r.u64(nextCheck_) && r.u64(lastProgress_) &&
-        r.u32(stalled_) && r.b(triggered_) && r.u64(triggeredCycle_);
+    io.u64(nextCheck_);
+    io.u64(lastProgress_);
+    io.u32(stalled_);
+    io.b(triggered_);
+    io.u64(triggeredCycle_);
 }
 
 } // namespace isrf

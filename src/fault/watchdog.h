@@ -54,8 +54,7 @@ class Watchdog : public Ticked
     void rearm();
 
     /** Check schedule + stall progress state (util/snapshot.h). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     uint64_t interval_ = 0;

@@ -90,56 +90,35 @@ Cache::flush()
 }
 
 void
-Cache::saveState(SnapshotWriter &w) const
+Cache::snapshot(SnapshotIo &io)
 {
+    // Valid lines only, each as its index and then its fields.
+    io.expect(lines_.size(), 0);
     uint64_t valid = 0;
     for (const Line &ln : lines_)
-        if (ln.valid)
-            valid++;
-    w.u64(lines_.size());
-    w.u64(valid);
-    for (size_t i = 0; i < lines_.size(); i++) {
-        const Line &ln = lines_[i];
-        if (!ln.valid)
-            continue;
-        w.u64(i);
-        w.b(ln.dirty);
-        w.u64(ln.tag);
-        w.u64(ln.lru);
-    }
-    w.u64(stamp_);
-    w.u64(hits_);
-    w.u64(misses_);
-    w.u64(writebacks_);
-}
-
-bool
-Cache::loadState(SnapshotReader &r)
-{
-    uint64_t nlines = 0, valid = 0;
-    if (!r.u64(nlines) || !r.len(valid, 18))
-        return false;
-    if (nlines != lines_.size() || valid > nlines) {
-        r.markFailed();
-        return false;
-    }
-    for (auto &ln : lines_)
-        ln = Line();
-    for (uint64_t i = 0; i < valid; i++) {
-        uint64_t idx = 0;
-        if (!r.u64(idx))
-            return false;
-        if (idx >= lines_.size()) {
-            r.markFailed();
-            return false;
-        }
+        valid += ln.valid ? 1 : 0;
+    io.len(valid, 18);
+    io.require(valid <= lines_.size());
+    if (io.loading())
+        for (auto &ln : lines_)
+            ln = Line();
+    uint64_t idx = 0;
+    for (uint64_t i = 0; i < valid && io.ok(); i++, idx++) {
+        while (io.saving() && !lines_[idx].valid)
+            idx++;
+        io.u64(idx);
+        if (!io.require(idx < lines_.size()))
+            break;
         Line &ln = lines_[static_cast<size_t>(idx)];
         ln.valid = true;
-        if (!r.b(ln.dirty) || !r.u64(ln.tag) || !r.u64(ln.lru))
-            return false;
+        io.b(ln.dirty);
+        io.u64(ln.tag);
+        io.u64(ln.lru);
     }
-    return r.u64(stamp_) && r.u64(hits_) && r.u64(misses_) &&
-        r.u64(writebacks_);
+    io.u64(stamp_);
+    io.u64(hits_);
+    io.u64(misses_);
+    io.u64(writebacks_);
 }
 
 } // namespace isrf

@@ -83,8 +83,7 @@ class Cache
 
     /** Valid lines + LRU stamp + hit/miss counters (util/snapshot.h).
      *  Geometry is init() state and must match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     struct Line

@@ -194,79 +194,49 @@ Dram::requestWordsCost(uint32_t want, double costFactor)
 }
 
 void
-Dram::saveState(SnapshotWriter &w) const
+Dram::snapshot(SnapshotIo &io)
 {
-    w.u64(mem_.size());
-    // Run-length encode storage: most of DRAM is untouched zeros.
+    io.expect(mem_.size(), 0);
+    // Storage as (count, value) runs: most of DRAM is untouched zeros.
+    // A save measures the runs; a load refills them, rejecting an empty
+    // run or one past the end.
+    auto runEnd = [&](size_t i) {
+        size_t j = i + 1;
+        while (j < mem_.size() && mem_[j] == mem_[i])
+            j++;
+        return j;
+    };
     uint64_t nruns = 0;
-    for (size_t i = 0; i < mem_.size(); nruns++) {
-        size_t j = i + 1;
-        while (j < mem_.size() && mem_[j] == mem_[i])
-            j++;
-        i = j;
-    }
-    w.u64(nruns);
-    for (size_t i = 0; i < mem_.size();) {
-        size_t j = i + 1;
-        while (j < mem_.size() && mem_[j] == mem_[i])
-            j++;
-        w.u64(j - i);
-        w.u32(mem_[i]);
-        i = j;
-    }
-    ecc_.saveState(w);
-    w.u64(openRow_.size());
-    for (int64_t row : openRow_)
-        w.i64(row);
-    w.f64(tokens_);
-    w.u64(now_);
-    w.u64(rowHits_);
-    w.u64(rowMisses_);
-    w.u64(wordsTransferred_);
-    w.u64(seqWords_);
-    w.u64(randomWords_);
-}
-
-bool
-Dram::loadState(SnapshotReader &r)
-{
-    uint64_t nwords = 0, nruns = 0;
-    if (!r.u64(nwords) || !r.len(nruns, 12))
-        return false;
-    if (nwords != mem_.size()) {
-        r.markFailed();
-        return false;
-    }
+    if (io.saving())
+        for (size_t i = 0; i < mem_.size(); nruns++)
+            i = runEnd(i);
+    io.len(nruns, 12);
     uint64_t at = 0;
-    for (uint64_t run = 0; run < nruns; run++) {
-        uint64_t count = 0;
-        Word value = 0;
-        if (!r.u64(count) || !r.u32(value))
-            return false;
-        if (count == 0 || count > mem_.size() - at) {
-            r.markFailed();
-            return false;
+    for (uint64_t run = 0; run < nruns && io.ok(); run++) {
+        uint64_t count = io.saving() ? runEnd(at) - at : 0;
+        Word value = io.saving() ? mem_[at] : 0;
+        io.u64(count);
+        io.u32(value);
+        if (io.loading()) {
+            if (!io.require(count != 0 && count <= mem_.size() - at))
+                break;
+            std::fill(mem_.begin() + static_cast<ptrdiff_t>(at),
+                      mem_.begin() + static_cast<ptrdiff_t>(at + count),
+                      value);
         }
-        std::fill(mem_.begin() + static_cast<ptrdiff_t>(at),
-                  mem_.begin() + static_cast<ptrdiff_t>(at + count),
-                  value);
         at += count;
     }
-    if (at != mem_.size()) {
-        r.markFailed();
-        return false;
-    }
-    if (!ecc_.loadState(r))
-        return false;
-    uint64_t nbanks = 0;
-    if (!r.len(nbanks, 8) || nbanks != openRow_.size())
-        return false;
-    for (int64_t &row : openRow_)
-        if (!r.i64(row))
-            return false;
-    return r.f64(tokens_) && r.u64(now_) && r.u64(rowHits_) &&
-        r.u64(rowMisses_) && r.u64(wordsTransferred_) &&
-        r.u64(seqWords_) && r.u64(randomWords_);
+    io.require(at == mem_.size());
+    ecc_.snapshot(io);
+    io.expect(openRow_.size(), 8);
+    io.each(openRow_);
+    io.f64(tokens_);
+    io.u64(now_);
+    io.u64(rowHits_);
+    io.u64(rowMisses_);
+    io.u64(wordsTransferred_);
+    io.u64(seqWords_);
+    io.u64(randomWords_);
 }
 
 } // namespace isrf

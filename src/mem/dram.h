@@ -132,8 +132,7 @@ class Dram
      * of DRAM is untouched zeros), plus ECC, row-buffer state, the
      * token bucket and counters. Capacity is init() state, must match.
      */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     DramConfig cfg_;

@@ -197,49 +197,20 @@ MemorySystem::syncFaultStats()
 }
 
 void
-MemorySystem::saveState(SnapshotWriter &w) const
+MemorySystem::snapshot(SnapshotIo &io)
 {
-    dram_.saveState(w);
-    cache_.saveState(w);
-    w.u64(units_.size());
-    for (const StreamMemUnit &u : units_)
-        u.saveState(w);
-    for (MemOpId id : unitOpId_)
-        w.i64(id);
-    w.u64(queue_.size());
-    for (const Pending &p : queue_) {
-        w.i64(p.id);
-        saveMemOp(w, p.op);
-    }
-    w.i64(nextId_);
-    stats_.saveState(w);
-}
-
-bool
-MemorySystem::loadState(SnapshotReader &r)
-{
-    if (!dram_.loadState(r) || !cache_.loadState(r))
-        return false;
-    uint64_t nunits = 0;
-    if (!r.len(nunits, 1) || nunits != units_.size())
-        return false;
+    dram_.snapshot(io);
+    cache_.snapshot(io);
+    io.expect(units_.size(), 1);
     for (StreamMemUnit &u : units_)
-        if (!u.loadState(r))
-            return false;
-    for (MemOpId &id : unitOpId_)
-        if (!r.i64(id))
-            return false;
-    uint64_t nq = 0;
-    if (!r.len(nq, 9))
-        return false;
-    queue_.clear();
-    for (uint64_t i = 0; i < nq; i++) {
-        Pending p;
-        if (!r.i64(p.id) || !loadMemOp(r, p.op))
-            return false;
-        queue_.push_back(std::move(p));
-    }
-    return r.i64(nextId_) && stats_.loadState(r);
+        u.snapshot(io);
+    io.each(unitOpId_);
+    io.seq(queue_, 9, [&](Pending &p) {
+        io.i64(p.id);
+        snapshotMemOp(io, p.op);
+    });
+    io.i64(nextId_);
+    stats_.snapshot(io);
 }
 
 } // namespace isrf

@@ -78,8 +78,7 @@ class MemorySystem
     void syncFaultStats();
 
     /** Queue, units, DRAM, cache and stats (util/snapshot.h). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     struct Pending

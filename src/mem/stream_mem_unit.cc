@@ -299,83 +299,37 @@ StreamMemUnit::tick(Cycle now, MemBandwidth &bw)
 }
 
 void
-saveMemOp(SnapshotWriter &w, const MemOp &op)
+snapshotMemOp(SnapshotIo &io, MemOp &op)
 {
-    w.u8(static_cast<uint8_t>(op.kind));
-    w.u64(op.memBase);
-    w.u32(static_cast<uint32_t>(op.srfSlot));
-    w.u64(op.lengthWords);
-    w.u64(op.indices.size());
-    for (uint32_t idx : op.indices)
-        w.u32(idx);
-    w.u32(op.recordWords);
-    w.b(op.cached);
-    w.u64(op.dstOffsetWords);
-}
-
-bool
-loadMemOp(SnapshotReader &r, MemOp &op)
-{
-    uint8_t kind = 0;
-    uint32_t slotRaw = 0;
-    uint64_t nidx = 0;
-    if (!r.u8(kind) || !r.u64(op.memBase) || !r.u32(slotRaw) ||
-        !r.u64(op.lengthWords) || !r.len(nidx, 4))
-        return false;
-    op.kind = static_cast<MemOpKind>(kind);
-    op.srfSlot = static_cast<SlotId>(slotRaw);
-    op.indices.resize(nidx);
-    for (uint32_t &idx : op.indices)
-        if (!r.u32(idx))
-            return false;
-    return r.u32(op.recordWords) && r.b(op.cached) &&
-        r.u64(op.dstOffsetWords);
+    io.asU8(op.kind);
+    io.u64(op.memBase);
+    io.asU32(op.srfSlot);
+    io.u64(op.lengthWords);
+    io.seq(op.indices);
+    io.u32(op.recordWords);
+    io.b(op.cached);
+    io.u64(op.dstOffsetWords);
 }
 
 void
-StreamMemUnit::saveState(SnapshotWriter &w) const
+StreamMemUnit::snapshot(SnapshotIo &io)
 {
-    w.b(busy_);
-    saveMemOp(w, op_);
-    w.f64(dramCostFactor_);
-    w.u64(startCycle_);
-    w.u64(curCycle_);
-    w.u64(dramCursor_);
-    w.u64(srfCursor_);
-    w.u64(staging_.size());
-    for (Word x : staging_)
-        w.u32(x);
-    w.u32(retriesThisWord_);
-    w.u64(retryNotBefore_);
-    w.u64(stallUntil_);
-    w.b(opPoisoned_);
-    w.u64(retries_);
-    w.u64(poisonedWords_);
-    w.u64(droppedWords_);
-    w.u64(delayedCycles_);
-}
-
-bool
-StreamMemUnit::loadState(SnapshotReader &r)
-{
-    if (!r.b(busy_) || !loadMemOp(r, op_) || !r.f64(dramCostFactor_) ||
-        !r.u64(startCycle_) || !r.u64(curCycle_) ||
-        !r.u64(dramCursor_) || !r.u64(srfCursor_))
-        return false;
-    uint64_t nstage = 0;
-    if (!r.len(nstage, 4))
-        return false;
-    staging_.clear();
-    for (uint64_t i = 0; i < nstage; i++) {
-        Word x = 0;
-        if (!r.u32(x))
-            return false;
-        staging_.push_back(x);
-    }
-    return r.u32(retriesThisWord_) && r.u64(retryNotBefore_) &&
-        r.u64(stallUntil_) && r.b(opPoisoned_) && r.u64(retries_) &&
-        r.u64(poisonedWords_) && r.u64(droppedWords_) &&
-        r.u64(delayedCycles_);
+    io.b(busy_);
+    snapshotMemOp(io, op_);
+    io.f64(dramCostFactor_);
+    io.u64(startCycle_);
+    io.u64(curCycle_);
+    io.u64(dramCursor_);
+    io.u64(srfCursor_);
+    io.seq(staging_);
+    io.u32(retriesThisWord_);
+    io.u64(retryNotBefore_);
+    io.u64(stallUntil_);
+    io.b(opPoisoned_);
+    io.u64(retries_);
+    io.u64(poisonedWords_);
+    io.u64(droppedWords_);
+    io.u64(delayedCycles_);
 }
 
 } // namespace isrf

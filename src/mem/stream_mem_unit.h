@@ -46,9 +46,8 @@ struct MemOp
     uint64_t dstOffsetWords = 0;
 };
 
-/** Serialize/deserialize one MemOp (util/snapshot.h). */
-void saveMemOp(SnapshotWriter &w, const MemOp &op);
-bool loadMemOp(SnapshotReader &r, MemOp &op);
+/** One MemOp's fields (util/snapshot.h). */
+void snapshotMemOp(SnapshotIo &io, MemOp &op);
 
 /** Shared per-cycle bandwidth state owned by the MemorySystem. */
 struct MemBandwidth
@@ -102,8 +101,7 @@ class StreamMemUnit
     bool opPoisoned() const { return opPoisoned_; }
 
     /** In-flight op + cursors + staging + retry state (snapshot). */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     /** Total words this op moves. */

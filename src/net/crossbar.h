@@ -84,15 +84,12 @@ class Crossbar
     /** Counters only: per-cycle budgets restore fresh (snapshots are
      *  taken at cycle boundaries, before the next newCycle()). */
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.u64(transfers_);
-        w.u64(rejects_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
+        io.u64(transfers_);
+        io.u64(rejects_);
+        if (!io.loading())
+            return;
         for (auto &u : srcUsed_)
             u = 0;
         for (auto &u : dstUsed_)
@@ -100,7 +97,6 @@ class Crossbar
         for (auto &u : linkUsed_)
             u = 0;
         dirty_ = false;
-        return r.u64(transfers_) && r.u64(rejects_);
     }
 
   private:

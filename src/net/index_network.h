@@ -56,8 +56,7 @@ class IndexNetwork
     uint64_t routed() const { return xbar_.transfers(); }
     uint64_t rejected() const { return xbar_.rejects(); }
 
-    void saveState(SnapshotWriter &w) const { xbar_.saveState(w); }
-    bool loadState(SnapshotReader &r) { return xbar_.loadState(r); }
+    void snapshot(SnapshotIo &io) { xbar_.snapshot(io); }
 
   private:
     Crossbar xbar_;

@@ -141,73 +141,16 @@ StatSampler::writeCsv(const std::string &path) const
 }
 
 void
-StatSampler::saveState(SnapshotWriter &w) const
+StatSampler::snapshot(SnapshotIo &io)
 {
-    w.u64(intervalStart_);
-    w.u64(lastSnapshot_.size());
-    for (const auto &[name, value] : lastSnapshot_) {
-        w.str(name);
-        w.u64(value);
-    }
-    w.u64(intervals_.size());
-    for (const StatInterval &iv : intervals_) {
-        w.u64(iv.start);
-        w.u64(iv.end);
-        w.u64(iv.deltas.size());
-        for (const auto &[name, value] : iv.deltas) {
-            w.str(name);
-            w.u64(value);
-        }
-        w.u64(iv.gauges.size());
-        for (const auto &[name, value] : iv.gauges) {
-            w.str(name);
-            w.f64(value);
-        }
-    }
-}
-
-bool
-StatSampler::loadState(SnapshotReader &r)
-{
-    uint64_t nsnap = 0;
-    if (!r.u64(intervalStart_) || !r.len(nsnap, 9))
-        return false;
-    lastSnapshot_.clear();
-    for (uint64_t i = 0; i < nsnap; i++) {
-        std::string name;
-        uint64_t value = 0;
-        if (!r.str(name) || !r.u64(value))
-            return false;
-        lastSnapshot_[name] = value;
-    }
-    uint64_t niv = 0;
-    if (!r.len(niv, 17))
-        return false;
-    intervals_.clear();
-    for (uint64_t i = 0; i < niv; i++) {
-        StatInterval iv;
-        uint64_t nd = 0, ng = 0;
-        if (!r.u64(iv.start) || !r.u64(iv.end) || !r.len(nd, 9))
-            return false;
-        for (uint64_t d = 0; d < nd; d++) {
-            std::string name;
-            uint64_t value = 0;
-            if (!r.str(name) || !r.u64(value))
-                return false;
-            iv.deltas[name] = value;
-        }
-        if (!r.len(ng, 9))
-            return false;
-        for (uint64_t g = 0; g < ng; g++) {
-            std::string name;
-            double value = 0;
-            if (!r.str(name) || !r.f64(value))
-                return false;
-            iv.gauges[name] = value;
-        }
-        intervals_.push_back(std::move(iv));
-    }
-    return true;
+    io.u64(intervalStart_);
+    io.map(lastSnapshot_, 9);
+    io.seq(intervals_, 17, [&](StatInterval &iv) {
+        io.u64(iv.start);
+        io.u64(iv.end);
+        io.map(iv.deltas, 9);
+        io.map(iv.gauges, 9);
+    });
 }
 
 } // namespace isrf

@@ -97,8 +97,7 @@ class StatSampler : public Ticked
 
     /** Interval cursor, last-snapshot baseline and collected intervals
      *  (util/snapshot.h). Registered sources are init() wiring. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     void rebaseline();

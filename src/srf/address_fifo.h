@@ -107,42 +107,18 @@ class AddressFifo
     void clear() { entries_.clear(); }
 
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.u32(capacity_);
-        w.u32(recordWords_);
-        w.u64(entries_.size());
-        for (const AddrEntry &e : entries_) {
-            w.u32(e.recordIndex);
-            w.u64(e.seqNo);
-            w.u64(e.issueCycle);
-            w.b(e.isWrite);
-            w.u32(e.wordsIssued);
-            for (Word x : e.writeData)
-                w.u32(x);
-        }
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        uint64_t n = 0;
-        if (!r.u32(capacity_) || !r.u32(recordWords_) ||
-            !r.len(n, 41))
-            return false;
-        entries_.clear();
-        for (uint64_t i = 0; i < n; i++) {
-            AddrEntry e;
-            if (!r.u32(e.recordIndex) || !r.u64(e.seqNo) ||
-                !r.u64(e.issueCycle) || !r.b(e.isWrite) ||
-                !r.u32(e.wordsIssued))
-                return false;
-            for (Word &x : e.writeData)
-                if (!r.u32(x))
-                    return false;
-            entries_.push_back(e);
-        }
-        return true;
+        io.u32(capacity_);
+        io.u32(recordWords_);
+        io.seq(entries_, 41, [&](AddrEntry &e) {
+            io.u32(e.recordIndex);
+            io.u64(e.seqNo);
+            io.u64(e.issueCycle);
+            io.b(e.isWrite);
+            io.u32(e.wordsIssued);
+            io.each(e.writeData);
+        });
     }
 
   private:

@@ -106,23 +106,12 @@ class RoundRobinArbiter
 
     /** Rotation + counters; the claimant count is construction state. */
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.u32(next_);
-        w.u64(grants_);
-        w.u64(idleCycles_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        if (!r.u32(next_) || !r.u64(grants_) || !r.u64(idleCycles_))
-            return false;
-        if (n_ != 0 && next_ >= n_) {
-            r.markFailed();
-            return false;
-        }
-        return true;
+        io.u32(next_);
+        io.u64(grants_);
+        io.u64(idleCycles_);
+        io.require(n_ == 0 || next_ < n_);
     }
 
   private:

@@ -1056,147 +1056,69 @@ Srf::syncFaultStats()
 }
 
 void
-Srf::saveState(SnapshotWriter &w) const
+Srf::snapshot(SnapshotIo &io)
 {
-    w.u64(curCycle_);
-    w.u32(crossRouteRr_);
-    w.u64(laneIdxRr_.size());
-    for (uint32_t v : laneIdxRr_)
-        w.u32(v);
-    globalArb_.saveState(w);
-    w.u64(seqWords_);
-    w.u64(idxInLaneWords_);
-    w.u64(idxCrossWords_);
-    indexNet_.saveState(w);
+    io.u64(curCycle_);
+    io.u32(crossRouteRr_);
+    io.expect(laneIdxRr_.size(), 4);
+    io.each(laneIdxRr_);
+    globalArb_.snapshot(io);
+    io.u64(seqWords_);
+    io.u64(idxInLaneWords_);
+    io.u64(idxCrossWords_);
+    indexNet_.snapshot(io);
 
-    w.u64(slots_.size());
-    for (const Slot &s : slots_) {
-        w.b(s.open);
-        w.b(s.flushing);
-        w.u8(static_cast<uint8_t>(s.cfg.dir));
-        w.b(s.cfg.indexed);
-        w.b(s.cfg.crossLane);
-        w.u8(static_cast<uint8_t>(s.cfg.layout));
-        w.u32(s.cfg.base);
-        w.u32(s.cfg.lengthWords);
-        w.u64(s.cfg.perLaneLen.size());
-        for (uint32_t v : s.cfg.perLaneLen)
-            w.u32(v);
-        w.u32(s.cfg.recordWords);
-        w.b(s.cfg.readWrite);
-        w.u64(s.lanes.size());
-        for (const LaneSlotState &ls : s.lanes) {
-            ls.seq.saveState(w);
-            ls.fifo.saveState(w);
-            ls.idata.saveState(w);
-            w.u32(ls.readRow);
-            w.u32(ls.writeRow);
-            w.u64(ls.srfWordsRead);
-            w.u64(ls.srfWordsWritten);
-            w.u64(ls.clusterReads);
-            w.u64(ls.nextSeqNo);
-            w.u64(ls.pendingWrites);
-        }
-    }
-
-    w.u64(returnQueues_.size());
-    for (const auto &q : returnQueues_) {
-        w.u64(q.size());
-        for (const ReturnEntry &e : q) {
-            w.u32(e.data);
-            w.u32(e.sourceLane);
-            w.u32(static_cast<uint32_t>(e.slot));
-            w.u64(e.seqNo);
-            w.u32(e.wordOffset);
-            w.u64(e.earliest);
-            w.u64(e.issueCycle);
-        }
-    }
-
-    w.u64(banks_.size());
-    for (const SrfBank &b : banks_)
-        b.saveState(w);
-    stats_.saveState(w);
-}
-
-bool
-Srf::loadState(SnapshotReader &r)
-{
-    uint64_t n = 0;
-    if (!r.u64(curCycle_) || !r.u32(crossRouteRr_) ||
-        !r.len(n, 4) || n != laneIdxRr_.size())
-        return false;
-    for (uint32_t &v : laneIdxRr_)
-        if (!r.u32(v))
-            return false;
-    if (!globalArb_.loadState(r) || !r.u64(seqWords_) ||
-        !r.u64(idxInLaneWords_) || !r.u64(idxCrossWords_) ||
-        !indexNet_.loadState(r))
-        return false;
-
-    if (!r.len(n, 2) || n != slots_.size())
-        return false;
+    io.expect(slots_.size(), 2);
     for (Slot &s : slots_) {
-        uint8_t dirRaw = 0, layoutRaw = 0;
-        uint64_t nper = 0;
-        if (!r.b(s.open) || !r.b(s.flushing) || !r.u8(dirRaw) ||
-            !r.b(s.cfg.indexed) || !r.b(s.cfg.crossLane) ||
-            !r.u8(layoutRaw) || !r.u32(s.cfg.base) ||
-            !r.u32(s.cfg.lengthWords) || !r.len(nper, 4))
-            return false;
-        s.cfg.dir = static_cast<StreamDir>(dirRaw);
-        s.cfg.layout = static_cast<StreamLayout>(layoutRaw);
-        s.cfg.perLaneLen.resize(nper);
-        for (uint32_t &v : s.cfg.perLaneLen)
-            if (!r.u32(v))
-                return false;
-        uint64_t nlanes = 0;
-        if (!r.u32(s.cfg.recordWords) || !r.b(s.cfg.readWrite) ||
-            !r.len(nlanes, 1))
-            return false;
-        if (nlanes != 0 && nlanes != geom_.lanes) {
-            r.markFailed();
-            return false;
-        }
-        s.lanes.assign(static_cast<size_t>(nlanes), LaneSlotState());
+        io.b(s.open);
+        io.b(s.flushing);
+        io.asU8(s.cfg.dir);
+        io.b(s.cfg.indexed);
+        io.b(s.cfg.crossLane);
+        io.asU8(s.cfg.layout);
+        io.u32(s.cfg.base);
+        io.u32(s.cfg.lengthWords);
+        io.seq(s.cfg.perLaneLen);
+        io.u32(s.cfg.recordWords);
+        io.b(s.cfg.readWrite);
+        uint64_t nlanes = s.lanes.size();
+        io.len(nlanes, 1);
+        if (io.loading() &&
+                io.require(nlanes == 0 || nlanes == geom_.lanes))
+            s.lanes.assign(static_cast<size_t>(nlanes), LaneSlotState());
         for (LaneSlotState &ls : s.lanes) {
-            if (!ls.seq.loadState(r) || !ls.fifo.loadState(r) ||
-                !ls.idata.loadState(r) || !r.u32(ls.readRow) ||
-                !r.u32(ls.writeRow) || !r.u64(ls.srfWordsRead) ||
-                !r.u64(ls.srfWordsWritten) ||
-                !r.u64(ls.clusterReads) || !r.u64(ls.nextSeqNo) ||
-                !r.u64(ls.pendingWrites))
-                return false;
+            ls.seq.snapshot(io);
+            ls.fifo.snapshot(io);
+            ls.idata.snapshot(io);
+            io.u32(ls.readRow);
+            io.u32(ls.writeRow);
+            io.u64(ls.srfWordsRead);
+            io.u64(ls.srfWordsWritten);
+            io.u64(ls.clusterReads);
+            io.u64(ls.nextSeqNo);
+            io.u64(ls.pendingWrites);
         }
     }
 
-    if (!r.len(n, 8) || n != returnQueues_.size())
-        return false;
+    io.expect(returnQueues_.size(), 8);
     for (auto &q : returnQueues_) {
-        uint64_t nq = 0;
-        if (!r.len(nq, 38))
-            return false;
-        q.clear();
-        for (uint64_t i = 0; i < nq; i++) {
-            ReturnEntry e;
-            uint32_t slotRaw = 0;
-            if (!r.u32(e.data) || !r.u32(e.sourceLane) ||
-                !r.u32(slotRaw) || !r.u64(e.seqNo) ||
-                !r.u32(e.wordOffset) || !r.u64(e.earliest) ||
-                !r.u64(e.issueCycle))
-                return false;
-            e.slot = static_cast<SlotId>(slotRaw);
-            q.push_back(e);
-        }
+        io.seq(q, 38, [&](ReturnEntry &e) {
+            io.u32(e.data);
+            io.u32(e.sourceLane);
+            io.asU32(e.slot);
+            io.u64(e.seqNo);
+            io.u32(e.wordOffset);
+            io.u64(e.earliest);
+            io.u64(e.issueCycle);
+        });
     }
 
-    if (!r.len(n, 1) || n != banks_.size())
-        return false;
+    io.expect(banks_.size(), 1);
     for (SrfBank &b : banks_)
-        if (!b.loadState(r))
-            return false;
-    if (!stats_.loadState(r))
-        return false;
+        b.snapshot(io);
+    stats_.snapshot(io);
+    if (!io.loading() || !io.ok())
+        return;
 
     // Derived state: intra-cycle claims are dead at a cycle boundary;
     // the event-driven masks and occupancy counters mirror the queues
@@ -1225,7 +1147,6 @@ Srf::loadState(SnapshotReader &r)
     returnEntries_ = 0;
     for (const auto &q : returnQueues_)
         returnEntries_ += q.size();
-    return true;
 }
 
 } // namespace isrf

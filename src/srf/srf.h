@@ -270,12 +270,11 @@ class Srf
      * Serialize all architectural state: slots with their buffers and
      * FIFOs, bank storage and remote queues, return queues,
      * arbitration rotation and statistics. The event-driven masks and
-     * occupancy counters are derived state and are recomputed on
-     * loadState(); memClaims_ is intra-cycle state (cleared every
+     * occupancy counters are derived state and are recomputed after a
+     * load; memClaims_ is intra-cycle state (cleared every
      * beginCycle()) and is likewise not persisted.
      */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     struct LaneSlotState

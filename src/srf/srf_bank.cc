@@ -172,86 +172,37 @@ SrfBank::subArrayConflicts() const
 }
 
 void
-SrfBank::saveState(SnapshotWriter &w) const
+SrfBank::snapshot(SnapshotIo &io)
 {
-    w.u64(words_.size());
-    w.bytes(words_.data(), words_.size() * sizeof(Word));
-    w.u64(remoteQueue_.size());
-    for (const RemoteRequest &rq : remoteQueue_) {
-        w.u32(rq.sourceLane);
-        w.u32(static_cast<uint32_t>(rq.slot));
-        w.u32(rq.laneAddr);
-        w.u64(rq.seqNo);
-        w.u32(rq.wordOffset);
-        w.u64(rq.issueCycle);
-        w.u64(rq.arrival);
-        w.b(rq.isWrite);
-        w.u32(rq.writeData);
-    }
-    ecc_.saveState(w);
-    w.u64(offline_.size());
-    for (uint8_t off : offline_)
-        w.u8(off);
-    for (uint32_t u : subUncorrectable_)
-        w.u32(u);
-    w.u64(subArrays_.size());
-    for (const SubArray &sa : subArrays_)
-        sa.saveState(w);
-}
-
-bool
-SrfBank::loadState(SnapshotReader &r)
-{
-    uint64_t nwords = 0;
-    if (!r.len(nwords, sizeof(Word)))
-        return false;
-    if (nwords != words_.size()) {
-        // Geometry drift: storage size is fixed at init().
-        r.markFailed();
-        return false;
-    }
-    for (Word &x : words_)
-        if (!r.u32(x))
-            return false;
-    uint64_t nremote = 0;
-    if (!r.len(nremote, 38))
-        return false;
-    remoteQueue_.clear();
-    for (uint64_t i = 0; i < nremote; i++) {
-        RemoteRequest rq;
-        uint32_t slotRaw = 0;
-        if (!r.u32(rq.sourceLane) || !r.u32(slotRaw) ||
-            !r.u32(rq.laneAddr) || !r.u64(rq.seqNo) ||
-            !r.u32(rq.wordOffset) || !r.u64(rq.issueCycle) ||
-            !r.u64(rq.arrival) || !r.b(rq.isWrite) ||
-            !r.u32(rq.writeData))
-            return false;
-        rq.slot = static_cast<SlotId>(slotRaw);
-        remoteQueue_.push_back(rq);
-    }
-    if (!ecc_.loadState(r))
-        return false;
-    uint64_t nsub = 0;
-    if (!r.len(nsub, 1) || nsub != offline_.size())
-        return false;
+    // Storage size is fixed at init().
+    io.expect(words_.size(), sizeof(Word));
+    io.bytes(words_.data(), words_.size() * sizeof(Word));
+    io.seq(remoteQueue_, 38, [&](RemoteRequest &rq) {
+        io.u32(rq.sourceLane);
+        io.asU32(rq.slot);
+        io.u32(rq.laneAddr);
+        io.u64(rq.seqNo);
+        io.u32(rq.wordOffset);
+        io.u64(rq.issueCycle);
+        io.u64(rq.arrival);
+        io.b(rq.isWrite);
+        io.u32(rq.writeData);
+    });
+    ecc_.snapshot(io);
+    io.expect(offline_.size(), 1);
     for (uint8_t &off : offline_)
-        if (!r.u8(off))
-            return false;
-    for (uint32_t &u : subUncorrectable_)
-        if (!r.u32(u))
-            return false;
+        io.u8(off);
+    io.each(subUncorrectable_);
+    io.expect(subArrays_.size(), 24);
+    for (SubArray &sa : subArrays_)
+        sa.snapshot(io);
+    if (!io.loading())
+        return;
     onlineCount_ = 0;
     for (uint8_t off : offline_)
         if (!off)
             onlineCount_++;
-    uint64_t nsa = 0;
-    if (!r.len(nsa, 24) || nsa != subArrays_.size())
-        return false;
-    for (SubArray &sa : subArrays_)
-        if (!sa.loadState(r))
-            return false;
     portsDirty_ = false;
-    return true;
 }
 
 } // namespace isrf

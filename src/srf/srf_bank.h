@@ -115,8 +115,7 @@ class SrfBank
 
     /** Storage, remote queue, ECC, degradation and sub-array counters
      *  (util/snapshot.h). Geometry is init() state and must match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     /**

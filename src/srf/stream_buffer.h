@@ -77,28 +77,10 @@ class SeqBuffer
     void clear() { words_.clear(); }
 
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.u32(capacity_);
-        w.u64(words_.size());
-        for (Word x : words_)
-            w.u32(x);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        uint64_t n = 0;
-        if (!r.u32(capacity_) || !r.len(n, 4))
-            return false;
-        words_.clear();
-        for (uint64_t i = 0; i < n; i++) {
-            Word x;
-            if (!r.u32(x))
-                return false;
-            words_.push_back(x);
-        }
-        return true;
+        io.u32(capacity_);
+        io.seq(words_);
     }
 
   private:
@@ -188,40 +170,16 @@ class IdxDataBuffer
     void clear() { pending_.clear(); }
 
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.u32(capacity_);
-        w.u64(pending_.size());
-        for (const IdxPending &p : pending_) {
-            w.u64(p.seqNo);
-            w.u32(p.wordsNeeded);
-            w.u32(p.wordsDone);
-            for (Word x : p.data)
-                w.u32(x);
-            w.u64(p.readyCycle);
-        }
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        uint64_t n = 0;
-        if (!r.u32(capacity_) || !r.len(n, 40))
-            return false;
-        pending_.clear();
-        for (uint64_t i = 0; i < n; i++) {
-            IdxPending p;
-            if (!r.u64(p.seqNo) || !r.u32(p.wordsNeeded) ||
-                !r.u32(p.wordsDone))
-                return false;
-            for (Word &x : p.data)
-                if (!r.u32(x))
-                    return false;
-            if (!r.u64(p.readyCycle))
-                return false;
-            pending_.push_back(p);
-        }
-        return true;
+        io.u32(capacity_);
+        io.seq(pending_, 40, [&](IdxPending &p) {
+            io.u64(p.seqNo);
+            io.u32(p.wordsNeeded);
+            io.u32(p.wordsDone);
+            io.each(p.data);
+            io.u64(p.readyCycle);
+        });
     }
 
   private:

@@ -72,19 +72,13 @@ class SubArray
     /** Counters only; the port token is per-cycle state and restores
      *  free (snapshots are taken at cycle boundaries). */
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.u64(indexedAccesses_);
-        w.u64(sequentialAccesses_);
-        w.u64(conflicts_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        busy_ = false;
-        return r.u64(indexedAccesses_) &&
-               r.u64(sequentialAccesses_) && r.u64(conflicts_);
+        io.u64(indexedAccesses_);
+        io.u64(sequentialAccesses_);
+        io.u64(conflicts_);
+        if (io.loading())
+            busy_ = false;
     }
 
   private:

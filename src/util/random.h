@@ -78,21 +78,7 @@ class Rng
     }
 
     /** Serialize the full generator state (util/snapshot.h). */
-    void
-    saveState(SnapshotWriter &w) const
-    {
-        for (uint64_t word : state_)
-            w.u64(word);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        for (auto &word : state_)
-            if (!r.u64(word))
-                return false;
-        return true;
-    }
+    void snapshot(SnapshotIo &io) { io.each(state_); }
 
   private:
     static uint64_t

@@ -7,8 +7,9 @@
  * version, the job fingerprint (driver/sweep_runner.h) and a machine
  * geometry hash. Components serialize themselves into sections through
  * SnapshotWriter and restore through the bounds-checked
- * SnapshotReader; Machine::saveSnapshot()/loadSnapshot() orchestrate
- * the section registry.
+ * SnapshotReader, both driven by one SnapshotIo field list per
+ * section; Machine::saveSnapshot()/loadSnapshot() walk the section
+ * table.
  *
  * Durability contract: files are written to a unique temp file, fsync'd,
  * renamed into place and the directory fsync'd, so a crash or power
@@ -189,6 +190,17 @@ class SnapshotReader
         return true;
     }
 
+    /** n raw bytes, the counterpart of SnapshotWriter::bytes. */
+    bool
+    bytes(void *p, size_t n)
+    {
+        if (!need(n))
+            return false;
+        std::memcpy(p, p_ + pos_, n);
+        pos_ += n;
+        return true;
+    }
+
     bool ok() const { return !fail_; }
     size_t remaining() const { return fail_ ? 0 : size_ - pos_; }
     /** A fully-consumed, error-free payload. */
@@ -210,6 +222,189 @@ class SnapshotReader
     size_t size_;
     size_t pos_ = 0;
     bool fail_ = false;
+};
+
+/**
+ * One field list for both directions (DESIGN.md §17). A component's
+ * snapshot(SnapshotIo &) names each field once, in wire order. Over a
+ * SnapshotWriter every call appends the field's value; over a
+ * SnapshotReader the same call reads it back into the field, with the
+ * reader's bounds checks and sticky failure. A failed read leaves the
+ * field as it was, so a field list can run to its end after a failure
+ * and the caller checks ok() (or the reader's atEnd()) once.
+ *
+ * Loader checks go through require(), which rejects the payload on
+ * load and is a no-op on save. State derived from the loaded fields is
+ * rebuilt in a tail guarded by loading().
+ */
+class SnapshotIo
+{
+  public:
+    explicit SnapshotIo(SnapshotWriter &w) : w_(&w) {}
+    explicit SnapshotIo(SnapshotReader &r) : r_(&r) {}
+
+    bool saving() const { return w_ != nullptr; }
+    bool loading() const { return r_ != nullptr; }
+    /** False once a load read failed or a check rejected the payload. */
+    bool ok() const { return w_ || r_->ok(); }
+
+    /** On load, reject the payload unless `cond` holds. */
+    bool
+    require(bool cond)
+    {
+        if (r_ && !cond)
+            r_->markFailed();
+        return ok();
+    }
+
+    void u8(uint8_t &v) { w_ ? w_->u8(v) : void(r_->u8(v)); }
+    void b(bool &v) { w_ ? w_->b(v) : void(r_->b(v)); }
+    void u32(uint32_t &v) { w_ ? w_->u32(v) : void(r_->u32(v)); }
+    void u64(uint64_t &v) { w_ ? w_->u64(v) : void(r_->u64(v)); }
+    void i64(int64_t &v) { w_ ? w_->i64(v) : void(r_->i64(v)); }
+    void f64(double &v) { w_ ? w_->f64(v) : void(r_->f64(v)); }
+    void str(std::string &s) { w_ ? w_->str(s) : void(r_->str(s)); }
+
+    void
+    bytes(void *p, size_t n)
+    {
+        w_ ? w_->bytes(p, n) : void(r_->bytes(p, n));
+    }
+
+    /** An enum or a narrower integer carried as a u8. */
+    template <typename T>
+    void
+    asU8(T &v)
+    {
+        auto raw = static_cast<uint8_t>(v);
+        u8(raw);
+        v = static_cast<T>(raw);
+    }
+
+    /** An enum or an integer id carried as a u32. */
+    template <typename T>
+    void
+    asU32(T &v)
+    {
+        auto raw = static_cast<uint32_t>(v);
+        u32(raw);
+        v = static_cast<T>(raw);
+    }
+
+    /**
+     * A container length: written as is; on load read and checked
+     * against the remaining payload (n elements of at least elemBytes
+     * each must fit; 0 = unchecked). False on a failed load.
+     */
+    bool
+    len(uint64_t &n, size_t elemBytes)
+    {
+        if (w_) {
+            w_->u64(n);
+            return true;
+        }
+        return r_->len(n, elemBytes);
+    }
+
+    /** A geometry-fixed count: written as is; on load it must be n. */
+    bool
+    expect(uint64_t n, size_t elemBytes)
+    {
+        uint64_t got = n;
+        return len(got, elemBytes) && require(got == n);
+    }
+
+    /**
+     * A length-prefixed sequence (vector or deque). `field(elem)` lists
+     * one element's fields; on load the container is cleared and
+     * refilled with the elements read.
+     */
+    template <typename C, typename F>
+    void
+    seq(C &c, size_t elemBytes, F &&field)
+    {
+        uint64_t n = c.size();
+        if (!len(n, elemBytes))
+            return;
+        if (w_) {
+            for (auto &e : c)
+                field(e);
+            return;
+        }
+        c.clear();
+        for (uint64_t i = 0; i < n && ok(); i++) {
+            typename C::value_type e{};
+            field(e);
+            if (ok())
+                c.push_back(std::move(e));
+        }
+    }
+
+    /** seq() of plain u32 / u64 / i64 values. */
+    template <typename C>
+    void
+    seq(C &c)
+    {
+        using T = typename C::value_type;
+        seq(c, sizeof(T), [this](T &v) { scalar(v); });
+    }
+
+    /**
+     * A length-prefixed string-keyed map: each entry is the key, then
+     * the fields `field(value)` lists. On load the map is cleared and
+     * refilled; a repeated key keeps the last value.
+     */
+    template <typename M, typename F>
+    void
+    map(M &m, size_t elemBytes, F &&field)
+    {
+        uint64_t n = m.size();
+        if (!len(n, elemBytes))
+            return;
+        if (w_) {
+            for (auto &kv : m) {
+                w_->str(kv.first);
+                field(kv.second);
+            }
+            return;
+        }
+        m.clear();
+        for (uint64_t i = 0; i < n && ok(); i++) {
+            std::string key;
+            typename M::mapped_type v{};
+            str(key);
+            field(v);
+            if (ok())
+                m[key] = std::move(v);
+        }
+    }
+
+    /** map() of plain u64 / f64 values. */
+    template <typename M>
+    void
+    map(M &m, size_t elemBytes)
+    {
+        using T = typename M::mapped_type;
+        map(m, elemBytes, [this](T &v) { scalar(v); });
+    }
+
+    /** Each element of a geometry-fixed container, no length prefix. */
+    template <typename C>
+    void
+    each(C &c)
+    {
+        for (auto &v : c)
+            scalar(v);
+    }
+
+  private:
+    void scalar(uint32_t &v) { u32(v); }
+    void scalar(uint64_t &v) { u64(v); }
+    void scalar(int64_t &v) { i64(v); }
+    void scalar(double &v) { f64(v); }
+
+    SnapshotWriter *w_ = nullptr;
+    SnapshotReader *r_ = nullptr;
 };
 
 /** Four-character section tag ("SRF ", "CLUS", ...). */

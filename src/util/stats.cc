@@ -1,5 +1,7 @@
 #include "util/stats.h"
 
+#include <set>
+
 #include "util/log.h"
 
 namespace isrf {
@@ -111,113 +113,86 @@ StatGroup::resetAll()
 }
 
 void
-Histogram::saveState(SnapshotWriter &w) const
+Histogram::snapshot(SnapshotIo &io)
 {
-    for (uint64_t b : buckets_)
-        w.u64(b);
-    w.u64(underflow_);
-    w.u64(overflow_);
-    w.u64(total_);
-    w.f64(sum_);
+    io.each(buckets_);
+    io.u64(underflow_);
+    io.u64(overflow_);
+    io.u64(total_);
+    io.f64(sum_);
 }
 
-bool
-Histogram::loadState(SnapshotReader &r)
+namespace {
+
+/**
+ * One name-keyed stat map, restored in place: a save writes each
+ * entry's name and then `entry(name)`'s fields; a load lets
+ * `entry(name)` create or overwrite the entries the snapshot names and
+ * resets the ones it does not, never erasing a map node.
+ */
+template <typename M, typename F>
+void
+snapshotInPlace(SnapshotIo &io, M &m, F &&entry)
 {
-    for (uint64_t &b : buckets_)
-        if (!r.u64(b))
-            return false;
-    return r.u64(underflow_) && r.u64(overflow_) && r.u64(total_) &&
-           r.f64(sum_);
+    uint64_t n = m.size();
+    if (!io.len(n, 9))
+        return;
+    if (io.saving()) {
+        for (auto &kv : m) {
+            std::string name = kv.first;
+            io.str(name);
+            entry(name);
+        }
+        return;
+    }
+    std::set<std::string> seen;
+    for (uint64_t i = 0; i < n && io.ok(); i++) {
+        std::string name;
+        io.str(name);
+        if (!io.ok())
+            return;
+        entry(name);
+        seen.insert(name);
+    }
+    for (auto &kv : m)
+        if (!seen.count(kv.first))
+            kv.second.reset();
 }
+
+} // namespace
 
 void
-StatGroup::saveState(SnapshotWriter &w) const
+StatGroup::snapshot(SnapshotIo &io)
 {
-    w.u64(counters_.size());
-    for (const auto &kv : counters_) {
-        w.str(kv.first);
-        w.u64(kv.second.value());
-    }
-    w.u64(averages_.size());
-    for (const auto &kv : averages_) {
-        w.str(kv.first);
-        kv.second.saveState(w);
-    }
-    w.u64(histograms_.size());
-    for (const auto &kv : histograms_) {
-        w.str(kv.first);
-        w.f64(kv.second.lo_);
-        w.f64(kv.second.hi_);
-        w.u64(kv.second.buckets_.size());
-        kv.second.saveState(w);
-    }
-}
-
-bool
-StatGroup::loadState(SnapshotReader &r)
-{
-    // Restore in place: overwrite / create / zero, never erase, so a
-    // component's cached pointer into one of these maps (a lazily
-    // fetched Counter or Histogram) survives the restore.
-    uint64_t n = 0;
-    if (!r.len(n, 9))
-        return false;
-    std::map<std::string, Counter> loadedCounters;
-    for (uint64_t i = 0; i < n; i++) {
-        std::string name;
-        uint64_t v = 0;
-        if (!r.str(name) || !r.u64(v))
-            return false;
-        loadedCounters[name].set(v);
-        counters_[name].set(v);
-    }
-    for (auto &kv : counters_)
-        if (!loadedCounters.count(kv.first))
-            kv.second.reset();
-
-    if (!r.len(n, 9))
-        return false;
-    std::map<std::string, bool> seenAverages;
-    for (uint64_t i = 0; i < n; i++) {
-        std::string name;
-        if (!r.str(name) || !averages_[name].loadState(r))
-            return false;
-        seenAverages[name] = true;
-    }
-    for (auto &kv : averages_)
-        if (!seenAverages.count(kv.first))
-            kv.second.reset();
-
-    if (!r.len(n, 9))
-        return false;
-    std::map<std::string, bool> seenHistograms;
-    for (uint64_t i = 0; i < n; i++) {
-        std::string name;
-        double lo = 0, hi = 1;
-        uint64_t nbuckets = 0;
-        if (!r.str(name) || !r.f64(lo) || !r.f64(hi) ||
-            !r.len(nbuckets, 8))
-            return false;
-        if (nbuckets == 0 || hi <= lo) {
-            r.markFailed();
-            return false;
-        }
-        Histogram &h =
-            histogram(name, lo, hi, static_cast<size_t>(nbuckets));
-        if (h.buckets_.size() != nbuckets) {
+    // In place, so a component's cached pointer into one of these maps
+    // (a lazily fetched Counter or Histogram) survives a restore.
+    snapshotInPlace(io, counters_, [&](const std::string &name) {
+        Counter &c = counters_[name];
+        uint64_t v = c.value();
+        io.u64(v);
+        c.set(v);
+    });
+    snapshotInPlace(io, averages_, [&](const std::string &name) {
+        averages_[name].snapshot(io);
+    });
+    snapshotInPlace(io, histograms_, [&](const std::string &name) {
+        Histogram *h = io.saving() ? &histograms_.at(name) : nullptr;
+        double lo = h ? h->lo_ : 0;
+        double hi = h ? h->hi_ : 1;
+        uint64_t nbuckets = h ? h->buckets_.size() : 0;
+        io.f64(lo);
+        io.f64(hi);
+        io.len(nbuckets, 8);
+        if (io.loading()) {
+            if (!io.require(nbuckets != 0 && hi > lo))
+                return;
+            h = &histogram(name, lo, hi, static_cast<size_t>(nbuckets));
             // Geometry drift between save and load builds.
-            r.markFailed();
-            return false;
+            if (!io.require(h->buckets_.size() == nbuckets))
+                return;
         }
-        if (!h.loadState(r))
-            return false;
-        seenHistograms[name] = true;
-    }
-    for (auto &kv : histograms_)
-        if (!seenHistograms.count(kv.first))
-            kv.second.reset();
-    return true;
+        h->snapshot(io);
+    });
 }
 
 std::vector<std::string>

@@ -64,19 +64,12 @@ class Average
     double max() const { return max_; }
 
     void
-    saveState(SnapshotWriter &w) const
+    snapshot(SnapshotIo &io)
     {
-        w.f64(sum_);
-        w.u64(count_);
-        w.f64(min_);
-        w.f64(max_);
-    }
-
-    bool
-    loadState(SnapshotReader &r)
-    {
-        return r.f64(sum_) && r.u64(count_) && r.f64(min_) &&
-               r.f64(max_);
+        io.f64(sum_);
+        io.u64(count_);
+        io.f64(min_);
+        io.f64(max_);
     }
 
   private:
@@ -105,8 +98,7 @@ class Histogram
 
     /** Bucket contents only; geometry (lo/hi/count) is construction
      *  state and must already match. */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     friend class StatGroup;  // serializes geometry alongside contents
@@ -172,14 +164,13 @@ class StatGroup
     std::vector<std::string> formatRows() const;
 
     /**
-     * Serialize every named stat. loadState() restores in place:
-     * existing entries are overwritten (map nodes are never erased,
-     * so components' cached Counter/Histogram pointers stay valid),
-     * snapshot-only entries are created, and entries absent from the
-     * snapshot are reset to zero.
+     * Every named stat. A load restores in place: existing entries are
+     * overwritten (map nodes are never erased, so components' cached
+     * Counter/Histogram pointers stay valid), snapshot-only entries
+     * are created, and entries absent from the snapshot are reset to
+     * zero.
      */
-    void saveState(SnapshotWriter &w) const;
-    bool loadState(SnapshotReader &r);
+    void snapshot(SnapshotIo &io);
 
   private:
     std::string name_;

@@ -365,7 +365,8 @@ TEST_F(MemSysTest, DoneMatchesBruteForceOverRandomTraffic)
         if (cycle % 500 == 250) {
             // Save, reset to a freshly initialised system, restore.
             SnapshotWriter w;
-            mem_.saveState(w);
+            SnapshotIo save(w);
+            mem_.snapshot(save);
             MemSystemConfig mc;
             DramConfig dc;
             dc.capacityWords = 1 << 16;
@@ -373,7 +374,9 @@ TEST_F(MemSysTest, DoneMatchesBruteForceOverRandomTraffic)
             mem_.init(mc, dc, CacheConfig{}, &srf_);
             ASSERT_TRUE(mem_.idle());
             SnapshotReader r(w.data());
-            ASSERT_TRUE(mem_.loadState(r) && r.atEnd());
+            SnapshotIo load(r);
+            mem_.snapshot(load);
+            ASSERT_TRUE(r.atEnd());
         }
         runCycles(1);
         size_t notDone = 0;

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -62,6 +63,7 @@ class TempCkptDir
         for (const char *suffix : {"", ".bad"}) {
             std::remove((path_ + "/job.ckpt" + suffix).c_str());
             std::remove((path_ + "/fuzz.ckpt" + suffix).c_str());
+            std::remove((path_ + "/ref.ckpt" + suffix).c_str());
         }
         ::rmdir(path_.c_str());
     }
@@ -536,8 +538,125 @@ TEST(CheckpointResume, GoldenEquivalenceIgSmlCache)
     expectResumeEquivalent("IG_SML", MachineKind::Cache, "gigc", 38, true);
 }
 
+// Sort at a quarter of the run saves on the cycle a kernel retires:
+// the machine has already unbound it, so the checkpoint must not still
+// name it active in the program cursor.
+TEST(CheckpointResume, SaveOnKernelRetireCycleResumes)
+{
+    expectResumeEquivalent("Sort", MachineKind::Base, "gsortb", 4);
+    expectResumeEquivalent("Sort", MachineKind::Cache, "gsortc", 4);
+}
+
 // ----------------------------------------------------------------------
-// StreamProgram::loadState semantic checks: checksum-valid cursors that
+// Full-state resume equivalence: a resumed machine is the machine that
+// never stopped, section by section, not only in its final report.
+// ----------------------------------------------------------------------
+
+/** Load a verified checkpoint file. */
+Snapshot
+readCheckpoint(const std::string &path, uint64_t fp)
+{
+    Snapshot snap;
+    std::string err;
+    EXPECT_EQ(loadSnapshotFile(path, fp, snap, err), SnapshotLoad::Ok)
+        << err;
+    return snap;
+}
+
+std::string
+tagName(uint32_t tag)
+{
+    std::string s;
+    for (int i = 0; i < 4; i++)
+        s += static_cast<char>(tag >> (8 * i) & 0xff);
+    return s;
+}
+
+/**
+ * Run A saves at cycle K and stops; run B resumes from A, saves at 2K
+ * and stops; run C saves once at 2K without ever stopping. Every
+ * section of B must be byte-equal to C's, so a field that is saved
+ * but restored wrongly fails here even when the final report hides it.
+ */
+void
+expectFullStateResumeEquivalent(const std::string &workload,
+                                MachineKind kind, uint64_t cadenceDivisor)
+{
+    SCOPED_TRACE(workload + " / " + machineKindName(kind) + " / cycles/" +
+                 std::to_string(cadenceDivisor));
+    const MachineConfig cfg = MachineConfig::make(kind);
+    const WorkloadOptions opts;
+    const WorkloadResult base = runWorkload(workload, cfg, opts);
+    ASSERT_EQ(base.status, RunStatus::Done);
+    const uint64_t k = std::max<uint64_t>(1, base.cycles / cadenceDivisor);
+    ASSERT_LT(2 * k, base.cycles);
+
+    TempCkptDir dir("full");
+    const std::string resumed = dir.file("job.ckpt");
+    const std::string straight = dir.file("ref.ckpt");
+    const uint64_t fp = 0xF011ull;
+    auto runOnce = [&](CheckpointContext &ctx) {
+        ctx.stopAfterSave = true;
+        WorkloadOptions o = opts;
+        o.checkpoint = &ctx;
+        runWorkload(workload, cfg, o);
+        ASSERT_EQ(ctx.saves(), 1u);
+    };
+
+    CheckpointContext a(resumed, fp, k);
+    runOnce(a);
+    CheckpointContext b(resumed, fp, k);
+    runOnce(b);
+    ASSERT_EQ(b.restores(), 1u);
+    CheckpointContext c(straight, fp, 2 * k);
+    runOnce(c);
+
+    const Snapshot got = readCheckpoint(resumed, fp);
+    const Snapshot want = readCheckpoint(straight, fp);
+    ASSERT_EQ(got.cycle, 2 * k);
+    ASSERT_EQ(want.cycle, 2 * k);
+    ASSERT_EQ(got.sections.size(), want.sections.size());
+    for (size_t i = 0; i < want.sections.size(); i++) {
+        ASSERT_EQ(got.sections[i].tag, want.sections[i].tag);
+        EXPECT_TRUE(got.sections[i].payload == want.sections[i].payload)
+            << "section " << tagName(want.sections[i].tag)
+            << " differs after a resume";
+    }
+}
+
+class FullStateResume : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(FullStateResume, SectionsMatchUninterruptedRun)
+{
+    const std::string &w = GetParam();
+    for (MachineKind kind : {MachineKind::Base, MachineKind::ISRF1,
+                             MachineKind::ISRF4, MachineKind::Cache}) {
+        expectFullStateResumeEquivalent(w, kind, 5);
+        if (w == "FFT 2D" || w == "Rijndael")
+            expectFullStateResumeEquivalent(w, kind, 4);
+    }
+}
+
+std::string
+workloadParamName(const ::testing::TestParamInfo<std::string> &info)
+{
+    std::string s = info.param;
+    for (char &c : s)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return s;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, FullStateResume,
+    ::testing::Values("Sort", "Filter", "IG_SML", "IG_SCL", "IG_DMS",
+                      "SpMV Power", "SpMV Random", "Stencil 2D5",
+                      "Stencil 3D27", "Histogram", "FFT 2D", "Rijndael"),
+    workloadParamName);
+
+// ----------------------------------------------------------------------
+// StreamProgram::snapshot load checks: checksum-valid cursors that
 // describe a state the driver could never reach are rejected.
 // ----------------------------------------------------------------------
 
@@ -595,7 +714,9 @@ class ProgCursorTest : public ::testing::Test
     load(const std::string &bytes)
     {
         SnapshotReader r(bytes);
-        bool ok = prog_->loadState(r);
+        SnapshotIo io(r);
+        prog_->snapshot(io);
+        bool ok = io.ok();
         EXPECT_EQ(ok, r.ok());
         return ok && r.atEnd();
     }
