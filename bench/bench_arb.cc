@@ -7,7 +7,7 @@
  *   arb/idle-heavy      zero-claim cycles dominate (quiescent machine)
  *   arb/conflict-heavy  every claimant claims every cycle
  *   srf/quiescent       full Srf::endCycle() with nothing pending
- *                       (the zero-mask fast path)
+ *                       (a zero claims mask, no slot scan)
  *   srf/seq-stream      Srf::endCycle() with a live sequential stream
  *                       (mask maintenance + global arbitration)
  *
@@ -171,7 +171,6 @@ writeArbPerfJson(const std::string &path, const BenchArgs &args,
     w.field("cpus", static_cast<uint64_t>(
         std::thread::hardware_concurrency()));
     w.field("jobs", static_cast<uint64_t>(args.jobs));
-    w.field("engine_mode", std::string("n/a"));
     w.endObject();
     w.key("totals").beginObject();
     w.field("wall_seconds", wall);

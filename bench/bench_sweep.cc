@@ -21,7 +21,7 @@
  * replays journaled jobs so a killed sweep continues where it stopped,
  * with a --json report byte-identical to an uninterrupted run's.
  * --timeout-s bounds each attempt's wall-clock time and --retries
- * re-runs TimedOut/Stalled attempts with jittered backoff. The hidden
+ * re-runs TimedOut attempts with jittered backoff. The hidden
  * --with-hang flag injects a synthetic never-terminating job (used by
  * CI to prove a hung job cannot block the sweep).
  */
@@ -136,16 +136,8 @@ writeSweepJson(const std::string &path,
                      path.c_str());
 }
 
-/** A component that ticks forever: the hung job's only work. */
-struct Spinner : Ticked
-{
-    uint64_t ticks = 0;
-    void tick(Cycle) override { ticks++; }
-    std::string tickedName() const override { return "spinner"; }
-};
-
 /**
- * Synthetic hung job (--with-hang): drives a real Engine with a
+ * Synthetic hung job (--with-hang): drives a real Machine with a
  * predicate that never holds, exercising the genuine cooperative-
  * deadline exit path. Without --timeout-s (or an external cancel) it
  * runs to the 2^40-cycle limit — i.e., effectively forever.
@@ -156,13 +148,11 @@ runHang(const MachineConfig &cfg, const WorkloadOptions &opts)
     WorkloadResult res;
     res.workload = "Hang";
     res.kind = cfg.kind;
-    Engine eng;
-    Spinner spin;
-    eng.add(&spin);
-    eng.setCancel(opts.cancel);
-    RunResult r = eng.runUntil([] { return false; }, 1ull << 40);
-    res.status = r.status == RunStatus::Limit ? RunStatus::Stalled
-                                              : r.status;
+    Machine m;
+    m.init(cfg);
+    m.setCancel(opts.cancel);
+    RunResult r = m.runUntil([] { return false; }, 1ull << 40);
+    res.status = r.status;
     res.cycles = r.cycles;
     return res;
 }

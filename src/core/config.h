@@ -12,7 +12,7 @@
 #include "mem/cache.h"
 #include "mem/dram.h"
 #include "mem/memory_system.h"
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "srf/srf_types.h"
 
 namespace isrf {

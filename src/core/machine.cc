@@ -10,11 +10,10 @@ Machine::init(const MachineConfig &cfg)
 {
     cfg.validate();
     cfg_ = cfg;
-    // Re-initialization safety: drop every engine registration first.
-    // A second init() used to leave the engine holding dangling
-    // pointers to the watchdog/sampler destroyed below (and a stale
-    // clock); clear() is the one sanctioned way to rebuild.
-    engine_.clear();
+    // A re-initialized machine restarts its clock with its watchdog
+    // and sampler, which latch absolute cycle numbers.
+    now_ = 0;
+    nextDeadlineCheck_ = 0;
     active_.reset();
     activeOutputs_.clear();
     activeIdxWriteSlots_.clear();
@@ -32,7 +31,6 @@ Machine::init(const MachineConfig &cfg)
         tracer_.disable();
         tracer_.clear();
     }
-    engine_.setTracer(&tracer_, cfg_.name());
     profiler_.configure(cfg_.profileEnabled, cfg_.profileStride);
     profiler_.reset();
     dataNet_.init(cfg.srf.lanes, 1, 1, cfg.srf.netTopology);
@@ -44,7 +42,6 @@ Machine::init(const MachineConfig &cfg)
     alloc_.init(cfg.srf);
     scheduler_ = ModuloScheduler(cfg.cluster, cfg.seed);
     rng_.reseed(cfg.seed * 7919 + 13);
-    engine_.add(this);
     traceCh_ = tracer_.channel("machine");
     initFaults();
     initSampler();
@@ -77,7 +74,6 @@ Machine::initFaults()
                     breakdown_.loopBody;
             },
             &tracer_, cfg_.name());
-        engine_.add(watchdog_.get());
     }
 }
 
@@ -133,8 +129,6 @@ Machine::initSampler()
             : static_cast<double>(busy) /
               static_cast<double>(clusters_.size());
     });
-    // Register last so it samples after every component has ticked.
-    engine_.add(sampler_.get());
 }
 
 KernelSchedule
@@ -161,7 +155,7 @@ Machine::launchKernel(std::shared_ptr<KernelInvocation> inv)
     active_ = std::move(inv);
     active_->startOverhead = cfg_.kernelStartOverhead;
     flushing_ = false;
-    kernelStart_ = engine_.now();
+    kernelStart_ = now_;
 
     activeOutputs_.clear();
     activeIdxWriteSlots_.clear();
@@ -183,11 +177,11 @@ Machine::launchKernel(std::shared_ptr<KernelInvocation> inv)
         }
     }
     for (auto &c : clusters_)
-        c.bind(active_.get(), engine_.now());
+        c.bind(active_.get(), now_);
 
     if (tracer_.on()) {
         activeKernelName_ = tracer_.intern(active_->graph->name());
-        tracer_.begin(traceCh_, activeKernelName_, engine_.now());
+        tracer_.begin(traceCh_, activeKernelName_, now_);
     }
 
     bwSeq0_ = srf_.seqWordsAccessed();
@@ -285,6 +279,63 @@ Machine::tick(Cycle now)
     }
 
     finishKernelIfDone(now);
+}
+
+void
+Machine::step(uint64_t n)
+{
+    for (uint64_t i = 0; i < n; i++) {
+        tick(now_);
+        if (watchdog_)
+            watchdog_->tick(now_);
+        if (sampler_)
+            sampler_->tick(now_);
+        now_++;
+    }
+}
+
+RunStatus
+Machine::stopStatus(uint64_t executed, uint64_t limit)
+{
+    RunStatus s = RunStatus::Done;
+    if (watchdogTriggered()) {
+        s = RunStatus::Stalled;
+    } else if (cancel_ && cancel_->cancelRequested()) {
+        // A relaxed atomic load: cheap enough for every cycle.
+        s = RunStatus::Cancelled;
+    } else if (cancel_ && now_ >= nextDeadlineCheck_) {
+        nextDeadlineCheck_ = now_ + kDeadlineCheckCycles;
+        if (cancel_->deadlineExpired())
+            s = RunStatus::TimedOut;
+    }
+    if (s == RunStatus::Done && executed >= limit) {
+        // Use this machine's tracer so a multi-machine process never
+        // prints another run's events.
+        tracer_.dumpTail(stderr, Tracer::kTailEvents, cfg_.name().c_str());
+        s = RunStatus::Limit;
+    }
+    if (s != RunStatus::Done)
+        ISRF_WARN("[%s] run stopped: %s after %llu cycles, at cycle %llu%s",
+                  cfg_.name().c_str(), runStatusName(s),
+                  static_cast<unsigned long long>(executed),
+                  static_cast<unsigned long long>(now_),
+                  s == RunStatus::Limit ? " (model deadlock?)" : "");
+    return s;
+}
+
+RunResult
+Machine::runUntil(const std::function<bool()> &pred, uint64_t limit)
+{
+    const Cycle start = now_;
+    RunStatus s = RunStatus::Done;
+    while (!pred()) {
+        s = stopStatus(now_ - start, limit);
+        if (s != RunStatus::Done)
+            break;
+        step();
+    }
+    noteRunStatus(s);
+    return {s, now_ - start};
 }
 
 void
@@ -395,7 +446,7 @@ void
 Machine::saveSnapshot(Snapshot &snap)
 {
     snap.version = kSnapshotFormatVersion;
-    snap.cycle = engine_.now();
+    snap.cycle = now_;
     snap.geometry = geometryHash();
     snap.sections.clear();
     for (const SnapshotSection &s : snapshotSections()) {
@@ -460,7 +511,8 @@ Machine::loadSnapshot(const Snapshot &snap,
 
     // Every component's absolute-cycle state is from `snap`; move the
     // clock last so the machine resumes exactly at the saved boundary.
-    engine_.restoreClock(snap.cycle);
+    now_ = snap.cycle;
+    nextDeadlineCheck_ = 0;
     return true;
 }
 

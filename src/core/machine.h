@@ -1,9 +1,9 @@
 /**
  * @file
  * The stream processor: assembles SRF, clusters, networks and the
- * memory system, orchestrates their per-cycle protocol, manages kernel
- * invocations, and classifies every lane-cycle into the Figure 12
- * execution-time categories.
+ * memory system, owns the clock and orchestrates their per-cycle
+ * protocol, manages kernel invocations, and classifies every
+ * lane-cycle into the Figure 12 execution-time categories.
  */
 #ifndef ISRF_CORE_MACHINE_H
 #define ISRF_CORE_MACHINE_H
@@ -21,8 +21,8 @@
 #include "fault/fault_injector.h"
 #include "fault/watchdog.h"
 #include "mem/memory_system.h"
-#include "sim/engine.h"
 #include "sim/profiler.h"
+#include "sim/run_status.h"
 #include "sim/stat_sampler.h"
 #include "sim/trace.h"
 #include "util/random.h"
@@ -60,8 +60,11 @@ struct KernelBwRecord
 
 /**
  * A complete simulated stream processor (one Table 2 configuration).
+ * It owns the one synchronous clock: step() advances every component
+ * one cycle in a fixed order, and every run loop (runUntil(),
+ * StreamProgram::run) asks stopStatus() between steps whether to stop.
  */
-class Machine : public Ticked
+class Machine
 {
   public:
     Machine() = default;
@@ -76,8 +79,7 @@ class Machine : public Ticked
     Crossbar &dataNet() { return dataNet_; }
     SrfAllocator &allocator() { return alloc_; }
     ModuloScheduler &scheduler() { return scheduler_; }
-    Engine &engine() { return engine_; }
-    Cycle now() const { return engine_.now(); }
+    Cycle now() const { return now_; }
     uint32_t lanes() const { return cfg_.srf.lanes; }
 
     /**
@@ -114,32 +116,56 @@ class Machine : public Ticked
 
     bool kernelActive() const { return active_ != nullptr; }
 
-    /** Advance one machine cycle (also registered with the engine). */
-    void tick(Cycle now) override;
-    std::string tickedName() const override { return "machine"; }
-
-    /** Step the engine n cycles. */
-    void step(uint64_t n = 1) { engine_.steps(n); }
+    /**
+     * Advance n cycles. Each cycle ticks the machine (tick()), then
+     * the watchdog and the stat sampler when configured — so both see
+     * the cycle's finished state — and then advances the clock.
+     */
+    void step(uint64_t n = 1);
 
     /**
-     * Step until pred() or the cycle limit; never panics. When the
-     * watchdog trips before pred() holds, a Limit result is downgraded
-     * to RunStatus::Stalled so callers can distinguish "no forward
-     * progress" from an honest cycle-budget overrun. TimedOut and
-     * Cancelled (from the engine's CancelToken) pass through
-     * unchanged — a wall-clock deadline is a different diagnosis than
-     * a stall, even if the watchdog also fired.
+     * Step until pred() holds or stopStatus() says stop; never
+     * panics. pred() is tested first, so a finished run is always
+     * Done. @return the status and the cycles this call stepped.
      */
-    RunResult
-    runUntil(const std::function<bool()> &pred,
-             uint64_t limit = 1ull << 30)
+    RunResult runUntil(const std::function<bool()> &pred,
+                       uint64_t limit = 1ull << 30);
+
+    /**
+     * The stop rule every run loop calls between steps, after its own
+     * completion test. `executed` is the cycles the loop has stepped
+     * so far, `limit` its cycle cap. In order:
+     *  1. watchdog tripped → Stalled;
+     *  2. cancel token cancelled → Cancelled, or its deadline expired
+     *     → TimedOut (the wall clock is read at most once per
+     *     kDeadlineCheckCycles);
+     *  3. executed >= limit → dumps this machine's trace tail, tagged
+     *     with the config name (a deadlocked model's last grants and
+     *     stalls are the diagnosis), then Limit.
+     * @return Done to keep stepping, else why the loop must stop.
+     */
+    RunStatus stopStatus(uint64_t executed, uint64_t limit);
+
+    /**
+     * Attach (or detach, with nullptr) a cooperative cancellation
+     * token, observed by stopStatus() — so only between steps, at a
+     * consistent machine state.
+     */
+    void
+    setCancel(const CancelToken *token)
     {
-        RunResult r = engine_.runUntil(pred, limit);
-        if (r.status == RunStatus::Limit && watchdogTriggered())
-            r.status = RunStatus::Stalled;
-        noteRunStatus(r.status);
-        return r;
+        cancel_ = token;
+        nextDeadlineCheck_ = 0;
     }
+
+    /**
+     * Cycles between wall-clock deadline checks in stopStatus():
+     * often enough for second-scale sweep deadlines, rare enough that
+     * the hot loop never pays a clock read per cycle. It changes only
+     * *when* an expired deadline is noticed, never the results of a
+     * run that completes.
+     */
+    static constexpr Cycle kDeadlineCheckCycles = 1024;
 
     /**
      * How the most recent drive loop over this machine ended (set by
@@ -209,7 +235,7 @@ class Machine : public Ticked
 
     /**
      * Serialize the complete machine state (all components + clock)
-     * into `snap`. Must be called at a cycle boundary (between engine
+     * into `snap`. Must be called at a cycle boundary (between
      * steps). The caller stamps the job fingerprint.
      */
     void saveSnapshot(Snapshot &snap);
@@ -227,6 +253,8 @@ class Machine : public Ticked
                       std::string *err);
 
   private:
+    /** One machine cycle: networks, SRF, memory, clusters, accounting. */
+    void tick(Cycle now);
     void finishKernelIfDone(Cycle now);
     void initSampler();
     void initFaults();
@@ -250,7 +278,10 @@ class Machine : public Ticked
     MachineConfig cfg_;
     Tracer tracer_;
     Profiler profiler_;
-    Engine engine_;
+    Cycle now_ = 0;
+    const CancelToken *cancel_ = nullptr;
+    /** Next cycle at which stopStatus reads the wall clock. */
+    Cycle nextDeadlineCheck_ = 0;
     Crossbar dataNet_;
     Srf srf_;
     MemorySystem mem_;

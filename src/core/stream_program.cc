@@ -518,7 +518,6 @@ uint64_t
 StreamProgram::run(uint64_t maxCycles)
 {
     const Cycle start = machine_.now();
-    uint64_t cycles = 0;
     status_ = RunStatus::Done;
     Profiler::Scope prof(machine_.profiler(), Profiler::Run);
     // Mid-job checkpointing (DESIGN.md §17): resume from the newest
@@ -530,7 +529,7 @@ StreamProgram::run(uint64_t maxCycles)
         maybeRestore(*ckpt);
     buildScoreboard();
     const Cycle execStart = machine_.now();
-    cycles = execStart - start;
+    uint64_t cycles = execStart - start;
     while (true) {
         updateCompletion();
         // Save here, not right after step(): only once updateCompletion()
@@ -546,34 +545,18 @@ StreamProgram::run(uint64_t maxCycles)
         }
         if (allDone() && machine_.mem().idle() && !machine_.kernelActive())
             break;
-        // Watchdog trip: stop gracefully with the cycles spent so far;
-        // the caller inspects Machine::watchdogTriggered() for the
-        // structured diagnostic instead of getting an abort().
-        if (machine_.watchdogTriggered()) {
-            ISRF_WARN("StreamProgram::run: watchdog tripped at cycle "
-                      "%llu; stopping",
-                      static_cast<unsigned long long>(cycles));
-            status_ = RunStatus::Stalled;
-            break;
-        }
-        // Cooperative cancellation/deadline (Engine::setCancel): the
-        // same check points as Engine::runUntil — between steps, after
-        // the completion test, so a finished program is never reported
-        // cancelled.
-        RunStatus cs = machine_.engine().pollCancel();
-        if (cs != RunStatus::Done) {
-            ISRF_WARN("StreamProgram::run: %s at cycle %llu; stopping",
-                      runStatusName(cs),
-                      static_cast<unsigned long long>(cycles));
-            status_ = cs;
-            break;
-        }
-        tryIssue();
-        machine_.engine().step();
-        cycles = machine_.now() - start;
-        if (cycles > maxCycles)
+        // Watchdog, cancel and deadline stops are graceful: the caller
+        // reads lastStatus() (and Machine::watchdogTriggered() for the
+        // diagnostic). Hitting the cycle cap is a model deadlock.
+        status_ = machine_.stopStatus(cycles, maxCycles);
+        if (status_ == RunStatus::Limit)
             panic("StreamProgram::run: exceeded %llu cycles (deadlock?)",
                   static_cast<unsigned long long>(maxCycles));
+        if (status_ != RunStatus::Done)
+            break;
+        tryIssue();
+        machine_.step();
+        cycles = machine_.now() - start;
     }
     if (ckpt)
         ckpt->addExecuted(machine_.now() - execStart);

@@ -132,10 +132,12 @@ class StreamProgram
 
     /**
      * Run to completion (all ops done, memory system idle), or until
-     * the machine's watchdog trips or the engine's CancelToken (see
-     * Engine::setCancel) requests cancellation / expires its deadline.
-     * How the run ended is reported by lastStatus(); non-Done runs
-     * leave the machine at a consistent cycle boundary.
+     * Machine::stopStatus says stop: the watchdog tripped, or the
+     * machine's CancelToken (Machine::setCancel) requests cancellation
+     * or expires its deadline. How the run ended is reported by
+     * lastStatus(); such runs leave the machine at a consistent cycle
+     * boundary. Past `maxCycles` the machine dumps its trace tail and
+     * the run panics (a model deadlock).
      * @return total machine cycles elapsed during this call.
      */
     uint64_t run(uint64_t maxCycles = 1ull << 30);

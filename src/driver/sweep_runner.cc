@@ -654,11 +654,11 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                                              wall));
             }
 
-            // Done / Cancelled / Failed are final; TimedOut / Stalled
-            // may be transient (host overload, tight deadline) and
-            // earn a retry while budget remains.
-            if (o.status != RunStatus::TimedOut &&
-                o.status != RunStatus::Stalled)
+            // Only a wall-clock deadline can be transient (host
+            // overload); every other status is final. A stall is
+            // deterministic: the watchdog counts simulated cycles and
+            // work, so a retry would stall on the same cycle.
+            if (o.status != RunStatus::TimedOut)
                 break;
             if (attempt == maxAttempts)
                 break;

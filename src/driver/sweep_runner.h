@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "core/config.h"
-#include "sim/engine.h"
 #include "sim/profiler.h"
+#include "sim/run_status.h"
 #include "workloads/workload.h"
 
 namespace isrf {
@@ -123,7 +123,7 @@ struct SweepPolicy
 {
     /** Per-attempt wall-clock deadline in seconds (0 = none). */
     double timeoutSeconds = 0.0;
-    /** Extra attempts after a TimedOut/Stalled attempt. */
+    /** Extra attempts after a TimedOut attempt. */
     uint32_t retries = 0;
     /** First retry backoff (doubles per retry, +-50% jitter). */
     double backoffBaseSeconds = 0.1;
@@ -213,9 +213,9 @@ class SweepRunner
 
     /**
      * Run all jobs under a resilience policy: per-attempt wall-clock
-     * deadlines, bounded retry-with-backoff for TimedOut/Stalled
-     * attempts, per-attempt journaling, and journal replay on resume
-     * (DESIGN.md §Sweep resilience). A stale journal — one whose sweep
+     * deadlines, bounded retry-with-backoff for TimedOut attempts,
+     * per-attempt journaling, and journal replay on resume (DESIGN.md
+     * §Sweep resilience). A stale journal — one whose sweep
      * fingerprint does not match the submitted matrix — is a fatal()
      * user error, never silently merged.
      */

@@ -18,7 +18,7 @@
 #include <functional>
 #include <unordered_map>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/snapshot.h"
 
 namespace isrf {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "fault/fault_config.h"
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/random.h"
 #include "util/stats.h"
 

@@ -1,6 +1,5 @@
 #include "fault/watchdog.h"
 
-#include "sim/engine.h"
 #include "sim/trace.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -33,8 +32,7 @@ Watchdog::tick(Cycle now)
     if (triggered_ || interval_ == 0)
         return;
     // Lazy arming: the first ticked cycle counts as one elapsed cycle,
-    // so the check lands interval_ ticks after registration (identical
-    // to the old per-tick counter under dense ticking).
+    // so the check lands interval_ ticks after the first one.
     if (nextCheck_ == kUnarmed)
         nextCheck_ = now + interval_ - 1;
     if (now < nextCheck_)
@@ -50,10 +48,10 @@ Watchdog::tick(Cycle now)
         return;
     triggered_ = true;
     triggeredCycle_ = now;
-    // Same diagnosis aid as the runUntil deadlock path: the last
+    // Same diagnosis aid as the cycle-cap deadlock path: the last
     // grants/stalls in the trace buffer say who stopped making progress.
     if (tracer_)
-        tracer_->dumpTail(stderr, Engine::kDeadlockDumpEvents,
+        tracer_->dumpTail(stderr, Tracer::kTailEvents,
                           label_.c_str());
     ISRF_WARN("watchdog: no progress for %llu cycles (%u x %llu-cycle "
               "intervals) at cycle %llu; stopping run",

@@ -1,9 +1,10 @@
 /**
  * @file
- * Engine-level progress watchdog.
+ * Machine-level progress watchdog.
  *
- * Generalizes the Engine::runUntil cycle-limit deadlock guard into a
- * ticked progress monitor: every `interval` cycles it samples a
+ * Generalizes the run loops' cycle-cap deadlock guard into a progress
+ * monitor that Machine::step ticks every cycle: every `interval`
+ * cycles it samples a
  * monotonically increasing retired-work metric; after `stallIntervals`
  * consecutive intervals without progress it trips, records a
  * structured diagnostic (JSON) plus the trace tail, and lets the run
@@ -16,15 +17,15 @@
 #include <functional>
 #include <string>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/snapshot.h"
 
 namespace isrf {
 
 class Tracer;
 
-/** Ticked component monitoring a retired-work metric for progress. */
-class Watchdog : public Ticked
+/** Monitors a retired-work metric for progress, once per cycle. */
+class Watchdog
 {
   public:
     /** Returns the machine's monotonically increasing progress count. */
@@ -39,8 +40,7 @@ class Watchdog : public Ticked
               ProgressFn progress, Tracer *tracer = nullptr,
               std::string label = "");
 
-    void tick(Cycle now) override;
-    std::string tickedName() const override { return "watchdog"; }
+    void tick(Cycle now);
 
     /** True once the stall threshold has been reached. */
     bool triggered() const { return triggered_; }
@@ -66,7 +66,7 @@ class Watchdog : public Ticked
     static constexpr Cycle kUnarmed = ~Cycle(0);
     /**
      * Absolute cycle of the next progress check; kUnarmed until armed
-     * (lazily, on the first tick, so a watchdog registered mid-run
+     * (lazily, on the first tick, so a watchdog created mid-run
      * still gets full intervals).
      */
     Cycle nextCheck_ = kUnarmed;

@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 
 namespace isrf {
 

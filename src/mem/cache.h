@@ -15,7 +15,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/stats.h"
 
 namespace isrf {

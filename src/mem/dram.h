@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "fault/ecc.h"
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/stats.h"
 
 namespace isrf {
@@ -50,7 +50,10 @@ struct DramConfig
 class Dram
 {
   public:
-    explicit Dram(const DramConfig &cfg = {});
+    /** Empty until init(): a default-constructed Dram allocates no
+     *  storage, so a Machine pays for its DRAM once, in init(). */
+    Dram() = default;
+    explicit Dram(const DramConfig &cfg);
 
     void init(const DramConfig &cfg, Tracer *tracer = nullptr);
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Interval statistics sampler: a Ticked component that snapshots
- * registered statistics every N cycles and keeps per-interval deltas,
- * turning the simulator's flat end-of-run counters into utilization /
- * bandwidth time-series (SRF port grants, bank conflicts, DRAM words
- * and row hits, memory queue depth, cluster busy fraction, ...).
+ * Interval statistics sampler: ticked by Machine::step after every
+ * other component, it snapshots registered statistics every N cycles
+ * and keeps per-interval deltas, turning the simulator's flat
+ * end-of-run counters into utilization / bandwidth time-series (SRF
+ * port grants, bank conflicts, DRAM words and row hits, memory queue
+ * depth, cluster busy fraction, ...).
  *
  * Three kinds of sources can be registered:
  *  - StatGroup*: every counter in the group is delta-sampled as
@@ -26,7 +27,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/stats.h"
 
 namespace isrf {
@@ -45,7 +46,7 @@ struct StatInterval
 class Tracer;
 
 /** Periodically snapshots registered stats (see file comment). */
-class StatSampler : public Ticked
+class StatSampler
 {
   public:
     explicit StatSampler(uint64_t intervalCycles = 0);
@@ -71,9 +72,8 @@ class StatSampler : public Ticked
     /** Register an instantaneous gauge readout. */
     void addGauge(const std::string &name, std::function<double()> fn);
 
-    /** Ticked: samples when (now+1) hits an interval boundary. */
-    void tick(Cycle now) override;
-    std::string tickedName() const override { return "stat_sampler"; }
+    /** Samples when (now+1) hits an interval boundary. */
+    void tick(Cycle now);
 
     /** Force a sample at `now` (e.g. end of run, partial interval). */
     void sampleNow(Cycle now);

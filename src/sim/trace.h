@@ -14,7 +14,7 @@
  * The buffer exports as Chrome trace-event JSON (loadable in Perfetto
  * or chrome://tracing; one "thread" per channel) and as CSV. The tail
  * of the ring can also be dumped on a deadlock panic so hung runs are
- * diagnosable (see Engine::runUntil).
+ * diagnosable (see Machine::stopStatus).
  *
  * ISRF_TRACE syntax:
  *   ISRF_TRACE=all           enable every channel
@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 
 namespace isrf {
 
@@ -187,6 +187,9 @@ class Tracer
 
     /** Write csv() to a file. @return false on I/O error. */
     bool writeCsv(const std::string &path) const;
+
+    /** Events a stall or deadlock diagnostic dumps (dumpTail). */
+    static constexpr size_t kTailEvents = 48;
 
     /**
      * Dump the last n events to a stream (deadlock diagnostics).

@@ -9,16 +9,12 @@
  *
  * Claims are a fixed-width bitmask (bit i set = id i claims), so one
  * arbitration is a rotate plus count-trailing-zeros — no per-cycle
- * heap traffic and no O(n) scan. A legacy vector-of-bytes overload
- * remains for callers that build claims incrementally; a claims vector
- * whose size disagrees with the claimant count is a caller bug and
- * panics instead of being silently misreported as an idle cycle.
+ * heap traffic and no O(n) scan.
  */
 #ifndef ISRF_SRF_ARBITER_H
 #define ISRF_SRF_ARBITER_H
 
 #include <cstdint>
-#include <vector>
 
 #include "util/log.h"
 #include "util/snapshot.h"
@@ -73,36 +69,8 @@ class RoundRobinArbiter
         return static_cast<int>(id);
     }
 
-    /**
-     * Legacy claims protocol (claims[i] != 0 means id i claims). A size
-     * mismatch used to return -1 — converting a caller bug into a bogus
-     * "nobody claims" idle cycle — and now panics.
-     */
-    int
-    arbitrate(const std::vector<uint8_t> &claims)
-    {
-        if (claims.size() != n_)
-            panic("RoundRobinArbiter: %zu claim entries for %u "
-                  "claimants", claims.size(), n_);
-        uint64_t mask = 0;
-        for (uint32_t i = 0; i < n_; i++)
-            if (claims[i])
-                mask |= uint64_t{1} << i;
-        return arbitrate(mask);
-    }
-
     uint64_t grants() const { return grants_; }
     uint64_t idleCycles() const { return idleCycles_; }
-
-    /** Priority pointer (next id to be favored); test/report access. */
-    uint32_t priority() const { return next_; }
-
-    /**
-     * Credit n claimless arbitration cycles (the SRF's quiescent fast
-     * path). Matches n arbitrate() calls with zero claims: idleCycles_
-     * grows, the priority pointer does not move.
-     */
-    void skipIdle(uint64_t n) { idleCycles_ += n; }
 
     /** Rotation + counters; the claimant count is construction state. */
     void

@@ -633,19 +633,6 @@ Srf::uncountSlotFifos(const Slot &s)
 }
 
 void
-Srf::creditIdleCycles(uint64_t n)
-{
-    // Exactly what n dense endCycle() calls do when nothing claims the
-    // port: the port-idle counter and the global arbiter's idle count
-    // advance (its priority pointer stays frozen), and routeCrossLane's
-    // slot rotation still steps once per cycle.
-    lazyCounter(portIdleC_, "port_idle_cycles").inc(n);
-    globalArb_.skipIdle(n);
-    crossRouteRr_ = static_cast<uint32_t>(
-        (crossRouteRr_ + n) % slots_.size());
-}
-
-void
 Srf::serviceSeqSlot(SlotId id)
 {
     Slot &s = slots_[id];
@@ -877,16 +864,10 @@ Srf::endCycle(Cycle now)
     // sequential stream (or DMA transfer) or the indexed-access bundle;
     // stage two (per-lane) happens inside serviceIndexed(). Claims are
     // maintained at enqueue/dequeue time (DESIGN.md §15), so a fully
-    // quiescent cycle reduces to an idle credit — no arbitration, no
-    // slot scans.
+    // quiescent cycle costs an idle arbitration, an idle-counter bump
+    // and the cross-route rotation — no slot scans.
     const uint32_t nSlots = geom_.maxStreamSlots;
     const bool idxWork = inLaneFifoEntries_ > 0 || remoteEntries_ > 0;
-    if (!idxWork && seqClaimMask_ == 0 && memClaims_.empty() &&
-            crossFifoEntries_ == 0 && returnEntries_ == 0) {
-        creditIdleCycles(1);
-        return;
-    }
-
     uint64_t claims = seqClaimMask_;
     for (const auto &mc : memClaims_) {
         if (mc.slot >= 0 && mc.slot < static_cast<SlotId>(nSlots))

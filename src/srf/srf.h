@@ -344,14 +344,6 @@ class Srf
      *  the slot's crossLane flag changes). */
     void uncountSlotFifos(const Slot &s);
 
-    /**
-     * Credit n fully quiescent cycles: the port-idle counter, the
-     * global arbiter's idle count (priority pointer frozen), and the
-     * cross-lane routing round-robin rotation: the zero-claims fast
-     * path of endCycle(), with no arbitration and no slot scans.
-     */
-    void creditIdleCycles(uint64_t n);
-
     /** Cached stats-counter lookup (map nodes are address-stable). */
     Counter &
     lazyCounter(Counter *&c, const char *name)

@@ -8,7 +8,7 @@
 #include <cstdint>
 
 #include "net/crossbar.h"
-#include "sim/ticked.h"
+#include "sim/types.h"
 
 namespace isrf {
 

@@ -16,7 +16,7 @@
 #include <cstdint>
 #include <deque>
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/snapshot.h"
 
 namespace isrf {

@@ -10,7 +10,7 @@
 #ifndef ISRF_SRF_SUB_ARRAY_H
 #define ISRF_SRF_SUB_ARRAY_H
 
-#include "sim/ticked.h"
+#include "sim/types.h"
 #include "util/snapshot.h"
 #include "util/stats.h"
 

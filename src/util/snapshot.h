@@ -454,7 +454,7 @@ struct Snapshot
 {
     uint32_t version = kSnapshotFormatVersion;
     uint64_t fingerprint = 0;
-    /** Engine clock at save time. */
+    /** Machine clock at save time. */
     uint64_t cycle = 0;
     /** Machine::geometryHash() at save time; checked before restore. */
     uint64_t geometry = 0;

@@ -216,7 +216,7 @@ runFft2dSized(const MachineConfig &machineCfg, const WorkloadOptions &opts,
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
+    m.setCancel(opts.cancel);
     m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;

@@ -208,7 +208,7 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
     }
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
+    m.setCancel(opts.cancel);
     m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;

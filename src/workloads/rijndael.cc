@@ -298,7 +298,7 @@ runRijndael(const MachineConfig &machineCfg, const WorkloadOptions &opts)
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
+    m.setCancel(opts.cancel);
     m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;

@@ -138,7 +138,7 @@ runSort(const MachineConfig &machineCfg, const WorkloadOptions &opts)
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
+    m.setCancel(opts.cancel);
     m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;

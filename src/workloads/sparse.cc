@@ -163,7 +163,7 @@ runSpmvCsr(const std::string &name, const CsrMatrix &csr,
     }
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
+    m.setCancel(opts.cancel);
     m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;

@@ -170,7 +170,7 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
         cfg.inLaneSeparation = opts.separationOverride;
     Machine m;
     m.init(cfg);
-    m.engine().setCancel(opts.cancel);
+    m.setCancel(opts.cancel);
     m.setCheckpoint(opts.checkpoint);
 
     WorkloadResult res;

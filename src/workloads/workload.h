@@ -77,7 +77,7 @@ struct WorkloadOptions
     uint32_t separationOverride = 0;
     /**
      * Cooperative cancellation / wall-clock deadline observed by the
-     * run (Engine::setCancel); nullptr = never cancelled. Not part of
+     * run (Machine::setCancel); nullptr = never cancelled. Not part of
      * the simulation outcome for completed runs: a Done result is
      * identical with or without a (untripped) token.
      */

@@ -304,13 +304,6 @@ class TempJournal
     std::string path_;
 };
 
-/** A component that ticks forever: the hung job's only work. */
-struct Spinner : Ticked
-{
-    void tick(Cycle) override {}
-    std::string tickedName() const override { return "spinner"; }
-};
-
 /** Runner that never terminates on its own: only a token stops it. */
 WorkloadResult
 hangRunner(const MachineConfig &cfg, const WorkloadOptions &opts)
@@ -318,11 +311,10 @@ hangRunner(const MachineConfig &cfg, const WorkloadOptions &opts)
     WorkloadResult res;
     res.workload = "Hang";
     res.kind = cfg.kind;
-    Engine eng;
-    Spinner spin;
-    eng.add(&spin);
-    eng.setCancel(opts.cancel);
-    RunResult r = eng.runUntil([] { return false; }, 1ull << 40);
+    Machine m;
+    m.init(cfg);
+    m.setCancel(opts.cancel);
+    RunResult r = m.runUntil([] { return false; }, 1ull << 40);
     res.status = r.status;
     res.cycles = r.cycles;
     return res;
@@ -334,6 +326,10 @@ hangJob()
     SweepJob j;
     j.workload = "Hang";
     j.cfg = MachineConfig::make(MachineKind::Base);
+    // The job never touches memory; a small DRAM keeps Machine::init
+    // far inside TimeoutUnhangsAJob's 0.2 s deadline, so the run
+    // reaches the loop before the deadline expires.
+    j.cfg.dram.capacityWords = 1 << 16;
     j.runner = hangRunner;
     return j;
 }
@@ -404,8 +400,9 @@ TEST(SweepResilience, ThrowingJobBecomesFailedAndPoolKeepsDraining)
 
 TEST(SweepResilience, RetriesStalledJobsWithBoundedAttempts)
 {
-    // Succeeds on the third attempt; retries must be journaled per
-    // attempt and the final outcome must report attempts used.
+    // Times out twice, then succeeds on the third attempt; retries
+    // must be journaled per attempt and the final outcome must report
+    // attempts used.
     auto flaky = std::make_shared<std::atomic<uint32_t>>(0);
     SweepJob job;
     job.workload = "Flaky";
@@ -415,7 +412,7 @@ TEST(SweepResilience, RetriesStalledJobsWithBoundedAttempts)
         WorkloadResult r;
         r.workload = "Flaky";
         r.kind = cfg.kind;
-        r.status = ++*flaky < 3 ? RunStatus::Stalled : RunStatus::Done;
+        r.status = ++*flaky < 3 ? RunStatus::TimedOut : RunStatus::Done;
         r.correct = r.status == RunStatus::Done;
         return r;
     };
@@ -446,7 +443,7 @@ TEST(SweepResilience, RetriesStalledJobsWithBoundedAttempts)
         WorkloadResult r;
         r.workload = "Flaky";
         r.kind = cfg.kind;
-        r.status = RunStatus::Stalled;
+        r.status = RunStatus::TimedOut;
         ++*exhausted;
         return r;
     };
@@ -454,9 +451,30 @@ TEST(SweepResilience, RetriesStalledJobsWithBoundedAttempts)
     two.retries = 1;
     two.backoffBaseSeconds = 0.001;
     auto out2 = runner.run({hopeless}, two);
-    EXPECT_EQ(out2[0].status, RunStatus::Stalled);
+    EXPECT_EQ(out2[0].status, RunStatus::TimedOut);
     EXPECT_EQ(out2[0].attempts, 2u);
     EXPECT_EQ(exhausted->load(), 2u);
+
+    // A stall is deterministic (the watchdog counts simulated cycles),
+    // so it is final: one attempt, whatever the retry budget.
+    auto stalls = std::make_shared<std::atomic<uint32_t>>(0);
+    SweepJob stalled = job;
+    stalled.runner = [stalls](const MachineConfig &cfg,
+                              const WorkloadOptions &) {
+        WorkloadResult r;
+        r.workload = "Flaky";
+        r.kind = cfg.kind;
+        r.status = RunStatus::Stalled;
+        ++*stalls;
+        return r;
+    };
+    SweepPolicy three;
+    three.retries = 3;
+    three.backoffBaseSeconds = 0.001;
+    auto out3 = runner.run({stalled}, three);
+    EXPECT_EQ(out3[0].status, RunStatus::Stalled);
+    EXPECT_EQ(out3[0].attempts, 1u);
+    EXPECT_EQ(stalls->load(), 1u);
 }
 
 TEST(SweepResilience, ResumeReplaysJournaledJobsWithoutReExecution)

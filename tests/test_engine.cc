@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the tick engine (stepping, clear, cooperative
- * cancellation), Machine re-initialization, breakdown arithmetic and
- * trace utilities.
+ * Tests for the machine's clock and run loop (stepping, the stop rule,
+ * cooperative cancellation), Machine re-initialization, breakdown
+ * arithmetic and trace utilities.
  */
 #include <gtest/gtest.h>
 
@@ -14,7 +14,6 @@
 #include "core/breakdown.h"
 #include "core/report.h"
 #include "core/stream_program.h"
-#include "sim/engine.h"
 #include "test_helpers.h"
 #include "workloads/trace_util.h"
 #include "workloads/workload.h"
@@ -22,64 +21,63 @@
 namespace isrf {
 namespace {
 
-struct CountingComponent : Ticked
+/** A Base machine with a small DRAM: cheap to init, idle until used. */
+MachineConfig
+idleConfig()
 {
-    uint64_t ticks = 0;
-    uint64_t posts = 0;
-    Cycle lastNow = 0;
-    void
-    tick(Cycle now) override
-    {
-        ticks++;
-        lastNow = now;
-    }
-    void postTick(Cycle) override { posts++; }
-    bool hasPostTick() const override { return true; }
-    std::string tickedName() const override { return "counter"; }
-};
+    MachineConfig cfg = MachineConfig::base();
+    cfg.dram.capacityWords = 1 << 16;
+    return cfg;
+}
 
 TEST(Engine, StepInvokesTickAndPostTickInOrder)
 {
-    Engine e;
-    CountingComponent a, b;
-    e.add(&a);
-    e.add(&b);
-    e.step();
-    EXPECT_EQ(a.ticks, 1u);
-    EXPECT_EQ(b.ticks, 1u);
-    EXPECT_EQ(a.posts, 1u);
-    EXPECT_EQ(e.now(), 1u);
-    e.steps(9);
-    EXPECT_EQ(a.ticks, 10u);
-    EXPECT_EQ(a.lastNow, 9u);
-    EXPECT_EQ(e.now(), 10u) << "steps(n) advances exactly n cycles";
+    // Each step ticks the machine, then the sampler (configured here),
+    // then advances the clock: every idle machine cycle adds one SRF
+    // port-idle cycle, and the sampler's first interval must see all
+    // four of its cycles' ticks.
+    MachineConfig cfg = idleConfig();
+    cfg.statSampleInterval = 4;
+    Machine m;
+    m.init(cfg);
+    m.step();
+    EXPECT_EQ(m.now(), 1u);
+    EXPECT_EQ(m.breakdown().total(), m.lanes());
+    m.step(9);
+    EXPECT_EQ(m.now(), 10u) << "step(n) advances exactly n cycles";
+    EXPECT_EQ(m.breakdown().total(), 10u * m.lanes());
+    ASSERT_NE(m.sampler(), nullptr);
+    const auto &iv = m.sampler()->intervals();
+    ASSERT_EQ(iv.size(), 2u);
+    EXPECT_EQ(iv[0].end, 4u);
+    EXPECT_EQ(iv[0].deltas.at("srf.port_idle_cycles"), 4u);
 }
 
 TEST(Engine, RunUntilStopsOnPredicate)
 {
-    Engine e;
-    CountingComponent a;
-    e.add(&a);
-    RunResult r = e.runUntil([&]() { return a.ticks >= 42; });
+    Machine m;
+    m.init(idleConfig());
+    RunResult r = m.runUntil([&]() { return m.now() >= 42; });
     EXPECT_EQ(r.status, RunStatus::Done);
     EXPECT_TRUE(r.done());
     EXPECT_EQ(r.cycles, 42u);
-    EXPECT_EQ(e.now(), 42u);
+    EXPECT_EQ(m.now(), 42u);
 }
 
 TEST(Engine, RunUntilLimitReturnsStatus)
 {
-    Engine e;
-    CountingComponent a;
-    e.add(&a);
-    RunResult r = e.runUntil([]() { return false; }, 100);
+    Machine m;
+    m.init(idleConfig());
+    RunResult r = m.runUntil([]() { return false; }, 100);
     EXPECT_EQ(r.status, RunStatus::Limit);
     EXPECT_FALSE(r.done());
     EXPECT_EQ(r.cycles, 100u);
-    // The engine keeps running normally after a limit return.
-    EXPECT_EQ(e.now(), 100u);
-    RunResult r2 = e.runUntil([&]() { return a.ticks >= 150; }, 1000);
+    EXPECT_EQ(m.lastRunStatus(), RunStatus::Limit);
+    // The machine keeps running normally after a limit return.
+    EXPECT_EQ(m.now(), 100u);
+    RunResult r2 = m.runUntil([&]() { return m.now() >= 150; }, 1000);
     EXPECT_EQ(r2.status, RunStatus::Done);
+    EXPECT_EQ(r2.cycles, 50u);
 }
 
 TEST(Engine, RunStatusNames)
@@ -87,26 +85,6 @@ TEST(Engine, RunStatusNames)
     EXPECT_STREQ(runStatusName(RunStatus::Done), "done");
     EXPECT_STREQ(runStatusName(RunStatus::Limit), "limit");
     EXPECT_STREQ(runStatusName(RunStatus::Stalled), "stalled");
-}
-
-TEST(Engine, NullComponentPanics)
-{
-    Engine e;
-    EXPECT_DEATH(e.add(nullptr), "null component");
-}
-
-TEST(EngineClear, UnregistersComponentsAndRewindsClock)
-{
-    Engine e;
-    CountingComponent a;
-    e.add(&a);
-    e.steps(5);
-    EXPECT_EQ(e.now(), 5u);
-    EXPECT_EQ(a.ticks, 5u);
-    e.clear();
-    EXPECT_EQ(e.now(), 0u);
-    e.steps(3);
-    EXPECT_EQ(a.ticks, 5u) << "cleared components must not be ticked";
 }
 
 // ----------------------------------------------------------------------
@@ -117,42 +95,39 @@ TEST(EngineCancel, PreCancelledTokenStopsBeforeTheFirstStep)
 {
     // Cancellation is observed at cycle boundaries only; a token that
     // is already tripped must stop the run at cycle 0.
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
+    Machine m;
+    m.init(idleConfig());
     CancelToken token;
     token.cancel();
-    e.setCancel(&token);
-    RunResult r = e.runUntil([] { return false; }, 1000);
+    m.setCancel(&token);
+    RunResult r = m.runUntil([] { return false; }, 1000);
     EXPECT_EQ(r.status, RunStatus::Cancelled);
     EXPECT_EQ(r.cycles, 0u);
-    EXPECT_EQ(c.ticks, 0u);
-    EXPECT_EQ(e.now(), 0u);
+    EXPECT_EQ(m.now(), 0u);
+    EXPECT_EQ(m.breakdown().total(), 0u) << "no cycle was ticked";
 }
 
 TEST(EngineCancel, ExpiredDeadlineReportsTimedOut)
 {
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
+    Machine m;
+    m.init(idleConfig());
     CancelToken token;
     token.setTimeout(1e-9);  // expires immediately
-    e.setCancel(&token);
-    RunResult r = e.runUntil([] { return false; }, 1000);
+    m.setCancel(&token);
+    RunResult r = m.runUntil([] { return false; }, 1000);
     EXPECT_EQ(r.status, RunStatus::TimedOut);
     EXPECT_EQ(r.cycles, 0u);
 }
 
 TEST(EngineCancel, CancellationWinsOverDeadline)
 {
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
+    Machine m;
+    m.init(idleConfig());
     CancelToken token;
     token.cancel();
     token.setTimeout(1e-9);
-    e.setCancel(&token);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+    m.setCancel(&token);
+    EXPECT_EQ(m.runUntil([] { return false; }, 10).status,
               RunStatus::Cancelled);
 }
 
@@ -160,13 +135,12 @@ TEST(EngineCancel, FinishedRunIsNeverReportedCancelled)
 {
     // The predicate is checked before the token: a run that is already
     // done must return Done even under a tripped token.
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
+    Machine m;
+    m.init(idleConfig());
     CancelToken token;
     token.cancel();
-    e.setCancel(&token);
-    EXPECT_EQ(e.runUntil([] { return true; }, 1000).status,
+    m.setCancel(&token);
+    EXPECT_EQ(m.runUntil([] { return true; }, 1000).status,
               RunStatus::Done);
 }
 
@@ -198,57 +172,58 @@ TEST(EngineCancel, ChainedTokenPropagatesParentCancel)
     parent.cancel();
     EXPECT_TRUE(child.cancelRequested());
 
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
-    e.setCancel(&child);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+    Machine m;
+    m.init(idleConfig());
+    m.setCancel(&child);
+    EXPECT_EQ(m.runUntil([] { return false; }, 10).status,
               RunStatus::Cancelled);
 }
 
 TEST(EngineCancel, DetachingTheTokenRestoresPlainRuns)
 {
-    Engine e;
-    CountingComponent c;
-    e.add(&c);
+    Machine m;
+    m.init(idleConfig());
     CancelToken token;
     token.cancel();
-    e.setCancel(&token);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+    m.setCancel(&token);
+    EXPECT_EQ(m.runUntil([] { return false; }, 10).status,
               RunStatus::Cancelled);
-    e.setCancel(nullptr);
-    EXPECT_EQ(e.runUntil([] { return false; }, 10).status,
+    m.setCancel(nullptr);
+    EXPECT_EQ(m.runUntil([] { return false; }, 10).status,
               RunStatus::Limit);
-    EXPECT_EQ(c.ticks, 10u);
+    EXPECT_EQ(m.now(), 10u);
 }
 
 TEST(DeadlinePolling, ExpiredDeadlineObservedWithinGranularity)
 {
     const auto never = [] { return false; };
-    const uint64_t limit = 10 * Engine::kDeadlineCheckCycles;
+    const uint64_t limit = 10 * Machine::kDeadlineCheckCycles;
     {
         // Already expired when attached: the first poll reads the clock.
-        Engine e;
+        Machine m;
+        m.init(idleConfig());
         CancelToken tok;
         tok.setTimeout(1e-9);
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        e.setCancel(&tok);
-        RunResult r = e.runUntil(never, limit);
+        m.setCancel(&tok);
+        RunResult r = m.runUntil(never, limit);
         EXPECT_EQ(r.status, RunStatus::TimedOut);
-        EXPECT_LE(r.cycles, Engine::kDeadlineCheckCycles);
+        EXPECT_LE(r.cycles, Machine::kDeadlineCheckCycles);
     }
     // Expires between two clock reads: noticed at the next read, at
     // most one polling window after the previous one.
-    Engine e;
+    Machine m;
+    m.init(idleConfig());
     CancelToken tok;
-    e.setCancel(&tok);
-    EXPECT_EQ(e.pollCancel(), RunStatus::Done);  // clock read at cycle 0
+    m.setCancel(&tok);
+    // Reads the clock at cycle 0.
+    EXPECT_EQ(m.stopStatus(0, limit), RunStatus::Done);
     tok.setTimeout(1e-9);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    RunResult r = e.runUntil(never, limit);
+    RunResult r = m.runUntil(never, limit);
     EXPECT_EQ(r.status, RunStatus::TimedOut);
-    EXPECT_GT(e.now(), 0u);
-    EXPECT_LE(e.now(), Engine::kDeadlineCheckCycles);
+    EXPECT_GT(m.now(), 0u);
+    EXPECT_LE(m.now(), Machine::kDeadlineCheckCycles);
 }
 
 // ----------------------------------------------------------------------
@@ -277,11 +252,9 @@ runCopyProgram(Machine &m)
 
 TEST(MachineReinit, SecondInitMatchesFreshMachine)
 {
-    // watchdogInterval/statSampleInterval both register Ticked
-    // components owned by unique_ptrs that init() re-creates; before
-    // Engine::clear() existed, the second init() left the engine
-    // ticking dangling pointers (caught by ASan) and kept the old
-    // clock running.
+    // The watchdog and sampler are owned by unique_ptrs that init()
+    // re-creates and latch absolute cycle numbers, so a second init()
+    // must also rewind the clock (run under ASan in CI).
     MachineConfig cfg = MachineConfig::isrf4();
     cfg.faults.watchdogInterval = 512;
     cfg.statSampleInterval = 256;
@@ -312,6 +285,29 @@ TEST(MachineReinit, SecondInitMatchesFreshMachine)
     m.init(cfg);
     EXPECT_EQ(runCopyProgram(m), freshCycles);
     EXPECT_EQ(machineReportJson(m), freshReport);
+}
+
+TEST(StreamProgramDeathTest, CycleCapDumpsTraceTailBeforePanic)
+{
+    // Hitting the cycle cap is a model deadlock: the run loop prints
+    // the machine's trace tail, tagged with its config name, and then
+    // panics.
+    MachineConfig cfg = MachineConfig::isrf4();
+    cfg.dram.capacityWords = 1 << 16;
+    cfg.traceSpec = "all";
+    EXPECT_DEATH(
+        {
+            Machine m;
+            m.init(cfg);
+            std::vector<Word> data(256, 5);
+            m.mem().dram().fill(0, data);
+            StreamProgram prog(m);
+            SlotId in = prog.addStream("in", 256);
+            prog.load(in, 0);
+            prog.run(8);
+        },
+        "--- \\[ISRF4\\] last [0-9]+ trace events.*cycle [0-9]+ .*"
+        "exceeded 8 cycles");
 }
 
 TEST(Breakdown, TotalsAndAccumulate)

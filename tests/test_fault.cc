@@ -342,23 +342,31 @@ TEST(MemRetry, PersistentUncorrectablePoisonsInsteadOfAborting)
 
 TEST(Watchdog, TriggersAfterStalledIntervals)
 {
-    Engine e;
-    Watchdog wd;
-    uint64_t progress = 0;
-    wd.init(10, 2, [&]() { return progress; });
-    e.add(&wd);
-    // Progress for a while: no trigger.
-    for (int i = 0; i < 5; i++) {
-        progress += 10;
-        e.steps(10);
-    }
-    EXPECT_FALSE(wd.triggered());
-    // Now stall: two zero-progress intervals trip it.
-    e.steps(25);
-    EXPECT_TRUE(wd.triggered());
-    EXPECT_TRUE(jsonValid(wd.reportJson()));
-    wd.rearm();
-    EXPECT_FALSE(wd.triggered());
+    // Machine::step ticks the watchdog after the machine, every cycle.
+    // Progress (SRF + DRAM words, loop-body cycles) for a while: no
+    // trigger.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.faults = FaultConfig::parse("watchdog=100;stall_intervals=2");
+    cfg.dram.capacityWords = 1 << 16;
+    Machine m;
+    m.init(cfg);
+    ASSERT_NE(m.watchdog(), nullptr);
+    std::vector<Word> data(4096, 3);
+    m.mem().dram().fill(0, data);
+    StreamProgram prog(m);
+    SlotId s = prog.addStream("s", 4096);
+    prog.load(s, 0);
+    prog.run();
+    EXPECT_EQ(prog.lastStatus(), RunStatus::Done);
+    EXPECT_GT(m.now(), 300u) << "the load must span several intervals";
+    EXPECT_FALSE(m.watchdogTriggered());
+    // Now idle: two zero-progress intervals trip it (the first check
+    // may still see the load's last words).
+    m.step(300);
+    EXPECT_TRUE(m.watchdogTriggered());
+    EXPECT_TRUE(jsonValid(m.watchdog()->reportJson()));
+    m.watchdog()->rearm();
+    EXPECT_FALSE(m.watchdogTriggered());
 }
 
 TEST(Watchdog, MachineRunUntilReportsStalled)
@@ -373,6 +381,8 @@ TEST(Watchdog, MachineRunUntilReportsStalled)
     // run resolves to Stalled rather than a plain cycle-limit Limit.
     RunResult r = m.runUntil([]() { return false; }, 1000);
     EXPECT_EQ(r.status, RunStatus::Stalled);
+    // The loop stops as soon as the watchdog trips, not at the cap.
+    EXPECT_LT(r.cycles, 1000u);
     EXPECT_TRUE(m.watchdogTriggered());
     EXPECT_TRUE(jsonValid(m.watchdog()->reportJson()));
 }

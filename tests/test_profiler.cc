@@ -5,8 +5,8 @@
  *
  * The profiler's cardinal rule is zero observable effect: a profiled
  * run's resultJson() and machineReportJson() (minus its own "profile"
- * section) must be byte-identical to an unprofiled run's, under both
- * engine modes. The perf_diff tests pin the CI gate's threshold
+ * section) must be byte-identical to an unprofiled run's. The
+ * perf_diff tests pin the CI gate's threshold
  * semantics: regression vs improvement direction handling, the
  * absolute noise floor, and missing-metric classification.
  */

@@ -338,7 +338,7 @@ class ScanDriver
             if (allDone && m_.mem().idle() && !m_.kernelActive())
                 break;
             tryIssue();
-            m_.engine().step();
+            m_.step();
             if (m_.now() - start > (1ull << 30)) {
                 ADD_FAILURE() << "scan driver deadlocked";
                 break;
