@@ -24,7 +24,7 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(opts, args.jobs);
+    ResultCache cache(args, opts);
     cache.prefetch(benchmarkOrder(),
                    {MachineKind::Base, MachineKind::ISRF4});
     EnergyModel energy;

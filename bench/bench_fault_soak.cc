@@ -19,7 +19,7 @@ namespace {
 /**
  * Canonical soak schedule: 160 single-bit faults spread across SRF
  * sub-arrays and DRAM, degradation disabled (threshold=0) so ECC has
- * to correct everything in place. Overridden by --faults/ISRF_FAULTS.
+ * to correct everything in place. Overridden by --faults.
  */
 const char *kDefaultSpec =
     "seed=11;threshold=0;"
@@ -39,15 +39,17 @@ int
 main(int argc, char **argv)
 {
     BenchArgs args = parseBenchArgs(argc, argv);
-    if (std::getenv("ISRF_FAULTS") == nullptr)
-        setenv("ISRF_FAULTS", kDefaultSpec, 1);
+    if (args.faultSpec.empty()) {
+        args.faultSpec = kDefaultSpec;
+        args.faults = FaultConfig::parse(kDefaultSpec);
+    }
     heading("Fault soak: seeded injection, zero-escape check",
             "robustness extension (no paper figure)");
-    std::printf("ISRF_FAULTS=%s\n\n", std::getenv("ISRF_FAULTS"));
+    std::printf("faults: %s\n\n", args.faultSpec.c_str());
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(opts, args.jobs);
+    ResultCache cache(args, opts);
     cache.prefetch({"Sort", "Filter"},
                    {MachineKind::ISRF4, MachineKind::ISRF1});
 

@@ -20,7 +20,7 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(opts, args.jobs);
+    ResultCache cache(args, opts);
     cache.prefetch(benchmarkOrder(), machineOrder());
 
     Table t({"Benchmark", "Config", "Total", "Loop", "MemStall",

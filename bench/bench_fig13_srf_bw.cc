@@ -25,7 +25,7 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(opts, args.jobs);
+    ResultCache cache(args, opts);
 
     // Kernel -> owning benchmark (for running the right workload).
     const std::vector<std::pair<std::string, std::string>> kernels = {

@@ -52,8 +52,8 @@ main(int argc, char **argv)
             opts.separationOverride = s;
             std::fprintf(stderr, "  [running %s at sep=%u...]\n",
                          name.c_str(), s);
-            WorkloadResult r = runWorkload(name, MachineKind::ISRF4,
-                                           opts);
+            WorkloadResult r = runWorkload(
+                name, benchConfig(MachineKind::ISRF4, args), opts);
             times.push_back(kernelTime(r));
         }
         double best = *std::min_element(times.begin(), times.end());

@@ -53,8 +53,8 @@ main(int argc, char **argv)
             opts.separationOverride = s;
             std::fprintf(stderr, "  [running %s at sep=%u...]\n",
                          bench.c_str(), s);
-            WorkloadResult r = runWorkload(bench, MachineKind::ISRF4,
-                                           opts);
+            WorkloadResult r = runWorkload(
+                bench, benchConfig(MachineKind::ISRF4, args), opts);
             times.push_back(kernelTime(r));
         }
         double best = *std::min_element(times.begin(), times.end());

@@ -13,7 +13,7 @@
  * it is byte-identical for any --jobs value; timing goes to the
  * separate --timing-json report, and --bench-json writes the
  * isrf-perf-record-v1 perf record (git SHA, host metadata, per-job
- * wall times, sim-cycles/second, aggregated ISRF_PROFILE profile)
+ * wall times, sim-cycles/second, aggregated --profile host profile)
  * consumed by tools/perf_diff and CI's perf job (DESIGN.md §13).
  *
  * Resilience (DESIGN.md §Sweep resilience): with --journal each
@@ -167,7 +167,7 @@ main(int argc, char **argv)
     std::string benchJsonPath;
     std::string suite = "paper";
     std::string checkpointDir;
-    uint64_t checkpointEvery = 0;
+    uint64_t checkpointEvery = 250000;  // default cadence
     bool withHang = false;
     BenchArgs args = parseBenchArgs(argc, argv, {
         {"--timing-json", true,
@@ -187,21 +187,16 @@ main(int argc, char **argv)
          [&](const std::string &v) { checkpointDir = v; }},
         {"--checkpoint-every-cycles", true,
          [&](const std::string &v) {
-             char *end = nullptr;
-             checkpointEvery = std::strtoull(v.c_str(), &end, 10);
-             if (end == v.c_str() || *end != '\0') {
+             if (!parseU64(v, checkpointEvery) || checkpointEvery == 0) {
                  std::fprintf(stderr, "--checkpoint-every-cycles "
-                              "expects a cycle count, got '%s'\n",
-                              v.c_str());
+                              "expects a positive cycle count, got "
+                              "'%s'\n", v.c_str());
                  std::exit(2);
              }
          }},
         {"--with-hang", false,
          [&](const std::string &) { withHang = true; }},
     });
-    if (!checkpointDir.empty() && checkpointEvery == 0)
-        checkpointEvery = 250000;  // sensible default cadence
-
     // --suite paper is the default so the perf job's 32-job contract
     // (8 paper benchmarks x 4 machines) holds without flags; sparse
     // adds the irregular-access family, and --dataset workloads ride
@@ -223,10 +218,12 @@ main(int argc, char **argv)
     WorkloadOptions opts;
     opts.repeats = 2;
     auto jobs = SweepRunner::matrix(names, machineOrder(), opts);
+    for (SweepJob &j : jobs)
+        j.cfg = benchConfig(j.cfg.kind, args);
     if (withHang) {
         SweepJob hang;
         hang.workload = "Hang";
-        hang.cfg = MachineConfig::make(MachineKind::Base).fromEnv();
+        hang.cfg = benchConfig(MachineKind::Base, args);
         hang.opts = opts;
         hang.runner = runHang;
         jobs.push_back(std::move(hang));

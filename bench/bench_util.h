@@ -22,8 +22,8 @@
 #include "driver/sweep_runner.h"
 #include "sim/profiler.h"
 #include "sim/trace.h"
-#include "util/env.h"
 #include "util/json.h"
+#include "util/parse.h"
 #include "util/table.h"
 #include "workloads/external.h"
 #include "workloads/workload.h"
@@ -104,139 +104,20 @@ progressf(const char *fmt, ...)
 }
 
 // ----------------------------------------------------------------------
-// Result cache
-// ----------------------------------------------------------------------
-
-/** Finished runs in submission order (what --trace/--profile fold). */
-using RunList = std::vector<const WorkloadResult *>;
-
-/**
- * Runs-and-caches workload results within one bench binary.
- *
- * With jobs > 1, prefetch() fills the cache through the SweepRunner
- * thread pool; get() then serves hits. Results are identical to the
- * serial path — each job runs in an isolated simulation context.
- */
-class ResultCache
-{
-  public:
-    explicit ResultCache(WorkloadOptions opts = {}, unsigned jobs = 1)
-        : opts_(opts), jobs_(jobs ? jobs : 1)
-    {
-    }
-
-    void setJobs(unsigned jobs) { jobs_ = jobs ? jobs : 1; }
-    unsigned jobs() const { return jobs_; }
-
-    /**
-     * Run every (workload, kind) pair not yet cached, `jobs_`-wide
-     * in parallel, and cache the results in deterministic order.
-     */
-    void
-    prefetch(const std::vector<std::string> &names,
-             const std::vector<MachineKind> &kinds)
-    {
-        std::vector<SweepJob> jobs;
-        for (const auto &name : names) {
-            for (MachineKind kind : kinds) {
-                if (cache_.count(key(name, kind)))
-                    continue;
-                SweepJob j;
-                j.workload = name;
-                j.cfg = MachineConfig::make(kind).fromEnv();
-                j.opts = opts_;
-                jobs.push_back(std::move(j));
-            }
-        }
-        if (jobs.empty())
-            return;
-        SweepRunner runner(jobs_);
-        auto outcomes = runner.run(jobs,
-            [](const SweepJob &job, bool finished, size_t done,
-               size_t total) {
-                progressf("  [%s %s on %s (%zu/%zu)]\n",
-                          finished ? "finished" : "running",
-                          job.workload.c_str(), job.cfg.name().c_str(),
-                          done, total);
-            });
-        for (auto &o : outcomes) {
-            warnIncorrect(o.workload, o.kind, o.result);
-            auto it = cache_.emplace(key(o.workload, o.kind),
-                                     std::move(o.result)).first;
-            runs_.push_back(&it->second);
-        }
-        driverProfile_.mergeFrom(runner.profiler());
-    }
-
-    const WorkloadResult &
-    get(const std::string &name, MachineKind kind)
-    {
-        auto k = key(name, kind);
-        auto it = cache_.find(k);
-        if (it == cache_.end()) {
-            progressf("  [running %s on %s...]\n", name.c_str(),
-                      machineKindName(kind));
-            it = cache_.emplace(k, runWorkload(name, kind, opts_)).first;
-            runs_.push_back(&it->second);
-            warnIncorrect(name, kind, it->second);
-        }
-        return it->second;
-    }
-
-    WorkloadOptions &options() { return opts_; }
-
-    /** All results run so far, keyed "workload/machine". */
-    const std::map<std::string, WorkloadResult> &results() const
-    {
-        return cache_;
-    }
-
-    /** The same results in the order they were run. */
-    const RunList &runs() const { return runs_; }
-
-    /** Host phases of the sweeps prefetch() ran (SweepRunner's own). */
-    const Profiler &driverProfile() const { return driverProfile_; }
-
-  private:
-    static std::string
-    key(const std::string &name, MachineKind kind)
-    {
-        return name + "/" + machineKindName(kind);
-    }
-
-    static void
-    warnIncorrect(const std::string &name, MachineKind kind,
-                  const WorkloadResult &res)
-    {
-        if (res.correct)
-            return;
-        // Not progress chatter: always printed, but still atomic.
-        bool wasQuiet = quietFlag();
-        quietFlag() = false;
-        progressf("  WARNING: %s on %s failed functional validation\n",
-                  name.c_str(), machineKindName(kind));
-        quietFlag() = wasQuiet;
-    }
-
-    WorkloadOptions opts_;
-    unsigned jobs_ = 1;
-    std::map<std::string, WorkloadResult> cache_;
-    RunList runs_;  ///< into cache_ (std::map nodes never move)
-    Profiler driverProfile_;
-};
-
-// ----------------------------------------------------------------------
 // Command-line options
 // ----------------------------------------------------------------------
 
 /** Common command-line options shared by every bench binary. */
 struct BenchArgs
 {
-    std::string jsonPath;    ///< --json: machine-readable results
-    std::string tracePath;   ///< --trace: Chrome trace-event JSON
-    std::string profilePath; ///< --profile: host-time profile dump
-    unsigned jobs = 1;       ///< --jobs: sweep thread-pool width
-    bool quiet = false;      ///< --quiet: suppress progress chatter
+    std::string jsonPath;      ///< --json: machine-readable results
+    std::string tracePath;     ///< --trace: Chrome trace-event JSON
+    std::string traceChannels; ///< --trace-channels: channel list
+    std::string profilePath;   ///< --profile: host-time profile dump
+    std::string faultSpec;     ///< --faults: the spec as given
+    FaultConfig faults;        ///< --faults: parsed once, at flag time
+    unsigned jobs = 1;         ///< --jobs: sweep thread-pool width
+    bool quiet = false;        ///< --quiet: suppress progress chatter
     // Sweep resilience (bench_sweep; DESIGN.md §Sweep resilience):
     std::string journalPath;   ///< --journal: per-job JSONL journal
     bool resume = false;       ///< --resume: replay journaled jobs
@@ -263,11 +144,12 @@ struct BenchFlag
  * Parse the standard bench options:
  *   --json <path>            write run results as JSON
  *   --trace <path>           write a Chrome/Perfetto trace
- *   --trace-channels <spec>  restrict tracing (ISRF_TRACE syntax)
+ *   --trace-channels <spec>  trace only these channels (sim/trace.h
+ *                            syntax; --trace alone traces all)
  *   --profile <path>         write a host-time profile (Chrome trace /
- *                            speedscope); enables ISRF_PROFILE=on
- *                            unless the environment already set it
- *   --faults <spec>          enable fault injection (ISRF_FAULTS syntax)
+ *                            speedscope)
+ *   --faults <spec>          enable fault injection (FaultConfig::parse
+ *                            syntax; a bad spec is fatal here)
  *   --jobs <n>               run independent simulations n-wide
  *   --quiet                  suppress progress output
  *   --journal <path>         append per-job outcomes to a JSONL journal
@@ -278,11 +160,9 @@ struct BenchFlag
  *                            "SpMV:<stem>" workload (repeatable;
  *                            registered names land in
  *                            BenchArgs::datasetWorkloads)
- * --trace enables all channels unless a channel spec (or ISRF_TRACE)
- * already selected some. --faults/--trace-channels/--profile export
- * their specs into the environment so every MachineConfig::fromEnv()
- * snapshot taken afterwards picks them up. `extra` adds binary-specific
- * flags to the same parse (and to --help). Exits on unknown options.
+ * --faults, --trace, --trace-channels and --profile reach the machines
+ * only through benchConfig(). `extra` adds binary-specific flags to the
+ * same parse (and to --help). Exits on unknown options.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv,
@@ -311,11 +191,10 @@ parseBenchArgs(int argc, char **argv,
         } else if (s == "--profile") {
             args.profilePath = next(i, "--profile");
         } else if (s == "--trace-channels") {
-            // Machines snapshot ISRF_TRACE via fromEnv().
-            setenv("ISRF_TRACE", next(i, "--trace-channels").c_str(),
-                   1);
+            args.traceChannels = next(i, "--trace-channels");
         } else if (s == "--faults") {
-            setenv("ISRF_FAULTS", next(i, "--faults").c_str(), 1);
+            args.faultSpec = next(i, "--faults");
+            args.faults = FaultConfig::parse(args.faultSpec);
         } else if (s == "--jobs") {
             std::string v = next(i, "--jobs");
             uint64_t n = 0;
@@ -393,15 +272,148 @@ parseBenchArgs(int argc, char **argv,
         std::fprintf(stderr, "--resume requires --journal <path>\n");
         std::exit(2);
     }
-    // --trace and --profile turn their feature on unless the
-    // environment already chose a setting (a channel list, a custom
-    // stride, or an explicit off to measure the dump path alone).
-    if (!args.tracePath.empty() && envStr("ISRF_TRACE").empty())
-        setenv("ISRF_TRACE", "all", 1);
-    if (!args.profilePath.empty() && envStr("ISRF_PROFILE").empty())
-        setenv("ISRF_PROFILE", "on", 1);
     return args;
 }
+
+/**
+ * The machine a bench job runs on: the Table 2 row make(kind) plus the
+ * command line's --faults schedule, --trace channels ("all" unless
+ * --trace-channels lists some; none without --trace) and --profile.
+ * The one way configuration reaches a bench binary's machines.
+ */
+inline MachineConfig
+benchConfig(MachineKind kind, const BenchArgs &args)
+{
+    MachineConfig cfg = MachineConfig::make(kind);
+    cfg.faults = args.faults;
+    if (!args.tracePath.empty())
+        cfg.traceSpec =
+            args.traceChannels.empty() ? "all" : args.traceChannels;
+    cfg.profileEnabled = !args.profilePath.empty();
+    return cfg;
+}
+
+// ----------------------------------------------------------------------
+// Result cache
+// ----------------------------------------------------------------------
+
+/** Finished runs in submission order (what --trace/--profile fold). */
+using RunList = std::vector<const WorkloadResult *>;
+
+/**
+ * Runs-and-caches workload results within one bench binary, each on
+ * benchConfig(kind, args).
+ *
+ * With --jobs > 1, prefetch() fills the cache through the SweepRunner
+ * thread pool; get() then serves hits. Results are identical to the
+ * serial path — each job runs in an isolated simulation context.
+ */
+class ResultCache
+{
+  public:
+    ResultCache(const BenchArgs &args, WorkloadOptions opts)
+        : args_(args), opts_(opts)
+    {
+    }
+
+    /**
+     * Run every (workload, kind) pair not yet cached, --jobs-wide
+     * in parallel, and cache the results in deterministic order.
+     */
+    void
+    prefetch(const std::vector<std::string> &names,
+             const std::vector<MachineKind> &kinds)
+    {
+        std::vector<SweepJob> jobs;
+        for (const auto &name : names) {
+            for (MachineKind kind : kinds) {
+                if (cache_.count(key(name, kind)))
+                    continue;
+                SweepJob j;
+                j.workload = name;
+                j.cfg = benchConfig(kind, args_);
+                j.opts = opts_;
+                jobs.push_back(std::move(j));
+            }
+        }
+        if (jobs.empty())
+            return;
+        SweepRunner runner(args_.jobs);
+        auto outcomes = runner.run(jobs,
+            [](const SweepJob &job, bool finished, size_t done,
+               size_t total) {
+                progressf("  [%s %s on %s (%zu/%zu)]\n",
+                          finished ? "finished" : "running",
+                          job.workload.c_str(), job.cfg.name().c_str(),
+                          done, total);
+            });
+        for (auto &o : outcomes) {
+            warnIncorrect(o.workload, o.kind, o.result);
+            auto it = cache_.emplace(key(o.workload, o.kind),
+                                     std::move(o.result)).first;
+            runs_.push_back(&it->second);
+        }
+        driverProfile_.mergeFrom(runner.profiler());
+    }
+
+    const WorkloadResult &
+    get(const std::string &name, MachineKind kind)
+    {
+        auto k = key(name, kind);
+        auto it = cache_.find(k);
+        if (it == cache_.end()) {
+            progressf("  [running %s on %s...]\n", name.c_str(),
+                      machineKindName(kind));
+            it = cache_.emplace(
+                k, runWorkload(name, benchConfig(kind, args_), opts_))
+                     .first;
+            runs_.push_back(&it->second);
+            warnIncorrect(name, kind, it->second);
+        }
+        return it->second;
+    }
+
+    WorkloadOptions &options() { return opts_; }
+
+    /** All results run so far, keyed "workload/machine". */
+    const std::map<std::string, WorkloadResult> &results() const
+    {
+        return cache_;
+    }
+
+    /** The same results in the order they were run. */
+    const RunList &runs() const { return runs_; }
+
+    /** Host phases of the sweeps prefetch() ran (SweepRunner's own). */
+    const Profiler &driverProfile() const { return driverProfile_; }
+
+  private:
+    static std::string
+    key(const std::string &name, MachineKind kind)
+    {
+        return name + "/" + machineKindName(kind);
+    }
+
+    static void
+    warnIncorrect(const std::string &name, MachineKind kind,
+                  const WorkloadResult &res)
+    {
+        if (res.correct)
+            return;
+        // Not progress chatter: always printed, but still atomic.
+        bool wasQuiet = quietFlag();
+        quietFlag() = false;
+        progressf("  WARNING: %s on %s failed functional validation\n",
+                  name.c_str(), machineKindName(kind));
+        quietFlag() = wasQuiet;
+    }
+
+    BenchArgs args_;
+    WorkloadOptions opts_;
+    std::map<std::string, WorkloadResult> cache_;
+    RunList runs_;  ///< into cache_ (std::map nodes never move)
+    Profiler driverProfile_;
+};
 
 /** Serialize a result map as {"results":{...}} and write it. */
 inline void
@@ -424,25 +436,15 @@ writeBenchJson(const std::string &path,
 }
 
 /**
- * The environment's trace and profile settings, read the one way every
- * machine reads them: MachineConfig::fromEnv().
- */
-inline MachineConfig
-envObservability()
-{
-    return MachineConfig::make(MachineKind::Base).fromEnv();
-}
-
-/**
  * The host profile a binary reports: every run's, folded in order,
  * plus the sweep driver's own phases (`driver`, when one ran them).
  */
 inline void
-foldProfiles(const RunList &runs, const Profiler *driver,
-             Profiler &profile)
+foldProfiles(const BenchArgs &args, const RunList &runs,
+             const Profiler *driver, Profiler &profile)
 {
-    const MachineConfig env = envObservability();
-    profile.configure(env.profileEnabled, env.profileStride);
+    const MachineConfig cfg = benchConfig(MachineKind::Base, args);
+    profile.configure(cfg.profileEnabled, cfg.profileStride);
     for (const WorkloadResult *r : runs)
         if (r->profile)
             profile.mergeFrom(*r->profile);
@@ -465,7 +467,7 @@ finishBench(const BenchArgs &args, const RunList &runs = {},
         writeBenchJson(args.jsonPath, {});
     if (!args.profilePath.empty()) {
         Profiler profile;
-        foldProfiles(runs, driver, profile);
+        foldProfiles(args, runs, driver, profile);
         if (profile.writeChromeTrace(args.profilePath))
             std::fprintf(stderr, "wrote host profile to %s\n",
                          args.profilePath.c_str());
@@ -476,7 +478,7 @@ finishBench(const BenchArgs &args, const RunList &runs = {},
     if (args.tracePath.empty())
         return;
     Tracer trace;
-    trace.setCapacity(envObservability().traceCapacity);
+    trace.setCapacity(benchConfig(MachineKind::Base, args).traceCapacity);
     for (const WorkloadResult *r : runs)
         if (r->trace)
             trace.mergeFrom(*r->trace);
@@ -522,7 +524,8 @@ sweepRuns(const std::vector<SweepOutcome> &outcomes)
 inline std::string
 gitSha()
 {
-    std::string sha = envStr("GITHUB_SHA");
+    const char *env = std::getenv("GITHUB_SHA");
+    std::string sha = env ? env : "";
     if (!sha.empty())
         return sha;
     std::FILE *p = ::popen("git rev-parse HEAD 2>/dev/null", "r");
@@ -604,7 +607,7 @@ writeBenchPerfJson(const std::string &path, const std::string &bench,
     }
     w.endArray();
     Profiler profile;
-    foldProfiles(sweepRuns(outcomes), &runner.profiler(), profile);
+    foldProfiles(args, sweepRuns(outcomes), &runner.profiler(), profile);
     if (profile.enabled() && profile.hasData()) {
         w.key("profile");
         profile.reportJson(w);

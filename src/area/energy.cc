@@ -1,16 +1,6 @@
 #include "area/energy.h"
 
-#include "util/log.h"
-
 namespace isrf {
-
-std::string
-EnergyEstimate::summary() const
-{
-    return strprintf(
-        "total=%.1f nJ (seqSRF=%.1f idxSRF=%.1f cache=%.1f dram=%.1f)",
-        totalNj(), seqSrfNj, idxSrfNj, cacheNj, dramNj);
-}
 
 EnergyEstimate
 EnergyModel::estimate(const EnergyCounts &counts) const

@@ -10,7 +10,6 @@
 #define ISRF_AREA_ENERGY_H
 
 #include <cstdint>
-#include <string>
 
 namespace isrf {
 
@@ -41,7 +40,6 @@ struct EnergyEstimate
     double dramNj = 0;
 
     double totalNj() const { return seqSrfNj + idxSrfNj + cacheNj + dramNj; }
-    std::string summary() const;
 };
 
 /** Computes energy estimates from access counts. */

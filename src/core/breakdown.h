@@ -9,7 +9,6 @@
 #define ISRF_CORE_BREAKDOWN_H
 
 #include <cstdint>
-#include <string>
 
 namespace isrf {
 
@@ -49,8 +48,6 @@ struct TimeBreakdown
         return ref ? static_cast<double>(component) /
             static_cast<double>(ref) : 0.0;
     }
-
-    std::string summary() const;
 };
 
 } // namespace isrf

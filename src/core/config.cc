@@ -3,9 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/profiler.h"
 #include "srf/arbiter.h"
-#include "util/env.h"
 #include "util/log.h"
 
 namespace isrf {
@@ -53,31 +51,6 @@ MachineConfig::make(MachineKind kind)
         break;
     }
     return c;
-}
-
-MachineConfig &
-MachineConfig::fromEnv()
-{
-    std::vector<std::string> errs;
-    std::string faultsSpec = envStr("ISRF_FAULTS");
-    if (!faultsSpec.empty())
-        faults = FaultConfig::parse(faultsSpec);
-    statSampleInterval = envU64("ISRF_SAMPLE", statSampleInterval, &errs);
-    std::string traceEnv = envStr("ISRF_TRACE");
-    if (!traceEnv.empty())
-        traceSpec = traceEnv == "0" ? "" : traceEnv;
-    Profiler::parseSpec(envStr("ISRF_PROFILE"), profileEnabled,
-                        profileStride, &errs);
-    traceCapacity = envU64("ISRF_TRACE_CAPACITY", traceCapacity, &errs);
-    if (traceCapacity == 0) {
-        errs.push_back(strprintf("ISRF_TRACE_CAPACITY=0 is invalid; "
-                                 "using default %llu",
-                                 static_cast<unsigned long long>(
-                                     uint64_t{1} << 16)));
-        traceCapacity = 1 << 16;
-    }
-    warnEnvErrors(errs);
-    return *this;
 }
 
 void

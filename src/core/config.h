@@ -57,35 +57,34 @@ struct MachineConfig
 
     /**
      * Snapshot machine stats every N cycles into the StatSampler
-     * (0 = sampling off). fromEnv() overlays ISRF_SAMPLE here.
+     * (0 = sampling off).
      */
     uint64_t statSampleInterval = 0;
 
     uint64_t seed = 1;
 
     /**
-     * Fault-injection / ECC / degradation model (disabled by default).
-     * fromEnv() overlays ISRF_FAULTS here; see FaultConfig::parse for
-     * the spec syntax.
+     * Fault-injection / ECC / degradation model (disabled by default;
+     * a bench binary's --faults <spec> fills it, see FaultConfig::parse
+     * for the spec syntax).
      */
     FaultConfig faults;
 
     /**
      * Channel spec for the machine's own event tracer (sim/trace.h
-     * ISRF_TRACE syntax; "" = tracing off). fromEnv() overlays
-     * ISRF_TRACE here.
+     * channel syntax; "" = tracing off). A bench binary's --trace sets
+     * "all", or its --trace-channels list.
      */
     std::string traceSpec;
 
-    /** Trace ring capacity in events (ISRF_TRACE_CAPACITY). */
+    /** Trace ring capacity in events. */
     uint64_t traceCapacity = 1 << 16;
 
     /**
      * Host-side self-profiling (sim/profiler.h): attribute the
      * simulator's own wall-clock time to phases. Pure observability —
      * a profiled run's results are byte-identical to an unprofiled
-     * one. fromEnv() overlays ISRF_PROFILE (0|off|1|on|on:<stride>)
-     * here.
+     * one. A bench binary's --profile <file> turns it on.
      */
     bool profileEnabled = false;
 
@@ -94,25 +93,15 @@ struct MachineConfig
 
     std::string name() const { return machineKindName(kind); }
 
-    /** Factory for each Table 2 row. Never reads the environment. */
+    /**
+     * Factory for each Table 2 row. Machine::init reads only the config
+     * it is handed, never the process environment.
+     */
     static MachineConfig make(MachineKind kind);
     static MachineConfig base() { return make(MachineKind::Base); }
     static MachineConfig isrf1() { return make(MachineKind::ISRF1); }
     static MachineConfig isrf4() { return make(MachineKind::ISRF4); }
     static MachineConfig cacheCfg() { return make(MachineKind::Cache); }
-
-    /**
-     * Overlay the ISRF_* environment overrides (ISRF_FAULTS,
-     * ISRF_SAMPLE, ISRF_TRACE, ISRF_TRACE_CAPACITY, ISRF_PROFILE)
-     * onto this config and return it. This is the ONE place the
-     * environment is consulted: Machine::init reads only the config
-     * it is handed, so machines built in the same process can never
-     * observe each other's configuration. Malformed numeric values are
-     * collected and reported in a single warning, then defaulted (a
-     * bad ISRF_FAULTS spec is still a user error and fatal()s, as
-     * before).
-     */
-    MachineConfig &fromEnv();
 
     /**
      * Check invariants. Collects every violation and reports them all

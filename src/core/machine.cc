@@ -22,8 +22,7 @@ Machine::init(const MachineConfig &cfg)
     activeKernelName_ = nullptr;
     bwSeq0_ = bwIn0_ = bwCross0_ = 0;
     lastRunStatus_ = RunStatus::Done;
-    // The machine's private tracer: nothing here reads the
-    // environment — env overrides belong in MachineConfig::fromEnv().
+    // The machine's private tracer, set up from the config alone.
     if (!cfg_.traceSpec.empty()) {
         tracer_.setCapacity(cfg_.traceCapacity);
         tracer_.enableChannels(cfg_.traceSpec);

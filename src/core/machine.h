@@ -169,7 +169,7 @@ class Machine
 
     /**
      * How the most recent drive loop over this machine ended (set by
-     * runUntil() and StreamProgram::run); surfaces in machineReport /
+     * runUntil() and StreamProgram::run); surfaces in
      * machineReportJson when not Done. Done before any run.
      */
     RunStatus lastRunStatus() const { return lastRunStatus_; }
@@ -186,14 +186,14 @@ class Machine
 
     /**
      * Interval stat sampler; non-null only when sampling is enabled
-     * (cfg.statSampleInterval or the ISRF_SAMPLE environment variable).
+     * (cfg.statSampleInterval nonzero).
      */
     StatSampler *sampler() { return sampler_.get(); }
     const StatSampler *sampler() const { return sampler_.get(); }
 
     // --- fault model (src/fault/, DESIGN.md §Fault model) ---
 
-    /** True when a fault schedule is active (config or ISRF_FAULTS). */
+    /** True when a fault schedule is active (cfg.faults). */
     bool faultsEnabled() const { return faultsEnabled_; }
 
     /** Injector; non-null only when faults are enabled. */

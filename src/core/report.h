@@ -1,8 +1,8 @@
 /**
  * @file
- * Human-readable machine reports: configuration, execution-time
- * breakdown, SRF/memory statistics, per-kernel bandwidths and an
- * access-energy estimate, rendered as text for logs and tools.
+ * Machine reports: configuration, execution-time breakdown, SRF/memory
+ * statistics, per-kernel bandwidths and an access-energy estimate, as
+ * JSON for tools and tests.
  */
 #ifndef ISRF_CORE_REPORT_H
 #define ISRF_CORE_REPORT_H
@@ -14,29 +14,18 @@
 
 namespace isrf {
 
-/** Options controlling report contents. */
-struct ReportOptions
-{
-    bool includeConfig = true;
-    bool includeBreakdown = true;
-    bool includeSrf = true;
-    bool includeMemory = true;
-    bool includeKernels = true;
-    bool includeEnergy = true;
-};
-
-/** Render a full post-run report for a machine. */
-std::string machineReport(Machine &m, const ReportOptions &opts = {});
-
 /**
- * The same report as machineReport(), as a JSON object (RFC 8259):
- *   { "machine": ..., "cycles": ..., "breakdown": {...}, "srf": {...},
- *     "dram": {...}, "cache": {...}?, "kernels": [...], "energy": {...},
- *     "samples": [...]? }
- * Counter values match the text report exactly; "samples" appears only
- * when the machine has an active StatSampler with recorded intervals.
+ * A post-run report of a machine as a JSON object (RFC 8259):
+ *   { "machine": ..., "config": {...}, "cycles": ..., "breakdown": {...},
+ *     "run_status": ...?, "srf": {...}, "dram": {...}, "cache": {...}?,
+ *     "kernels": [...], "energy": {...}, "fault": {...}?,
+ *     "samples": [...]?, "profile": {...}? }
+ * "run_status" appears only for abnormal endings, "cache" only on the
+ * Cache machine, "fault" only with a fault schedule, "samples" only
+ * when the machine's StatSampler recorded intervals, and "profile"
+ * only on profiled machines.
  */
-std::string machineReportJson(Machine &m, const ReportOptions &opts = {});
+std::string machineReportJson(Machine &m);
 
 /** Collect the machine's access counts for the energy model. */
 EnergyCounts energyCounts(Machine &m);

@@ -148,9 +148,6 @@ class StreamProgram
      */
     RunStatus lastStatus() const { return status_; }
 
-    /** Number of operations recorded. */
-    size_t opCount() const { return ops_.size(); }
-
     Machine &machine() { return machine_; }
 
     // ------------------------------------------------------------------

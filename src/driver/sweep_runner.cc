@@ -51,9 +51,9 @@ constexpr uint64_t kJournalVersion = 1;
  *   profileEnabled      host-time profiling reads only the wall clock
  *   profileStride       ditto
  *
- * Keep this list, canonicalJob(), and the fromEnv() doc comment in
- * sync; tests assert canonical text is unchanged for non-observability
- * configs, so growing the list cannot silently invalidate journals.
+ * Keep this list and canonicalJob() in sync; tests assert canonical
+ * text is unchanged for non-observability configs, so growing the
+ * list cannot silently invalidate journals.
  */
 const std::vector<std::string> &
 observabilityKnobList()
@@ -439,7 +439,7 @@ SweepRunner::matrix(const std::vector<std::string> &workloads,
         for (MachineKind k : kinds) {
             SweepJob j;
             j.workload = w;
-            j.cfg = MachineConfig::make(k).fromEnv();
+            j.cfg = MachineConfig::make(k);
             j.opts = opts;
             jobs.push_back(std::move(j));
         }

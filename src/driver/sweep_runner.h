@@ -10,12 +10,11 @@
  * regardless of completion order.
  *
  * Soundness rests on the de-globalized simulation core: every Machine
- * owns its Tracer, Profiler and StatSampler, and all ISRF_*
- * environment reads happen once, up front, in MachineConfig::fromEnv()
- * — never from a worker thread. A job therefore touches no mutable
- * process-global state; its trace and profile come back inside its
- * WorkloadResult, and the runner's own phases record into a Profiler
- * the runner owns.
+ * owns its Tracer, Profiler and StatSampler, and reads only the
+ * MachineConfig its job carries — never the process environment. A
+ * job therefore touches no mutable process-global state; its trace
+ * and profile come back inside its WorkloadResult, and the runner's
+ * own phases record into a Profiler the runner owns.
  *
  * Determinism guarantee: each job's WorkloadResult depends only on
  * (workload, config, options), all captured at submission time, so a
@@ -42,7 +41,7 @@ namespace isrf {
 struct SweepJob
 {
     std::string workload;  ///< name in workloadRegistry()
-    MachineConfig cfg;     ///< resolved config (env already applied)
+    MachineConfig cfg;     ///< the machine this job runs on
     WorkloadOptions opts;
     /**
      * Optional runner override (tests, synthetic jobs); when set it is
@@ -280,8 +279,7 @@ class SweepRunner
 
     /**
      * Build the full benchmarks x machine-kinds job matrix in figure
-     * order. Configs are resolved (make + fromEnv) here, on the
-     * calling thread, so workers never consult the environment.
+     * order, each job on the plain Table 2 config make(kind).
      */
     static std::vector<SweepJob>
     matrix(const std::vector<std::string> &workloads,

@@ -40,11 +40,11 @@ uint64_t
 parseNum(const std::string &key, const std::string &val)
 {
     if (val.empty())
-        fatal("ISRF_FAULTS: key '%s' needs a value", key.c_str());
+        fatal("fault spec: key '%s' needs a value", key.c_str());
     char *end = nullptr;
     uint64_t n = std::strtoull(val.c_str(), &end, 0);
     if (end == nullptr || *end != '\0')
-        fatal("ISRF_FAULTS: bad number '%s' for key '%s'", val.c_str(),
+        fatal("fault spec: bad number '%s' for key '%s'", val.c_str(),
               key.c_str());
     return n;
 }
@@ -81,14 +81,14 @@ parseEntry(FaultKind kind, const std::string &params)
         } else if (key == "period") {
             e.period = parseNum(key, val);
             if (e.period == 0)
-                fatal("ISRF_FAULTS: %s period must be nonzero",
+                fatal("fault spec: %s period must be nonzero",
                       faultKindName(kind));
         } else if (key == "count") {
             e.count = parseNum(key, val);
         } else if (key == "bits") {
             e.bits = static_cast<uint32_t>(parseNum(key, val));
             if (e.bits == 0 || e.bits > 32)
-                fatal("ISRF_FAULTS: bits must be 1..32");
+                fatal("fault spec: bits must be 1..32");
         } else if (key == "delay") {
             e.delayCycles = static_cast<uint32_t>(parseNum(key, val));
         } else if (key == "max") {
@@ -96,7 +96,7 @@ parseEntry(FaultKind kind, const std::string &params)
         } else if (key == "transient") {
             e.transient = val.empty() || parseNum(key, val) != 0;
         } else {
-            fatal("ISRF_FAULTS: unknown %s key '%s'", faultKindName(kind),
+            fatal("fault spec: unknown %s key '%s'", faultKindName(kind),
                   key.c_str());
         }
     }
@@ -120,7 +120,7 @@ FaultConfig::parse(const std::string &spec)
             FaultKind kind;
             std::string name = seg.substr(0, colon);
             if (!parseKind(name, &kind))
-                fatal("ISRF_FAULTS: unknown fault kind '%s'", name.c_str());
+                fatal("fault spec: unknown fault kind '%s'", name.c_str());
             fc.schedule.push_back(parseEntry(kind, seg.substr(colon + 1)));
             continue;
         }
@@ -151,9 +151,9 @@ FaultConfig::parse(const std::string &spec)
             fc.watchdogStallIntervals =
                 static_cast<uint32_t>(parseNum(key, val));
             if (fc.watchdogStallIntervals == 0)
-                fatal("ISRF_FAULTS: stall_intervals must be nonzero");
+                fatal("fault spec: stall_intervals must be nonzero");
         } else {
-            fatal("ISRF_FAULTS: unknown key '%s'", key.c_str());
+            fatal("fault spec: unknown key '%s'", key.c_str());
         }
     }
     return fc;

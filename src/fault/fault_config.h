@@ -8,8 +8,8 @@
  * cycles, and target addresses/bits come from the machine's seeded
  * PRNG, so a given (config, seed) pair reproduces bit-identical runs.
  *
- * `ISRF_FAULTS` environment syntax (also via the bench `--faults`
- * flag); semicolon-separated global keys and schedule entries:
+ * Spec syntax (the bench `--faults` flag); semicolon-separated global
+ * keys and schedule entries:
  *
  *   seed=7;retry=4;backoff=4;srf_bit:start=100,period=50,count=200
  *
@@ -90,7 +90,7 @@ struct FaultConfig
     std::vector<FaultScheduleEntry> schedule;
 
     /**
-     * Parse an ISRF_FAULTS spec into a config with enabled=true.
+     * Parse a fault spec into a config with enabled=true.
      * An empty or "0" spec returns a disabled config. Unknown keys or
      * kinds are user errors (fatal()).
      */

@@ -45,7 +45,6 @@ class Watchdog
     /** True once the stall threshold has been reached. */
     bool triggered() const { return triggered_; }
     Cycle triggeredCycle() const { return triggeredCycle_; }
-    uint64_t lastProgress() const { return lastProgress_; }
 
     /** Structured diagnostic of the (last) trip as a JSON object. */
     std::string reportJson() const;

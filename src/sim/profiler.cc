@@ -2,9 +2,7 @@
 
 #include <chrono>
 
-#include "util/env.h"
 #include "util/json.h"
-#include "util/log.h"
 
 namespace isrf {
 
@@ -46,36 +44,6 @@ Profiler::phaseSampled(Phase p)
       default:
         return false;
     }
-}
-
-bool
-Profiler::parseSpec(const std::string &spec, bool &enabled,
-                    uint64_t &stride, std::vector<std::string> *errs)
-{
-    if (spec.empty())
-        return false;
-    if (spec == "0" || spec == "off") {
-        enabled = false;
-        return true;
-    }
-    if (spec == "1" || spec == "on") {
-        enabled = true;
-        stride = kDefaultStride;
-        return true;
-    }
-    if (spec.rfind("on:", 0) == 0) {
-        uint64_t s = 0;
-        if (parseU64(spec.substr(3), s) && s >= 1) {
-            enabled = true;
-            stride = s;
-            return true;
-        }
-    }
-    if (errs)
-        errs->push_back(strprintf(
-            "ISRF_PROFILE='%s' is invalid (expected 0|off|1|on|"
-            "on:<stride>); profiling unchanged", spec.c_str()));
-    return false;
 }
 
 void

@@ -26,11 +26,8 @@
  *     its own aggregate via lock-free mergeFrom (all accumulators are
  *     relaxed atomics). There is no process-global profiler.
  *
- * Enabling (see MachineConfig::fromEnv and bench --profile):
- *   ISRF_PROFILE=on        enable, default stride
- *   ISRF_PROFILE=on:16     enable, time 1 of every 16 hot-phase entries
- *   ISRF_PROFILE=1         same as "on"
- *   ISRF_PROFILE=0 / off / unset   disabled
+ * Enabling: MachineConfig::profileEnabled / profileStride, which a
+ * bench binary's --profile <file> flag turns on (default stride).
  *
  * Exports: a "profile" section in machineReportJson (profiled machines
  * only), a Chrome-trace/speedscope-compatible dump (--profile <file>),
@@ -43,7 +40,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace isrf {
 
@@ -79,18 +75,6 @@ class Profiler
     Profiler() = default;
     Profiler(const Profiler &) = delete;
     Profiler &operator=(const Profiler &) = delete;
-
-    /**
-     * Parse an ISRF_PROFILE-style spec ("0"/"off", "1"/"on",
-     * "on:<stride>"). On success sets `enabled`/`stride` and returns
-     * true; on a malformed spec appends a description to `errs`
-     * (when non-null), leaves the outputs untouched and returns false.
-     * An empty spec is "leave unchanged" and returns false with no
-     * error (matching ISRF_TRACE's unset semantics).
-     */
-    static bool parseSpec(const std::string &spec, bool &enabled,
-                          uint64_t &stride,
-                          std::vector<std::string> *errs);
 
     /** Enable/disable and set the hot-phase stride (min 1). */
     void configure(bool enabled, uint64_t stride = kDefaultStride);

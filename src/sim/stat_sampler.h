@@ -58,7 +58,6 @@ class StatSampler
     void setTracer(Tracer *tracer) { tracer_ = tracer; }
 
     /** Sampling period in cycles; 0 disables sampling. */
-    void setInterval(uint64_t cycles) { interval_ = cycles; }
     uint64_t interval() const { return interval_; }
     bool enabled() const { return interval_ > 0; }
 

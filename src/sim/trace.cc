@@ -329,8 +329,8 @@ Tracer::dumpTail(std::FILE *out, size_t n, const char *label) const
                      e.name, static_cast<unsigned long long>(e.arg));
     }
     if (tail.empty())
-        std::fprintf(out, "  (trace buffer empty; set ISRF_TRACE=all to "
-                          "capture events)\n");
+        std::fprintf(out, "  (trace buffer empty; trace the run "
+                          "(--trace) to capture events)\n");
 }
 
 } // namespace isrf

@@ -6,8 +6,8 @@
  * emit timestamped events into a bounded ring buffer: Begin/End spans,
  * Instant markers, and Counter samples. Tracing is runtime-enabled —
  * through Tracer::enableChannels(), which Machine::init feeds from
- * MachineConfig::traceSpec (the ISRF_TRACE environment variable, via
- * MachineConfig::fromEnv) — and costs a single predictable branch per
+ * MachineConfig::traceSpec (a bench binary's --trace and
+ * --trace-channels flags) — and costs a single predictable branch per
  * call site when off, so the instrumentation can live permanently in
  * hot paths. A component handed no tracer (nullptr) is untraced.
  *
@@ -16,11 +16,11 @@
  * of the ring can also be dumped on a deadlock panic so hung runs are
  * diagnosable (see Machine::stopStatus).
  *
- * ISRF_TRACE syntax:
- *   ISRF_TRACE=all           enable every channel
- *   ISRF_TRACE=1             same as "all"
- *   ISRF_TRACE=srf,mem,dram  enable only the listed channels
- *   ISRF_TRACE=0 / unset     tracing off
+ * Channel spec syntax (MachineConfig::traceSpec):
+ *   all           enable every channel
+ *   1             same as "all"
+ *   srf,mem,dram  enable only the listed channels
+ *   0 / empty     tracing off
  *
  * Event names must be string literals (or otherwise outlive the
  * tracer): the ring stores `const char *` to stay allocation-free.
@@ -84,8 +84,6 @@ class Tracer
 
     /** Channel name for an id (empty if unknown). */
     const std::string &channelName(uint16_t id) const;
-
-    size_t channelCount() const { return channels_.size(); }
 
     /**
      * Enable channels from a spec: "all"/"1" for everything, "0"/"" for

@@ -22,7 +22,7 @@ Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
     geom_ = geom;
     mode_ = mode;
     dataNet_ = dataNet;
-    indexNet_.init(geom.lanes, geom.netPortsPerBank,
+    indexNet_.init(geom.lanes, 1, geom.netPortsPerBank,
                    geom.netTopology);
     banks_.assign(geom.lanes, SrfBank());
     for (uint32_t l = 0; l < geom.lanes; l++)
@@ -701,7 +701,7 @@ Srf::routeCrossLane(Cycle now)
                     laneDone = true;  // head blocks: lane stalls
                     break;
                 }
-                if (!indexNet_.route(l, bank)) {
+                if (!indexNet_.tryTransfer(l, bank)) {
                     laneDone = true;  // no network port left this cycle
                     break;
                 }

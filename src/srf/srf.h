@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "net/crossbar.h"
-#include "net/index_network.h"
 #include "srf/address_fifo.h"
 #include "srf/arbiter.h"
 #include "srf/srf_bank.h"
@@ -359,7 +358,14 @@ class Srf
     SrfGeometry geom_;
     SrfMode mode_ = SrfMode::SequentialOnly;
     Crossbar *dataNet_ = nullptr;
-    IndexNetwork indexNet_;
+    /**
+     * The dedicated SRF address (index) network for cross-lane indexed
+     * access (§4.5, Figure 8(c)): one injection per cluster per cycle
+     * (Table 3: 1 word/cycle/cluster) and netPortsPerBank ejection
+     * ports per bank (Figure 18); traversal latency is accounted by
+     * the SRF pipeline.
+     */
+    Crossbar indexNet_;
     std::vector<SrfBank> banks_;
     std::vector<Slot> slots_;
     std::vector<MemClaim> memClaims_;

@@ -8,10 +8,10 @@
  * and 1-based `row col [value]` entries. `pattern` matrices get unit
  * values; `symmetric` / `skew-symmetric` matrices are expanded to their
  * full (general) form. Parsing collects EVERY violation with its line
- * number before failing — the util/env collect-all style — so a user
- * fixes a malformed file in one round trip instead of one error at a
- * time. Duplicate entries are legal input and are summed during CSR
- * conversion.
+ * number before failing — MachineConfig::validate()'s collect-all
+ * style — so a user fixes a malformed file in one round trip instead
+ * of one error at a time. Duplicate entries are legal input and are
+ * summed during CSR conversion.
  */
 #ifndef ISRF_UTIL_MTX_H
 #define ISRF_UTIL_MTX_H

@@ -1,9 +1,7 @@
-#include "util/env.h"
+#include "util/parse.h"
 
 #include <cerrno>
 #include <cstdlib>
-
-#include "util/log.h"
 
 namespace isrf {
 
@@ -64,43 +62,6 @@ parseF64(const std::string &text, double &out)
         return false;
     out = v;
     return true;
-}
-
-uint64_t
-envU64(const char *name, uint64_t def, std::vector<std::string> *errs)
-{
-    const char *raw = std::getenv(name);
-    if (!raw)
-        return def;
-    uint64_t v = 0;
-    if (parseU64(raw, v))
-        return v;
-    if (errs) {
-        errs->push_back(strprintf("%s='%s' is not a valid unsigned "
-                                  "integer; using default %llu",
-                                  name, raw,
-                                  static_cast<unsigned long long>(def)));
-    }
-    return def;
-}
-
-std::string
-envStr(const char *name)
-{
-    const char *raw = std::getenv(name);
-    return raw ? std::string(raw) : std::string();
-}
-
-void
-warnEnvErrors(const std::vector<std::string> &errs)
-{
-    if (errs.empty())
-        return;
-    std::string msg = "ignoring " + std::to_string(errs.size()) +
-        " invalid environment setting(s):";
-    for (const auto &e : errs)
-        msg += "\n  - " + e;
-    ISRF_WARN("%s", msg.c_str());
 }
 
 } // namespace isrf

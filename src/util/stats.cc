@@ -195,38 +195,4 @@ StatGroup::snapshot(SnapshotIo &io)
     });
 }
 
-std::vector<std::string>
-StatGroup::formatRows() const
-{
-    std::vector<std::string> rows;
-    for (const auto &kv : counters_) {
-        rows.push_back(strprintf("%s.%s = %llu", name_.c_str(),
-            kv.first.c_str(),
-            static_cast<unsigned long long>(kv.second.value())));
-    }
-    for (const auto &kv : averages_) {
-        rows.push_back(strprintf("%s.%s = %.4f (n=%llu)", name_.c_str(),
-            kv.first.c_str(), kv.second.mean(),
-            static_cast<unsigned long long>(kv.second.count())));
-    }
-    for (const auto &kv : histograms_) {
-        const Histogram &h = kv.second;
-        std::string buckets;
-        for (size_t i = 0; i < h.buckets().size(); i++) {
-            if (i)
-                buckets += " ";
-            buckets += strprintf("%llu",
-                static_cast<unsigned long long>(h.buckets()[i]));
-        }
-        rows.push_back(strprintf(
-            "%s.%s = mean=%.3f n=%llu [%s] uf=%llu of=%llu",
-            name_.c_str(), kv.first.c_str(), h.mean(),
-            static_cast<unsigned long long>(h.totalSamples()),
-            buckets.c_str(),
-            static_cast<unsigned long long>(h.underflow()),
-            static_cast<unsigned long long>(h.overflow())));
-    }
-    return rows;
-}
-
 } // namespace isrf

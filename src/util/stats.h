@@ -115,8 +115,8 @@ class Histogram
 /**
  * A named collection of statistics owned by one component.
  *
- * Stats are registered by name on first access; formatRows() renders
- * them as "group.name value" lines for reports.
+ * Stats are registered by name on first access and read back through
+ * the counters()/averages()/histograms() maps.
  */
 class StatGroup
 {
@@ -159,9 +159,6 @@ class StatGroup
     {
         return histograms_;
     }
-
-    /** Render all stats as "group.stat = value" lines. */
-    std::vector<std::string> formatRows() const;
 
     /**
      * Every named stat. A load restores in place: existing entries are

@@ -88,7 +88,7 @@ WorkloadResult
 runWorkload(const std::string &name, MachineKind kind,
             const WorkloadOptions &opts)
 {
-    return runWorkload(name, MachineConfig::make(kind).fromEnv(), opts);
+    return runWorkload(name, MachineConfig::make(kind), opts);
 }
 
 WorkloadResult

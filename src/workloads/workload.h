@@ -119,18 +119,16 @@ std::vector<std::string> workloadNames();
 std::string workloadNamesJoined();
 
 /**
- * Convenience: run a registered workload on a machine kind. The
- * machine config is MachineConfig::make(kind).fromEnv() — the one
- * explicit point where ISRF_* environment overrides apply.
+ * Convenience: run a registered workload on the Table 2 machine
+ * MachineConfig::make(kind), with no faults, tracing or profiling.
  */
 WorkloadResult runWorkload(const std::string &name, MachineKind kind,
                            const WorkloadOptions &opts = {});
 
 /**
- * Run a registered workload on an explicit, fully resolved machine
- * config. Reads no environment — this is the entry point the parallel
- * SweepRunner uses so concurrently running jobs share no mutable
- * process state.
+ * Run a registered workload on an explicit machine config — the entry
+ * point the parallel SweepRunner uses; concurrently running jobs share
+ * no mutable process state.
  */
 WorkloadResult runWorkload(const std::string &name,
                            const MachineConfig &cfg,

@@ -7,9 +7,9 @@
  *    bit-identically whether run on 1 thread or N
  *  - per-machine isolation: two Machines in one process with different
  *    fault/trace configurations don't leak state into each other
- *  - explicit env snapshotting: MachineConfig::make() never reads the
- *    environment; only fromEnv() does, and invalid values are
- *    diagnosed and defaulted instead of silently misparsed
+ *  - no environment channel: the process environment never reaches a
+ *    machine; make(), runWorkload(name, kind) and SweepRunner::matrix
+ *    build the same config whatever ISRF_* variables are set
  */
 #include <gtest/gtest.h>
 
@@ -24,9 +24,9 @@
 
 #include "core/machine.h"
 #include "driver/sweep_runner.h"
-#include "util/env.h"
 #include "util/json.h"
 #include "util/jsonl.h"
+#include "util/parse.h"
 #include "workloads/external.h"
 #include "workloads/workload.h"
 
@@ -249,6 +249,7 @@ TEST(EnvSnapshot, MakeNeverReadsEnvironment)
     ScopedEnv faults("ISRF_FAULTS", "seed=1;srf_bit");
     ScopedEnv sample("ISRF_SAMPLE", "128");
     ScopedEnv trace("ISRF_TRACE", "srf,dram");
+    ScopedEnv profile("ISRF_PROFILE", "on");
 
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
     EXPECT_FALSE(cfg.faults.enabled);
@@ -262,25 +263,31 @@ TEST(EnvSnapshot, MakeNeverReadsEnvironment)
     EXPECT_EQ(m.sampler(), nullptr);
     EXPECT_FALSE(m.tracer().on());
 
-    // fromEnv() is the one explicit snapshot point.
-    cfg.fromEnv();
-    EXPECT_TRUE(cfg.faults.enabled);
-    EXPECT_EQ(cfg.statSampleInterval, 128u);
-    EXPECT_EQ(cfg.traceSpec, "srf,dram");
-}
+    // Nor do the kind-only conveniences: a run comes back untraced,
+    // unprofiled and fault-free.
+    WorkloadResult r = runWorkload("Sort", MachineKind::Base);
+    EXPECT_TRUE(r.correct);
+    EXPECT_EQ(r.trace, nullptr);
+    EXPECT_EQ(r.profile, nullptr);
+    EXPECT_EQ(r.extra.count("faults_injected"), 0u);
 
-TEST(EnvSnapshot, InvalidValuesWarnAndDefault)
-{
-    ScopedEnv sample("ISRF_SAMPLE", "10 cycles");
-    ScopedEnv cap("ISRF_TRACE_CAPACITY", "99999999999999999999999");
-    ScopedEnv faults("ISRF_FAULTS", nullptr);
-    ScopedEnv trace("ISRF_TRACE", nullptr);
-
-    MachineConfig cfg = MachineConfig::make(MachineKind::Base).fromEnv();
-    EXPECT_EQ(cfg.statSampleInterval, 0u)
-        << "unparseable ISRF_SAMPLE must fall back to the default";
-    EXPECT_EQ(cfg.traceCapacity, uint64_t{1} << 16)
-        << "overflowing ISRF_TRACE_CAPACITY must fall back";
+    // Every matrix job runs on exactly make(kind).
+    auto jobs = SweepRunner::matrix({"Sort", "Filter"},
+        {MachineKind::Base, MachineKind::ISRF1, MachineKind::ISRF4,
+         MachineKind::Cache}, {});
+    ASSERT_EQ(jobs.size(), 8u);
+    for (const SweepJob &j : jobs) {
+        SweepJob plain = j;
+        plain.cfg = MachineConfig::make(j.cfg.kind);
+        EXPECT_EQ(SweepRunner::canonicalJobText(j),
+                  SweepRunner::canonicalJobText(plain));
+        EXPECT_FALSE(j.cfg.faults.enabled);
+        EXPECT_EQ(j.cfg.statSampleInterval, plain.cfg.statSampleInterval);
+        EXPECT_EQ(j.cfg.traceSpec, plain.cfg.traceSpec);
+        EXPECT_EQ(j.cfg.traceCapacity, plain.cfg.traceCapacity);
+        EXPECT_EQ(j.cfg.profileEnabled, plain.cfg.profileEnabled);
+        EXPECT_EQ(j.cfg.profileStride, plain.cfg.profileStride);
+    }
 }
 
 // ----------------------------------------------------------------------

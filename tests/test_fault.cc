@@ -6,8 +6,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "core/machine.h"
 #include "core/report.h"
 #include "core/stream_program.h"
@@ -21,31 +19,6 @@
 
 namespace isrf {
 namespace {
-
-/** Scoped ISRF_FAULTS setting; restores the environment on exit. */
-class ScopedFaultsEnv
-{
-  public:
-    explicit ScopedFaultsEnv(const char *spec)
-    {
-        const char *old = std::getenv("ISRF_FAULTS");
-        if (old)
-            saved_ = old;
-        had_ = old != nullptr;
-        setenv("ISRF_FAULTS", spec, 1);
-    }
-    ~ScopedFaultsEnv()
-    {
-        if (had_)
-            setenv("ISRF_FAULTS", saved_.c_str(), 1);
-        else
-            unsetenv("ISRF_FAULTS");
-    }
-
-  private:
-    std::string saved_;
-    bool had_ = false;
-};
 
 // ---------------------------------------------------------------- ECC
 
@@ -394,6 +367,15 @@ const char *kSoakSpec =
     "srf_bit:start=400,period=17,count=40;"
     "dram_bit:start=200,period=13,count=120";
 
+/** The Table 2 machine `kind` under the fault schedule `spec`. */
+MachineConfig
+faultyConfig(MachineKind kind, const char *spec)
+{
+    MachineConfig cfg = MachineConfig::make(kind);
+    cfg.faults = FaultConfig::parse(spec);
+    return cfg;
+}
+
 TEST(FaultSoak, SeededScheduleCorrectsEverythingBitIdentical)
 {
     WorkloadOptions opts;
@@ -402,9 +384,8 @@ TEST(FaultSoak, SeededScheduleCorrectsEverythingBitIdentical)
         runWorkload("Sort", MachineKind::ISRF4, opts);
     ASSERT_TRUE(clean.correct);
 
-    ScopedFaultsEnv env(kSoakSpec);
-    WorkloadResult faulty =
-        runWorkload("Sort", MachineKind::ISRF4, opts);
+    WorkloadResult faulty = runWorkload(
+        "Sort", faultyConfig(MachineKind::ISRF4, kSoakSpec), opts);
     // Output is validated word-for-word against the reference model:
     // correct==true under injection means the run was bit-identical.
     EXPECT_TRUE(faulty.correct);
@@ -418,11 +399,11 @@ TEST(FaultSoak, SeededScheduleCorrectsEverythingBitIdentical)
 
 TEST(FaultSoak, InjectionIsDeterministic)
 {
-    ScopedFaultsEnv env(kSoakSpec);
+    const MachineConfig cfg = faultyConfig(MachineKind::ISRF4, kSoakSpec);
     WorkloadOptions opts;
     opts.repeats = 1;
-    WorkloadResult a = runWorkload("Filter", MachineKind::ISRF4, opts);
-    WorkloadResult b = runWorkload("Filter", MachineKind::ISRF4, opts);
+    WorkloadResult a = runWorkload("Filter", cfg, opts);
+    WorkloadResult b = runWorkload("Filter", cfg, opts);
     EXPECT_TRUE(a.correct);
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.extra.at("faults_injected"),
@@ -433,7 +414,7 @@ TEST(FaultSoak, InjectionIsDeterministic)
 
 TEST(FaultSoak, AllFaultKindsRunToCompletion)
 {
-    ScopedFaultsEnv env(
+    const MachineConfig cfg = faultyConfig(MachineKind::ISRF4,
         "seed=3;retry=3;backoff=2;"
         "srf_bit:start=50,period=31,count=20;"
         "dram_bit:start=50,period=29,count=20,transient,bits=2;"
@@ -442,7 +423,7 @@ TEST(FaultSoak, AllFaultKindsRunToCompletion)
         "xbar_stall:start=40,period=7,count=50");
     WorkloadOptions opts;
     opts.repeats = 1;
-    WorkloadResult r = runWorkload("Filter", MachineKind::ISRF4, opts);
+    WorkloadResult r = runWorkload("Filter", cfg, opts);
     // Timing faults shift cycles but never correctness.
     EXPECT_TRUE(r.correct);
     EXPECT_GT(r.extra.at("faults_injected"), 0.0);
@@ -463,12 +444,11 @@ TEST(FaultSoak, ReportsCarryFaultSection)
     prog.load(s, 0);
     prog.run();
 
-    std::string text = machineReport(m);
-    EXPECT_NE(text.find("fault:"), std::string::npos);
-    EXPECT_NE(text.find("ecc_corrected"), std::string::npos);
     std::string json = machineReportJson(m);
     ASSERT_TRUE(jsonValid(json));
-    EXPECT_NE(json.find("\"fault\""), std::string::npos);
+    EXPECT_NE(json.find("\"fault\":{\"faults_injected\":"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"ecc_corrected\":"), std::string::npos);
     EXPECT_NE(json.find("\"ecc_detected_uncorrectable\""),
               std::string::npos);
 }

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "net/crossbar.h"
-#include "net/index_network.h"
 
 namespace isrf {
 namespace {
@@ -84,26 +83,30 @@ TEST(Crossbar, ZeroPortsFatal)
     EXPECT_DEATH(x.init(0, 1, 1), "positive");
 }
 
+// The SRF's index network is a Crossbar built the way Srf::init builds
+// it: one injection per cluster per cycle, `ports` ejection ports per
+// bank.
+
 TEST(IndexNetwork, OneInjectionPerClusterPerCycle)
 {
-    IndexNetwork net;
-    net.init(8, 1);
+    Crossbar net;
+    net.init(8, 1, 1);
     net.newCycle();
-    EXPECT_TRUE(net.route(0, 3));
-    EXPECT_FALSE(net.route(0, 4)) << "cluster 0 already injected";
-    EXPECT_TRUE(net.route(1, 4));
+    EXPECT_TRUE(net.tryTransfer(0, 3));
+    EXPECT_FALSE(net.tryTransfer(0, 4)) << "cluster 0 already injected";
+    EXPECT_TRUE(net.tryTransfer(1, 4));
 }
 
 TEST(IndexNetwork, BankPortsLimitEjection)
 {
-    IndexNetwork net;
-    net.init(8, 2);
+    Crossbar net;
+    net.init(8, 1, 2);
     net.newCycle();
-    EXPECT_TRUE(net.route(0, 5));
-    EXPECT_TRUE(net.route(1, 5));
-    EXPECT_FALSE(net.route(2, 5)) << "bank 5 has 2 ports";
-    EXPECT_EQ(net.routed(), 2u);
-    EXPECT_EQ(net.rejected(), 1u);
+    EXPECT_TRUE(net.tryTransfer(0, 5));
+    EXPECT_TRUE(net.tryTransfer(1, 5));
+    EXPECT_FALSE(net.tryTransfer(2, 5)) << "bank 5 has 2 ports";
+    EXPECT_EQ(net.transfers(), 2u);
+    EXPECT_EQ(net.rejects(), 1u);
 }
 
 class IndexNetworkPorts : public ::testing::TestWithParam<uint32_t>
@@ -113,12 +116,12 @@ class IndexNetworkPorts : public ::testing::TestWithParam<uint32_t>
 TEST_P(IndexNetworkPorts, AllLanesToOneBankServesExactlyPorts)
 {
     uint32_t ports = GetParam();
-    IndexNetwork net;
-    net.init(8, ports);
+    Crossbar net;
+    net.init(8, 1, ports);
     net.newCycle();
     uint32_t granted = 0;
     for (uint32_t l = 0; l < 8; l++)
-        if (net.route(l, 0))
+        if (net.tryTransfer(l, 0))
             granted++;
     EXPECT_EQ(granted, std::min(ports, 8u));
 }

@@ -45,25 +45,15 @@ TEST(Report, ContainsAllSections)
     prog.kernel(test::makeCopyInvocation(m, &g, in, out, data));
     prog.run();
 
-    std::string rep = machineReport(m);
-    EXPECT_NE(rep.find("Machine: ISRF4"), std::string::npos);
-    EXPECT_NE(rep.find("lane-cycles"), std::string::npos);
-    EXPECT_NE(rep.find("dram: words="), std::string::npos);
-    EXPECT_NE(rep.find("copy"), std::string::npos) << "kernel table";
-    EXPECT_NE(rep.find("energy: total="), std::string::npos);
-}
-
-TEST(Report, SectionsCanBeDisabled)
-{
-    Machine m;
-    MachineConfig cfg = MachineConfig::base();
-    cfg.dram.capacityWords = 1 << 16;
-    m.init(cfg);
-    ReportOptions opts;
-    opts.includeEnergy = false;
-    opts.includeKernels = false;
-    std::string rep = machineReport(m, opts);
-    EXPECT_EQ(rep.find("energy:"), std::string::npos);
+    std::string rep = machineReportJson(m);
+    ASSERT_TRUE(jsonValid(rep)) << rep;
+    EXPECT_NE(rep.find("\"machine\":\"ISRF4\""), std::string::npos);
+    EXPECT_NE(rep.find("\"breakdown\":{\"loop_body\":"),
+              std::string::npos);
+    EXPECT_NE(rep.find("\"dram\":{\"words\":"), std::string::npos);
+    EXPECT_NE(rep.find("\"name\":\"copy\""), std::string::npos)
+        << "kernel table";
+    EXPECT_NE(rep.find("\"total_nj\":"), std::string::npos);
 }
 
 TEST(Report, EnergyCountsMatchMachineCounters)
@@ -80,17 +70,17 @@ TEST(Report, EnergyCountsMatchMachineCounters)
 TEST(Report, CacheSectionOnlyOnCacheMachine)
 {
     Machine m;
-    MachineConfig cfg = MachineConfig::cacheCfg();
-    cfg.dram.capacityWords = 1 << 16;
-    m.init(cfg);
-    std::string rep = machineReport(m);
-    EXPECT_NE(rep.find("cache: hits="), std::string::npos);
+    runCopyProgram(m, MachineConfig::cacheCfg());
+    const Cache &c = m.mem().cache();
+    std::string rep = machineReportJson(m);
+    EXPECT_NE(rep.find("\"cache\":{\"hits\":" + std::to_string(c.hits()) +
+                       ",\"misses\":" + std::to_string(c.misses())),
+              std::string::npos)
+        << rep;
 
     Machine b;
-    MachineConfig bc = MachineConfig::base();
-    bc.dram.capacityWords = 1 << 16;
-    b.init(bc);
-    EXPECT_EQ(machineReport(b).find("cache: hits="), std::string::npos);
+    runCopyProgram(b, MachineConfig::base());
+    EXPECT_EQ(machineReportJson(b).find("\"cache\""), std::string::npos);
 }
 
 TEST(ReportJson, IsValidAndMatchesTextCounters)
@@ -98,12 +88,11 @@ TEST(ReportJson, IsValidAndMatchesTextCounters)
     Machine m;
     runCopyProgram(m, MachineConfig::isrf4());
 
-    std::string text = machineReport(m);
     std::string json = machineReportJson(m);
     ASSERT_TRUE(jsonValid(json)) << json;
 
-    // The JSON report draws from the same machine counters as the text
-    // report: spot-check that the headline values agree.
+    // The report draws from the machine's own counters: spot-check
+    // that the headline values agree.
     EXPECT_NE(json.find("\"machine\":\"ISRF4\""), std::string::npos);
     auto expectField = [&](const std::string &key, uint64_t v) {
         std::string needle =
@@ -116,28 +105,7 @@ TEST(ReportJson, IsValidAndMatchesTextCounters)
     expectField("in_lane_idx_words", m.srf().idxInLaneWords());
     expectField("words", m.mem().dram().wordsTransferred());
     expectField("loop_body", m.breakdown().loopBody);
-    // And the text report shows the same dram word count.
-    EXPECT_NE(text.find("dram: words=" +
-                  std::to_string(m.mem().dram().wordsTransferred())),
-              std::string::npos);
-    // Kernel table appears in both.
     EXPECT_NE(json.find("\"name\":\"copy\""), std::string::npos);
-    EXPECT_NE(text.find("copy"), std::string::npos);
-}
-
-TEST(ReportJson, SectionsCanBeDisabled)
-{
-    Machine m;
-    MachineConfig cfg = MachineConfig::base();
-    cfg.dram.capacityWords = 1 << 16;
-    m.init(cfg);
-    ReportOptions opts;
-    opts.includeEnergy = false;
-    opts.includeKernels = false;
-    std::string json = machineReportJson(m, opts);
-    ASSERT_TRUE(jsonValid(json));
-    EXPECT_EQ(json.find("\"energy\""), std::string::npos);
-    EXPECT_EQ(json.find("\"kernels\""), std::string::npos);
 }
 
 TEST(ReportJson, CacheSectionOnlyOnCacheMachine)

@@ -135,16 +135,6 @@ TEST(StatGroup, CountersByName)
     EXPECT_EQ(g.counterValue("a"), 0u);
 }
 
-TEST(StatGroup, FormatRows)
-{
-    StatGroup g("srf");
-    g.counter("hits").inc(7);
-    auto rows = g.formatRows();
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_NE(rows[0].find("srf.hits"), std::string::npos);
-    EXPECT_NE(rows[0].find("7"), std::string::npos);
-}
-
 TEST(Table, RendersAlignedCells)
 {
     Table t({"name", "value"});
@@ -373,21 +363,6 @@ TEST(Stats, HistogramRegistersInGroup)
     ASSERT_NE(found, nullptr);
     EXPECT_EQ(found->buckets()[3], 2u);
     EXPECT_EQ(g.findHistogram("missing"), nullptr);
-}
-
-TEST(Stats, HistogramRendersInFormatRows)
-{
-    StatGroup g("grp");
-    Histogram &h = g.histogram("lat", 0, 4, 4);
-    h.sample(1);
-    h.sample(2);
-    bool found = false;
-    for (const std::string &row : g.formatRows())
-        if (row.find("grp.lat") != std::string::npos) {
-            found = true;
-            EXPECT_NE(row.find("n=2"), std::string::npos) << row;
-        }
-    EXPECT_TRUE(found);
 }
 
 TEST(Stats, HistogramResetsWithGroup)
