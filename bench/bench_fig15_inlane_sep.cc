@@ -44,6 +44,8 @@ main(int argc, char **argv)
         header.push_back("sep=" + std::to_string(s));
     Table t(header);
 
+    // Every run, kept for the --trace/--profile export.
+    std::vector<WorkloadResult> results;
     for (const auto &name : benches) {
         std::vector<double> times;
         for (uint32_t s : seps) {
@@ -52,8 +54,8 @@ main(int argc, char **argv)
             opts.separationOverride = s;
             std::fprintf(stderr, "  [running %s at sep=%u...]\n",
                          name.c_str(), s);
-            WorkloadResult r = runWorkload(
-                name, benchConfig(MachineKind::ISRF4, args), opts);
+            const WorkloadResult &r = results.emplace_back(runWorkload(
+                name, benchConfig(MachineKind::ISRF4, args), opts));
             times.push_back(kernelTime(r));
         }
         double best = *std::min_element(times.begin(), times.end());
@@ -66,6 +68,9 @@ main(int argc, char **argv)
                 "best separation:\n%s\n", t.render().c_str());
     std::printf("Expected: improvement then degradation; the paper's "
                 "default is 6 cycles (§5.1).\n");
-    finishBench(args);
+    RunList runs;
+    for (const WorkloadResult &r : results)
+        runs.push_back(&r);
+    finishBench(args, runs);
     return 0;
 }

@@ -45,6 +45,8 @@ main(int argc, char **argv)
         header.push_back("sep=" + std::to_string(s));
     Table t(header);
 
+    // Every run, kept for the --trace/--profile export.
+    std::vector<WorkloadResult> results;
     for (const auto &[kernel, bench] : benches) {
         std::vector<double> times;
         for (uint32_t s : seps) {
@@ -53,8 +55,8 @@ main(int argc, char **argv)
             opts.separationOverride = s;
             std::fprintf(stderr, "  [running %s at sep=%u...]\n",
                          bench.c_str(), s);
-            WorkloadResult r = runWorkload(
-                bench, benchConfig(MachineKind::ISRF4, args), opts);
+            const WorkloadResult &r = results.emplace_back(runWorkload(
+                bench, benchConfig(MachineKind::ISRF4, args), opts));
             times.push_back(kernelTime(r));
         }
         double best = *std::min_element(times.begin(), times.end());
@@ -67,6 +69,9 @@ main(int argc, char **argv)
                 "best separation:\n%s\n", t.render().c_str());
     std::printf("Expected: nearly flat curves (within a few percent) "
                 "across 4..24 cycles.\n");
-    finishBench(args);
+    RunList runs;
+    for (const WorkloadResult &r : results)
+        runs.push_back(&r);
+    finishBench(args, runs);
     return 0;
 }

@@ -149,7 +149,7 @@ struct BenchFlag
  *   --profile <path>         write a host-time profile (Chrome trace /
  *                            speedscope)
  *   --faults <spec>          enable fault injection (FaultConfig::parse
- *                            syntax; a bad spec is fatal here)
+ *                            syntax; a bad spec exits 2)
  *   --jobs <n>               run independent simulations n-wide
  *   --quiet                  suppress progress output
  *   --journal <path>         append per-job outcomes to a JSONL journal
@@ -194,7 +194,11 @@ parseBenchArgs(int argc, char **argv,
             args.traceChannels = next(i, "--trace-channels");
         } else if (s == "--faults") {
             args.faultSpec = next(i, "--faults");
-            args.faults = FaultConfig::parse(args.faultSpec);
+            std::string err;
+            if (!FaultConfig::tryParse(args.faultSpec, args.faults, &err)) {
+                std::fprintf(stderr, "--faults: %s\n", err.c_str());
+                std::exit(2);
+            }
         } else if (s == "--jobs") {
             std::string v = next(i, "--jobs");
             uint64_t n = 0;

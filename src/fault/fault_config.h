@@ -90,10 +90,15 @@ struct FaultConfig
     std::vector<FaultScheduleEntry> schedule;
 
     /**
-     * Parse a fault spec into a config with enabled=true.
-     * An empty or "0" spec returns a disabled config. Unknown keys or
-     * kinds are user errors (fatal()).
+     * Parse a fault spec into `out`, a config with enabled=true.
+     * An empty or "0" spec gives a disabled config. A bad spec (unknown
+     * key or kind, missing or malformed value, out-of-range parameter)
+     * returns false with a message in *err and leaves `out` alone.
      */
+    static bool tryParse(const std::string &spec, FaultConfig &out,
+                         std::string *err);
+
+    /** tryParse(), with a bad spec a user error (fatal()). */
     static FaultConfig parse(const std::string &spec);
 };
 

@@ -1,12 +1,22 @@
 #include "mem/dram.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
-#include <cstddef>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 
 #include "sim/trace.h"
 #include "util/log.h"
 
 namespace isrf {
+
+void
+DramUnmap::operator()(Word *p) const
+{
+    munmap(p, bytes);
+}
 
 Dram::Dram(const DramConfig &cfg)
 {
@@ -19,7 +29,23 @@ Dram::init(const DramConfig &cfg, Tracer *tracer)
     if (cfg.wordsPerCycle <= 0)
         fatal("Dram: non-positive bandwidth");
     cfg_ = cfg;
-    mem_.assign(cfg.capacityWords, 0);
+    // Unmap the old storage before mapping the new: never hold both.
+    mem_.reset();
+    words_ = cfg.capacityWords;
+    if (words_ > SIZE_MAX / sizeof(Word))
+        fatal("Dram: capacity of %llu words is not addressable",
+              static_cast<unsigned long long>(words_));
+    if (words_ != 0) {
+        size_t bytes = words_ * sizeof(Word);
+        void *p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+        if (p == MAP_FAILED)
+            fatal("Dram: cannot map %llu words",
+                  static_cast<unsigned long long>(words_));
+        mem_ = std::unique_ptr<Word[], DramUnmap>(static_cast<Word *>(p),
+                                                  DramUnmap{bytes});
+    }
+    touched_.assign((pages() + 63) / 64, 0);
     ecc_.clear();
     openRow_.assign(cfg.banks, -1);
     tokens_ = 0;
@@ -31,23 +57,43 @@ Dram::init(const DramConfig &cfg, Tracer *tracer)
     resetStats();
 }
 
+uint64_t
+Dram::touchedPages() const
+{
+    uint64_t n = 0;
+    for (uint64_t bits : touched_)
+        n += static_cast<uint64_t>(std::popcount(bits));
+    return n;
+}
+
+void
+Dram::markRange(uint64_t wordAddr, uint64_t n)
+{
+    if (n == 0)
+        return;
+    uint64_t last = (wordAddr + n - 1) >> kPageShift;
+    for (uint64_t page = wordAddr >> kPageShift; page <= last; page++)
+        markTouched(page << kPageShift);
+}
+
 Word
 Dram::read(uint64_t wordAddr) const
 {
-    if (wordAddr >= mem_.size())
+    if (wordAddr >= words_)
         panic("Dram::read: address %llu out of range",
               static_cast<unsigned long long>(wordAddr));
     // Scrub-on-read: single-bit faults are corrected in place
     // (logically const), multi-bit faults stay visible as corrupt data.
-    if (!ecc_.empty())
-        ecc_.check(wordAddr, &mem_[wordAddr]);
+    if (!ecc_.empty() &&
+        ecc_.check(wordAddr, &mem_[wordAddr]) != EccStatus::Clean)
+        markTouched(wordAddr);
     return mem_[wordAddr];
 }
 
 Word
 Dram::readChecked(uint64_t wordAddr, EccStatus *status)
 {
-    if (wordAddr >= mem_.size())
+    if (wordAddr >= words_)
         panic("Dram::readChecked: address %llu out of range",
               static_cast<unsigned long long>(wordAddr));
     if (ecc_.empty()) {
@@ -58,6 +104,8 @@ Dram::readChecked(uint64_t wordAddr, EccStatus *status)
     // still observes the corrupted value — keep the pre-decode word.
     Word observed = mem_[wordAddr];
     *status = ecc_.check(wordAddr, &mem_[wordAddr]);
+    if (*status != EccStatus::Clean)
+        markTouched(wordAddr);
     return *status == EccStatus::Uncorrectable ? observed
                                                : mem_[wordAddr];
 }
@@ -65,27 +113,29 @@ Dram::readChecked(uint64_t wordAddr, EccStatus *status)
 void
 Dram::write(uint64_t wordAddr, Word w)
 {
-    if (wordAddr >= mem_.size())
+    if (wordAddr >= words_)
         panic("Dram::write: address %llu out of range",
               static_cast<unsigned long long>(wordAddr));
     if (!ecc_.empty())
         ecc_.onWrite(wordAddr);
+    markTouched(wordAddr);
     mem_[wordAddr] = w;
 }
 
 void
 Dram::fill(uint64_t wordAddr, const std::vector<Word> &data)
 {
-    if (wordAddr + data.size() > mem_.size())
+    if (wordAddr + data.size() > words_)
         panic("Dram::fill: range out of bounds");
     ecc_.onWriteRange(wordAddr, data.size());
-    std::copy(data.begin(), data.end(), mem_.begin() + wordAddr);
+    markRange(wordAddr, data.size());
+    std::copy(data.begin(), data.end(), mem_.get() + wordAddr);
 }
 
 std::vector<Word>
 Dram::dump(uint64_t wordAddr, uint64_t n) const
 {
-    if (wordAddr + n > mem_.size())
+    if (wordAddr + n > words_)
         panic("Dram::dump: range out of bounds");
     if (!ecc_.empty()) {
         // Route through the decoder so validation sees corrected data.
@@ -95,16 +145,17 @@ Dram::dump(uint64_t wordAddr, uint64_t n) const
             out.push_back(read(wordAddr + i));
         return out;
     }
-    return std::vector<Word>(mem_.begin() + wordAddr,
-                             mem_.begin() + wordAddr + n);
+    return std::vector<Word>(mem_.get() + wordAddr,
+                             mem_.get() + wordAddr + n);
 }
 
 void
 Dram::injectBitFlips(uint64_t wordAddr, Word mask, bool transient)
 {
-    if (wordAddr >= mem_.size())
+    if (wordAddr >= words_)
         panic("Dram::injectBitFlips: address %llu out of range",
               static_cast<unsigned long long>(wordAddr));
+    markTouched(wordAddr);
     ecc_.inject(wordAddr, mask, transient, &mem_[wordAddr]);
 }
 
@@ -113,7 +164,10 @@ Dram::scrubEcc()
 {
     if (ecc_.empty())
         return 0;
-    return ecc_.scrub([this](uint64_t addr) { return &mem_[addr]; });
+    return ecc_.scrub([this](uint64_t addr) {
+        markTouched(addr);
+        return &mem_[addr];
+    });
 }
 
 void
@@ -193,40 +247,83 @@ Dram::requestWordsCost(uint32_t want, double costFactor)
     return n;
 }
 
+template <typename F>
+void
+Dram::forEachRun(F &&fn) const
+{
+    // An untouched page is a block of zeros: only touched pages are
+    // read, yet the runs are those of a scan over every word.
+    uint64_t count = 0;
+    Word value = 0;
+    auto extend = [&](Word v, uint64_t n) {
+        if (count != 0 && v != value) {
+            fn(count, value);
+            count = 0;
+        }
+        value = v;
+        count += n;
+    };
+    for (uint64_t page = 0; page < pages(); page++) {
+        uint64_t lo = page << kPageShift;
+        uint64_t hi = std::min(lo + kPageWords, words_);
+        if (!pageTouched(page)) {
+            extend(0, hi - lo);
+            continue;
+        }
+        for (uint64_t a = lo; a < hi;) {
+            uint64_t b = a + 1;
+            while (b < hi && mem_[b] == mem_[a])
+                b++;
+            extend(mem_[a], b - a);
+            a = b;
+        }
+    }
+    if (count != 0)
+        fn(count, value);
+}
+
 void
 Dram::snapshot(SnapshotIo &io)
 {
-    io.expect(mem_.size(), 0);
+    io.expect(words_, 0);
     // Storage as (count, value) runs: most of DRAM is untouched zeros.
-    // A save measures the runs; a load refills them, rejecting an empty
+    // A save counts the runs, then writes them; a load zeroes the
+    // touched pages and refills the non-zero runs, rejecting an empty
     // run or one past the end.
-    auto runEnd = [&](size_t i) {
-        size_t j = i + 1;
-        while (j < mem_.size() && mem_[j] == mem_[i])
-            j++;
-        return j;
-    };
     uint64_t nruns = 0;
     if (io.saving())
-        for (size_t i = 0; i < mem_.size(); nruns++)
-            i = runEnd(i);
+        forEachRun([&](uint64_t, Word) { nruns++; });
     io.len(nruns, 12);
-    uint64_t at = 0;
-    for (uint64_t run = 0; run < nruns && io.ok(); run++) {
-        uint64_t count = io.saving() ? runEnd(at) - at : 0;
-        Word value = io.saving() ? mem_[at] : 0;
-        io.u64(count);
-        io.u32(value);
-        if (io.loading()) {
-            if (!io.require(count != 0 && count <= mem_.size() - at))
-                break;
-            std::fill(mem_.begin() + static_cast<ptrdiff_t>(at),
-                      mem_.begin() + static_cast<ptrdiff_t>(at + count),
-                      value);
+    if (io.saving()) {
+        forEachRun([&](uint64_t count, Word value) {
+            io.u64(count);
+            io.u32(value);
+        });
+    } else {
+        for (uint64_t page = 0; page < pages(); page++) {
+            if (!pageTouched(page))
+                continue;
+            uint64_t lo = page << kPageShift;
+            uint64_t hi = std::min(lo + kPageWords, words_);
+            std::memset(mem_.get() + lo, 0, (hi - lo) * sizeof(Word));
         }
-        at += count;
+        std::fill(touched_.begin(), touched_.end(), 0);
+        uint64_t at = 0;
+        for (uint64_t run = 0; run < nruns && io.ok(); run++) {
+            uint64_t count = 0;
+            Word value = 0;
+            io.u64(count);
+            io.u32(value);
+            if (!io.require(count != 0 && count <= words_ - at))
+                break;
+            if (value != 0) {
+                std::fill(mem_.get() + at, mem_.get() + at + count, value);
+                markRange(at, count);
+            }
+            at += count;
+        }
+        io.require(at == words_);
     }
-    io.require(at == mem_.size());
     ecc_.snapshot(io);
     io.expect(openRow_.size(), 8);
     io.each(openRow_);

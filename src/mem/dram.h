@@ -3,6 +3,13 @@
  * Off-chip DRAM model: functional word storage plus a bandwidth/latency
  * timing model.
  *
+ * Storage is zero on demand (DESIGN.md §17): one anonymous mapping of
+ * the full capacity, never initialised word by word, so the kernel
+ * supplies zero pages on first touch. A bitmap of kPageWords-word
+ * pages records every page a write path has hit; an untouched page
+ * is all zeros, so set-up, resident memory and checkpoints cost what
+ * a job touches, not the 64 MB capacity.
+ *
  * Table 3 gives the machine a peak DRAM bandwidth of 9.14 GB/s at a
  * 1 GHz core clock, i.e. ~2.285 32-bit words per cycle. The model is a
  * token bucket at that rate; sequential stream accesses move words at
@@ -13,7 +20,9 @@
 #ifndef ISRF_MEM_DRAM_H
 #define ISRF_MEM_DRAM_H
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "fault/ecc.h"
@@ -46,15 +55,23 @@ struct DramConfig
     double rowMissCost = 2.5;  ///< first word of a newly opened row
 };
 
+/** Deleter of Dram's storage: munmap()s a mapping of `bytes` bytes. */
+struct DramUnmap
+{
+    size_t bytes = 0;
+    void operator()(Word *p) const;
+};
+
 /** Functional + timing DRAM. */
 class Dram
 {
   public:
-    /** Empty until init(): a default-constructed Dram allocates no
+    /** Empty until init(): a default-constructed Dram maps no
      *  storage, so a Machine pays for its DRAM once, in init(). */
     Dram() = default;
     explicit Dram(const DramConfig &cfg);
 
+    /** Release any old storage and map a fresh, all-zero one. */
     void init(const DramConfig &cfg, Tracer *tracer = nullptr);
 
     // --- functional storage ---
@@ -63,6 +80,29 @@ class Dram
     void fill(uint64_t wordAddr, const std::vector<Word> &data);
     std::vector<Word> dump(uint64_t wordAddr, uint64_t n) const;
     uint64_t capacityWords() const { return cfg_.capacityWords; }
+
+    // --- touched-page map ---
+
+    /** Words per page of the touched-page map (16 KB). */
+    static constexpr unsigned kPageShift = 12;
+    static constexpr uint64_t kPageWords = 1ull << kPageShift;
+
+    /** Pages covering the capacity (the last one may be partial). */
+    uint64_t pages() const { return (words_ + kPageWords - 1) >> kPageShift; }
+
+    /**
+     * True once write(), fill(), injectBitFlips() or an ECC write-back
+     * hit the page since init() (a snapshot load re-marks only the
+     * pages it fills). A page never touched holds only zeros.
+     */
+    bool
+    pageTouched(uint64_t page) const
+    {
+        return (touched_[page >> 6] >> (page & 63)) & 1;
+    }
+
+    /** Number of touched pages. */
+    uint64_t touchedPages() const;
 
     // --- fault model (src/fault/, DESIGN.md §Fault model) ---
 
@@ -131,16 +171,35 @@ class Dram
 
     /**
      * Snapshot (util/snapshot.h): functional storage is run-length
-     * encoded ((count, value) runs — checkpoints stay small while most
-     * of DRAM is untouched zeros), plus ECC, row-buffer state, the
-     * token bucket and counters. Capacity is init() state, must match.
+     * encoded ((count, value) runs over the whole capacity — checkpoints
+     * stay small while most of DRAM is untouched zeros), plus ECC,
+     * row-buffer state, the token bucket and counters. A save reads
+     * only touched pages; a load zeroes only touched pages, then
+     * writes the non-zero runs. Capacity is init() state, must match.
      */
     void snapshot(SnapshotIo &io);
 
   private:
+    void
+    markTouched(uint64_t wordAddr) const
+    {
+        uint64_t page = wordAddr >> kPageShift;
+        touched_[page >> 6] |= 1ull << (page & 63);
+    }
+    void markRange(uint64_t wordAddr, uint64_t n);
+
+    /** fn(count, value) for each maximal run of equal words. */
+    template <typename F> void forEachRun(F &&fn) const;
+
     DramConfig cfg_;
-    /** mutable: read() scrubs corrected words back in place. */
-    mutable std::vector<Word> mem_;
+    /**
+     * Zero-on-demand storage of words_ words (null until init()). The
+     * pointer is const-shallow: read() scrubs corrected words back.
+     */
+    std::unique_ptr<Word[], DramUnmap> mem_;
+    uint64_t words_ = 0;
+    /** One bit per kPageWords-word page; mutable for read()'s scrub. */
+    mutable std::vector<uint64_t> touched_;
     mutable EccDomain ecc_;
     std::vector<int64_t> openRow_;
     double tokens_ = 0;

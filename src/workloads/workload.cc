@@ -124,6 +124,7 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
     res.cycles = cycles;
     res.breakdown = m.breakdown();
     res.dramWords = m.mem().dram().wordsTransferred();
+    res.dramPagesTouched = m.mem().dram().touchedPages();
     res.srfSeqWords = m.srf().seqWordsAccessed();
     res.srfIdxWords = m.srf().idxInLaneWords() + m.srf().idxCrossWords();
     res.cacheWords = m.mem().cache().hits();

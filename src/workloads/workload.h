@@ -61,6 +61,12 @@ struct WorkloadResult
      */
     std::shared_ptr<const Tracer> trace;
     std::shared_ptr<const Profiler> profile;
+    /**
+     * DRAM pages (Dram::kPageWords words each) the run touched: its
+     * storage footprint. Host-side like trace and profile: resultJson()
+     * never serialises it, so a journal-replayed result reads 0.
+     */
+    uint64_t dramPagesTouched = 0;
 };
 
 /** Options shared by all workload runners. */

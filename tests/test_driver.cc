@@ -235,8 +235,8 @@ TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
     cfg.traceCapacity = 1 << 12;
 
     std::vector<SweepJob> jobs(2);
-    jobs[0] = {"Sort", cfg, opts};
-    jobs[1] = {"Sort", cfg, opts};
+    jobs[0] = {"Sort", cfg, opts, {}};
+    jobs[1] = {"Sort", cfg, opts, {}};
     SweepRunner runner(2);
     auto out = runner.run(jobs);
     ASSERT_EQ(out.size(), 2u);

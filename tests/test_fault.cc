@@ -153,6 +153,30 @@ TEST(FaultConfigDeathTest, UnknownKeysAndKindsAreFatal)
     EXPECT_DEATH(FaultConfig::parse("srf_bit:bits=40"), "bits must be");
 }
 
+TEST(FaultConfig, TryParseReportsTheFirstErrorAndLeavesOutAlone)
+{
+    const std::pair<const char *, const char *> bad[] = {
+        {"bogus=1", "unknown key 'bogus'"},
+        {"srf_bit:period=0", "srf_bit period must be nonzero"},
+        {"seed=", "key 'seed' needs a value"},
+        {"retry=x;bogus=1", "bad number 'x' for key 'retry'"},
+    };
+    for (const auto &[spec, msg] : bad) {
+        FaultConfig out = FaultConfig::parse("seed=9");
+        std::string err;
+        EXPECT_FALSE(FaultConfig::tryParse(spec, out, &err)) << spec;
+        EXPECT_EQ(err, std::string("fault spec: ") + msg) << spec;
+        EXPECT_EQ(out.seed, 9u) << spec;
+    }
+    FaultConfig out;
+    std::string err;
+    ASSERT_TRUE(FaultConfig::tryParse("seed=3;dram_bit:count=2", out, &err));
+    EXPECT_TRUE(err.empty());
+    EXPECT_EQ(out.seed, 3u);
+    ASSERT_EQ(out.schedule.size(), 1u);
+    EXPECT_EQ(out.schedule[0].count, 2u);
+}
+
 // --------------------------------------------------------- SRF bank
 
 TEST(SrfBankFault, SingleBitFaultCorrectedOnRead)

@@ -61,8 +61,9 @@ TEST_P(GeometrySweep, SequentialRoundtripAtAnyGeometry)
     EXPECT_EQ(total, data.size());
     // Lane 0's first word is element 0; lane 1's is element m.
     EXPECT_EQ(seen[0][0], data[0]);
-    if (p.lanes > 1)
+    if (p.lanes > 1) {
         EXPECT_EQ(seen[1][0], data[p.seqWidth]);
+    }
 }
 
 TEST_P(GeometrySweep, IndexedReadsWorkAtAnyGeometry)

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the memory system: DRAM functional storage + bandwidth
- * model, the vector cache, and stream load/store/gather/scatter through
- * the MemorySystem into the SRF.
+ * Tests for the memory system: DRAM functional storage (zero on
+ * demand, touched-page map, snapshot runs) + bandwidth model, the
+ * vector cache, and stream load/store/gather/scatter through the
+ * MemorySystem into the SRF.
  */
 #include <gtest/gtest.h>
 
 #include "mem/memory_system.h"
 #include "util/random.h"
 #include "util/snapshot.h"
+#include "workloads/workload.h"
 
 namespace isrf {
 namespace {
@@ -73,6 +75,246 @@ TEST(Dram, TryConsumeExactAllOrNothing)
     d.tick();  // 2 tokens
     EXPECT_TRUE(d.tryConsumeExact(2, true));
     EXPECT_EQ(d.wordsTransferred(), 2u);
+}
+
+// ----------------------------------------------------------------------
+// Zero-on-demand storage and its touched-page map
+// ----------------------------------------------------------------------
+
+constexpr uint64_t kPage = Dram::kPageWords;
+/** Four full pages and a partial fifth. */
+constexpr uint64_t kCap = 4 * kPage + 1000;
+
+DramConfig
+storageCfg()
+{
+    DramConfig cfg;
+    cfg.capacityWords = kCap;
+    return cfg;
+}
+
+std::vector<uint64_t>
+touchedList(const Dram &d)
+{
+    std::vector<uint64_t> pages;
+    for (uint64_t p = 0; p < d.pages(); p++)
+        if (d.pageTouched(p))
+            pages.push_back(p);
+    return pages;
+}
+
+std::string
+snapshotBytes(Dram &d)
+{
+    SnapshotWriter w;
+    SnapshotIo io(w);
+    d.snapshot(io);
+    return w.data();
+}
+
+/**
+ * The oracle: the storage prefix of a DRAM snapshot (capacity, run
+ * count, (count, value) runs) encoded by a plain scan of every word.
+ */
+std::string
+denseRle(const std::vector<Word> &mem)
+{
+    std::vector<std::pair<uint64_t, Word>> runs;
+    for (Word w : mem) {
+        if (!runs.empty() && runs.back().second == w)
+            runs.back().first++;
+        else
+            runs.emplace_back(1, w);
+    }
+    SnapshotWriter w;
+    w.u64(mem.size());
+    w.u64(runs.size());
+    for (const auto &[count, value] : runs) {
+        w.u64(count);
+        w.u32(value);
+    }
+    return w.data();
+}
+
+/** A Dram and a dense model of it, written in step. */
+struct ModelledDram
+{
+    Dram d{storageCfg()};
+    std::vector<Word> model = std::vector<Word>(kCap, 0);
+
+    void
+    write(uint64_t addr, Word w)
+    {
+        d.write(addr, w);
+        model[addr] = w;
+    }
+
+    void
+    fill(uint64_t addr, const std::vector<Word> &data)
+    {
+        d.fill(addr, data);
+        std::copy(data.begin(), data.end(), model.begin() + addr);
+    }
+
+    void
+    expectSnapshotMatchesOracle()
+    {
+        const std::string got = snapshotBytes(d);
+        const std::string want = denseRle(model);
+        ASSERT_GE(got.size(), want.size());
+        EXPECT_TRUE(got.compare(0, want.size(), want) == 0)
+            << "storage runs differ from a dense scan";
+    }
+};
+
+TEST(DramStorage, UntouchedWordsReadZeroAndStayUntouched)
+{
+    Dram d(storageCfg());
+    EXPECT_EQ(d.pages(), 5u);
+    EXPECT_EQ(d.read(0), 0u);
+    EXPECT_EQ(d.read(kCap - 1), 0u);
+    EXPECT_EQ(d.read(2 * kPage + 17), 0u);
+    EXPECT_EQ(d.dump(kCap - 8, 8), std::vector<Word>(8, 0));
+    EccStatus st;
+    EXPECT_EQ(d.readChecked(kPage, &st), 0u);
+    EXPECT_EQ(st, EccStatus::Clean);
+    EXPECT_EQ(d.touchedPages(), 0u);
+    EXPECT_DEATH(d.read(kCap), "out of range");
+}
+
+TEST(DramStorage, WritePathsMarkExactlyThePagesTheyHit)
+{
+    {
+        Dram d(storageCfg());
+        d.write(2 * kPage + 5, 7);
+        d.write(0, 0);  // a zero-valued write still touches its page
+        EXPECT_EQ(touchedList(d), (std::vector<uint64_t>{0, 2}));
+    }
+    {
+        Dram d(storageCfg());
+        d.fill(3 * kPage - 2, {1, 2, 3, 4});
+        EXPECT_EQ(touchedList(d), (std::vector<uint64_t>{2, 3}));
+        d.fill(kPage, {});
+        EXPECT_EQ(d.touchedPages(), 2u);
+    }
+    {
+        Dram d(storageCfg());
+        d.fill(kCap - 3, {9, 9, 9});
+        EXPECT_EQ(touchedList(d), (std::vector<uint64_t>{4}));
+    }
+    {
+        Dram d(storageCfg());
+        d.injectBitFlips(kPage + 9, 0x10, false);
+        EXPECT_EQ(touchedList(d), (std::vector<uint64_t>{1}));
+        EXPECT_EQ(d.read(kPage + 9), 0u);  // corrected on read
+        EXPECT_EQ(touchedList(d), (std::vector<uint64_t>{1}));
+    }
+}
+
+TEST(DramStorage, EccWriteBackOnAnUntouchedPageMarksIt)
+{
+    // A word whose stored bits read 0 only because of a pending flip:
+    // a load leaves its page untouched, so the read's scrub write-back
+    // must mark it or the next save would drop the corrected value.
+    Dram a(storageCfg());
+    a.write(3 * kPage + 4, 0x8);
+    a.injectBitFlips(3 * kPage + 4, 0x8, false);
+    const std::string saved = snapshotBytes(a);
+
+    for (bool viaScrub : {false, true}) {
+        Dram b(storageCfg());
+        SnapshotReader r(saved);
+        SnapshotIo io(r);
+        b.snapshot(io);
+        ASSERT_TRUE(r.atEnd());
+        EXPECT_EQ(b.touchedPages(), 0u);
+        if (viaScrub) {
+            EXPECT_EQ(b.scrubEcc(), 1u);
+        } else {
+            EXPECT_EQ(b.read(3 * kPage + 4), 0x8u);
+        }
+        EXPECT_EQ(touchedList(b), (std::vector<uint64_t>{3}));
+        std::vector<Word> model(kCap, 0);
+        model[3 * kPage + 4] = 0x8;
+        const std::string want = denseRle(model);
+        EXPECT_TRUE(snapshotBytes(b).compare(0, want.size(), want) == 0);
+    }
+}
+
+TEST(DramStorage, SnapshotBytesMatchADenseRleEncoder)
+{
+    ModelledDram m;
+    m.expectSnapshotMatchesOracle();  // all zeros: one run
+
+    // Zero-valued writes touch pages without ending the zero run.
+    m.write(5, 0);
+    m.write(2 * kPage, 0);
+    m.expectSnapshotMatchesOracle();
+
+    // A non-zero run crossing a page edge, a run that ends exactly on
+    // one, and the same value continuing on the next touched page.
+    m.fill(kPage - 3, std::vector<Word>(6, 7));
+    m.fill(2 * kPage - 4, std::vector<Word>(4, 5));
+    m.fill(2 * kPage, std::vector<Word>(3, 5));
+    m.expectSnapshotMatchesOracle();
+
+    // A whole page of one value, then the touched partial last page.
+    m.fill(3 * kPage, std::vector<Word>(kPage, 0xabcd));
+    m.write(kCap - 1, 1);
+    m.write(kCap - 2, 1);
+    m.expectSnapshotMatchesOracle();
+
+    // Mixed data, overwritten back to zero in places.
+    Rng rng(21);
+    for (int i = 0; i < 500; i++)
+        m.write(rng.below(kCap), static_cast<Word>(rng.below(3)));
+    m.write(kCap - 1, 0);
+    m.expectSnapshotMatchesOracle();
+}
+
+TEST(DramStorage, LoadLeavesNoWordOfThePriorState)
+{
+    Dram a(storageCfg());
+    a.fill(kPage - 2, {1, 2, 3, 4});
+    a.write(kCap - 1, 6);
+    Dram b(storageCfg());
+    b.fill(0, std::vector<Word>(kPage + 10, 0x55));
+    b.fill(3 * kPage + 8, {8, 8});
+    b.write(kCap - 2, 3);
+
+    const std::string saved = snapshotBytes(a);
+    SnapshotReader r(saved);
+    SnapshotIo io(r);
+    b.snapshot(io);
+    ASSERT_TRUE(r.atEnd());
+    EXPECT_EQ(b.dump(0, kCap), a.dump(0, kCap));
+    EXPECT_EQ(snapshotBytes(b), saved);
+    // Only the pages holding the loaded non-zero runs are touched.
+    EXPECT_EQ(touchedList(b), (std::vector<uint64_t>{0, 1, 4}));
+}
+
+TEST(DramStorage, ReinitZeroesEverything)
+{
+    Dram d(storageCfg());
+    d.fill(0, std::vector<Word>(2 * kPage, 4));
+    d.write(kCap - 1, 9);
+    d.injectBitFlips(3 * kPage, 0x3, false);
+    d.init(storageCfg());
+    EXPECT_EQ(d.touchedPages(), 0u);
+    EXPECT_TRUE(d.ecc().empty());
+    EXPECT_EQ(d.dump(0, kCap), std::vector<Word>(kCap, 0));
+}
+
+TEST(DramStorage, SortTouchesAFewPagesOfTheCapacity)
+{
+    for (MachineKind kind : {MachineKind::Base, MachineKind::ISRF4}) {
+        WorkloadResult r = runWorkload("Sort", kind);
+        ASSERT_TRUE(r.correct) << machineKindName(kind);
+        const uint64_t capacityPages =
+            MachineConfig::make(kind).dram.capacityWords / kPage;
+        EXPECT_GT(r.dramPagesTouched, 0u);
+        EXPECT_LE(r.dramPagesTouched, 8u) << "of " << capacityPages;
+    }
 }
 
 TEST(Cache, HitAfterMiss)
