@@ -22,30 +22,31 @@ main(int argc, char **argv)
 
     const std::vector<std::string> benches = {"Rijndael", "Filter",
                                               "FFT 2D", "IG_SML"};
+    WorkloadOptions opts;
+    opts.repeats = 2;
+    std::vector<SweepJob> jobs;
+    for (const auto &name : benches) {
+        for (ArbPolicy policy :
+             {ArbPolicy::RoundRobin, ArbPolicy::IndexedPriority}) {
+            SweepJob job{.workload = name,
+                         .cfg = benchConfig(MachineKind::ISRF4, args),
+                         .opts = opts};
+            job.cfg.srf.arbPolicy = policy;
+            jobs.push_back(job);
+        }
+    }
+    const BenchRun run(args, jobs);
+
     Table t({"Benchmark", "Round-robin (cycles)",
              "Indexed-priority (cycles)", "Gain"});
     double maxGain = 0;
-    for (const auto &name : benches) {
-        WorkloadOptions opts;
-        opts.repeats = 2;
-        const auto &reg = workloadRegistry();
-
-        MachineConfig rr = MachineConfig::isrf4();
-        rr.srf.arbPolicy = ArbPolicy::RoundRobin;
-        std::fprintf(stderr, "  [running %s round-robin...]\n",
-                     name.c_str());
-        WorkloadResult a = reg.at(name)(rr, opts);
-
-        MachineConfig pri = MachineConfig::isrf4();
-        pri.srf.arbPolicy = ArbPolicy::IndexedPriority;
-        std::fprintf(stderr, "  [running %s indexed-priority...]\n",
-                     name.c_str());
-        WorkloadResult b = reg.at(name)(pri, opts);
-
+    for (size_t i = 0; i < benches.size(); i++) {
+        const WorkloadResult &a = run.outcomes()[2 * i].result;
+        const WorkloadResult &b = run.outcomes()[2 * i + 1].result;
         double gain = static_cast<double>(a.cycles) /
             static_cast<double>(b.cycles) - 1.0;
         maxGain = std::max(maxGain, gain);
-        t.addRow({name, std::to_string(a.cycles),
+        t.addRow({benches[i], std::to_string(a.cycles),
                   std::to_string(b.cycles),
                   fmtDouble(100.0 * gain, 1) + "%"});
     }
@@ -54,6 +55,6 @@ main(int argc, char **argv)
                 "(paper: <10%%) -> %s\n", 100.0 * maxGain,
                 maxGain < 0.10 ? "round-robin is the right choice"
                                : "EXCEEDS the paper's bound");
-    finishBench(args);
+    finishBench(args, run, JsonResults::None);
     return 0;
 }

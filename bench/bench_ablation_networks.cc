@@ -41,16 +41,19 @@ main(int argc, char **argv)
                 micro.render().c_str());
 
     // (b) End-to-end on the cross-lane benchmark.
-    const auto &reg = workloadRegistry();
     WorkloadOptions opts;
     opts.repeats = 1;
-    MachineConfig xb = MachineConfig::isrf4();
-    std::fprintf(stderr, "  [running IG_SML crossbar...]\n");
-    WorkloadResult a = reg.at("IG_SML")(xb, opts);
-    MachineConfig ring = MachineConfig::isrf4();
-    ring.srf.netTopology = NetTopology::Ring;
-    std::fprintf(stderr, "  [running IG_SML ring...]\n");
-    WorkloadResult b = reg.at("IG_SML")(ring, opts);
+    std::vector<SweepJob> jobs;
+    for (NetTopology topology : {NetTopology::Crossbar, NetTopology::Ring}) {
+        SweepJob job{.workload = "IG_SML",
+                     .cfg = benchConfig(MachineKind::ISRF4, args),
+                     .opts = opts};
+        job.cfg.srf.netTopology = topology;
+        jobs.push_back(job);
+    }
+    const BenchRun run(args, jobs);
+    const WorkloadResult &a = run.outcomes()[0].result;
+    const WorkloadResult &b = run.outcomes()[1].result;
     Table e2e({"Network", "IG_SML cycles", "Slowdown", "Correct"});
     e2e.addRow({"Crossbar", std::to_string(a.cycles), "1.00",
                 a.correct ? "yes" : "NO"});
@@ -72,6 +75,6 @@ main(int argc, char **argv)
                 100.0 * (full - sparse),
                 100.0 * (static_cast<double>(b.cycles) /
                              static_cast<double>(a.cycles) - 1.0));
-    finishBench(args);
+    finishBench(args, run, JsonResults::None);
     return 0;
 }

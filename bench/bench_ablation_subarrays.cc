@@ -25,7 +25,6 @@ main(int argc, char **argv)
 
     const std::vector<uint32_t> subArrays = {1, 2, 4, 8};
     const std::vector<std::string> benches = {"Rijndael", "Filter"};
-    const auto &reg = workloadRegistry();
 
     std::vector<std::string> header = {"Benchmark"};
     for (uint32_t s : subArrays)
@@ -33,25 +32,34 @@ main(int argc, char **argv)
     Table t(header);
     Table stalls(header);
 
+    WorkloadOptions opts;
+    opts.repeats = 2;
+    std::vector<SweepJob> jobs;
     for (const auto &name : benches) {
-        std::vector<std::string> row = {name};
-        std::vector<std::string> stallRow = {name};
-        double best = 0;
-        std::vector<double> cycles;
         for (uint32_t s : subArrays) {
-            MachineConfig cfg = MachineConfig::isrf4();
-            cfg.srf.subArrays = s;
-            WorkloadOptions opts;
-            opts.repeats = 2;
-            std::fprintf(stderr, "  [running %s with %u sub-arrays...]\n",
-                         name.c_str(), s);
-            WorkloadResult r = reg.at(name)(cfg, opts);
+            SweepJob job{.workload = name,
+                         .cfg = benchConfig(MachineKind::ISRF4, args),
+                         .opts = opts};
+            job.cfg.srf.subArrays = s;
+            jobs.push_back(job);
+        }
+    }
+    const BenchRun run(args, jobs);
+
+    // Outcomes are benchmark-major, one per sub-array count.
+    const std::vector<SweepOutcome> &out = run.outcomes();
+    for (size_t b = 0; b < benches.size(); b++) {
+        std::vector<std::string> row = {benches[b]};
+        std::vector<std::string> stallRow = {benches[b]};
+        std::vector<double> cycles;
+        for (size_t i = 0; i < subArrays.size(); i++) {
+            const WorkloadResult &r = out[b * subArrays.size() + i].result;
             cycles.push_back(static_cast<double>(r.cycles));
             double stall = static_cast<double>(r.breakdown.srfStall) /
                 static_cast<double>(r.breakdown.total());
             stallRow.push_back(fmtDouble(100.0 * stall, 1) + "%");
         }
-        best = *std::min_element(cycles.begin(), cycles.end());
+        double best = *std::min_element(cycles.begin(), cycles.end());
         for (double c : cycles)
             row.push_back(fmtDouble(c / best, 3));
         t.addRow(row);
@@ -76,6 +84,6 @@ main(int argc, char **argv)
     std::printf("Expected: large gains 1->4 (the paper's ISRF1 vs "
                 "ISRF4), marginal gains beyond 4\nfor rising area — "
                 "supporting the paper's choice of s=4.\n");
-    finishBench(args);
+    finishBench(args, run, JsonResults::None);
     return 0;
 }

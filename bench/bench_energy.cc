@@ -24,9 +24,10 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(args, opts);
-    cache.prefetch(benchmarkOrder(),
-                   {MachineKind::Base, MachineKind::ISRF4});
+    const BenchRun run(args, benchJobs(args, benchmarkOrder(),
+                                       {MachineKind::Base,
+                                        MachineKind::ISRF4},
+                                       opts));
     EnergyModel energy;
 
     auto estimate = [&](const WorkloadResult &r) {
@@ -41,9 +42,9 @@ main(int argc, char **argv)
     Table t({"Benchmark", "Base total (uJ)", "Base DRAM share",
              "ISRF4 total (uJ)", "ISRF4 idx-SRF share", "Energy ratio"});
     for (const auto &name : benchmarkOrder()) {
-        EnergyEstimate base = estimate(cache.get(name,
+        EnergyEstimate base = estimate(run.result(name,
                                                  MachineKind::Base));
-        EnergyEstimate isrf = estimate(cache.get(name,
+        EnergyEstimate isrf = estimate(run.result(name,
                                                  MachineKind::ISRF4));
         t.addRow({name, fmtDouble(base.totalNj() / 1000.0, 1),
                   fmtDouble(100.0 * base.dramNj / base.totalNj(), 1) +
@@ -59,6 +60,6 @@ main(int argc, char **argv)
                 "word, ~50x below DRAM) makes every bandwidth win an\n"
                 "energy win — largest for Rijndael, none for "
                 "Sort/Filter.\n");
-    finishBench(args, cache);
+    finishBench(args, run);
     return 0;
 }

@@ -49,11 +49,12 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(args, opts);
-    cache.prefetch({"Sort", "Filter"},
-                   {MachineKind::ISRF4, MachineKind::ISRF1});
+    const BenchRun run(args, benchJobs(args, {"Sort", "Filter"},
+                                       {MachineKind::ISRF4,
+                                        MachineKind::ISRF1},
+                                       opts));
 
-    const std::vector<std::pair<std::string, MachineKind>> runs = {
+    const std::vector<std::pair<std::string, MachineKind>> rows = {
         {"Sort", MachineKind::ISRF4},
         {"Filter", MachineKind::ISRF4},
         {"Sort", MachineKind::ISRF1},
@@ -64,8 +65,8 @@ main(int argc, char **argv)
              "uncorrectable", "retries", "poisoned"});
     bool ok = true;
     double injected = 0, corrected = 0, uncorrectable = 0, poisoned = 0;
-    for (const auto &[name, kind] : runs) {
-        const WorkloadResult &r = cache.get(name, kind);
+    for (const auto &[name, kind] : rows) {
+        const WorkloadResult &r = run.result(name, kind);
         double inj = extraOr0(r, "faults_injected");
         double cor = extraOr0(r, "ecc_corrected");
         double unc = extraOr0(r, "ecc_uncorrectable");
@@ -95,6 +96,6 @@ main(int argc, char **argv)
                      "outputs bit-identical"
                    : "SOAK FAIL: uncorrectable escape or wrong output");
 
-    finishBench(args, cache);
+    finishBench(args, run);
     return ok ? 0 : 1;
 }

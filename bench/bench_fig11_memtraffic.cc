@@ -23,17 +23,18 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(args, opts);
-    cache.prefetch(benchmarkOrder(),
-                   {MachineKind::Base, MachineKind::ISRF4,
-                    MachineKind::Cache});
+    const BenchRun run(args, benchJobs(args, benchmarkOrder(),
+                                       {MachineKind::Base,
+                                        MachineKind::ISRF4,
+                                        MachineKind::Cache},
+                                       opts));
 
     Table t({"Benchmark", "Base (words)", "ISRF", "Cache"});
     double maxReduction = 0;
     for (const auto &name : benchmarkOrder()) {
-        uint64_t base = cache.get(name, MachineKind::Base).dramWords;
-        uint64_t isrf = cache.get(name, MachineKind::ISRF4).dramWords;
-        uint64_t cch = cache.get(name, MachineKind::Cache).dramWords;
+        uint64_t base = run.result(name, MachineKind::Base).dramWords;
+        uint64_t isrf = run.result(name, MachineKind::ISRF4).dramWords;
+        uint64_t cch = run.result(name, MachineKind::Cache).dramWords;
         double ri = static_cast<double>(isrf) / static_cast<double>(base);
         double rc = static_cast<double>(cch) / static_cast<double>(base);
         maxReduction = std::max(maxReduction, 1.0 - ri);
@@ -44,8 +45,8 @@ main(int argc, char **argv)
 
     std::printf("ISRF normalized traffic (paper Figure 11 bars):\n");
     for (const auto &name : benchmarkOrder()) {
-        uint64_t base = cache.get(name, MachineKind::Base).dramWords;
-        uint64_t isrf = cache.get(name, MachineKind::ISRF4).dramWords;
+        uint64_t base = run.result(name, MachineKind::Base).dramWords;
+        uint64_t isrf = run.result(name, MachineKind::ISRF4).dramWords;
         double r = static_cast<double>(isrf) / static_cast<double>(base);
         std::printf("  %-9s |%s| %.2f\n", name.c_str(),
                     asciiBar(r, 1.0, 40).c_str(), r);
@@ -53,6 +54,6 @@ main(int argc, char **argv)
     std::printf("\nMaximum bandwidth reduction: %.0f%% "
                 "(paper: up to 95%%, on Rijndael)\n",
                 100.0 * maxReduction);
-    finishBench(args, cache);
+    finishBench(args, run);
     return 0;
 }

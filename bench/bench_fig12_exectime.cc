@@ -20,17 +20,18 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(args, opts);
-    cache.prefetch(benchmarkOrder(), machineOrder());
+    const BenchRun run(args,
+                       benchJobs(args, benchmarkOrder(), machineOrder(),
+                                 opts));
 
     Table t({"Benchmark", "Config", "Total", "Loop", "MemStall",
              "SrfStall", "Overhead", "Speedup"});
     double minSpeed = 1e9, maxSpeed = 0;
     for (const auto &name : benchmarkOrder()) {
-        const WorkloadResult &base = cache.get(name, MachineKind::Base);
+        const WorkloadResult &base = run.result(name, MachineKind::Base);
         auto baseTotal = static_cast<double>(base.breakdown.total());
         for (MachineKind kind : machineOrder()) {
-            const WorkloadResult &r = cache.get(name, kind);
+            const WorkloadResult &r = run.result(name, kind);
             const TimeBreakdown &b = r.breakdown;
             double total = static_cast<double>(b.total()) / baseTotal;
             double speed = static_cast<double>(base.cycles) /
@@ -53,8 +54,8 @@ main(int argc, char **argv)
     std::printf("ISRF4 execution time normalized to Base (Fig. 12 "
                 "stacks):\n");
     for (const auto &name : benchmarkOrder()) {
-        const WorkloadResult &base = cache.get(name, MachineKind::Base);
-        const WorkloadResult &r = cache.get(name, MachineKind::ISRF4);
+        const WorkloadResult &base = run.result(name, MachineKind::Base);
+        const WorkloadResult &r = run.result(name, MachineKind::ISRF4);
         double total = static_cast<double>(r.breakdown.total()) /
             static_cast<double>(base.breakdown.total());
         std::printf("  %-9s |%s| %.2f\n", name.c_str(),
@@ -66,13 +67,13 @@ main(int argc, char **argv)
 
     // The ISRF1 SRF-stall observation (§5.3).
     for (const char *name : {"Rijndael", "Filter"}) {
-        const WorkloadResult &r1 = cache.get(name, MachineKind::ISRF1);
+        const WorkloadResult &r1 = run.result(name, MachineKind::ISRF1);
         double frac = static_cast<double>(r1.breakdown.srfStall) /
             static_cast<double>(r1.breakdown.total());
         std::printf("%s on ISRF1 spends %.0f%% of execution in SRF "
                     "stalls (paper: %s)\n", name, 100.0 * frac,
                     std::string(name) == "Rijndael" ? "42%" : "18%");
     }
-    finishBench(args, cache);
+    finishBench(args, run);
     return 0;
 }

@@ -25,7 +25,6 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    ResultCache cache(args, opts);
 
     // Kernel -> owning benchmark (for running the right workload).
     const std::vector<std::pair<std::string, std::string>> kernels = {
@@ -34,20 +33,19 @@ main(int argc, char **argv)
         {"filter", "Filter"},    {"igraph1", "IG_SML"},
         {"igraph2", "IG_SCL"},
     };
-    {
-        std::vector<std::string> benches;
-        for (const auto &[kernel, benchName] : kernels)
-            if (std::find(benches.begin(), benches.end(), benchName) ==
-                benches.end())
-                benches.push_back(benchName);
-        cache.prefetch(benches, {MachineKind::ISRF4});
-    }
+    std::vector<std::string> benches;
+    for (const auto &[kernel, benchName] : kernels)
+        if (std::find(benches.begin(), benches.end(), benchName) ==
+            benches.end())
+            benches.push_back(benchName);
+    const BenchRun run(args,
+                       benchJobs(args, benches, {MachineKind::ISRF4}, opts));
 
     Table t({"Kernel", "Sequential", "In-lane idx", "Cross-lane idx",
              "Total"});
     for (const auto &[kernel, benchName] : kernels) {
-        const WorkloadResult &r = cache.get(benchName,
-                                            MachineKind::ISRF4);
+        const WorkloadResult &r = run.result(benchName,
+                                             MachineKind::ISRF4);
         auto it = r.kernelBw.find(kernel);
         if (it == r.kernelBw.end()) {
             t.addRow({kernel, "-", "-", "-", "-"});
@@ -64,6 +62,6 @@ main(int argc, char **argv)
     std::printf("Peak bandwidths for reference (Table 3): sequential 4 "
                 "words/cycle/cluster,\nin-lane indexed 4, cross-lane "
                 "indexed 1.\n");
-    finishBench(args, cache);
+    finishBench(args, run);
     return 0;
 }

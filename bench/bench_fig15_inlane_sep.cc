@@ -44,22 +44,27 @@ main(int argc, char **argv)
         header.push_back("sep=" + std::to_string(s));
     Table t(header);
 
-    // Every run, kept for the --trace/--profile export.
-    std::vector<WorkloadResult> results;
+    std::vector<SweepJob> jobs;
     for (const auto &name : benches) {
-        std::vector<double> times;
         for (uint32_t s : seps) {
             WorkloadOptions opts;
             opts.repeats = 2;
             opts.separationOverride = s;
-            std::fprintf(stderr, "  [running %s at sep=%u...]\n",
-                         name.c_str(), s);
-            const WorkloadResult &r = results.emplace_back(runWorkload(
-                name, benchConfig(MachineKind::ISRF4, args), opts));
-            times.push_back(kernelTime(r));
+            jobs.push_back({.workload = name,
+                            .cfg = benchConfig(MachineKind::ISRF4, args),
+                            .opts = opts});
         }
+    }
+    const BenchRun run(args, jobs);
+
+    // Outcomes are benchmark-major, one per separation.
+    const std::vector<SweepOutcome> &out = run.outcomes();
+    for (size_t b = 0; b < benches.size(); b++) {
+        std::vector<double> times;
+        for (size_t i = 0; i < seps.size(); i++)
+            times.push_back(kernelTime(out[b * seps.size() + i].result));
         double best = *std::min_element(times.begin(), times.end());
-        std::vector<std::string> row = {name};
+        std::vector<std::string> row = {benches[b]};
         for (double v : times)
             row.push_back(fmtDouble(v / best, 3));
         t.addRow(row);
@@ -68,9 +73,6 @@ main(int argc, char **argv)
                 "best separation:\n%s\n", t.render().c_str());
     std::printf("Expected: improvement then degradation; the paper's "
                 "default is 6 cycles (§5.1).\n");
-    RunList runs;
-    for (const WorkloadResult &r : results)
-        runs.push_back(&r);
-    finishBench(args, runs);
+    finishBench(args, run, JsonResults::None);
     return 0;
 }

@@ -45,22 +45,27 @@ main(int argc, char **argv)
         header.push_back("sep=" + std::to_string(s));
     Table t(header);
 
-    // Every run, kept for the --trace/--profile export.
-    std::vector<WorkloadResult> results;
+    std::vector<SweepJob> jobs;
     for (const auto &[kernel, bench] : benches) {
-        std::vector<double> times;
         for (uint32_t s : seps) {
             WorkloadOptions opts;
             opts.repeats = 1;
             opts.separationOverride = s;
-            std::fprintf(stderr, "  [running %s at sep=%u...]\n",
-                         bench.c_str(), s);
-            const WorkloadResult &r = results.emplace_back(runWorkload(
-                bench, benchConfig(MachineKind::ISRF4, args), opts));
-            times.push_back(kernelTime(r));
+            jobs.push_back({.workload = bench,
+                            .cfg = benchConfig(MachineKind::ISRF4, args),
+                            .opts = opts});
         }
+    }
+    const BenchRun run(args, jobs);
+
+    // Outcomes are kernel-major, one per separation.
+    const std::vector<SweepOutcome> &out = run.outcomes();
+    for (size_t k = 0; k < benches.size(); k++) {
+        std::vector<double> times;
+        for (size_t i = 0; i < seps.size(); i++)
+            times.push_back(kernelTime(out[k * seps.size() + i].result));
         double best = *std::min_element(times.begin(), times.end());
-        std::vector<std::string> row = {kernel};
+        std::vector<std::string> row = {benches[k].first};
         for (double v : times)
             row.push_back(fmtDouble(v / best, 3));
         t.addRow(row);
@@ -69,9 +74,6 @@ main(int argc, char **argv)
                 "best separation:\n%s\n", t.render().c_str());
     std::printf("Expected: nearly flat curves (within a few percent) "
                 "across 4..24 cycles.\n");
-    RunList runs;
-    for (const WorkloadResult &r : results)
-        runs.push_back(&r);
-    finishBench(args, runs);
+    finishBench(args, run, JsonResults::None);
     return 0;
 }

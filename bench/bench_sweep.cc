@@ -30,6 +30,7 @@
 #include <cstdlib>
 
 #include "bench_util.h"
+#include "workloads/external.h"
 
 using namespace isrf;
 using namespace isrf::bench;
@@ -56,10 +57,9 @@ onTerminationSignal(int sig)
 }
 
 void
-writeTimingJson(const std::string &path, const SweepRunner &runner,
-                const std::vector<SweepOutcome> &outcomes)
+writeTimingJson(const std::string &path, const BenchRun &run)
 {
-    const SweepTiming &t = runner.timing();
+    const SweepTiming &t = run.runner().timing();
     JsonWriter w;
     w.beginObject();
     w.key("threads").value(static_cast<uint64_t>(t.threads));
@@ -83,7 +83,7 @@ writeTimingJson(const std::string &path, const SweepRunner &runner,
     w.key("checkpoint_restores").value(t.checkpointRestores);
     w.key("sim_cycles_executed").value(t.simCyclesExecuted);
     w.key("jobs").beginArray();
-    for (const auto &o : outcomes) {
+    for (const auto &o : run.outcomes()) {
         w.beginObject();
         w.key("workload").value(o.workload);
         w.key("machine").value(machineKindName(o.kind));
@@ -99,38 +99,6 @@ writeTimingJson(const std::string &path, const SweepRunner &runner,
     w.endObject();
     if (writeTextFile(path, w.str()))
         std::fprintf(stderr, "wrote timing JSON to %s\n", path.c_str());
-    else
-        std::fprintf(stderr, "ERROR: could not write %s\n",
-                     path.c_str());
-}
-
-/**
- * Write the sweep --json report by splicing each outcome's canonical
- * resultText. For executed jobs resultText is exactly resultJson(), so
- * this matches the historical writeBenchJson() output byte for byte;
- * for journal-replayed jobs it is the journaled bytes — which is what
- * makes a resumed run's report byte-identical to an uninterrupted
- * run's.
- */
-void
-writeSweepJson(const std::string &path,
-               const std::vector<SweepOutcome> &outcomes)
-{
-    std::map<std::string, const SweepOutcome *> ordered;
-    for (const auto &o : outcomes)
-        ordered.emplace(o.workload + "/" + machineKindName(o.kind), &o);
-    JsonWriter w;
-    w.beginObject();
-    w.key("results").beginObject();
-    for (const auto &kv : ordered)
-        w.key(kv.first).raw(kv.second->resultText.empty()
-                                ? resultJson(kv.second->result)
-                                : kv.second->resultText);
-    w.endObject();
-    w.endObject();
-    if (writeTextFile(path, w.str()))
-        std::fprintf(stderr, "wrote JSON results to %s\n",
-                     path.c_str());
     else
         std::fprintf(stderr, "ERROR: could not write %s\n",
                      path.c_str());
@@ -163,13 +131,55 @@ int
 main(int argc, char **argv)
 {
     // Sweep-only flags, handled by the shared parser (BenchFlag hook).
+    SweepPolicy policy;
+    std::vector<std::string> datasetWorkloads;
     std::string timingPath;
     std::string benchJsonPath;
     std::string suite = "paper";
-    std::string checkpointDir;
     uint64_t checkpointEvery = 250000;  // default cadence
     bool withHang = false;
     BenchArgs args = parseBenchArgs(argc, argv, {
+        {"--journal", true,
+         [&](const std::string &v) { policy.journalPath = v; },
+         "[--journal <path>]"},
+        {"--resume", false,
+         [&](const std::string &) { policy.resume = true; },
+         "[--resume]"},
+        {"--timeout-s", true,
+         [&](const std::string &v) {
+             if (!parseF64(v, policy.timeoutSeconds) ||
+                 !(policy.timeoutSeconds > 0.0)) {
+                 std::fprintf(stderr, "--timeout-s expects a positive "
+                              "number, got '%s'\n", v.c_str());
+                 std::exit(2);
+             }
+         },
+         "[--timeout-s <secs>]"},
+        {"--retries", true,
+         [&](const std::string &v) {
+             uint64_t n = 0;
+             if (!parseU64(v, n) || n > 100) {
+                 std::fprintf(stderr, "--retries expects an integer in "
+                              "[0,100], got '%s'\n", v.c_str());
+                 std::exit(2);
+             }
+             policy.retries = static_cast<uint32_t>(n);
+         },
+         "[--retries <n>]"},
+        {"--dataset", true,
+         [&](const std::string &path) {
+             std::string name;
+             std::vector<std::string> errs;
+             if (!registerExternalDataset(path, &name, &errs)) {
+                 std::fprintf(stderr, "--dataset: cannot load '%s':\n",
+                              path.c_str());
+                 for (const auto &e : errs)
+                     std::fprintf(stderr, "  %s\n", e.c_str());
+                 std::exit(2);
+             }
+             datasetWorkloads.push_back(name);
+         },
+         "[--dataset <file.mtx>]..."},
         {"--timing-json", true,
          [&](const std::string &v) { timingPath = v; }},
         {"--bench-json", true,
@@ -184,7 +194,7 @@ main(int argc, char **argv)
              suite = v;
          }},
         {"--checkpoint-dir", true,
-         [&](const std::string &v) { checkpointDir = v; }},
+         [&](const std::string &v) { policy.checkpointDir = v; }},
         {"--checkpoint-every-cycles", true,
          [&](const std::string &v) {
              if (!parseU64(v, checkpointEvery) || checkpointEvery == 0) {
@@ -197,6 +207,10 @@ main(int argc, char **argv)
         {"--with-hang", false,
          [&](const std::string &) { withHang = true; }},
     });
+    if (policy.resume && policy.journalPath.empty()) {
+        std::fprintf(stderr, "--resume requires --journal <path>\n");
+        std::exit(2);
+    }
     // --suite paper is the default so the perf job's 32-job contract
     // (8 paper benchmarks x 4 machines) holds without flags; sparse
     // adds the irregular-access family, and --dataset workloads ride
@@ -208,8 +222,8 @@ main(int argc, char **argv)
     if (suite == "sparse" || suite == "all")
         names.insert(names.end(), sparseBenchmarkOrder().begin(),
                      sparseBenchmarkOrder().end());
-    names.insert(names.end(), args.datasetWorkloads.begin(),
-                 args.datasetWorkloads.end());
+    names.insert(names.end(), datasetWorkloads.begin(),
+                 datasetWorkloads.end());
 
     heading("Parallel full-matrix sweep (benchmarks x 4 configs)",
             "driver for Figures 11-13 data; results are --jobs "
@@ -217,33 +231,22 @@ main(int argc, char **argv)
 
     WorkloadOptions opts;
     opts.repeats = 2;
-    auto jobs = SweepRunner::matrix(names, machineOrder(), opts);
-    for (SweepJob &j : jobs)
-        j.cfg = benchConfig(j.cfg.kind, args);
+    auto jobs = benchJobs(args, names, machineOrder(), opts);
     if (withHang) {
-        SweepJob hang;
-        hang.workload = "Hang";
-        hang.cfg = benchConfig(MachineKind::Base, args);
-        hang.opts = opts;
-        hang.runner = runHang;
-        jobs.push_back(std::move(hang));
+        jobs.push_back({.workload = "Hang",
+                        .cfg = benchConfig(MachineKind::Base, args),
+                        .opts = opts,
+                        .runner = runHang});
     }
 
-    SweepPolicy policy;
-    policy.timeoutSeconds = args.timeoutSeconds;
-    policy.retries = args.retries;
-    policy.journalPath = args.journalPath;
-    policy.resume = args.resume;
     policy.cancel = &gSignalCancel;
-    policy.checkpointDir = checkpointDir;
     policy.checkpointEveryCycles = checkpointEvery;
     std::signal(SIGINT, onTerminationSignal);
     std::signal(SIGTERM, onTerminationSignal);
 
-    SweepRunner runner(args.jobs);
     std::printf("running %zu jobs on %u thread(s)...\n\n", jobs.size(),
                 args.jobs);
-    auto outcomes = runner.run(jobs, policy,
+    const BenchRun run(args, jobs, policy,
         [](const SweepJob &job, bool finished, size_t done,
            size_t total) {
             if (finished)
@@ -255,7 +258,7 @@ main(int argc, char **argv)
     Table t({"Benchmark", "Config", "Cycles", "Correct", "Status",
              "Att", "Wall (s)"});
     bool allGood = true;
-    for (const auto &o : outcomes) {
+    for (const auto &o : run.outcomes()) {
         allGood = allGood &&
             o.status == RunStatus::Done && o.result.correct;
         t.addRow({o.workload, machineKindName(o.kind),
@@ -268,15 +271,15 @@ main(int argc, char **argv)
                   fmtDouble(o.wallSeconds, 3)});
     }
     std::printf("%s\n", t.render().c_str());
-    if (runner.timing().replayed > 0)
+    const SweepTiming &timing = run.runner().timing();
+    if (timing.replayed > 0)
         std::printf("(* = replayed from journal %s)\n\n",
-                    args.journalPath.c_str());
+                    policy.journalPath.c_str());
 
-    const SweepTiming &timing = runner.timing();
     std::printf("threads:            %u\n", timing.threads);
     std::printf("total wall time:    %.3f s\n", timing.wallSeconds);
     std::printf("sum of job times:   %.3f s\n", timing.sumJobSeconds);
-    if (args.resume) {
+    if (policy.resume) {
         // One line an operator can grep to tell a clean resume from a
         // lossy one: how much journal input was dropped on recovery.
         if (timing.tornRecordsDropped || timing.journalLinesSkipped)
@@ -292,7 +295,7 @@ main(int argc, char **argv)
     } else {
         std::printf("replayed jobs:      %zu\n", timing.replayed);
     }
-    if (!checkpointDir.empty())
+    if (!policy.checkpointDir.empty())
         std::printf("checkpoints:        %" PRIu64 " saved, %" PRIu64
                     " restored; %" PRIu64 " sim cycles executed\n",
                     timing.checkpointSaves, timing.checkpointRestores,
@@ -303,20 +306,15 @@ main(int argc, char **argv)
         std::printf("interrupted by signal %d: in-flight jobs finished "
                     "as cancelled, journal closed cleanly%s\n",
                     static_cast<int>(gSignalSeen),
-                    args.journalPath.empty()
+                    policy.journalPath.empty()
                         ? ""
                         : "; re-run with --resume to continue");
     }
 
-    if (!args.jsonPath.empty())
-        writeSweepJson(args.jsonPath, outcomes);
     if (!timingPath.empty())
-        writeTimingJson(timingPath, runner, outcomes);
+        writeTimingJson(timingPath, run);
     if (!benchJsonPath.empty())
-        writeBenchPerfJson(benchJsonPath, "sweep", args, runner,
-                           outcomes);
-    BenchArgs observeOnly = args;
-    observeOnly.jsonPath.clear();
-    finishBench(observeOnly, sweepRuns(outcomes), &runner.profiler());
+        writeBenchPerfJson(benchJsonPath, "sweep", args, run);
+    finishBench(args, run);
     return allGood ? 0 : 1;
 }

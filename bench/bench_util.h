@@ -1,9 +1,16 @@
 /**
  * @file
- * Shared helpers for the benchmark harnesses: standard benchmark and
- * configuration lists, result caching across a binary's tables
- * (optionally filled in parallel by the sweep driver), and printing
- * conventions.
+ * Shared helpers for the benchmark harnesses: the standard benchmark
+ * and machine lists, the shared flag parser, printing conventions, and
+ * the one job path every simulating binary takes. Such a binary builds
+ * a std::vector<SweepJob> (benchJobs() for a workload x machine
+ * matrix, or one job per ablated config, each on benchConfig()), runs
+ * it as a BenchRun -- one SweepRunner, --jobs wide, outcomes in
+ * submission order -- renders its tables from the outcomes, and hands
+ * the BenchRun to finishBench(), which writes --json, --trace and
+ * --profile. Binaries that simulate no workload (tables, and the
+ * micro-throughput drivers that tick standalone components) call
+ * finishBench(args) alone.
  */
 #ifndef ISRF_BENCH_BENCH_UTIL_H
 #define ISRF_BENCH_BENCH_UTIL_H
@@ -23,9 +30,9 @@
 #include "sim/profiler.h"
 #include "sim/trace.h"
 #include "util/json.h"
+#include "util/log.h"
 #include "util/parse.h"
 #include "util/table.h"
-#include "workloads/external.h"
 #include "workloads/workload.h"
 
 namespace isrf {
@@ -117,14 +124,6 @@ struct BenchArgs
     std::string faultSpec;     ///< --faults: the spec as given
     FaultConfig faults;        ///< --faults: parsed once, at flag time
     unsigned jobs = 1;         ///< --jobs: sweep thread-pool width
-    bool quiet = false;        ///< --quiet: suppress progress chatter
-    // Sweep resilience (bench_sweep; DESIGN.md §Sweep resilience):
-    std::string journalPath;   ///< --journal: per-job JSONL journal
-    bool resume = false;       ///< --resume: replay journaled jobs
-    double timeoutSeconds = 0; ///< --timeout-s: per-attempt deadline
-    unsigned retries = 0;      ///< --retries: extra attempts
-    /** Workload names registered via --dataset, in flag order. */
-    std::vector<std::string> datasetWorkloads;
 };
 
 /**
@@ -138,6 +137,11 @@ struct BenchFlag
     bool takesValue = false;
     /** Called with the value (or "" for valueless flags). */
     std::function<void(const std::string &)> apply;
+    /**
+     * Its --help entry; "" means "[<name>]" or "[<name> <v>]".
+     * Defaulted so that brace lists may leave it out.
+     */
+    std::string usage = "";
 };
 
 /**
@@ -152,17 +156,10 @@ struct BenchFlag
  *                            syntax; a bad spec exits 2)
  *   --jobs <n>               run independent simulations n-wide
  *   --quiet                  suppress progress output
- *   --journal <path>         append per-job outcomes to a JSONL journal
- *   --resume                 replay journaled outcomes (with --journal)
- *   --timeout-s <secs>       per-attempt wall-clock deadline
- *   --retries <n>            retry TimedOut/Stalled jobs up to n times
- *   --dataset <file.mtx>     register a MatrixMarket file as an
- *                            "SpMV:<stem>" workload (repeatable;
- *                            registered names land in
- *                            BenchArgs::datasetWorkloads)
  * --faults, --trace, --trace-channels and --profile reach the machines
  * only through benchConfig(). `extra` adds binary-specific flags to the
- * same parse (and to --help). Exits on unknown options.
+ * same parse (and to --help, in list order). Exits 2 on unknown
+ * options.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv,
@@ -209,49 +206,15 @@ parseBenchArgs(int argc, char **argv,
                 std::exit(2);
             }
             args.jobs = static_cast<unsigned>(n);
-        } else if (s == "--journal") {
-            args.journalPath = next(i, "--journal");
-        } else if (s == "--resume") {
-            args.resume = true;
-        } else if (s == "--timeout-s") {
-            std::string v = next(i, "--timeout-s");
-            double secs = 0;
-            if (!parseF64(v, secs) || !(secs > 0.0)) {
-                std::fprintf(stderr,
-                             "--timeout-s expects a positive number, "
-                             "got '%s'\n", v.c_str());
-                std::exit(2);
-            }
-            args.timeoutSeconds = secs;
-        } else if (s == "--dataset") {
-            std::string path = next(i, "--dataset");
-            std::string name;
-            std::vector<std::string> errs;
-            if (!registerExternalDataset(path, &name, &errs)) {
-                std::fprintf(stderr,
-                             "--dataset: cannot load '%s':\n",
-                             path.c_str());
-                for (const auto &e : errs)
-                    std::fprintf(stderr, "  %s\n", e.c_str());
-                std::exit(2);
-            }
-            args.datasetWorkloads.push_back(name);
-        } else if (s == "--retries") {
-            std::string v = next(i, "--retries");
-            uint64_t n = 0;
-            if (!parseU64(v, n) || n > 100) {
-                std::fprintf(stderr,
-                             "--retries expects an integer in [0,100], "
-                             "got '%s'\n", v.c_str());
-                std::exit(2);
-            }
-            args.retries = static_cast<unsigned>(n);
         } else if (s == "--quiet") {
-            args.quiet = true;
             quietFlag() = true;
         } else if (s == "--help" || s == "-h") {
             std::string extras;
             for (const BenchFlag &f : extra) {
+                if (!f.usage.empty()) {
+                    extras += " " + f.usage;
+                    continue;
+                }
                 extras += " [" + f.name;
                 if (f.takesValue)
                     extras += " <v>";
@@ -261,9 +224,7 @@ parseBenchArgs(int argc, char **argv,
                 "usage: %s [--json <path>] [--trace <path>] "
                 "[--trace-channels <spec>] [--profile <path>] "
                 "[--faults <spec>] "
-                "[--jobs <n>] [--quiet] [--journal <path>] "
-                "[--resume] [--timeout-s <secs>] [--retries <n>] "
-                "[--dataset <file.mtx>]...%s\n",
+                "[--jobs <n>] [--quiet]%s\n",
                 argv[0], extras.c_str());
             std::exit(0);
         } else {
@@ -271,10 +232,6 @@ parseBenchArgs(int argc, char **argv,
                          s.c_str());
             std::exit(2);
         }
-    }
-    if (args.resume && args.journalPath.empty()) {
-        std::fprintf(stderr, "--resume requires --journal <path>\n");
-        std::exit(2);
     }
     return args;
 }
@@ -298,139 +255,111 @@ benchConfig(MachineKind kind, const BenchArgs &args)
 }
 
 // ----------------------------------------------------------------------
-// Result cache
+// The job path
 // ----------------------------------------------------------------------
 
-/** Finished runs in submission order (what --trace/--profile fold). */
-using RunList = std::vector<const WorkloadResult *>;
+/**
+ * The workloads x kinds matrix in figure order (workload-major), each
+ * job on benchConfig(kind, args).
+ */
+inline std::vector<SweepJob>
+benchJobs(const BenchArgs &args, const std::vector<std::string> &names,
+          const std::vector<MachineKind> &kinds,
+          const WorkloadOptions &opts)
+{
+    std::vector<SweepJob> jobs = SweepRunner::matrix(names, kinds, opts);
+    for (SweepJob &j : jobs)
+        j.cfg = benchConfig(j.cfg.kind, args);
+    return jobs;
+}
+
+/** The default progress lines: one as each job starts and finishes. */
+inline void
+printJobProgress(const SweepJob &job, bool finished, size_t done,
+                 size_t total)
+{
+    progressf("  [%s %s on %s (%zu/%zu)]\n",
+              finished ? "finished" : "running", job.workload.c_str(),
+              job.cfg.name().c_str(), done, total);
+}
 
 /**
- * Runs-and-caches workload results within one bench binary, each on
- * benchConfig(kind, args).
- *
- * With --jobs > 1, prefetch() fills the cache through the SweepRunner
- * thread pool; get() then serves hits. Results are identical to the
- * serial path — each job runs in an isolated simulation context.
+ * A bench binary's job list, run once on one SweepRunner, --jobs wide.
+ * Outcomes come back in submission order whatever --jobs says; a job
+ * that ran to completion but failed functional validation gets a
+ * WARNING line on stderr even under --quiet.
  */
-class ResultCache
+class BenchRun
 {
   public:
-    ResultCache(const BenchArgs &args, WorkloadOptions opts)
-        : args_(args), opts_(opts)
+    /** No jobs: what a binary that simulates no workload exports. */
+    BenchRun() = default;
+
+    BenchRun(const BenchArgs &args, const std::vector<SweepJob> &jobs,
+             const SweepPolicy &policy = {},
+             SweepRunner::ProgressFn progress = printJobProgress)
+        : runner_(args.jobs),
+          outcomes_(runner_.run(jobs, policy, std::move(progress)))
     {
+        for (const SweepOutcome &o : outcomes_)
+            warnIncorrect(o);
     }
 
-    /**
-     * Run every (workload, kind) pair not yet cached, --jobs-wide
-     * in parallel, and cache the results in deterministic order.
-     */
-    void
-    prefetch(const std::vector<std::string> &names,
-             const std::vector<MachineKind> &kinds)
+    const std::vector<SweepOutcome> &outcomes() const
     {
-        std::vector<SweepJob> jobs;
-        for (const auto &name : names) {
-            for (MachineKind kind : kinds) {
-                if (cache_.count(key(name, kind)))
-                    continue;
-                SweepJob j;
-                j.workload = name;
-                j.cfg = benchConfig(kind, args_);
-                j.opts = opts_;
-                jobs.push_back(std::move(j));
-            }
-        }
-        if (jobs.empty())
-            return;
-        SweepRunner runner(args_.jobs);
-        auto outcomes = runner.run(jobs,
-            [](const SweepJob &job, bool finished, size_t done,
-               size_t total) {
-                progressf("  [%s %s on %s (%zu/%zu)]\n",
-                          finished ? "finished" : "running",
-                          job.workload.c_str(), job.cfg.name().c_str(),
-                          done, total);
-            });
-        for (auto &o : outcomes) {
-            warnIncorrect(o.workload, o.kind, o.result);
-            auto it = cache_.emplace(key(o.workload, o.kind),
-                                     std::move(o.result)).first;
-            runs_.push_back(&it->second);
-        }
-        driverProfile_.mergeFrom(runner.profiler());
+        return outcomes_;
     }
 
+    /** The first job's result for (workload, kind); fatal if none. */
     const WorkloadResult &
-    get(const std::string &name, MachineKind kind)
+    result(const std::string &workload, MachineKind kind) const
     {
-        auto k = key(name, kind);
-        auto it = cache_.find(k);
-        if (it == cache_.end()) {
-            progressf("  [running %s on %s...]\n", name.c_str(),
-                      machineKindName(kind));
-            it = cache_.emplace(
-                k, runWorkload(name, benchConfig(kind, args_), opts_))
-                     .first;
-            runs_.push_back(&it->second);
-            warnIncorrect(name, kind, it->second);
-        }
-        return it->second;
+        for (const SweepOutcome &o : outcomes_)
+            if (o.workload == workload && o.kind == kind)
+                return o.result;
+        fatal("no bench job ran %s on %s", workload.c_str(),
+              machineKindName(kind));
     }
 
-    WorkloadOptions &options() { return opts_; }
-
-    /** All results run so far, keyed "workload/machine". */
-    const std::map<std::string, WorkloadResult> &results() const
-    {
-        return cache_;
-    }
-
-    /** The same results in the order they were run. */
-    const RunList &runs() const { return runs_; }
-
-    /** Host phases of the sweeps prefetch() ran (SweepRunner's own). */
-    const Profiler &driverProfile() const { return driverProfile_; }
+    /** Timing and own-phase profile of the sweep that ran the jobs. */
+    const SweepRunner &runner() const { return runner_; }
 
   private:
-    static std::string
-    key(const std::string &name, MachineKind kind)
-    {
-        return name + "/" + machineKindName(kind);
-    }
-
     static void
-    warnIncorrect(const std::string &name, MachineKind kind,
-                  const WorkloadResult &res)
+    warnIncorrect(const SweepOutcome &o)
     {
-        if (res.correct)
+        if (o.status != RunStatus::Done || o.result.correct)
             return;
         // Not progress chatter: always printed, but still atomic.
         bool wasQuiet = quietFlag();
         quietFlag() = false;
         progressf("  WARNING: %s on %s failed functional validation\n",
-                  name.c_str(), machineKindName(kind));
+                  o.workload.c_str(), machineKindName(o.kind));
         quietFlag() = wasQuiet;
     }
 
-    BenchArgs args_;
-    WorkloadOptions opts_;
-    std::map<std::string, WorkloadResult> cache_;
-    RunList runs_;  ///< into cache_ (std::map nodes never move)
-    Profiler driverProfile_;
+    SweepRunner runner_;
+    std::vector<SweepOutcome> outcomes_;
 };
 
-/** Serialize a result map as {"results":{...}} and write it. */
+/**
+ * Write outcomes as {"results":{...}} keyed "workload/machine" (the
+ * first job per key). Each result is its outcome's resultText, so a
+ * job replayed from a journal writes the journaled bytes.
+ */
 inline void
 writeBenchJson(const std::string &path,
-               const std::map<std::string, WorkloadResult> &results)
+               const std::vector<SweepOutcome> &outcomes)
 {
+    std::map<std::string, const SweepOutcome *> keyed;
+    for (const SweepOutcome &o : outcomes)
+        keyed.emplace(o.workload + "/" + machineKindName(o.kind), &o);
     JsonWriter w;
     w.beginObject();
     w.key("results").beginObject();
-    for (const auto &kv : results) {
-        w.key(kv.first);
-        resultJson(w, kv.second);
-    }
+    for (const auto &[key, o] : keyed)
+        w.key(key).raw(o->resultText.empty() ? resultJson(o->result)
+                                             : o->resultText);
     w.endObject();
     w.endObject();
     if (writeTextFile(path, w.str()))
@@ -440,38 +369,44 @@ writeBenchJson(const std::string &path,
 }
 
 /**
- * The host profile a binary reports: every run's, folded in order,
- * plus the sweep driver's own phases (`driver`, when one ran them).
+ * The host profile a binary reports: every run's, folded in submission
+ * order, plus the sweep runner's own phases.
  */
 inline void
-foldProfiles(const BenchArgs &args, const RunList &runs,
-             const Profiler *driver, Profiler &profile)
+foldProfiles(const BenchArgs &args, const BenchRun &run,
+             Profiler &profile)
 {
     const MachineConfig cfg = benchConfig(MachineKind::Base, args);
     profile.configure(cfg.profileEnabled, cfg.profileStride);
-    for (const WorkloadResult *r : runs)
-        if (r->profile)
-            profile.mergeFrom(*r->profile);
-    if (driver)
-        profile.mergeFrom(*driver);
+    for (const SweepOutcome &o : run.outcomes())
+        if (o.result.profile)
+            profile.mergeFrom(*o.result.profile);
+    profile.mergeFrom(run.runner().profiler());
 }
+
+/** What a binary's --json lists. */
+enum class JsonResults
+{
+    Keyed, ///< every outcome, keyed "workload/machine"
+    None,  ///< {"results":{}}: the jobs share keys (an option sweep)
+};
 
 /**
  * Write the --json/--trace/--profile outputs (no-ops without them).
- * --trace and --profile export `runs`' traces and host profiles,
- * folded in submission order, so the files do not depend on --jobs;
- * --profile adds the `driver` profile of the sweep that ran them. A
- * binary without a ResultCache writes an empty --json results object.
+ * --trace and --profile export the runs' traces and host profiles,
+ * folded in submission order, so the files do not depend on --jobs.
  */
 inline void
-finishBench(const BenchArgs &args, const RunList &runs = {},
-            const Profiler *driver = nullptr)
+finishBench(const BenchArgs &args, const BenchRun &run = {},
+            JsonResults json = JsonResults::Keyed)
 {
+    const std::vector<SweepOutcome> none;
     if (!args.jsonPath.empty())
-        writeBenchJson(args.jsonPath, {});
+        writeBenchJson(args.jsonPath,
+                       json == JsonResults::Keyed ? run.outcomes() : none);
     if (!args.profilePath.empty()) {
         Profiler profile;
-        foldProfiles(args, runs, driver, profile);
+        foldProfiles(args, run, profile);
         if (profile.writeChromeTrace(args.profilePath))
             std::fprintf(stderr, "wrote host profile to %s\n",
                          args.profilePath.c_str());
@@ -483,9 +418,9 @@ finishBench(const BenchArgs &args, const RunList &runs = {},
         return;
     Tracer trace;
     trace.setCapacity(benchConfig(MachineKind::Base, args).traceCapacity);
-    for (const WorkloadResult *r : runs)
-        if (r->trace)
-            trace.mergeFrom(*r->trace);
+    for (const SweepOutcome &o : run.outcomes())
+        if (o.result.trace)
+            trace.mergeFrom(*o.result.trace);
     if (trace.writeChromeJson(args.tracePath)) {
         std::fprintf(stderr, "wrote trace to %s (%zu events)\n",
                      args.tracePath.c_str(), trace.size());
@@ -493,27 +428,6 @@ finishBench(const BenchArgs &args, const RunList &runs = {},
         std::fprintf(stderr, "ERROR: could not write trace to %s\n",
                      args.tracePath.c_str());
     }
-}
-
-/** finishBench() over a ResultCache's results. */
-inline void
-finishBench(const BenchArgs &args, const ResultCache &cache)
-{
-    if (!args.jsonPath.empty())
-        writeBenchJson(args.jsonPath, cache.results());
-    BenchArgs observeOnly = args;
-    observeOnly.jsonPath.clear();
-    finishBench(observeOnly, cache.runs(), &cache.driverProfile());
-}
-
-/** A sweep's results in submission order. */
-inline RunList
-sweepRuns(const std::vector<SweepOutcome> &outcomes)
-{
-    RunList runs;
-    for (const SweepOutcome &o : outcomes)
-        runs.push_back(&o.result);
-    return runs;
 }
 
 // ----------------------------------------------------------------------
@@ -554,10 +468,10 @@ gitSha()
  */
 inline void
 writeBenchPerfJson(const std::string &path, const std::string &bench,
-                   const BenchArgs &args, const SweepRunner &runner,
-                   const std::vector<SweepOutcome> &outcomes)
+                   const BenchArgs &args, const BenchRun &run)
 {
-    const SweepTiming &t = runner.timing();
+    const SweepTiming &t = run.runner().timing();
+    const std::vector<SweepOutcome> &outcomes = run.outcomes();
     uint64_t simCycles = 0, freshCycles = 0;
     size_t failed = 0;
     for (const auto &o : outcomes) {
@@ -611,7 +525,7 @@ writeBenchPerfJson(const std::string &path, const std::string &bench,
     }
     w.endArray();
     Profiler profile;
-    foldProfiles(args, sweepRuns(outcomes), &runner.profiler(), profile);
+    foldProfiles(args, run, profile);
     if (profile.enabled() && profile.hasData()) {
         w.key("profile");
         profile.reportJson(w);

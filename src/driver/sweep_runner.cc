@@ -551,8 +551,8 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                 // The job finished before the interrupted sweep died;
                 // any checkpoint it left behind is dead weight.
                 if (checkpointing)
-                    ::unlink(checkpointFilePath(policy.checkpointDir,
-                                            fps[i]).c_str());
+                    removeCheckpointFiles(checkpointFilePath(
+                        policy.checkpointDir, fps[i]));
             }
             appendExisting = true;
         }
@@ -694,7 +694,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             // checkpoint will never be read again. TimedOut/Cancelled
             // keep theirs so the next sweep resumes mid-flight.
             if (replayable(o.status))
-                ckpt->removeFile();
+                removeCheckpointFiles(ckpt->path());
         }
     };
 

@@ -48,8 +48,9 @@ struct SweepJob
      * invoked instead of the registry lookup. Custom-runner jobs are
      * fingerprinted as such: the journal cannot attest arbitrary code,
      * so their records never silently replace a registry workload's.
+     * Defaulted so that designated initializers may leave it out.
      */
-    WorkloadRunner runner;
+    WorkloadRunner runner = nullptr;
 };
 
 /** One finished job, in submission order. */

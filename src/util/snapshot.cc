@@ -1,5 +1,6 @@
 #include "util/snapshot.h"
 
+#include <dirent.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -270,17 +271,30 @@ loadSnapshotFile(const std::string &path, uint64_t expectFingerprint,
     return SnapshotLoad::Ok;
 }
 
-void
-CheckpointContext::removeFile()
-{
-    std::remove(path_.c_str());
-}
-
 std::string
 checkpointFilePath(const std::string &dir, uint64_t jobFingerprint)
 {
     return strprintf("%s/job-%016llx.ckpt", dir.c_str(),
                      static_cast<unsigned long long>(jobFingerprint));
+}
+
+void
+removeCheckpointFiles(const std::string &path)
+{
+    std::remove(path.c_str());
+    const size_t slash = path.rfind('/');
+    const std::string dir =
+        slash == std::string::npos ? "." : path.substr(0, slash);
+    // npos + 1 == 0: a bare file name is its own base name.
+    const std::string tmpPrefix = path.substr(slash + 1) + ".tmp.";
+    DIR *d = ::opendir(dir.c_str());
+    if (!d)
+        return;
+    while (const struct dirent *e = ::readdir(d))
+        if (std::strncmp(e->d_name, tmpPrefix.c_str(),
+                         tmpPrefix.size()) == 0)
+            std::remove((dir + "/" + e->d_name).c_str());
+    ::closedir(d);
 }
 
 bool

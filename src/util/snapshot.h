@@ -562,9 +562,6 @@ class CheckpointContext
 
     void noteQuarantined() { quarantined_++; }
 
-    /** Remove the checkpoint file (job finished for good). */
-    void removeFile();
-
     uint64_t saves() const { return saves_; }
     uint64_t saveFailures() const { return saveFailures_; }
     uint64_t restores() const { return restores_; }
@@ -596,6 +593,12 @@ class CheckpointContext
 /** Canonical per-job checkpoint path: <dir>/job-<fingerprint>.ckpt. */
 std::string checkpointFilePath(const std::string &dir,
                                uint64_t jobFingerprint);
+
+/**
+ * Remove the checkpoint at `path` and every `<path>.tmp.*` temp file
+ * that a save killed between mkstemp() and rename() left behind.
+ */
+void removeCheckpointFiles(const std::string &path);
 
 /** mkdir -p; false (with err) when a component cannot be created. */
 bool ensureCheckpointDir(const std::string &dir, std::string &err);

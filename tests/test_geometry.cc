@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.h"
+#include "util/log.h"
 
 namespace isrf {
 namespace {
@@ -137,9 +138,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(Geom{2, 4, 4}, Geom{4, 4, 2}, Geom{8, 4, 4},
                       Geom{16, 4, 4}, Geom{8, 8, 4}, Geom{4, 2, 8}),
     [](const auto &info) {
-        return "L" + std::to_string(info.param.lanes) + "m" +
-            std::to_string(info.param.seqWidth) + "s" +
-            std::to_string(info.param.subArrays);
+        return strprintf("L%um%us%u", info.param.lanes,
+                         info.param.seqWidth, info.param.subArrays);
     });
 
 } // namespace

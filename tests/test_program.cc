@@ -12,6 +12,7 @@
 #include "core/report.h"
 #include "core/stream_program.h"
 #include "test_helpers.h"
+#include "util/log.h"
 #include "util/random.h"
 
 namespace isrf {
@@ -233,7 +234,7 @@ TEST(StreamProgram, SlotsReleasedOnDestruction)
     for (int round = 0; round < 3; round++) {
         StreamProgram prog(m);
         for (int i = 0; i < 20; i++) {
-            prog.addStream("s" + std::to_string(i), 64);
+            prog.addStream(strprintf("s%d", i), 64);
         }
         m.allocator().reset();
     }
@@ -572,10 +573,8 @@ expectScoreboardMatchesScan(MachineKind kind)
         ScanDriver oracle(mb);
         std::vector<SlotId> sa, sb;
         for (uint32_t s = 0; s < nslots; s++) {
-            sa.push_back(prog.addStream("s" + std::to_string(s),
-                                        kRandWords));
-            sb.push_back(streamsB.addStream("s" + std::to_string(s),
-                                            kRandWords));
+            sa.push_back(prog.addStream(strprintf("s%u", s), kRandWords));
+            sb.push_back(streamsB.addStream(strprintf("s%u", s), kRandWords));
         }
         buildRandomProgram(prog, ma, g, sa, ops);
         buildRandomProgram(oracle, mb, g, sb, ops);

@@ -1032,6 +1032,45 @@ TEST(SweepCheckpoint, RunnerResumesAndCleansUp)
     EXPECT_FALSE(fileExists(path));
 }
 
+TEST(SweepCheckpoint, RunnerRemovesStaleTempFilesOfFinishedJobs)
+{
+    // A save killed between mkstemp() and rename() leaves
+    // <ckpt>.tmp.XXXXXX behind. The job's replayable outcome removes it
+    // with the .ckpt; another job's temp file is left alone.
+    SweepJob job;
+    job.workload = "Sort";
+    job.cfg = MachineConfig::make(MachineKind::Base);
+    TempCkptDir dir("stale_tmp");
+    const std::string stale =
+        checkpointFilePath(dir.path(), SweepRunner::fingerprint(job)) +
+        ".tmp.Ab12Cd";
+    const std::string other =
+        checkpointFilePath(dir.path(), 1) + ".tmp.Ab12Cd";
+    writeBytes(stale, "torn");
+    writeBytes(other, "torn");
+
+    SweepPolicy policy;
+    policy.checkpointDir = dir.path();
+    policy.journalPath = dir.file("sweep.jsonl");
+    SweepRunner runner(1);
+    auto out = runner.run({job}, policy);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].status, RunStatus::Done);
+    EXPECT_FALSE(fileExists(stale));
+
+    // A resumed sweep replays the job from the journal instead of
+    // running it, and removes what a killed save left all the same.
+    writeBytes(stale, "torn");
+    policy.resume = true;
+    out = runner.run({job}, policy);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0].fromJournal);
+    EXPECT_FALSE(fileExists(stale));
+    EXPECT_TRUE(fileExists(other));
+    std::remove(other.c_str());
+    std::remove(policy.journalPath.c_str());
+}
+
 TEST(SweepCheckpoint, PolicyKnobsExcludedFromFingerprint)
 {
     // Checkpointing observes a run without changing its results, so

@@ -15,6 +15,7 @@
 #include "kernel/builder.h"
 #include "kernel/scheduler.h"
 #include "test_helpers.h"
+#include "util/log.h"
 #include "util/random.h"
 
 namespace isrf {
@@ -330,7 +331,7 @@ TEST_P(ProgramStress, RandomPipelinesRunToCompletion)
     std::vector<SlotId> slots;
     std::vector<std::vector<Word>> contents(4);
     for (int i = 0; i < 4; i++)
-        slots.push_back(prog.addStream("s" + std::to_string(i), n));
+        slots.push_back(prog.addStream(strprintf("s%d", i), n));
 
     // Random chain: loads, copies between slots, stores.
     std::vector<std::pair<uint64_t, std::vector<Word>>> expectedStores;
