@@ -174,7 +174,7 @@ Cluster::drainPending(Cycle now)
         while (!pendingIdxR_[s].empty() &&
                srf_->idxCanIssue(lane_, slot)) {
             uint32_t rec = pendingIdxR_[s].front();
-            if (!srf_->idxIssueRead(lane_, slot, rec))
+            if (!srf_->idxIssueRead(lane_, slot, rec, now))
                 break;
             pendingIdxR_[s].pop_front();
             uint32_t k = static_cast<uint32_t>(dataNeeds_[s].size());
@@ -188,7 +188,8 @@ Cluster::drainPending(Cycle now)
         while (!pendingIdxW_[s].empty() &&
                srf_->idxCanIssue(lane_, slot)) {
             const IdxWriteTraceEntry &e = pendingIdxW_[s].front();
-            if (!srf_->idxIssueWrite(lane_, slot, e.recordIndex, e.data))
+            if (!srf_->idxIssueWrite(lane_, slot, e.recordIndex, e.data,
+                                     now))
                 break;
             pendingIdxW_[s].pop_front();
         }
@@ -292,10 +293,6 @@ Cluster::snapshot(SnapshotIo &io)
             io.each(e.data);
         });
     }
-    io.u64(cycles_.loopBody);
-    io.u64(cycles_.overhead);
-    io.u64(cycles_.srfStall);
-    io.u64(cycles_.idle);
     io.asU8(lastCat_);
     io.b(doneReported_);
 }
@@ -304,13 +301,11 @@ void
 Cluster::tick(Cycle now)
 {
     if (!inv_) {
-        cycles_.idle++;
         lastCat_ = CycleCat::Idle;
         return;
     }
     // Kernel dispatch overhead (microcode load, stream descriptor setup).
     if (now < bindCycle_ + inv_->startOverhead) {
-        cycles_.overhead++;
         lastCat_ = CycleCat::Overhead;
         return;
     }
@@ -321,7 +316,6 @@ Cluster::tick(Cycle now)
     }
     drainPending(now);
     if (!consumeDueData(now)) {
-        cycles_.srfStall++;
         lastCat_ = CycleCat::SrfStall;
         return;
     }
@@ -335,35 +329,21 @@ Cluster::tick(Cycle now)
         }
         // Pipe drain / waiting for other lanes: kernel overhead
         // (software-pipeline drain + load imbalance).
-        cycles_.overhead++;
         lastCat_ = CycleCat::Overhead;
         return;
     }
     bool steady = itersIssued_ + 1 >= inv_->sched.stages() &&
         total >= inv_->sched.stages();
     if (now < nextIssue_) {
-        if (steady) {
-            cycles_.loopBody++;
-            lastCat_ = CycleCat::Loop;
-        } else {
-            cycles_.overhead++;
-            lastCat_ = CycleCat::Overhead;
-        }
+        lastCat_ = steady ? CycleCat::Loop : CycleCat::Overhead;
         return;
     }
     if (!resourcesReady(now)) {
-        cycles_.srfStall++;
         lastCat_ = CycleCat::SrfStall;
         return;
     }
     issueIteration(now);
-    if (steady) {
-        cycles_.loopBody++;
-        lastCat_ = CycleCat::Loop;
-    } else {
-        cycles_.overhead++;
-        lastCat_ = CycleCat::Overhead;
-    }
+    lastCat_ = steady ? CycleCat::Loop : CycleCat::Overhead;
 }
 
 } // namespace isrf

@@ -80,26 +80,6 @@ enum class StallCause : uint8_t { None, SrfData, SrfBuffer };
 /** How one lane-cycle was spent (Figure 12 categories). */
 enum class CycleCat : uint8_t { Idle, Loop, Overhead, SrfStall };
 
-/** Per-lane cycle accounting matching Figure 12's categories. */
-struct LaneCycles
-{
-    uint64_t loopBody = 0;
-    uint64_t overhead = 0;   ///< fill/drain, dispatch, load imbalance
-    uint64_t srfStall = 0;
-    uint64_t idle = 0;       ///< no kernel bound to the cluster
-
-    uint64_t
-    total() const
-    {
-        return loopBody + overhead + srfStall + idle;
-    }
-    void
-    reset()
-    {
-        loopBody = overhead = srfStall = idle = 0;
-    }
-};
-
 /**
  * One compute cluster (one lane).
  *
@@ -127,8 +107,6 @@ class Cluster
     void tick(Cycle now);
 
     uint32_t lane() const { return lane_; }
-    const LaneCycles &cycles() const { return cycles_; }
-    void resetCycles() { cycles_.reset(); }
 
     /** Iterations issued so far (progress/debug). */
     uint64_t itersIssued() const { return itersIssued_; }
@@ -187,7 +165,6 @@ class Cluster
     /** Drain pending stream work; true if all queues are empty after. */
     bool drainPending(Cycle now);
 
-    LaneCycles cycles_;
     CycleCat lastCat_ = CycleCat::Idle;
 
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced

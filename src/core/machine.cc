@@ -426,7 +426,6 @@ Machine::snapshotSections()
         {kSnapMachine, "machine",
          [this](SnapshotIo &io) { snapshotMachineSection(io); }, false},
         {kSnapSrf, "srf", of(&srf_), false},
-        {kSnapCrossbar, "crossbar", of(&dataNet_), false},
         {kSnapClusters, "clusters",
          [this](SnapshotIo &io) {
              io.expect(clusters_.size(), 1);

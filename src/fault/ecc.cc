@@ -24,7 +24,6 @@ EccDomain::inject(uint64_t addr, Word mask, bool transient, Word *storage)
         return;
     *storage ^= mask;
     faultsInjected_++;
-    bitsFlipped_ += std::popcount(mask);
     Entry &e = entries_[addr];
     e.mask ^= mask;
     e.transient = transient;
@@ -89,7 +88,6 @@ EccDomain::clear()
 {
     entries_.clear();
     faultsInjected_ = 0;
-    bitsFlipped_ = 0;
     corrected_ = 0;
     uncorrectable_ = 0;
 }
@@ -118,7 +116,6 @@ EccDomain::snapshot(SnapshotIo &io)
             entries_[addr] = e;
     }
     io.u64(faultsInjected_);
-    io.u64(bitsFlipped_);
     io.u64(corrected_);
     io.u64(uncorrectable_);
 }

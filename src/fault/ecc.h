@@ -79,7 +79,6 @@ class EccDomain
     void clear();
 
     uint64_t faultsInjected() const { return faultsInjected_; }
-    uint64_t bitsFlipped() const { return bitsFlipped_; }
     uint64_t corrected() const { return corrected_; }
     uint64_t uncorrectable() const { return uncorrectable_; }
 
@@ -96,7 +95,6 @@ class EccDomain
 
     std::unordered_map<uint64_t, Entry> entries_;
     uint64_t faultsInjected_ = 0;
-    uint64_t bitsFlipped_ = 0;
     uint64_t corrected_ = 0;
     uint64_t uncorrectable_ = 0;
 };

@@ -25,7 +25,6 @@ FaultInjector::init(const FaultConfig &cfg, uint64_t machineSeed,
     sched_.clear();
     for (const FaultScheduleEntry &e : cfg.schedule)
         sched_.push_back({e, e.start, e.count});
-    totalInjected_ = 0;
     traceCh_ = trc_ ? trc_->channel("fault") : 0;
 }
 
@@ -51,7 +50,6 @@ FaultInjector::randomMask(uint32_t bits)
 void
 FaultInjector::fire(const FaultScheduleEntry &e, Cycle now)
 {
-    totalInjected_++;
     stats_.counter(faultKindName(e.kind)).inc();
     if (trc_ && trc_->on())
         trc_->instant(traceCh_, faultKindName(e.kind), now);
@@ -76,10 +74,10 @@ FaultInjector::fire(const FaultScheduleEntry &e, Cycle now)
         break;
       }
       case FaultKind::MemDrop:
-        mem_->injectDrop();
+        mem_->injectDrop(now);
         break;
       case FaultKind::MemDelay:
-        mem_->injectDelay(e.delayCycles);
+        mem_->injectDelay(e.delayCycles, now);
         break;
       case FaultKind::XbarStall:
         if (xbar_) {
@@ -112,7 +110,6 @@ FaultInjector::snapshot(SnapshotIo &io)
         io.u64(st.next);
         io.u64(st.remaining);
     }
-    io.u64(totalInjected_);
     stats_.snapshot(io);
 }
 

@@ -41,9 +41,6 @@ class FaultInjector
     /** True once every schedule entry has fired its full count. */
     bool exhausted() const;
 
-    /** Total firings across all entries so far. */
-    uint64_t totalInjected() const { return totalInjected_; }
-
     StatGroup &stats() { return stats_; }
     const StatGroup &stats() const { return stats_; }
     const FaultConfig &config() const { return cfg_; }
@@ -69,7 +66,6 @@ class FaultInjector
     MemorySystem *mem_ = nullptr;
     Crossbar *xbar_ = nullptr;
     std::vector<EntryState> sched_;
-    uint64_t totalInjected_ = 0;
     StatGroup stats_{"fault"};
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;

@@ -49,7 +49,6 @@ Dram::init(const DramConfig &cfg, Tracer *tracer)
     ecc_.clear();
     openRow_.assign(cfg.banks, -1);
     tokens_ = 0;
-    now_ = 0;
     rowHits_ = 0;
     rowMisses_ = 0;
     trc_ = tracer;
@@ -173,7 +172,6 @@ Dram::scrubEcc()
 void
 Dram::tick()
 {
-    now_++;
     tokens_ = std::min(tokens_ + cfg_.wordsPerCycle, cfg_.burstTokens);
 }
 
@@ -201,7 +199,7 @@ Dram::tryConsumeExactCost(uint32_t words, double costFactor)
 }
 
 bool
-Dram::tryAccessWord(uint64_t addr)
+Dram::tryAccessWord(uint64_t addr, Cycle now)
 {
     if (!cfg_.rowBufferModel)
         panic("Dram::tryAccessWord without rowBufferModel");
@@ -221,7 +219,7 @@ Dram::tryAccessWord(uint64_t addr)
         rowMisses_++;
         randomWords_++;
         if (trc_ && trc_->on())
-            trc_->instant(traceCh_, "row_miss", now_, bank);
+            trc_->instant(traceCh_, "row_miss", now, bank);
     }
     return true;
 }
@@ -247,88 +245,41 @@ Dram::requestWordsCost(uint32_t want, double costFactor)
     return n;
 }
 
-template <typename F>
-void
-Dram::forEachRun(F &&fn) const
-{
-    // An untouched page is a block of zeros: only touched pages are
-    // read, yet the runs are those of a scan over every word.
-    uint64_t count = 0;
-    Word value = 0;
-    auto extend = [&](Word v, uint64_t n) {
-        if (count != 0 && v != value) {
-            fn(count, value);
-            count = 0;
-        }
-        value = v;
-        count += n;
-    };
-    for (uint64_t page = 0; page < pages(); page++) {
-        uint64_t lo = page << kPageShift;
-        uint64_t hi = std::min(lo + kPageWords, words_);
-        if (!pageTouched(page)) {
-            extend(0, hi - lo);
-            continue;
-        }
-        for (uint64_t a = lo; a < hi;) {
-            uint64_t b = a + 1;
-            while (b < hi && mem_[b] == mem_[a])
-                b++;
-            extend(mem_[a], b - a);
-            a = b;
-        }
-    }
-    if (count != 0)
-        fn(count, value);
-}
-
 void
 Dram::snapshot(SnapshotIo &io)
 {
     io.expect(words_, 0);
-    // Storage as (count, value) runs: most of DRAM is untouched zeros.
-    // A save counts the runs, then writes them; a load zeroes the
-    // touched pages and refills the non-zero runs, rejecting an empty
-    // run or one past the end.
-    uint64_t nruns = 0;
-    if (io.saving())
-        forEachRun([&](uint64_t, Word) { nruns++; });
-    io.len(nruns, 12);
-    if (io.saving()) {
-        forEachRun([&](uint64_t count, Word value) {
-            io.u64(count);
-            io.u32(value);
-        });
-    } else {
-        for (uint64_t page = 0; page < pages(); page++) {
-            if (!pageTouched(page))
-                continue;
-            uint64_t lo = page << kPageShift;
-            uint64_t hi = std::min(lo + kPageWords, words_);
-            std::memset(mem_.get() + lo, 0, (hi - lo) * sizeof(Word));
-        }
+    // Storage as the touched pages, ascending: u64 n, then n x
+    // {u64 page, raw words}. A load first zeroes the pages touched
+    // before it and clears the map, then rejects a page index that is
+    // out of range or not ascending before copying the page.
+    uint64_t npages = touchedPages();
+    io.len(npages, 8 + sizeof(Word));
+    if (io.loading()) {
+        for (uint64_t page = 0; page < pages(); page++)
+            if (pageTouched(page))
+                std::memset(mem_.get() + (page << kPageShift), 0,
+                            pageWords(page) * sizeof(Word));
         std::fill(touched_.begin(), touched_.end(), 0);
-        uint64_t at = 0;
-        for (uint64_t run = 0; run < nruns && io.ok(); run++) {
-            uint64_t count = 0;
-            Word value = 0;
-            io.u64(count);
-            io.u32(value);
-            if (!io.require(count != 0 && count <= words_ - at))
-                break;
-            if (value != 0) {
-                std::fill(mem_.get() + at, mem_.get() + at + count, value);
-                markRange(at, count);
-            }
-            at += count;
-        }
-        io.require(at == words_);
+    }
+    uint64_t next = 0;  // lowest page index the next entry may have
+    for (uint64_t i = 0; i < npages && io.ok(); i++) {
+        uint64_t page = next;
+        while (io.saving() && !pageTouched(page))
+            page++;
+        io.u64(page);
+        if (!io.require(page >= next && page < pages()))
+            break;
+        io.bytes(mem_.get() + (page << kPageShift),
+                 pageWords(page) * sizeof(Word));
+        if (io.ok())
+            markTouched(page << kPageShift);
+        next = page + 1;
     }
     ecc_.snapshot(io);
     io.expect(openRow_.size(), 8);
     io.each(openRow_);
     io.f64(tokens_);
-    io.u64(now_);
     io.u64(rowHits_);
     io.u64(rowMisses_);
     io.u64(wordsTransferred_);

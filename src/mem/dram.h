@@ -20,6 +20,7 @@
 #ifndef ISRF_MEM_DRAM_H
 #define ISRF_MEM_DRAM_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -92,8 +93,8 @@ class Dram
 
     /**
      * True once write(), fill(), injectBitFlips() or an ECC write-back
-     * hit the page since init() (a snapshot load re-marks only the
-     * pages it fills). A page never touched holds only zeros.
+     * hit the page since init() (a snapshot load restores the map it
+     * saved). A page never touched holds only zeros.
      */
     bool
     pageTouched(uint64_t page) const
@@ -145,11 +146,12 @@ class Dram
     bool tryConsumeExactCost(uint32_t words, double costFactor);
 
     /**
-     * Row-buffer-model access of one word at `addr` (requires
-     * rowBufferModel). Charges the hit or miss cost depending on the
-     * bank's open row, which it updates. All-or-nothing on tokens.
+     * Row-buffer-model access of one word at `addr` in cycle `now`
+     * (requires rowBufferModel). Charges the hit or miss cost
+     * depending on the bank's open row, which it updates.
+     * All-or-nothing on tokens.
      */
-    bool tryAccessWord(uint64_t addr);
+    bool tryAccessWord(uint64_t addr, Cycle now);
 
     uint64_t rowHits() const { return rowHits_; }
     uint64_t rowMisses() const { return rowMisses_; }
@@ -170,12 +172,12 @@ class Dram
     }
 
     /**
-     * Snapshot (util/snapshot.h): functional storage is run-length
-     * encoded ((count, value) runs over the whole capacity — checkpoints
-     * stay small while most of DRAM is untouched zeros), plus ECC,
-     * row-buffer state, the token bucket and counters. A save reads
-     * only touched pages; a load zeroes only touched pages, then
-     * writes the non-zero runs. Capacity is init() state, must match.
+     * Snapshot (util/snapshot.h): the touched pages, each as its index
+     * and its raw words in ascending page order, then ECC, row-buffer
+     * state, the token bucket and counters. A load zeroes the pages
+     * touched before it and restores the saved touched-page map
+     * exactly, a touched all-zero page included.
+     * Capacity is init() state and must match.
      */
     void snapshot(SnapshotIo &io);
 
@@ -187,9 +189,12 @@ class Dram
         touched_[page >> 6] |= 1ull << (page & 63);
     }
     void markRange(uint64_t wordAddr, uint64_t n);
-
-    /** fn(count, value) for each maximal run of equal words. */
-    template <typename F> void forEachRun(F &&fn) const;
+    /** Words of `page` (fewer than kPageWords for a partial last page). */
+    uint64_t
+    pageWords(uint64_t page) const
+    {
+        return std::min(kPageWords, words_ - (page << kPageShift));
+    }
 
     DramConfig cfg_;
     /**
@@ -203,7 +208,6 @@ class Dram
     mutable EccDomain ecc_;
     std::vector<int64_t> openRow_;
     double tokens_ = 0;
-    Cycle now_ = 0;  ///< cycles ticked (trace timestamps)
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
     uint64_t rowHits_ = 0;

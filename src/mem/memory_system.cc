@@ -141,20 +141,20 @@ MemorySystem::setFaultConfig(const FaultConfig &fc)
 }
 
 bool
-MemorySystem::injectDrop()
+MemorySystem::injectDrop(Cycle now)
 {
     for (auto &u : units_)
-        if (u.injectDrop())
+        if (u.injectDrop(now))
             return true;
     return false;
 }
 
 void
-MemorySystem::injectDelay(uint32_t cycles)
+MemorySystem::injectDelay(uint32_t cycles, Cycle now)
 {
     for (auto &u : units_)
         if (u.busy())
-            u.injectDelay(cycles);
+            u.injectDelay(cycles, now);
 }
 
 uint64_t

@@ -64,11 +64,12 @@ class MemorySystem
     /** Apply the retry/timeout policy to every stream memory unit. */
     void setFaultConfig(const FaultConfig &fc);
 
-    /** Drop one in-flight load word (first unit that has one). */
-    bool injectDrop();
+    /** Drop one in-flight load word at cycle `now` (first unit that
+     *  has one). */
+    bool injectDrop(Cycle now);
 
-    /** Stall every busy unit for `cycles`. */
-    void injectDelay(uint32_t cycles);
+    /** Stall every busy unit for `cycles` cycles starting at `now`. */
+    void injectDelay(uint32_t cycles, Cycle now);
 
     uint64_t retries() const;
     uint64_t poisonedWords() const;

@@ -81,11 +81,12 @@ StreamMemUnit::memAddrOf(uint64_t i) const
 }
 
 bool
-StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw)
+StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw,
+                           Cycle now)
 {
     if (!op_.cached || !cache_) {
         if (dram_->config().rowBufferModel)
-            return dram_->tryAccessWord(memAddr);
+            return dram_->tryAccessWord(memAddr, now);
         return dram_->tryConsumeExactCost(1, dramCostFactor_);
     }
 
@@ -110,10 +111,10 @@ StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw)
         if (dram_->config().rowBufferModel) {
             // Fill the line word by word through the row model.
             uint64_t lineBase = line * lw;
-            if (!dram_->tryAccessWord(lineBase))
+            if (!dram_->tryAccessWord(lineBase, now))
                 return false;
             for (uint32_t i = 1; i < lw; i++)
-                dram_->tryAccessWord(lineBase + i);
+                dram_->tryAccessWord(lineBase + i, now);
         } else if (!dram_->tryConsumeExactCost(lw, dramCostFactor_)) {
             return false;
         }
@@ -124,21 +125,19 @@ StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw)
         bw.cacheTokens -= 1.0;
     CacheAccessResult r = cache_->access(line, isWrite);
     if (trc_ && trc_->on())
-        trc_->instant(cacheTraceCh_, "miss", curCycle_, line);
+        trc_->instant(cacheTraceCh_, "miss", now, line);
     if (r.writeback) {
         // Writeback bandwidth: retroactive token consumption; allow the
         // bucket to go negative via a forced grab so timing still pays.
         dram_->requestWords(cache_->config().lineWords, true);
-        if (trc_ && trc_->on()) {
-            trc_->instant(cacheTraceCh_, "writeback",
-                                       curCycle_, line);
-        }
+        if (trc_ && trc_->on())
+            trc_->instant(cacheTraceCh_, "writeback", now, line);
     }
     return true;
 }
 
 bool
-StreamMemUnit::readWithRetry(uint64_t addr, Word *out)
+StreamMemUnit::readWithRetry(uint64_t addr, Word *out, Cycle now)
 {
     if (!faults_.enabled || !faults_.eccEnabled) {
         *out = dram_->read(addr);
@@ -152,17 +151,16 @@ StreamMemUnit::readWithRetry(uint64_t addr, Word *out)
         return true;
     }
     bool timedOut = faults_.opTimeoutCycles &&
-        curCycle_ >= startCycle_ + faults_.opTimeoutCycles;
+        now >= startCycle_ + faults_.opTimeoutCycles;
     if (retriesThisWord_ < faults_.retryLimit && !timedOut) {
         // Re-issue the word after a bounded exponential backoff.
         retriesThisWord_++;
         retries_++;
-        retryNotBefore_ = curCycle_ +
+        retryNotBefore_ = now +
             (static_cast<Cycle>(faults_.retryBackoffBase)
              << (retriesThisWord_ - 1));
         if (trc_ && trc_->on())
-            trc_->instant(faultTraceCh_, "mem_retry",
-                                       curCycle_, addr);
+            trc_->instant(faultTraceCh_, "mem_retry", now, addr);
         return false;
     }
     // Retries (or the op's retry budget) exhausted: complete the word
@@ -174,25 +172,24 @@ StreamMemUnit::readWithRetry(uint64_t addr, Word *out)
               "retries; poisoning",
               static_cast<unsigned long long>(addr), faults_.retryLimit);
     if (trc_ && trc_->on())
-        trc_->instant(faultTraceCh_, "mem_poison",
-                                   curCycle_, addr);
+        trc_->instant(faultTraceCh_, "mem_poison", now, addr);
     *out = kPoisonWord;
     return true;
 }
 
 void
-StreamMemUnit::tickLoadSide(MemBandwidth &bw)
+StreamMemUnit::tickLoadSide(MemBandwidth &bw, Cycle now)
 {
     // DRAM/cache -> staging.
     uint64_t total = totalWords();
     uint32_t moved = 0;
     while (dramCursor_ < total && staging_.size() < stagingCap_ &&
-           moved < 16 && curCycle_ >= retryNotBefore_) {
+           moved < 16 && now >= retryNotBefore_) {
         uint64_t addr = memAddrOf(dramCursor_);
-        if (!payWordCost(addr, false, bw))
+        if (!payWordCost(addr, false, bw, now))
             break;
         Word w;
-        if (!readWithRetry(addr, &w))
+        if (!readWithRetry(addr, &w, now))
             break;
         staging_.push_back(w);
         dramCursor_++;
@@ -217,7 +214,7 @@ StreamMemUnit::tickLoadSide(MemBandwidth &bw)
 }
 
 void
-StreamMemUnit::tickStoreSide(MemBandwidth &bw)
+StreamMemUnit::tickStoreSide(MemBandwidth &bw, Cycle now)
 {
     uint64_t total = totalWords();
     // SRF storage -> staging via the SRF port.
@@ -238,7 +235,7 @@ StreamMemUnit::tickStoreSide(MemBandwidth &bw)
     uint32_t moved = 0;
     while (!staging_.empty() && moved < 16) {
         uint64_t addr = memAddrOf(dramCursor_);
-        if (!payWordCost(addr, true, bw))
+        if (!payWordCost(addr, true, bw, now))
             break;
         dram_->write(addr, staging_.front());
         staging_.pop_front();
@@ -248,7 +245,7 @@ StreamMemUnit::tickStoreSide(MemBandwidth &bw)
 }
 
 bool
-StreamMemUnit::injectDrop()
+StreamMemUnit::injectDrop(Cycle now)
 {
     // Model a word lost between DRAM and the staging buffer: the most
     // recently fetched load word vanishes and its fetch is re-issued.
@@ -260,25 +257,19 @@ StreamMemUnit::injectDrop()
     dramCursor_--;
     droppedWords_++;
     if (trc_ && trc_->on())
-        trc_->instant(faultTraceCh_, "mem_drop", curCycle_,
-                                   dramCursor_);
+        trc_->instant(faultTraceCh_, "mem_drop", now, dramCursor_);
     return true;
 }
 
 void
-StreamMemUnit::injectDelay(uint32_t cycles)
+StreamMemUnit::injectDelay(uint32_t cycles, Cycle now)
 {
-    Cycle until = curCycle_ + cycles;
-    if (until > stallUntil_) {
-        delayedCycles_ += until - std::max(curCycle_, stallUntil_);
-        stallUntil_ = until;
-    }
+    stallUntil_ = std::max(stallUntil_, now + cycles);
 }
 
 void
 StreamMemUnit::tick(Cycle now, MemBandwidth &bw)
 {
-    curCycle_ = now;
     if (!busy_)
         return;
     // Injected timing fault: the unit sits out these cycles.
@@ -289,9 +280,9 @@ StreamMemUnit::tick(Cycle now, MemBandwidth &bw)
         return;
 
     if (op_.kind == MemOpKind::Load || op_.kind == MemOpKind::Gather)
-        tickLoadSide(bw);
+        tickLoadSide(bw, now);
     else
-        tickStoreSide(bw);
+        tickStoreSide(bw, now);
 
     uint64_t total = totalWords();
     if (dramCursor_ >= total && srfCursor_ >= total && staging_.empty())
@@ -318,7 +309,6 @@ StreamMemUnit::snapshot(SnapshotIo &io)
     snapshotMemOp(io, op_);
     io.f64(dramCostFactor_);
     io.u64(startCycle_);
-    io.u64(curCycle_);
     io.u64(dramCursor_);
     io.u64(srfCursor_);
     io.seq(staging_);
@@ -329,7 +319,6 @@ StreamMemUnit::snapshot(SnapshotIo &io)
     io.u64(retries_);
     io.u64(poisonedWords_);
     io.u64(droppedWords_);
-    io.u64(delayedCycles_);
 }
 
 } // namespace isrf

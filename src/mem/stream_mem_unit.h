@@ -84,19 +84,23 @@ class StreamMemUnit
     void setFaultConfig(const FaultConfig &fc) { faults_ = fc; }
 
     /**
-     * Drop the most recently fetched in-flight load word (it will be
-     * re-fetched, paying DRAM bandwidth again). @return false if the
-     * unit has nothing droppable this cycle.
+     * Drop the most recently fetched in-flight load word at cycle
+     * `now` (it will be re-fetched, paying DRAM bandwidth again).
+     * @return false if the unit has nothing droppable this cycle.
      */
-    bool injectDrop();
+    bool injectDrop(Cycle now);
 
-    /** Stall this unit for `cycles` starting now. */
-    void injectDelay(uint32_t cycles);
+    /**
+     * Stall this unit for `cycles` cycles starting at `now`: a unit
+     * told at cycle c makes no DRAM or SRF progress on cycles
+     * c .. c+cycles-1, provided the delay arrives before this cycle's
+     * tick() (as FaultInjector::inject does in Machine::tick).
+     */
+    void injectDelay(uint32_t cycles, Cycle now);
 
     uint64_t retries() const { return retries_; }
     uint64_t poisonedWords() const { return poisonedWords_; }
     uint64_t droppedWords() const { return droppedWords_; }
-    uint64_t delayedCycles() const { return delayedCycles_; }
     /** True if the current/last op completed with poisoned words. */
     bool opPoisoned() const { return opPoisoned_; }
 
@@ -114,17 +118,18 @@ class StreamMemUnit
      * Pay the timing cost of touching one DRAM word (through the cache
      * when op.cached). @return false if bandwidth is exhausted.
      */
-    bool payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw);
+    bool payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw,
+                     Cycle now);
 
-    void tickLoadSide(MemBandwidth &bw);
-    void tickStoreSide(MemBandwidth &bw);
+    void tickLoadSide(MemBandwidth &bw, Cycle now);
+    void tickStoreSide(MemBandwidth &bw, Cycle now);
 
     /**
      * ECC-decode one load word with bounded-backoff retries.
      * @return false if the word must be retried later (backoff armed).
      * On success or retry exhaustion *out holds the data (or poison).
      */
-    bool readWithRetry(uint64_t addr, Word *out);
+    bool readWithRetry(uint64_t addr, Word *out, Cycle now);
 
     Dram *dram_ = nullptr;
     Cache *cache_ = nullptr;
@@ -135,7 +140,6 @@ class StreamMemUnit
     MemOp op_;
     double dramCostFactor_ = 1.0;
     Cycle startCycle_ = 0;
-    Cycle curCycle_ = 0;  ///< latest tick() cycle (trace timestamps)
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t cacheTraceCh_ = 0;
     uint64_t dramCursor_ = 0;  ///< stream words done on the DRAM side
@@ -150,7 +154,6 @@ class StreamMemUnit
     uint64_t retries_ = 0;
     uint64_t poisonedWords_ = 0;
     uint64_t droppedWords_ = 0;
-    uint64_t delayedCycles_ = 0;
     uint16_t faultTraceCh_ = 0;
 };
 

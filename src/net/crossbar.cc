@@ -95,10 +95,8 @@ Crossbar::canTransfer(uint32_t src, uint32_t dst) const
 bool
 Crossbar::tryTransfer(uint32_t src, uint32_t dst)
 {
-    if (!canTransfer(src, dst)) {
-        rejects_++;
+    if (!canTransfer(src, dst))
         return false;
-    }
     srcUsed_[src]++;
     dstUsed_[dst]++;
     if (topology_ == NetTopology::Ring) {
@@ -108,7 +106,6 @@ Crossbar::tryTransfer(uint32_t src, uint32_t dst)
             linkUsed_[l] = 1;
     }
     dirty_ = true;
-    transfers_++;
     return true;
 }
 

@@ -23,8 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/snapshot.h"
-
 namespace isrf {
 
 /** Interconnect topology (§7 future work: sparse interconnects). */
@@ -78,26 +76,6 @@ class Crossbar
 
     NetTopology topology() const { return topology_; }
     uint32_t ports() const { return ports_; }
-    uint64_t transfers() const { return transfers_; }
-    uint64_t rejects() const { return rejects_; }
-
-    /** Counters only: per-cycle budgets restore fresh (snapshots are
-     *  taken at cycle boundaries, before the next newCycle()). */
-    void
-    snapshot(SnapshotIo &io)
-    {
-        io.u64(transfers_);
-        io.u64(rejects_);
-        if (!io.loading())
-            return;
-        for (auto &u : srcUsed_)
-            u = 0;
-        for (auto &u : dstUsed_)
-            u = 0;
-        for (auto &u : linkUsed_)
-            u = 0;
-        dirty_ = false;
-    }
 
   private:
     /** Ring links on the minimal src→dst path (link i = i -> i+1 cw,
@@ -114,8 +92,6 @@ class Crossbar
     std::vector<uint8_t> linkUsed_;  ///< ring only: 2*ports_ links
     /** Any budget consumed since the last newCycle() reset. */
     bool dirty_ = false;
-    uint64_t transfers_ = 0;
-    uint64_t rejects_ = 0;
 };
 
 } // namespace isrf

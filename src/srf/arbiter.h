@@ -51,10 +51,8 @@ class RoundRobinArbiter
     int
     arbitrate(uint64_t claims)
     {
-        if (claims == 0) {
-            idleCycles_++;
+        if (claims == 0)
             return -1;
-        }
         if (n_ < kMaxClaimants && (claims >> n_) != 0)
             panic("RoundRobinArbiter: claim bit beyond %u claimants",
                   n_);
@@ -65,20 +63,14 @@ class RoundRobinArbiter
             ? next_ + static_cast<uint32_t>(__builtin_ctzll(hi))
             : static_cast<uint32_t>(__builtin_ctzll(claims));
         next_ = (id + 1) % n_;
-        grants_++;
         return static_cast<int>(id);
     }
 
-    uint64_t grants() const { return grants_; }
-    uint64_t idleCycles() const { return idleCycles_; }
-
-    /** Rotation + counters; the claimant count is construction state. */
+    /** The rotation; the claimant count is construction state. */
     void
     snapshot(SnapshotIo &io)
     {
         io.u32(next_);
-        io.u64(grants_);
-        io.u64(idleCycles_);
         io.require(n_ == 0 || next_ < n_);
     }
 
@@ -93,8 +85,6 @@ class RoundRobinArbiter
 
     uint32_t n_;
     uint32_t next_ = 0;
-    uint64_t grants_ = 0;
-    uint64_t idleCycles_ = 0;
 };
 
 } // namespace isrf

@@ -31,12 +31,11 @@ Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
     returnQueues_.assign(geom.lanes, {});
     memClaims_.clear();
     // Fresh arbiter (not resize()): a re-init must also reset the
-    // priority pointer and grant/idle counters, or a rebuilt Machine
-    // would arbitrate differently from a fresh one.
+    // priority pointer, or a rebuilt Machine would arbitrate
+    // differently from a fresh one.
     globalArb_ = RoundRobinArbiter(geom.maxStreamSlots + 1);
     laneIdxRr_.assign(geom.lanes, 0);
     crossRouteRr_ = 0;
-    curCycle_ = 0;
     seqClaimMask_ = 0;
     inLaneIdxOpenMask_ = 0;
     crossIdxOpenMask_ = 0;
@@ -306,7 +305,6 @@ Srf::seqRead(uint32_t lane, SlotId slot)
     if (!ls.seq.canPop())
         panic("Srf: seqRead from empty buffer (lane %u slot %d)", lane,
               slot);
-    ls.clusterReads++;
     seqWords_++;
     Word w = ls.seq.pop();
     // Claim-mask maintenance: popping grows an input buffer's free
@@ -414,7 +412,8 @@ Srf::idxCanIssue(uint32_t lane, SlotId slot) const
 }
 
 bool
-Srf::idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex)
+Srf::idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex,
+                  Cycle now)
 {
     Slot &s = slotRef(slot);
     LaneSlotState &ls = s.lanes[lane];
@@ -423,7 +422,7 @@ Srf::idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex)
     if (ls.fifo.full() || ls.idata.full())
         return false;
     uint64_t seqNo = ls.nextSeqNo++;
-    ls.fifo.push(recordIndex, seqNo, curCycle_);
+    ls.fifo.push(recordIndex, seqNo, now);
     ls.idata.registerRequest(seqNo, s.cfg.recordWords);
     if (s.cfg.crossLane)
         crossFifoEntries_++;
@@ -435,7 +434,7 @@ Srf::idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex)
 
 bool
 Srf::idxIssueWrite(uint32_t lane, SlotId slot, uint32_t recordIndex,
-                   const Word *data)
+                   const Word *data, Cycle now)
 {
     Slot &s = slotRef(slot);
     LaneSlotState &ls = s.lanes[lane];
@@ -447,7 +446,7 @@ Srf::idxIssueWrite(uint32_t lane, SlotId slot, uint32_t recordIndex,
     if (ls.fifo.full())
         return false;
     uint64_t seqNo = ls.nextSeqNo++;
-    ls.fifo.push(recordIndex, seqNo, curCycle_, data, s.cfg.recordWords);
+    ls.fifo.push(recordIndex, seqNo, now, data, s.cfg.recordWords);
     ls.pendingWrites++;
     inLaneFifoEntries_++;  // cross-lane writes are rejected above
     lazyCounter(idxWritesC_, "idx_writes_issued").inc();
@@ -557,9 +556,8 @@ Srf::fillSlot(SlotId slot, const std::vector<Word> &data)
 // ----------------------------------------------------------------------
 
 void
-Srf::beginCycle(Cycle now)
+Srf::beginCycle(Cycle)
 {
-    curCycle_ = now;
     for (auto &b : banks_)
         b.newCycle();
     indexNet_.newCycle();
@@ -1039,7 +1037,6 @@ Srf::syncFaultStats()
 void
 Srf::snapshot(SnapshotIo &io)
 {
-    io.u64(curCycle_);
     io.u32(crossRouteRr_);
     io.expect(laneIdxRr_.size(), 4);
     io.each(laneIdxRr_);
@@ -1047,7 +1044,6 @@ Srf::snapshot(SnapshotIo &io)
     io.u64(seqWords_);
     io.u64(idxInLaneWords_);
     io.u64(idxCrossWords_);
-    indexNet_.snapshot(io);
 
     io.expect(slots_.size(), 2);
     for (Slot &s : slots_) {
@@ -1075,7 +1071,6 @@ Srf::snapshot(SnapshotIo &io)
             io.u32(ls.writeRow);
             io.u64(ls.srfWordsRead);
             io.u64(ls.srfWordsWritten);
-            io.u64(ls.clusterReads);
             io.u64(ls.nextSeqNo);
             io.u64(ls.pendingWrites);
         }

@@ -152,12 +152,15 @@ class Srf
     /** True if an indexed request can be issued (FIFO not full). */
     bool idxCanIssue(uint32_t lane, SlotId slot) const;
 
-    /** Issue an indexed record read; false if the FIFO is full. */
-    bool idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex);
+    /** Issue an indexed record read at cycle `now`; false if the
+     *  FIFO is full. */
+    bool idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex,
+                      Cycle now);
 
-    /** Issue an in-lane indexed record write; false if FIFO full. */
+    /** Issue an in-lane indexed record write at cycle `now`; false if
+     *  the FIFO is full. */
     bool idxIssueWrite(uint32_t lane, SlotId slot, uint32_t recordIndex,
-                       const Word *data);
+                       const Word *data, Cycle now);
 
     /** True if the oldest outstanding read's data is consumable now. */
     bool idxDataReady(uint32_t lane, SlotId slot, Cycle now) const;
@@ -214,6 +217,7 @@ class Srf
     // Cycle protocol
     // ------------------------------------------------------------------
 
+    /** `now` is unused: every per-cycle reset is cycle-independent. */
     void beginCycle(Cycle now);
     void endCycle(Cycle now);
 
@@ -285,7 +289,6 @@ class Srf
         uint32_t writeRow = 0;
         uint64_t srfWordsRead = 0;    ///< storage words moved to buffer
         uint64_t srfWordsWritten = 0; ///< storage words drained from buffer
-        uint64_t clusterReads = 0;
         uint64_t nextSeqNo = 0;
         uint64_t pendingWrites = 0;   ///< indexed writes not yet retired
     };
@@ -373,7 +376,6 @@ class Srf
     RoundRobinArbiter globalArb_;
     std::vector<uint32_t> laneIdxRr_;  ///< per-lane local RR pointer
     uint32_t crossRouteRr_ = 0;
-    Cycle curCycle_ = 0;
 
     // Event-driven arbitration state (DESIGN.md §15): claims are
     // tracked at enqueue/dequeue time so endCycle() never scans

@@ -81,7 +81,7 @@ SrfBank::claimSequentialRow(uint32_t addr)
         panic("SrfBank[%u]: unaligned sequential row address %u", laneId_,
               addr);
     portsDirty_ = true;
-    return subArrays_[portFor(addr)].claimSequential();
+    return subArrays_[portFor(addr)].claim();
 }
 
 bool
@@ -90,7 +90,7 @@ SrfBank::claimIndexedWord(uint32_t addr)
     if (addr >= words_.size())
         panic("SrfBank[%u]: indexed address %u out of range", laneId_, addr);
     portsDirty_ = true;
-    return subArrays_[portFor(addr)].claimIndexed();
+    return subArrays_[portFor(addr)].claim();
 }
 
 uint32_t
@@ -145,24 +145,6 @@ SrfBank::scrubEcc()
 }
 
 uint64_t
-SrfBank::sequentialAccesses() const
-{
-    uint64_t n = 0;
-    for (const auto &sa : subArrays_)
-        n += sa.sequentialAccesses();
-    return n;
-}
-
-uint64_t
-SrfBank::indexedAccesses() const
-{
-    uint64_t n = 0;
-    for (const auto &sa : subArrays_)
-        n += sa.indexedAccesses();
-    return n;
-}
-
-uint64_t
 SrfBank::subArrayConflicts() const
 {
     uint64_t n = 0;
@@ -193,7 +175,7 @@ SrfBank::snapshot(SnapshotIo &io)
     for (uint8_t &off : offline_)
         io.u8(off);
     io.each(subUncorrectable_);
-    io.expect(subArrays_.size(), 24);
+    io.expect(subArrays_.size(), 8);
     for (SubArray &sa : subArrays_)
         sa.snapshot(io);
     if (!io.loading())

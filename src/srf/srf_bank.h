@@ -85,8 +85,6 @@ class SrfBank
 
     const std::vector<SubArray> &subArrays() const { return subArrays_; }
 
-    uint64_t sequentialAccesses() const;
-    uint64_t indexedAccesses() const;
     uint64_t subArrayConflicts() const;
 
     // --- fault model (see src/fault/, DESIGN.md §Fault model) ---

@@ -424,7 +424,6 @@ snapTag(char a, char b, char c, char d)
  */
 constexpr uint32_t kSnapMachine = snapTag('M', 'A', 'C', 'H');
 constexpr uint32_t kSnapSrf = snapTag('S', 'R', 'F', ' ');
-constexpr uint32_t kSnapCrossbar = snapTag('X', 'B', 'A', 'R');
 constexpr uint32_t kSnapClusters = snapTag('C', 'L', 'U', 'S');
 constexpr uint32_t kSnapMemory = snapTag('M', 'E', 'M', 'S');
 constexpr uint32_t kSnapWatchdog = snapTag('W', 'D', 'O', 'G');
@@ -434,9 +433,12 @@ constexpr uint32_t kSnapProgram = snapTag('P', 'R', 'O', 'G');
 
 /**
  * Bumped whenever any section layout changes. Version 2 dropped the
- * MACH and MEMS fields that only the retired skip engine read.
+ * MACH and MEMS fields that only the retired skip engine read;
+ * version 3 dropped the components' copies of the machine clock,
+ * every write-only counter and the XBAR section, and stores DRAM as
+ * its touched pages.
  */
-constexpr uint32_t kSnapshotFormatVersion = 2;
+constexpr uint32_t kSnapshotFormatVersion = 3;
 
 /**
  * An in-memory snapshot: header fields plus tagged sections. The
@@ -541,18 +543,12 @@ class CheckpointContext
 
     /** Also resets the periodic cadence so an unwritable directory
      *  warns once per interval, not once per cycle. */
-    void
-    noteSaveFailed(uint64_t cycle)
-    {
-        lastSaveCycle_ = cycle;
-        saveFailures_++;
-    }
+    void noteSaveFailed(uint64_t cycle) { lastSaveCycle_ = cycle; }
 
     void
     noteRestored(uint64_t cycle)
     {
         lastSaveCycle_ = cycle;
-        restoredCycle_ = cycle;
         restores_++;
     }
 
@@ -563,12 +559,10 @@ class CheckpointContext
     void noteQuarantined() { quarantined_++; }
 
     uint64_t saves() const { return saves_; }
-    uint64_t saveFailures() const { return saveFailures_; }
     uint64_t restores() const { return restores_; }
     uint64_t quarantined() const { return quarantined_; }
     /** Cycles actually simulated by this process (not restored). */
     uint64_t executedCycles() const { return executedCycles_; }
-    uint64_t restoredCycle() const { return restoredCycle_; }
 
     /**
      * Test hook: when set, the run loop returns (status Cancelled)
@@ -582,9 +576,7 @@ class CheckpointContext
     uint64_t fingerprint_;
     uint64_t everyCycles_;
     uint64_t lastSaveCycle_ = 0;
-    uint64_t restoredCycle_ = 0;
     uint64_t saves_ = 0;
-    uint64_t saveFailures_ = 0;
     uint64_t restores_ = 0;
     uint64_t quarantined_ = 0;
     uint64_t executedCycles_ = 0;

@@ -59,12 +59,6 @@ StatGroup::counter(const std::string &name)
     return counters_[name];
 }
 
-Average &
-StatGroup::average(const std::string &name)
-{
-    return averages_[name];
-}
-
 Histogram &
 StatGroup::histogram(const std::string &name, double lo, double hi,
                      size_t buckets)
@@ -105,8 +99,6 @@ void
 StatGroup::resetAll()
 {
     for (auto &kv : counters_)
-        kv.second.reset();
-    for (auto &kv : averages_)
         kv.second.reset();
     for (auto &kv : histograms_)
         kv.second.reset();
@@ -171,9 +163,6 @@ StatGroup::snapshot(SnapshotIo &io)
         uint64_t v = c.value();
         io.u64(v);
         c.set(v);
-    });
-    snapshotInPlace(io, averages_, [&](const std::string &name) {
-        averages_[name].snapshot(io);
     });
     snapshotInPlace(io, histograms_, [&](const std::string &name) {
         Histogram *h = io.saving() ? &histograms_.at(name) : nullptr;

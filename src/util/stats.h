@@ -1,7 +1,7 @@
 /**
  * @file
- * Statistics primitives: named scalar counters, running averages, and
- * histogram-style distributions, grouped per component.
+ * Statistics primitives: named scalar counters and histogram-style
+ * distributions, grouped per component.
  *
  * Every simulated component owns a StatGroup; the machine aggregates
  * groups into a report at the end of a run. The design is a small,
@@ -33,50 +33,6 @@ class Counter
 
   private:
     uint64_t value_ = 0;
-};
-
-/** Running mean/min/max over a stream of samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        count_++;
-        if (count_ == 1 || v < min_) min_ = v;
-        if (count_ == 1 || v > max_) max_ = v;
-    }
-
-    void
-    reset()
-    {
-        sum_ = 0;
-        count_ = 0;
-        min_ = 0;
-        max_ = 0;
-    }
-
-    uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-
-    void
-    snapshot(SnapshotIo &io)
-    {
-        io.f64(sum_);
-        io.u64(count_);
-        io.f64(min_);
-        io.f64(max_);
-    }
-
-  private:
-    double sum_ = 0;
-    uint64_t count_ = 0;
-    double min_ = 0;
-    double max_ = 0;
 };
 
 /** Fixed-bucket histogram over [lo, hi) with overflow/underflow bins. */
@@ -116,7 +72,7 @@ class Histogram
  * A named collection of statistics owned by one component.
  *
  * Stats are registered by name on first access and read back through
- * the counters()/averages()/histograms() maps.
+ * the counters()/histograms() maps.
  */
 class StatGroup
 {
@@ -125,8 +81,6 @@ class StatGroup
 
     /** Get-or-create a named counter. */
     Counter &counter(const std::string &name);
-    /** Get-or-create a named running average. */
-    Average &average(const std::string &name);
     /**
      * Get-or-create a named histogram. The range/bucket parameters
      * apply on first creation only; later calls return the existing
@@ -151,10 +105,6 @@ class StatGroup
     {
         return counters_;
     }
-    const std::map<std::string, Average> &averages() const
-    {
-        return averages_;
-    }
     const std::map<std::string, Histogram> &histograms() const
     {
         return histograms_;
@@ -172,7 +122,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, Counter> counters_;
-    std::map<std::string, Average> averages_;
     std::map<std::string, Histogram> histograms_;
 };
 

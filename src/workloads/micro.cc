@@ -63,7 +63,7 @@ inLaneRandomThroughput(const InLaneMicroParams &p)
             if (canAll) {
                 for (SlotId id : slots) {
                     srf.idxIssueRead(l, id, static_cast<uint32_t>(
-                        rng.below(regionWords)));
+                        rng.below(regionWords)), now);
                 }
             }
         }
@@ -129,7 +129,7 @@ crossLaneRandomThroughput(const CrossLaneMicroParams &p)
                 srf.idxDataPop(l, xslot, tmp);
             if (srf.idxCanIssue(l, xslot)) {
                 srf.idxIssueRead(l, xslot, static_cast<uint32_t>(
-                    rng.below(crossWords)));
+                    rng.below(crossWords)), now);
             }
             // 3 sequential stream accesses per cycle: keep the
             // sequential side demanding the SRF port.

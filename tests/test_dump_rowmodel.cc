@@ -62,7 +62,7 @@ TEST_F(RowModelTest, SequentialRunMostlyHits)
     uint64_t done = 0;
     for (int cyc = 0; cyc < 1000 && done < 2048; cyc++) {
         d.tick();
-        while (done < 2048 && d.tryAccessWord(done))
+        while (done < 2048 && d.tryAccessWord(done, cyc))
             done++;
     }
     ASSERT_EQ(done, 2048u);
@@ -79,7 +79,7 @@ TEST_F(RowModelTest, RandomAccessesMissOften)
     for (int cyc = 0; cyc < 4000 && done < 2000; cyc++) {
         d.tick();
         for (int k = 0; k < 8 && done < 2000; k++) {
-            if (d.tryAccessWord(rng.below(1 << 16)))
+            if (d.tryAccessWord(rng.below(1 << 16), cyc))
                 done++;
         }
     }
@@ -98,7 +98,7 @@ TEST_F(RowModelTest, SmallTableGathersHitOpenRows)
         for (int k = 0; k < 8 && done < 2000; k++) {
             // A 1 KB table spans two rows: high hit rate emerges from
             // the mechanism, not from a heuristic.
-            if (d.tryAccessWord(rng.below(256)))
+            if (d.tryAccessWord(rng.below(256), cyc))
                 done++;
         }
     }
@@ -111,7 +111,7 @@ TEST_F(RowModelTest, RequiresEnablement)
     DramConfig cfg;
     cfg.capacityWords = 1024;
     Dram d(cfg);
-    EXPECT_DEATH(d.tryAccessWord(0), "rowBufferModel");
+    EXPECT_DEATH(d.tryAccessWord(0, 0), "rowBufferModel");
 }
 
 TEST_F(RowModelTest, EndToEndRijndaelStillCorrectAndMemoryBound)

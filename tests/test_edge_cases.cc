@@ -27,7 +27,7 @@ TEST(SrfEdge, MultiWordIndexedWriteRecord)
     Word rec[4] = {11, 22, 33, 44};
     Cycle now = 0;
     srf.beginCycle(now);
-    ASSERT_TRUE(srf.idxIssueWrite(3, id, 2, rec));  // words 8..11
+    ASSERT_TRUE(srf.idxIssueWrite(3, id, 2, rec, now));  // words 8..11
     srf.endCycle(now);
     now++;
     for (int i = 0; i < 8; i++) {
@@ -103,7 +103,7 @@ TEST(SrfEdge, DmaAndIndexedShareCyclesFairly)
                 srf.idxDataPop(l, tbl, out);
             if (srf.idxCanIssue(l, tbl))
                 srf.idxIssueRead(l, tbl,
-                    static_cast<uint32_t>(rng.below(128)));
+                    static_cast<uint32_t>(rng.below(128)), now);
         }
         srf.endCycle(now);
         now++;

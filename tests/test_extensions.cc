@@ -47,10 +47,10 @@ TEST(ReadWriteSlot, DirectSrfReadAndWriteInterleave)
     // Read record 5, then write record 5, then read it again: the FIFO
     // preserves issue order, so the second read sees the new value.
     srf.beginCycle(now);
-    ASSERT_TRUE(srf.idxIssueRead(2, id, 5));
+    ASSERT_TRUE(srf.idxIssueRead(2, id, 5, now));
     Word nv[1] = {1000};
-    ASSERT_TRUE(srf.idxIssueWrite(2, id, 5, nv));
-    ASSERT_TRUE(srf.idxIssueRead(2, id, 5));
+    ASSERT_TRUE(srf.idxIssueWrite(2, id, 5, nv, now));
+    ASSERT_TRUE(srf.idxIssueRead(2, id, 5, now));
     srf.endCycle(now);
     now++;
     cycle(12);
@@ -272,7 +272,7 @@ TEST(RingNetwork, CrossLaneReadStillCorrect)
     Cycle now = 0;
     srf.beginCycle(now);
     // Read a word 4 hops away around the ring (lane 0 -> bank 4).
-    ASSERT_TRUE(srf.idxIssueRead(0, id, 16));  // block 4 -> lane 4
+    ASSERT_TRUE(srf.idxIssueRead(0, id, 16, now));  // block 4 -> lane 4
     srf.endCycle(now);
     now++;
     for (int i = 0; i < 40 && !srf.idxDataReady(0, id, now); i++) {
@@ -320,7 +320,7 @@ TEST(ArbitrationPolicy, IndexedPriorityActivatesUnderPressure)
                     srf.idxDataPop(l, tbl, tmp);
                 if (srf.idxCanIssue(l, tbl))
                     srf.idxIssueRead(l, tbl,
-                        static_cast<uint32_t>(rng.below(256)));
+                        static_cast<uint32_t>(rng.below(256)), now);
                 for (int k = 0; k < 3; k++)
                     if (srf.seqCanRead(l, seq))
                         srf.seqRead(l, seq);

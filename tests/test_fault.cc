@@ -13,6 +13,7 @@
 #include "fault/fault_config.h"
 #include "fault/watchdog.h"
 #include "mem/dram.h"
+#include "mem/memory_system.h"
 #include "srf/srf_bank.h"
 #include "util/json.h"
 #include "workloads/workload.h"
@@ -451,6 +452,98 @@ TEST(FaultSoak, AllFaultKindsRunToCompletion)
     // Timing faults shift cycles but never correctness.
     EXPECT_TRUE(r.correct);
     EXPECT_GT(r.extra.at("faults_injected"), 0.0);
+}
+
+// ------------------------------------------------------ one clock
+
+TEST(MemDelay, StallsTheUnitForExactlyDelayCycles)
+{
+    // A delay=d firing at cycle c, injected before the memory tick as
+    // Machine::tick orders it, stops DRAM progress on cycles
+    // c .. c+d-1 and on no other cycle of a streaming load.
+    for (uint32_t d : {1u, 2u, 5u}) {
+        SCOPED_TRACE("delay " + std::to_string(d));
+        Srf srf;
+        srf.init(SrfGeometry{}, SrfMode::SequentialOnly, nullptr);
+        DramConfig dc;
+        dc.capacityWords = 1 << 16;
+        dc.accessLatency = 4;
+        MemorySystem mem;
+        mem.init(MemSystemConfig{}, dc, CacheConfig{}, &srf);
+        mem.dram().fill(0, std::vector<Word>(4096, 1));
+        SlotConfig sc;
+        sc.lengthWords = 4096;
+        MemOp op;
+        op.srfSlot = srf.openSlot(sc);
+        mem.submit(op);
+
+        const Cycle fire = 20;
+        std::vector<Cycle> stalled;
+        for (Cycle now = 0; now < fire + 12; now++) {
+            srf.beginCycle(now);
+            if (now == fire) {
+                ASSERT_FALSE(mem.idle());
+                mem.injectDelay(d, now);
+            }
+            const uint64_t before = mem.dram().wordsTransferred();
+            mem.tick(now);
+            srf.endCycle(now);
+            if (now >= dc.accessLatency &&
+                    mem.dram().wordsTransferred() == before)
+                stalled.push_back(now);
+        }
+        std::vector<Cycle> want;
+        for (Cycle c = fire; c < fire + d; c++)
+            want.push_back(c);
+        EXPECT_EQ(stalled, want);
+    }
+}
+
+TEST(OneClock, TraceStampsAreTheMachineCycle)
+{
+    // A row miss is stamped with the cycle its word moved (the first
+    // word of a load moves accessLatency cycles after dispatch), and a
+    // unit's dropped word with the cycle its mem_drop fired.
+    MachineConfig cfg = MachineConfig::base();
+    cfg.dram.capacityWords = 1 << 16;
+    cfg.dram.rowBufferModel = true;
+    cfg.traceSpec = "all";
+    cfg.faults =
+        FaultConfig::parse("seed=2;mem_drop:start=50,period=11,count=40");
+    Machine m;
+    m.init(cfg);
+    m.mem().dram().fill(0, std::vector<Word>(2048, 9));
+    StreamProgram prog(m);
+    SlotId s = prog.addStream("s", 2048);
+    prog.load(s, 0);
+    prog.run();
+
+    Tracer &t = m.tracer();
+    const uint16_t memCh = t.channel("mem");
+    const uint16_t dramCh = t.channel("dram");
+    const uint16_t faultCh = t.channel("fault");
+    const TraceEvent *load = nullptr;
+    const TraceEvent *miss = nullptr;
+    uint64_t drops = 0;
+    const std::vector<TraceEvent> events = t.events();
+    for (const TraceEvent &e : events) {
+        const std::string name = e.name;
+        if (!load && e.channel == memCh && name == "load")
+            load = &e;
+        if (!miss && e.channel == dramCh && name == "row_miss")
+            miss = &e;
+        if (e.channel == faultCh && name == "mem_drop") {
+            drops++;
+            EXPECT_TRUE(e.ts >= 50 && (e.ts - 50) % 11 == 0)
+                << "mem_drop at cycle " << e.ts
+                << " is not a firing cycle";
+        }
+    }
+    ASSERT_NE(load, nullptr);
+    ASSERT_NE(miss, nullptr);
+    EXPECT_EQ(miss->ts, load->ts + cfg.dram.accessLatency);
+    // 40 firings plus at least one word the unit really dropped.
+    EXPECT_GT(drops, 40u);
 }
 
 TEST(FaultSoak, ReportsCarryFaultSection)

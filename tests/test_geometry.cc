@@ -90,7 +90,7 @@ TEST_P(GeometrySweep, IndexedReadsWorkAtAnyGeometry)
     Cycle now = 0;
     srf.beginCycle(now);
     for (uint32_t l = 0; l < p.lanes; l++)
-        ASSERT_TRUE(srf.idxIssueRead(l, id, l % 64));
+        ASSERT_TRUE(srf.idxIssueRead(l, id, l % 64, now));
     srf.endCycle(now);
     now++;
     for (int c = 0; c < 20; c++) {

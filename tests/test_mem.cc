@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the memory system: DRAM functional storage (zero on
- * demand, touched-page map, snapshot runs) + bandwidth model, the
+ * demand, touched-page map, snapshot pages) + bandwidth model, the
  * vector cache, and stream load/store/gather/scatter through the
  * MemorySystem into the SRF.
  */
@@ -113,59 +113,41 @@ snapshotBytes(Dram &d)
 }
 
 /**
- * The oracle: the storage prefix of a DRAM snapshot (capacity, run
- * count, (count, value) runs) encoded by a plain scan of every word.
+ * The oracle: the storage prefix of a DRAM snapshot (capacity, page
+ * count, then each listed page's index and raw words) for a dense
+ * model of the words and the pages it says are touched.
  */
 std::string
-denseRle(const std::vector<Word> &mem)
+pageLayout(const std::vector<Word> &mem, const std::vector<uint64_t> &pages)
 {
-    std::vector<std::pair<uint64_t, Word>> runs;
-    for (Word w : mem) {
-        if (!runs.empty() && runs.back().second == w)
-            runs.back().first++;
-        else
-            runs.emplace_back(1, w);
-    }
     SnapshotWriter w;
     w.u64(mem.size());
-    w.u64(runs.size());
-    for (const auto &[count, value] : runs) {
-        w.u64(count);
-        w.u32(value);
+    w.u64(pages.size());
+    for (uint64_t page : pages) {
+        uint64_t lo = page * kPage;
+        uint64_t n = std::min<uint64_t>(kPage, mem.size() - lo);
+        w.u64(page);
+        w.bytes(mem.data() + lo, n * sizeof(Word));
     }
     return w.data();
 }
 
-/** A Dram and a dense model of it, written in step. */
-struct ModelledDram
+/** True if `bytes` starts with `prefix`. */
+bool
+startsWith(const std::string &bytes, const std::string &prefix)
 {
-    Dram d{storageCfg()};
-    std::vector<Word> model = std::vector<Word>(kCap, 0);
+    return bytes.compare(0, prefix.size(), prefix) == 0;
+}
 
-    void
-    write(uint64_t addr, Word w)
-    {
-        d.write(addr, w);
-        model[addr] = w;
-    }
-
-    void
-    fill(uint64_t addr, const std::vector<Word> &data)
-    {
-        d.fill(addr, data);
-        std::copy(data.begin(), data.end(), model.begin() + addr);
-    }
-
-    void
-    expectSnapshotMatchesOracle()
-    {
-        const std::string got = snapshotBytes(d);
-        const std::string want = denseRle(model);
-        ASSERT_GE(got.size(), want.size());
-        EXPECT_TRUE(got.compare(0, want.size(), want) == 0)
-            << "storage runs differ from a dense scan";
-    }
-};
+/** Load `bytes` into `d`; true if the payload was accepted whole. */
+bool
+loadBytes(Dram &d, const std::string &bytes)
+{
+    SnapshotReader r(bytes);
+    SnapshotIo io(r);
+    d.snapshot(io);
+    return r.atEnd();
+}
 
 TEST(DramStorage, UntouchedWordsReadZeroAndStayUntouched)
 {
@@ -213,20 +195,23 @@ TEST(DramStorage, WritePathsMarkExactlyThePagesTheyHit)
 
 TEST(DramStorage, EccWriteBackOnAnUntouchedPageMarksIt)
 {
-    // A word whose stored bits read 0 only because of a pending flip:
-    // a load leaves its page untouched, so the read's scrub write-back
-    // must mark it or the next save would drop the corrected value.
+    // A saved fault always sits on a listed page, but a payload that
+    // lists no page under a pending flip must still not lose the
+    // corrected word: the read's scrub write-back marks the page, so
+    // the next save lists it.
     Dram a(storageCfg());
     a.write(3 * kPage + 4, 0x8);
     a.injectBitFlips(3 * kPage + 4, 0x8, false);
     const std::string saved = snapshotBytes(a);
+    SnapshotWriter none;
+    none.u64(0);
+    const size_t pageEntry = 8 + kPage * sizeof(Word);
+    const std::string unlisted = saved.substr(0, 8) + none.data() +
+        saved.substr(16 + pageEntry);
 
     for (bool viaScrub : {false, true}) {
         Dram b(storageCfg());
-        SnapshotReader r(saved);
-        SnapshotIo io(r);
-        b.snapshot(io);
-        ASSERT_TRUE(r.atEnd());
+        ASSERT_TRUE(loadBytes(b, unlisted));
         EXPECT_EQ(b.touchedPages(), 0u);
         if (viaScrub) {
             EXPECT_EQ(b.scrubEcc(), 1u);
@@ -236,40 +221,80 @@ TEST(DramStorage, EccWriteBackOnAnUntouchedPageMarksIt)
         EXPECT_EQ(touchedList(b), (std::vector<uint64_t>{3}));
         std::vector<Word> model(kCap, 0);
         model[3 * kPage + 4] = 0x8;
-        const std::string want = denseRle(model);
-        EXPECT_TRUE(snapshotBytes(b).compare(0, want.size(), want) == 0);
+        EXPECT_TRUE(startsWith(snapshotBytes(b), pageLayout(model, {3})));
     }
 }
 
-TEST(DramStorage, SnapshotBytesMatchADenseRleEncoder)
+TEST(DramStorage, SaveListsExactlyTheTouchedPages)
 {
-    ModelledDram m;
-    m.expectSnapshotMatchesOracle();  // all zeros: one run
+    Dram d(storageCfg());
+    std::vector<Word> model(kCap, 0);
+    EXPECT_TRUE(startsWith(snapshotBytes(d), pageLayout(model, {})));
 
-    // Zero-valued writes touch pages without ending the zero run.
-    m.write(5, 0);
-    m.write(2 * kPage, 0);
-    m.expectSnapshotMatchesOracle();
+    // Zero-valued writes touch their pages, which are listed as zeros.
+    d.write(5, 0);
+    d.write(2 * kPage, 0);
+    EXPECT_TRUE(startsWith(snapshotBytes(d), pageLayout(model, {0, 2})));
 
-    // A non-zero run crossing a page edge, a run that ends exactly on
-    // one, and the same value continuing on the next touched page.
-    m.fill(kPage - 3, std::vector<Word>(6, 7));
-    m.fill(2 * kPage - 4, std::vector<Word>(4, 5));
-    m.fill(2 * kPage, std::vector<Word>(3, 5));
-    m.expectSnapshotMatchesOracle();
+    // A fill across a page edge and the partial last page.
+    std::vector<Word> run(6, 7);
+    d.fill(kPage - 3, run);
+    std::copy(run.begin(), run.end(), model.begin() + kPage - 3);
+    d.write(kCap - 1, 1);
+    model[kCap - 1] = 1;
+    const std::string bytes = snapshotBytes(d);
+    EXPECT_TRUE(startsWith(bytes, pageLayout(model, {0, 1, 2, 4})));
+    // Raw pages: 4 full and the 1000-word tail, each behind its index.
+    EXPECT_GE(bytes.size(), 16 + 4 * 8 + (3 * kPage + 1000) * 4);
+}
 
-    // A whole page of one value, then the touched partial last page.
-    m.fill(3 * kPage, std::vector<Word>(kPage, 0xabcd));
-    m.write(kCap - 1, 1);
-    m.write(kCap - 2, 1);
-    m.expectSnapshotMatchesOracle();
-
-    // Mixed data, overwritten back to zero in places.
+TEST(DramStorage, LoadRestoresTheTouchedMapAndTheWords)
+{
+    Dram a(storageCfg());
     Rng rng(21);
-    for (int i = 0; i < 500; i++)
-        m.write(rng.below(kCap), static_cast<Word>(rng.below(3)));
-    m.write(kCap - 1, 0);
-    m.expectSnapshotMatchesOracle();
+    for (int i = 0; i < 300; i++)
+        a.write(rng.below(2 * kPage), static_cast<Word>(rng.below(3)));
+    a.write(3 * kPage + 1, 0);  // a touched page holding only zeros
+    a.write(kCap - 1, 0xabcd);
+    const std::string saved = snapshotBytes(a);
+
+    Dram b(storageCfg());
+    ASSERT_TRUE(loadBytes(b, saved));
+    EXPECT_EQ(touchedList(b), touchedList(a));
+    EXPECT_EQ(touchedList(b), (std::vector<uint64_t>{0, 1, 3, 4}));
+    EXPECT_EQ(b.dump(0, kCap), a.dump(0, kCap));
+    EXPECT_EQ(snapshotBytes(b), saved);
+}
+
+TEST(DramStorage, LoadRejectsABadPageList)
+{
+    Dram a(storageCfg());
+    a.write(kPage + 2, 5);
+    a.write(3 * kPage + 7, 6);
+    const std::string saved = snapshotBytes(a);
+    const size_t pageEntry = 8 + kPage * sizeof(Word);
+    const std::string first = saved.substr(16, pageEntry);   // page 1
+    const std::string second = saved.substr(16 + pageEntry, pageEntry);
+    const std::string tail = saved.substr(16 + 2 * pageEntry);
+    auto withPages = [&](const std::string &entries) {
+        return saved.substr(0, 16) + entries + tail;
+    };
+    auto pageIndex = [](uint64_t page) {
+        SnapshotWriter w;
+        w.u64(page);
+        return w.data();
+    };
+    const std::string body = first.substr(8);
+
+    Dram b(storageCfg());
+    ASSERT_TRUE(loadBytes(b, withPages(first + second)));
+    EXPECT_FALSE(loadBytes(b, withPages(first + first))) << "repeated";
+    EXPECT_FALSE(loadBytes(b, withPages(second + first))) << "descending";
+    EXPECT_FALSE(loadBytes(b, withPages(first + pageIndex(b.pages()) +
+                                        body)))
+        << "past pages()";
+    EXPECT_FALSE(loadBytes(b, withPages(first + pageIndex(4))))
+        << "truncated page";
 }
 
 TEST(DramStorage, LoadLeavesNoWordOfThePriorState)
@@ -283,13 +308,10 @@ TEST(DramStorage, LoadLeavesNoWordOfThePriorState)
     b.write(kCap - 2, 3);
 
     const std::string saved = snapshotBytes(a);
-    SnapshotReader r(saved);
-    SnapshotIo io(r);
-    b.snapshot(io);
-    ASSERT_TRUE(r.atEnd());
+    ASSERT_TRUE(loadBytes(b, saved));
     EXPECT_EQ(b.dump(0, kCap), a.dump(0, kCap));
     EXPECT_EQ(snapshotBytes(b), saved);
-    // Only the pages holding the loaded non-zero runs are touched.
+    // The touched map is the saved one, not the union with b's.
     EXPECT_EQ(touchedList(b), (std::vector<uint64_t>{0, 1, 4}));
 }
 

@@ -18,8 +18,6 @@ TEST(Crossbar, PortLimitsEnforced)
     EXPECT_FALSE(x.tryTransfer(0, 2)) << "source 0 exhausted";
     EXPECT_FALSE(x.tryTransfer(2, 1)) << "destination 1 exhausted";
     EXPECT_TRUE(x.tryTransfer(2, 3));
-    EXPECT_EQ(x.transfers(), 2u);
-    EXPECT_EQ(x.rejects(), 2u);
 }
 
 TEST(Crossbar, NewCycleResetsBudgets)
@@ -105,8 +103,6 @@ TEST(IndexNetwork, BankPortsLimitEjection)
     EXPECT_TRUE(net.tryTransfer(0, 5));
     EXPECT_TRUE(net.tryTransfer(1, 5));
     EXPECT_FALSE(net.tryTransfer(2, 5)) << "bank 5 has 2 ports";
-    EXPECT_EQ(net.transfers(), 2u);
-    EXPECT_EQ(net.rejects(), 1u);
 }
 
 class IndexNetworkPorts : public ::testing::TestWithParam<uint32_t>

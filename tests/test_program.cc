@@ -270,7 +270,7 @@ TEST(StreamProgram, AliasSharesStorageWithIndependentBuffers)
     m.srf().configureSlotBinding(b, StreamDir::In, true, false);
     Cycle now = 0;
     m.srf().beginCycle(now);
-    ASSERT_TRUE(m.srf().idxIssueRead(0, b, 1));
+    ASSERT_TRUE(m.srf().idxIssueRead(0, b, 1, now));
     m.srf().endCycle(now);
     EXPECT_EQ(m.srf().idxOutstanding(0, a), 0u);
     // The request sits in the alias's FIFO and data buffer.

@@ -215,7 +215,7 @@ TEST(SnapshotFile, SerializeParseRoundtrip)
     const std::string *mach = out.findSection(kSnapMachine);
     ASSERT_NE(mach, nullptr);
     EXPECT_EQ(*mach, *s.findSection(kSnapMachine));
-    EXPECT_EQ(out.findSection(kSnapCrossbar), nullptr);
+    EXPECT_EQ(out.findSection(kSnapMemory), nullptr);
 }
 
 TEST(SnapshotFile, LoadFileOkMissingStale)
@@ -255,8 +255,8 @@ TEST(SnapshotFile, ConcurrentWritersOfOnePathAllSucceed)
     b.cycle = a.cycle + 1;
     SnapshotWriter pad;
     pad.str(std::string(1 << 16, 'x'));
-    a.addSection(kSnapCrossbar, pad);
-    b.addSection(kSnapCrossbar, pad);
+    a.addSection(kSnapMemory, pad);
+    b.addSection(kSnapMemory, pad);
 
     std::atomic<int> failures{0};
     auto writer = [&](const Snapshot &s) {
@@ -580,11 +580,11 @@ tagName(uint32_t tag)
  */
 void
 expectFullStateResumeEquivalent(const std::string &workload,
-                                MachineKind kind, uint64_t cadenceDivisor)
+                                const MachineConfig &cfg,
+                                uint64_t cadenceDivisor)
 {
-    SCOPED_TRACE(workload + " / " + machineKindName(kind) + " / cycles/" +
+    SCOPED_TRACE(workload + " / " + cfg.name() + " / cycles/" +
                  std::to_string(cadenceDivisor));
-    const MachineConfig cfg = MachineConfig::make(kind);
     const WorkloadOptions opts;
     const WorkloadResult base = runWorkload(workload, cfg, opts);
     ASSERT_EQ(base.status, RunStatus::Done);
@@ -627,14 +627,35 @@ expectFullStateResumeEquivalent(const std::string &workload,
 class FullStateResume : public ::testing::TestWithParam<std::string>
 {};
 
+/**
+ * The faulted input: an ISRF4 Filter job under every fault kind, each
+ * firing across both save points, so delayed and dropping memory
+ * units, retries and pending SRF/DRAM ECC faults cross a resume.
+ */
+constexpr char kFaultedFilter[] = "Filter+faults";
+
 TEST_P(FullStateResume, SectionsMatchUninterruptedRun)
 {
     const std::string &w = GetParam();
+    if (w == kFaultedFilter) {
+        MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
+        cfg.faults = FaultConfig::parse(
+            "seed=3;retry=3;backoff=2;"
+            "srf_bit:start=50,period=31,count=100000;"
+            "dram_bit:start=50,period=29,count=100000,transient,bits=2,"
+            "max=65536;"
+            "mem_drop:start=60,period=11,count=100000;"
+            "mem_delay:start=80,period=101,count=100000,delay=6;"
+            "xbar_stall:start=40,period=7,count=100000");
+        expectFullStateResumeEquivalent("Filter", cfg, 5);
+        return;
+    }
     for (MachineKind kind : {MachineKind::Base, MachineKind::ISRF1,
                              MachineKind::ISRF4, MachineKind::Cache}) {
-        expectFullStateResumeEquivalent(w, kind, 5);
+        const MachineConfig cfg = MachineConfig::make(kind);
+        expectFullStateResumeEquivalent(w, cfg, 5);
         if (w == "FFT 2D" || w == "Rijndael")
-            expectFullStateResumeEquivalent(w, kind, 4);
+            expectFullStateResumeEquivalent(w, cfg, 4);
     }
 }
 
@@ -652,7 +673,8 @@ INSTANTIATE_TEST_SUITE_P(
     Workloads, FullStateResume,
     ::testing::Values("Sort", "Filter", "IG_SML", "IG_SCL", "IG_DMS",
                       "SpMV Power", "SpMV Random", "Stencil 2D5",
-                      "Stencil 3D27", "Histogram", "FFT 2D", "Rijndael"),
+                      "Stencil 3D27", "Histogram", "FFT 2D", "Rijndael",
+                      kFaultedFilter),
     workloadParamName);
 
 // ----------------------------------------------------------------------
@@ -834,9 +856,11 @@ TEST(CheckpointResume, CorruptCheckpointQuarantinedAndRestartsClean)
 TEST(CheckpointResume, OldFormatVersionQuarantinedAndRestartsClean)
 {
     // A checkpoint written by a build with an older section layout
-    // (format version 1 carried MACH/MEMS fields this build no longer
-    // has) is checksum-valid but unreadable: the loader must refuse
-    // it, the job must quarantine it and rerun from cycle 0.
+    // (version 1 carried MACH/MEMS fields of the retired skip engine,
+    // version 2 the components' clock copies and DRAM as runs) is
+    // checksum-valid but unreadable: for every older version the
+    // loader must refuse it, the job must quarantine it and rerun
+    // from cycle 0 to the byte-identical report.
     const std::string workload = "Histogram";
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
     WorkloadOptions opts;
@@ -855,33 +879,41 @@ TEST(CheckpointResume, OldFormatVersionQuarantinedAndRestartsClean)
     o1.checkpoint = &c1;
     runWorkload(workload, cfg, o1);
     ASSERT_EQ(c1.saves(), 1u);
-
-    // Re-serialize the real checkpoint under version 1: serialize()
-    // recomputes every checksum, so only the version is wrong.
-    ASSERT_GT(kSnapshotFormatVersion, 1u);
     Snapshot snap;
     std::string err;
     ASSERT_TRUE(snap.parse(readBytes(path), err)) << err;
-    snap.version = 1;
-    writeBytes(path, snap.serialize());
-    Snapshot out;
-    EXPECT_EQ(loadSnapshotFile(path, fp, out, err), SnapshotLoad::Corrupt);
-    EXPECT_NE(err.find("unsupported snapshot format version 1"),
-              std::string::npos) << err;
 
-    CheckpointContext c2(path, fp, 0);  // cadence 0: no periodic saves
-    WorkloadOptions o2 = opts;
-    o2.checkpoint = &c2;
-    WorkloadResult res = runWorkload(workload, cfg, o2);
-    EXPECT_EQ(c2.restores(), 0u);
-    EXPECT_EQ(c2.quarantined(), 1u);
-    EXPECT_EQ(c2.executedCycles(), base.cycles)
-        << "the job must rerun from cycle 0";
-    EXPECT_FALSE(fileExists(path));
-    EXPECT_TRUE(fileExists(path + ".bad"));
-    EXPECT_EQ(res.status, RunStatus::Done);
-    EXPECT_TRUE(res.correct);
-    EXPECT_EQ(resultJson(res), baseJson);
+    ASSERT_GE(kSnapshotFormatVersion, 3u);
+    for (uint32_t version = 1; version < kSnapshotFormatVersion;
+         version++) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        // Re-serialize the real checkpoint under the old version:
+        // serialize() recomputes every checksum, so only the version
+        // is wrong.
+        snap.version = version;
+        writeBytes(path, snap.serialize());
+        Snapshot out;
+        EXPECT_EQ(loadSnapshotFile(path, fp, out, err),
+                  SnapshotLoad::Corrupt);
+        EXPECT_NE(err.find("unsupported snapshot format version " +
+                           std::to_string(version)),
+                  std::string::npos) << err;
+
+        CheckpointContext c2(path, fp, 0);  // cadence 0: no saves
+        WorkloadOptions o2 = opts;
+        o2.checkpoint = &c2;
+        WorkloadResult res = runWorkload(workload, cfg, o2);
+        EXPECT_EQ(c2.restores(), 0u);
+        EXPECT_EQ(c2.quarantined(), 1u);
+        EXPECT_EQ(c2.executedCycles(), base.cycles)
+            << "the job must rerun from cycle 0";
+        EXPECT_FALSE(fileExists(path));
+        EXPECT_TRUE(fileExists(path + ".bad"));
+        EXPECT_EQ(res.status, RunStatus::Done);
+        EXPECT_TRUE(res.correct);
+        EXPECT_EQ(resultJson(res), baseJson);
+        std::remove((path + ".bad").c_str());
+    }
 }
 
 TEST(CheckpointResume, TruncatedCheckpointQuarantinedAtManyOffsets)

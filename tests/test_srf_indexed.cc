@@ -64,7 +64,7 @@ TEST_F(SrfIdxTest, InLaneReadReturnsCorrectDataAfterLatency)
     SlotId id = openTable(64);
     ASSERT_TRUE(srf_.idxCanIssue(3, id));
     srf_.beginCycle(now_);
-    ASSERT_TRUE(srf_.idxIssueRead(3, id, 17));
+    ASSERT_TRUE(srf_.idxIssueRead(3, id, 17, now_));
     srf_.endCycle(now_);
     Cycle issue = now_;
     now_++;
@@ -87,8 +87,8 @@ TEST_F(SrfIdxTest, InOrderDeliveryAcrossConflicts)
     // Two requests to the same sub-array (addresses 0 and 1) conflict
     // with each other only within a cycle; in-order pop still holds.
     srf_.beginCycle(now_);
-    ASSERT_TRUE(srf_.idxIssueRead(0, id, 1));
-    ASSERT_TRUE(srf_.idxIssueRead(0, id, 0));
+    ASSERT_TRUE(srf_.idxIssueRead(0, id, 1, now_));
+    ASSERT_TRUE(srf_.idxIssueRead(0, id, 0, now_));
     srf_.endCycle(now_);
     now_++;
     cycle(10);
@@ -110,7 +110,7 @@ TEST_F(SrfIdxTest, Isrf4ServesFourDistinctSubArraysPerCycle)
         ids[s] = openTable(16, s * 16);
     srf_.beginCycle(now_);
     for (uint32_t s = 0; s < 4; s++)
-        ASSERT_TRUE(srf_.idxIssueRead(0, ids[s], s * 4));  // sub-array s
+        ASSERT_TRUE(srf_.idxIssueRead(0, ids[s], s * 4, now_));  // sub-array s
     srf_.endCycle(now_);
     now_++;
     // Addresses become serviceable the cycle after FIFO entry.
@@ -126,7 +126,7 @@ TEST_F(SrfIdxTest, Isrf1ServesOneWordPerCycle)
         ids[s] = openTable(16, s * 16);
     srf_.beginCycle(now_);
     for (uint32_t s = 0; s < 4; s++)
-        ASSERT_TRUE(srf_.idxIssueRead(0, ids[s], s * 4));
+        ASSERT_TRUE(srf_.idxIssueRead(0, ids[s], s * 4, now_));
     srf_.endCycle(now_);
     now_++;
     cycle(1);
@@ -143,8 +143,8 @@ TEST_F(SrfIdxTest, SameSubArrayConflictSerializes)
     srf_.beginCycle(now_);
     // Both target sub-array 0 of lane 0 (addresses 0 and 16+... note
     // slot b's base 16 -> laneAddr 16 -> sub-array 0 again).
-    ASSERT_TRUE(srf_.idxIssueRead(0, a, 0));
-    ASSERT_TRUE(srf_.idxIssueRead(0, b, 0));
+    ASSERT_TRUE(srf_.idxIssueRead(0, a, 0, now_));
+    ASSERT_TRUE(srf_.idxIssueRead(0, b, 0, now_));
     srf_.endCycle(now_);
     now_++;
     cycle(1);
@@ -159,7 +159,7 @@ TEST_F(SrfIdxTest, MultiWordRecordsExpandToWordAccesses)
     initSrf(SrfMode::Indexed4);
     SlotId id = openTable(64, 0, 4);
     srf_.beginCycle(now_);
-    ASSERT_TRUE(srf_.idxIssueRead(2, id, 3));  // words 12..15
+    ASSERT_TRUE(srf_.idxIssueRead(2, id, 3, now_));  // words 12..15
     srf_.endCycle(now_);
     now_++;
     cycle(10);
@@ -182,7 +182,7 @@ TEST_F(SrfIdxTest, IndexedWriteLandsInBank)
     SlotId id = srf_.openSlot(cfg);
     Word data[1] = {0xdead};
     srf_.beginCycle(now_);
-    ASSERT_TRUE(srf_.idxIssueWrite(5, id, 7, data));
+    ASSERT_TRUE(srf_.idxIssueWrite(5, id, 7, data, now_));
     EXPECT_FALSE(srf_.idxWritesDrained(id));
     srf_.endCycle(now_);
     now_++;
@@ -198,7 +198,7 @@ TEST_F(SrfIdxTest, AddressFifoBackpressure)
     // Fill the FIFO without any service cycles.
     uint32_t issued = 0;
     srf_.beginCycle(now_);
-    while (srf_.idxIssueRead(0, id, issued % 64))
+    while (srf_.idxIssueRead(0, id, issued % 64, now_))
         issued++;
     // Capacity = addrFifoSize (8); the data buffer is larger.
     EXPECT_EQ(issued, geom_.addrFifoSize);
@@ -227,7 +227,7 @@ TEST_F(SrfIdxTest, CrossLaneReadRoutesToOwningBank)
 
     // Lane 0 reads global word 100 (lives in lane (100/4)%8 = 1).
     srf_.beginCycle(now_);
-    ASSERT_TRUE(srf_.idxIssueRead(0, id, 100));
+    ASSERT_TRUE(srf_.idxIssueRead(0, id, 100, now_));
     srf_.endCycle(now_);
     Cycle issue = now_;
     now_++;
@@ -258,7 +258,7 @@ TEST_F(SrfIdxTest, CrossLaneBankPortLimitsThroughput)
     // All 8 lanes target bank 0 (word indices 0..3 stripe to lane 0).
     srf_.beginCycle(now_);
     for (uint32_t l = 0; l < 8; l++)
-        ASSERT_TRUE(srf_.idxIssueRead(l, id, l % 4));
+        ASSERT_TRUE(srf_.idxIssueRead(l, id, l % 4, now_));
     srf_.endCycle(now_);
     now_++;
     // With one network port per bank, only ~1 index routes per cycle.
@@ -296,7 +296,7 @@ TEST_F(SrfIdxTest, SequentialAndIndexedShareThePort)
         srf_.beginCycle(now_);
         for (uint32_t l = 0; l < 8; l++) {
             if (srf_.idxCanIssue(l, tbl))
-                srf_.idxIssueRead(l, tbl, static_cast<uint32_t>(i) % 64);
+                srf_.idxIssueRead(l, tbl, static_cast<uint32_t>(i) % 64, now_);
             while (srf_.seqCanRead(l, seq))
                 srf_.seqRead(l, seq);
         }

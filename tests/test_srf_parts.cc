@@ -119,14 +119,12 @@ TEST(SubArray, OnePortPerCycle)
 {
     SubArray sa;
     sa.newCycle();
-    EXPECT_TRUE(sa.claimIndexed());
-    EXPECT_FALSE(sa.claimIndexed()) << "port busy";
-    EXPECT_FALSE(sa.claimSequential());
+    EXPECT_TRUE(sa.claim());
+    EXPECT_FALSE(sa.claim()) << "port busy";
+    EXPECT_FALSE(sa.claim());
     EXPECT_EQ(sa.conflicts(), 2u);
     sa.newCycle();
-    EXPECT_TRUE(sa.claimSequential());
-    EXPECT_EQ(sa.indexedAccesses(), 1u);
-    EXPECT_EQ(sa.sequentialAccesses(), 1u);
+    EXPECT_TRUE(sa.claim());
 }
 
 TEST(RoundRobinArbiter, RotatesFairly)
@@ -153,8 +151,6 @@ TEST(RoundRobinArbiter, NobodyClaims)
 {
     RoundRobinArbiter arb(2);
     EXPECT_EQ(arb.arbitrate(uint64_t{0}), -1);
-    EXPECT_EQ(arb.idleCycles(), 1u);
-    EXPECT_EQ(arb.grants(), 0u);
 }
 
 TEST(RoundRobinArbiter, LongTermFairness)
@@ -189,16 +185,11 @@ class ReferenceRrArbiter
             uint32_t id = (next_ + k) % n_;
             if (claims[id]) {
                 next_ = (id + 1) % n_;
-                grants_++;
                 return static_cast<int>(id);
             }
         }
-        idleCycles_++;
         return -1;
     }
-
-    uint64_t grants_ = 0;
-    uint64_t idleCycles_ = 0;
 
   private:
     uint32_t n_;
@@ -208,8 +199,8 @@ class ReferenceRrArbiter
 TEST(RoundRobinArbiter, MaskGrantsMatchReferenceScan)
 {
     // Randomized claim patterns, including long idle stretches and
-    // single-claimant bursts: grants, idle counts, and the priority
-    // rotation must match the linear-scan reference at every step.
+    // single-claimant bursts: every grant (or -1 on an idle cycle)
+    // must match the linear-scan reference at every step.
     for (uint32_t n : {1u, 2u, 7u, 25u, 64u}) {
         RoundRobinArbiter arb(n);
         ReferenceRrArbiter ref(n);
@@ -232,8 +223,6 @@ TEST(RoundRobinArbiter, MaskGrantsMatchReferenceScan)
             ASSERT_EQ(arb.arbitrate(mask), ref.arbitrate(claims))
                 << "n=" << n << " step=" << step;
         }
-        EXPECT_EQ(arb.grants(), ref.grants_);
-        EXPECT_EQ(arb.idleCycles(), ref.idleCycles_);
     }
 }
 
@@ -245,7 +234,6 @@ TEST(RoundRobinArbiter, IdleCycleFreezesPriority)
     EXPECT_EQ(arb.arbitrate(uint64_t{0}), -1);
     // Pointer still at 1 after the idle cycles.
     EXPECT_EQ(arb.arbitrate(uint64_t{0b1111}), 1);
-    EXPECT_EQ(arb.idleCycles(), 2u);
 }
 
 TEST(RoundRobinArbiterDeathTest, ClaimBitBeyondWidthPanics)

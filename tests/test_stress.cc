@@ -92,12 +92,12 @@ TEST_P(SrfRandomTraffic, EveryReadCompletesInOrderWithCorrectData)
                 if (rng.chance(0.5) && srf.idxCanIssue(l, id)) {
                     if (id == tbl) {
                         auto rec = static_cast<uint32_t>(rng.below(128));
-                        srf.idxIssueRead(l, id, rec);
+                        srf.idxIssueRead(l, id, rec, now);
                         expect[{l, id}].values.push_back(l * 1000 + rec);
                     } else {
                         auto rec = static_cast<uint32_t>(
                             rng.below(1024));
-                        srf.idxIssueRead(l, id, rec);
+                        srf.idxIssueRead(l, id, rec, now);
                         expect[{l, id}].values.push_back(
                             crossData[rec]);
                     }

@@ -87,24 +87,6 @@ TEST(Counter, IncAndReset)
     EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Average, TracksMeanMinMax)
-{
-    Average a;
-    a.sample(2);
-    a.sample(4);
-    a.sample(6);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 6.0);
-    EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(Average, EmptyMeanIsZero)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-}
-
 TEST(Histogram, BucketsAndOverflow)
 {
     Histogram h(0, 10, 5);
