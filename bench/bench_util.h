@@ -15,6 +15,7 @@
 #ifndef ISRF_BENCH_BENCH_UTIL_H
 #define ISRF_BENCH_BENCH_UTIL_H
 
+#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -416,8 +417,14 @@ finishBench(const BenchArgs &args, const BenchRun &run = {},
     }
     if (args.tracePath.empty())
         return;
+    // One ring holding every event each run kept; the file's
+    // "dropped" is then the sum of the runs' own drops.
+    size_t events = 0;
+    for (const SweepOutcome &o : run.outcomes())
+        if (o.result.trace)
+            events += o.result.trace->size();
     Tracer trace;
-    trace.setCapacity(benchConfig(MachineKind::Base, args).traceCapacity);
+    trace.setCapacity(std::max<size_t>(events, 1));
     for (const SweepOutcome &o : run.outcomes())
         if (o.result.trace)
             trace.mergeFrom(*o.result.trace);

@@ -13,6 +13,10 @@ KernelInvocation::finalize()
     if (!graph)
         panic("KernelInvocation: no graph");
     size_t nSlots = graph->streamSlots().size();
+    if (nSlots > kMaxStreamSlots)
+        panic("KernelInvocation(%s): %zu stream slots; a lane tracks at "
+              "most %zu in its work masks",
+              graph->name().c_str(), nSlots, kMaxStreamSlots);
     if (slots.size() != nSlots)
         panic("KernelInvocation(%s): %zu slot bindings for %zu slots",
               graph->name().c_str(), slots.size(), nSlots);
@@ -81,15 +85,20 @@ Cluster::bind(const KernelInvocation *inv, Cycle now)
     nextIssue_ = now + inv->startOverhead;
     lastIssue_ = now;
     pendingCommSends_ = 0;
-    size_t nSlots = inv->graph->streamSlots().size();
-    dataNeeds_.assign(nSlots, {});
-    seqWriteCur_.assign(nSlots, 0);
-    idxReadCur_.assign(nSlots, 0);
-    idxWriteCur_.assign(nSlots, 0);
-    pendingOut_.assign(nSlots, {});
-    pendingIn_.assign(nSlots, 0);
-    pendingIdxR_.assign(nSlots, {});
-    pendingIdxW_.assign(nSlots, {});
+    nSlots_ = inv->slots.size();
+    if (work_.size() < nSlots_)
+        work_.resize(nSlots_);
+    for (size_t s = 0; s < nSlots_; s++) {
+        SlotWork &w = work_[s];
+        w.dataNeeds.clear();
+        w.seqWriteCur = w.idxReadCur = w.idxWriteCur = 0;
+        w.pendingOut.reset(inv->seqWritesPerIter[s]);
+        w.pendingIn = 0;
+        w.pendingIdxR.reset(inv->idxReadsPerIter[s]);
+        w.pendingIdxW.reset(inv->idxWritesPerIter[s]);
+    }
+    pendingMask_ = needMask_ = 0;
+    earliestDue_ = kNever;
     doneReported_ = false;
     if (trc_ && trc_->on())
         trc_->instant(traceCh_, "bind", now, lane_);
@@ -109,18 +118,17 @@ Cluster::done(Cycle now) const
     uint64_t total = inv_->laneTraces[lane_].iterations;
     if (itersIssued_ < total)
         return false;
-    for (const auto &q : dataNeeds_)
-        if (!q.empty())
+    if (needMask_)
+        return false;
+    // Not pendingMask_ == 0: queued sequential reads (pendingIn) do
+    // not hold a lane that has issued every iteration; the other three
+    // queues do.
+    for (uint64_t m = pendingMask_; m; m &= m - 1) {
+        const SlotWork &w = work_[__builtin_ctzll(m)];
+        if (!w.pendingOut.empty() || !w.pendingIdxR.empty() ||
+                !w.pendingIdxW.empty())
             return false;
-    for (const auto &q : pendingOut_)
-        if (!q.empty())
-            return false;
-    for (const auto &q : pendingIdxR_)
-        if (!q.empty())
-            return false;
-    for (const auto &q : pendingIdxW_)
-        if (!q.empty())
-            return false;
+    }
     if (pendingCommSends_ > 0)
         return false;
     if (total > 0 && now < lastIssue_ + inv_->sched.length)
@@ -128,119 +136,118 @@ Cluster::done(Cycle now) const
     return true;
 }
 
-bool
-Cluster::consumeDueData(Cycle now)
+void
+Cluster::refreshEarliestDue()
 {
-    size_t nSlots = dataNeeds_.size();
-    for (size_t s = 0; s < nSlots; s++) {
-        auto &q = dataNeeds_[s];
-        while (!q.empty() && q.front() <= now) {
-            SlotId slot = inv_->slots[s];
-            if (!srf_->idxDataReady(lane_, slot, now))
-                return false;
-            Word tmp[4];
-            srf_->idxDataPop(lane_, slot, tmp);
-            q.pop_front();
-        }
-    }
-    return true;
+    // Each slot consumes its needs in FIFO order and the queues are not
+    // sorted (a read's offset depends on the queue depth at its issue),
+    // so only the fronts can come due next.
+    earliestDue_ = kNever;
+    for (uint64_t m = needMask_; m; m &= m - 1)
+        earliestDue_ = std::min(earliestDue_,
+                                work_[__builtin_ctzll(m)].dataNeeds.front());
 }
 
 bool
+Cluster::consumeDueData(Cycle now)
+{
+    if (now < earliestDue_)
+        return true;
+    bool ready = true;
+    for (uint64_t m = needMask_; m && ready; m &= m - 1) {
+        unsigned s = __builtin_ctzll(m);
+        Ring<Cycle> &q = work_[s].dataNeeds;
+        SlotId slot = inv_->slots[s];
+        while (!q.empty() && q.front() <= now) {
+            if (!srf_->idxDataReady(lane_, slot, now)) {
+                ready = false;
+                break;
+            }
+            Word tmp[4];
+            srf_->idxDataPop(lane_, slot, tmp);
+            q.pop();
+        }
+        if (q.empty())
+            needMask_ &= ~(uint64_t{1} << s);
+    }
+    refreshEarliestDue();
+    return ready;
+}
+
+void
 Cluster::drainPending(Cycle now)
 {
-    bool allEmpty = true;
-    size_t nSlots = inv_->slots.size();
-    for (size_t s = 0; s < nSlots; s++) {
+    for (uint64_t m = pendingMask_; m; m &= m - 1) {
+        unsigned s = __builtin_ctzll(m);
+        SlotWork &w = work_[s];
         SlotId slot = inv_->slots[s];
         // Sequential reads: consume buffered words; if the stream has
         // run dry in storage, the remaining reads are a short tail and
         // are dropped (final partial iteration).
-        while (pendingIn_[s] > 0 && srf_->seqCanRead(lane_, slot)) {
+        while (w.pendingIn > 0 && srf_->seqCanRead(lane_, slot)) {
             srf_->seqRead(lane_, slot);
-            pendingIn_[s]--;
+            w.pendingIn--;
         }
-        if (pendingIn_[s] > 0 &&
-                srf_->seqWordsRemaining(lane_, slot) == 0) {
-            pendingIn_[s] = 0;
-        }
+        if (w.pendingIn > 0 && srf_->seqWordsRemaining(lane_, slot) == 0)
+            w.pendingIn = 0;
         // Sequential writes.
-        while (!pendingOut_[s].empty() && srf_->seqCanWrite(lane_, slot)) {
-            srf_->seqWrite(lane_, slot, pendingOut_[s].front());
-            pendingOut_[s].pop_front();
+        while (!w.pendingOut.empty() && srf_->seqCanWrite(lane_, slot)) {
+            srf_->seqWrite(lane_, slot, w.pendingOut.front());
+            w.pendingOut.pop();
         }
         // Indexed reads: push addresses into the FIFO as space frees;
         // the data-need clock starts at the FIFO issue.
-        while (!pendingIdxR_[s].empty() &&
-               srf_->idxCanIssue(lane_, slot)) {
-            uint32_t rec = pendingIdxR_[s].front();
-            if (!srf_->idxIssueRead(lane_, slot, rec, now))
+        while (!w.pendingIdxR.empty() && srf_->idxCanIssue(lane_, slot)) {
+            if (!srf_->idxIssueRead(lane_, slot, w.pendingIdxR.front(),
+                                    now))
                 break;
-            pendingIdxR_[s].pop_front();
-            uint32_t k = static_cast<uint32_t>(dataNeeds_[s].size());
-            uint32_t off = inv_->idxReadOffsets[s].empty()
+            w.pendingIdxR.pop();
+            const std::vector<uint32_t> &offs = inv_->idxReadOffsets[s];
+            Cycle due = now + (offs.empty()
                 ? inv_->sched.separation
-                : inv_->idxReadOffsets[s][k %
-                      inv_->idxReadOffsets[s].size()];
-            dataNeeds_[s].push_back(now + off);
+                : offs[w.dataNeeds.size() % offs.size()]);
+            if (w.dataNeeds.empty()) {
+                needMask_ |= uint64_t{1} << s;
+                earliestDue_ = std::min(earliestDue_, due);
+            }
+            w.dataNeeds.pushGrow(due);
         }
         // Indexed writes.
-        while (!pendingIdxW_[s].empty() &&
-               srf_->idxCanIssue(lane_, slot)) {
-            const IdxWriteTraceEntry &e = pendingIdxW_[s].front();
+        while (!w.pendingIdxW.empty() && srf_->idxCanIssue(lane_, slot)) {
+            const IdxWriteTraceEntry &e = w.pendingIdxW.front();
             if (!srf_->idxIssueWrite(lane_, slot, e.recordIndex, e.data,
                                      now))
                 break;
-            pendingIdxW_[s].pop_front();
+            w.pendingIdxW.pop();
         }
-        if (pendingIn_[s] > 0 || !pendingOut_[s].empty() ||
-                !pendingIdxR_[s].empty() || !pendingIdxW_[s].empty()) {
-            allEmpty = false;
-        }
+        if (!w.pending())
+            pendingMask_ &= ~(uint64_t{1} << s);
     }
-    return allEmpty;
-}
-
-bool
-Cluster::resourcesReady(Cycle now) const
-{
-    // All of the previous iteration's stream work must have drained:
-    // a VLIW schedule cannot roll to the next iteration while its
-    // buffer accesses are still backed up.
-    (void)now;
-    size_t nSlots = inv_->slots.size();
-    for (size_t s = 0; s < nSlots; s++) {
-        if (pendingIn_[s] > 0 || !pendingOut_[s].empty() ||
-                !pendingIdxR_[s].empty() || !pendingIdxW_[s].empty()) {
-            return false;
-        }
-    }
-    return true;
 }
 
 void
 Cluster::issueIteration(Cycle now)
 {
     const LaneTrace &tr = inv_->laneTraces[lane_];
-    size_t nSlots = inv_->slots.size();
-    for (size_t s = 0; s < nSlots; s++) {
-        pendingIn_[s] += inv_->seqReadsPerIter[s];
-        for (uint32_t w = 0; w < inv_->seqWritesPerIter[s]; w++) {
-            if (seqWriteCur_[s] < tr.seqWrites[s].size())
-                pendingOut_[s].push_back(
-                    tr.seqWrites[s][seqWriteCur_[s]++]);
+    for (size_t s = 0; s < nSlots_; s++) {
+        SlotWork &w = work_[s];
+        w.pendingIn += inv_->seqReadsPerIter[s];
+        for (uint32_t i = 0; i < inv_->seqWritesPerIter[s]; i++) {
+            if (w.seqWriteCur < tr.seqWrites[s].size())
+                w.pendingOut.push(tr.seqWrites[s][w.seqWriteCur++]);
         }
         for (uint32_t r = 0; r < inv_->idxReadsPerIter[s]; r++) {
-            if (idxReadCur_[s] >= tr.idxReads[s].size())
+            if (w.idxReadCur >= tr.idxReads[s].size())
                 break;
-            pendingIdxR_[s].push_back(tr.idxReads[s][idxReadCur_[s]++]);
+            w.pendingIdxR.push(tr.idxReads[s][w.idxReadCur++]);
         }
-        for (uint32_t w = 0; w < inv_->idxWritesPerIter[s]; w++) {
-            if (idxWriteCur_[s] >= tr.idxWrites[s].size())
+        for (uint32_t i = 0; i < inv_->idxWritesPerIter[s]; i++) {
+            if (w.idxWriteCur >= tr.idxWrites[s].size())
                 break;
-            pendingIdxW_[s].push_back(
-                tr.idxWrites[s][idxWriteCur_[s]++]);
+            w.pendingIdxW.push(tr.idxWrites[s][w.idxWriteCur++]);
         }
+        if (w.pending())
+            pendingMask_ |= uint64_t{1} << s;
     }
     pendingCommSends_ += inv_->commSendsPerIter;
     itersIssued_++;
@@ -248,6 +255,54 @@ Cluster::issueIteration(Cycle now)
     nextIssue_ = now + inv_->sched.ii;
     drainPending(now);
 }
+
+void
+Cluster::deriveMasks()
+{
+    pendingMask_ = needMask_ = 0;
+    for (size_t s = 0; s < nSlots_; s++) {
+        if (work_[s].pending())
+            pendingMask_ |= uint64_t{1} << s;
+        if (!work_[s].dataNeeds.empty())
+            needMask_ |= uint64_t{1} << s;
+    }
+    refreshEarliestDue();
+}
+
+namespace {
+
+/**
+ * A ring as a length-prefixed sequence, front to back (the bytes
+ * SnapshotIo::seq writes for a deque). A loaded length above
+ * `maxLen` rejects the payload.
+ */
+template <typename T, typename F>
+void
+ringIo(SnapshotIo &io, Ring<T> &r, size_t elemBytes, size_t maxLen,
+       F &&field)
+{
+    uint64_t n = r.size();
+    if (!io.len(n, elemBytes))
+        return;
+    if (io.saving()) {
+        for (size_t i = 0; i < n; i++) {
+            T e = r[i];
+            field(e);
+        }
+        return;
+    }
+    if (!io.require(n <= maxLen))
+        return;
+    r.clear();
+    for (uint64_t i = 0; i < n && io.ok(); i++) {
+        T e{};
+        field(e);
+        if (io.ok())
+            r.pushGrow(e);
+    }
+}
+
+} // namespace
 
 void
 Cluster::snapshot(SnapshotIo &io)
@@ -263,38 +318,55 @@ Cluster::snapshot(SnapshotIo &io)
     io.u64(nextIssue_);
     io.u64(lastIssue_);
     io.u32(pendingCommSends_);
-    uint64_t nslots = dataNeeds_.size();
+    uint64_t nslots = nSlots_;
     io.len(nslots, 1);
-    if (!io.require(!inv_ || nslots == inv_->slots.size()))
+    if (!io.require(inv_ ? nslots == inv_->slots.size()
+                         : nslots <= KernelInvocation::kMaxStreamSlots))
         return;
     if (io.loading()) {
-        dataNeeds_.assign(nslots, {});
-        seqWriteCur_.assign(nslots, 0);
-        idxReadCur_.assign(nslots, 0);
-        idxWriteCur_.assign(nslots, 0);
-        pendingOut_.assign(nslots, {});
-        pendingIn_.assign(nslots, 0);
-        pendingIdxR_.assign(nslots, {});
-        pendingIdxW_.assign(nslots, {});
+        // Ring capacities come from the invocation; an unbound lane's
+        // queues were empty when it unbound (done()).
+        nSlots_ = nslots;
+        if (work_.size() < nSlots_)
+            work_.resize(nSlots_);
+        for (size_t s = 0; s < nSlots_; s++) {
+            SlotWork &w = work_[s];
+            w.pendingOut.reset(inv_ ? inv_->seqWritesPerIter[s] : 0);
+            w.pendingIdxR.reset(inv_ ? inv_->idxReadsPerIter[s] : 0);
+            w.pendingIdxW.reset(inv_ ? inv_->idxWritesPerIter[s] : 0);
+        }
     }
-    for (auto &q : dataNeeds_)
-        io.seq(q);
-    io.each(seqWriteCur_);
-    io.each(idxReadCur_);
-    io.each(idxWriteCur_);
-    for (auto &q : pendingOut_)
-        io.seq(q);
-    io.each(pendingIn_);
-    for (auto &q : pendingIdxR_)
-        io.seq(q);
-    for (auto &q : pendingIdxW_) {
-        io.seq(q, 20, [&](IdxWriteTraceEntry &e) {
-            io.u32(e.recordIndex);
-            io.each(e.data);
-        });
+    const size_t unbounded = std::numeric_limits<size_t>::max();
+    auto u32 = [&](uint32_t &v) { io.u32(v); };
+    for (size_t s = 0; s < nSlots_; s++)
+        ringIo(io, work_[s].dataNeeds, 8, unbounded,
+               [&](Cycle &c) { io.u64(c); });
+    for (size_t s = 0; s < nSlots_; s++)
+        io.u64(work_[s].seqWriteCur);
+    for (size_t s = 0; s < nSlots_; s++)
+        io.u64(work_[s].idxReadCur);
+    for (size_t s = 0; s < nSlots_; s++)
+        io.u64(work_[s].idxWriteCur);
+    for (size_t s = 0; s < nSlots_; s++)
+        ringIo(io, work_[s].pendingOut, 4, work_[s].pendingOut.capacity(),
+               u32);
+    for (size_t s = 0; s < nSlots_; s++)
+        io.u32(work_[s].pendingIn);
+    for (size_t s = 0; s < nSlots_; s++)
+        ringIo(io, work_[s].pendingIdxR, 4,
+               work_[s].pendingIdxR.capacity(), u32);
+    for (size_t s = 0; s < nSlots_; s++) {
+        ringIo(io, work_[s].pendingIdxW, 20,
+               work_[s].pendingIdxW.capacity(),
+               [&](IdxWriteTraceEntry &e) {
+                   io.u32(e.recordIndex);
+                   io.each(e.data);
+               });
     }
     io.asU8(lastCat_);
     io.b(doneReported_);
+    if (io.loading())
+        deriveMasks();
 }
 
 void
@@ -338,7 +410,7 @@ Cluster::tick(Cycle now)
         lastCat_ = steady ? CycleCat::Loop : CycleCat::Overhead;
         return;
     }
-    if (!resourcesReady(now)) {
+    if (!resourcesReady()) {
         lastCat_ = CycleCat::SrfStall;
         return;
     }

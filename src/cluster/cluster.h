@@ -16,12 +16,15 @@
 #ifndef ISRF_CLUSTER_CLUSTER_H
 #define ISRF_CLUSTER_CLUSTER_H
 
-#include <deque>
+#include <algorithm>
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "kernel/scheduler.h"
 #include "net/crossbar.h"
 #include "srf/srf.h"
+#include "util/log.h"
 
 namespace isrf {
 
@@ -62,6 +65,9 @@ struct KernelInvocation
     uint32_t startOverhead = 64;
 
     // ---- derived per-kernel-slot metadata (computed by finalize()) ----
+    // The write and indexed counts are also the capacities of a lane's
+    // per-slot work rings: one iteration's worth, because the next
+    // iteration cannot issue until the rings drain.
     std::vector<uint32_t> seqReadsPerIter;
     std::vector<uint32_t> seqWritesPerIter;
     std::vector<uint32_t> idxReadsPerIter;
@@ -70,8 +76,81 @@ struct KernelInvocation
     std::vector<std::vector<uint32_t>> idxReadOffsets;
     uint32_t commSendsPerIter = 0;
 
+    /** Most stream slots a kernel may have: one bit each in a lane mask. */
+    static constexpr size_t kMaxStreamSlots = 64;
+
     /** Compute derived metadata; call once after filling the fields. */
     void finalize();
+};
+
+/**
+ * A FIFO in one contiguous buffer whose storage outlives clear() and
+ * reset(), so a cluster that rebinds stops allocating once warm.
+ * reset(cap) empties it and fixes its capacity: push() past it panics.
+ * pushGrow() doubles the capacity instead, for queues that no
+ * per-iteration count bounds.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    void
+    reset(size_t cap)
+    {
+        if (buf_.size() < cap)
+            buf_.resize(cap);
+        cap_ = cap;
+        clear();
+    }
+
+    /** Empty, keeping the capacity. */
+    void clear() { head_ = size_ = 0; }
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    size_t capacity() const { return cap_; }
+
+    const T &front() const { return buf_[head_]; }
+    /** The i-th oldest element. */
+    const T &operator[](size_t i) const { return buf_[wrap(head_ + i)]; }
+
+    void
+    push(const T &v)
+    {
+        if (size_ == cap_)
+            panic("Ring: push past capacity %zu", cap_);
+        buf_[wrap(head_ + size_)] = v;
+        size_++;
+    }
+
+    void
+    pushGrow(const T &v)
+    {
+        if (size_ == cap_) {
+            std::vector<T> next(std::max<size_t>(8, 2 * cap_));
+            for (size_t i = 0; i < size_; i++)
+                next[i] = (*this)[i];
+            buf_.swap(next);
+            cap_ = buf_.size();
+            head_ = 0;
+        }
+        push(v);
+    }
+
+    void
+    pop()
+    {
+        head_ = wrap(head_ + 1);
+        size_--;
+    }
+
+  private:
+    size_t wrap(size_t i) const { return i >= cap_ ? i - cap_ : i; }
+
+    std::vector<T> buf_;
+    size_t cap_ = 0;
+    size_t head_ = 0;
+    size_t size_ = 0;
 };
 
 /** Why a cluster failed to make progress in a cycle. */
@@ -129,10 +208,49 @@ class Cluster
     void snapshot(SnapshotIo &io);
 
   private:
-    bool resourcesReady(Cycle now) const;
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+    /** All of the previous iteration's stream work has drained. */
+    bool resourcesReady() const { return pendingMask_ == 0; }
     void issueIteration(Cycle now);
     /** Drain due indexed data; false if a due record is not ready. */
     bool consumeDueData(Cycle now);
+    /** Drain pending stream work of the slots in pendingMask_. */
+    void drainPending(Cycle now);
+    /** Rebuild the masks and earliestDue_ from the queues (on load). */
+    void deriveMasks();
+    /** earliestDue_ from the fronts of the queues in needMask_. */
+    void refreshEarliestDue();
+
+    /**
+     * One kernel slot's trace cursors and queued work. Per-iteration
+     * stream work can exceed buffer/FIFO capacity (e.g. 16 words
+     * against an 8-word buffer); real schedules spread the accesses
+     * across the loop body. The pending queues hold the spill-over,
+     * drained opportunistically each cycle; the next iteration cannot
+     * issue until they are empty, so each ring holds at most one
+     * iteration's work (KernelInvocation's per-iteration counts).
+     */
+    struct SlotWork
+    {
+        /** Need-times of outstanding indexed reads, in issue order. */
+        Ring<Cycle> dataNeeds;
+        size_t seqWriteCur = 0;
+        size_t idxReadCur = 0;
+        size_t idxWriteCur = 0;
+        Ring<Word> pendingOut;                 ///< seq writes
+        uint32_t pendingIn = 0;                ///< seq reads (count)
+        Ring<uint32_t> pendingIdxR;            ///< idx read records
+        Ring<IdxWriteTraceEntry> pendingIdxW;  ///< idx writes
+
+        /** Any queued stream work (pendingMask_'s bit). */
+        bool
+        pending() const
+        {
+            return pendingIn > 0 || !pendingOut.empty() ||
+                !pendingIdxR.empty() || !pendingIdxW.empty();
+        }
+    };
 
     uint32_t lane_ = 0;
     Srf *srf_ = nullptr;
@@ -144,26 +262,21 @@ class Cluster
     Cycle nextIssue_ = 0;
     Cycle lastIssue_ = 0;
     uint32_t pendingCommSends_ = 0;
-    /** [kernelSlot] -> need-times of outstanding indexed reads. */
-    std::vector<std::deque<Cycle>> dataNeeds_;
-    /** Trace cursors. */
-    std::vector<size_t> seqWriteCur_;
-    std::vector<size_t> idxReadCur_;
-    std::vector<size_t> idxWriteCur_;
     /**
-     * Per-iteration stream work can exceed buffer/FIFO capacity (e.g.
-     * 16 words against an 8-word buffer); real schedules spread the
-     * accesses across the loop body. These queues hold the spill-over,
-     * drained opportunistically each cycle; the next iteration cannot
-     * issue until they are empty.
+     * [kernelSlot] for the first nSlots_ entries (the last bind's
+     * slots, kept after unbind). Never shrinks, so the rings keep
+     * their storage across binds.
      */
-    std::vector<std::deque<Word>> pendingOut_;     ///< seq writes
-    std::vector<uint32_t> pendingIn_;              ///< seq reads (count)
-    std::vector<std::deque<uint32_t>> pendingIdxR_; ///< idx read records
-    std::vector<std::deque<IdxWriteTraceEntry>> pendingIdxW_;
+    std::vector<SlotWork> work_;
+    size_t nSlots_ = 0;
 
-    /** Drain pending stream work; true if all queues are empty after. */
-    bool drainPending(Cycle now);
+    // Derived from work_ (never checkpointed; deriveMasks() on load).
+    /** Bit s: slot s has queued stream work. */
+    uint64_t pendingMask_ = 0;
+    /** Bit s: slot s has outstanding indexed reads (dataNeeds). */
+    uint64_t needMask_ = 0;
+    /** Earliest front of the dataNeeds in needMask_; kNever if none. */
+    Cycle earliestDue_ = kNever;
 
     CycleCat lastCat_ = CycleCat::Idle;
 

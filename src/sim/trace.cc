@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <fstream>
 #include <mutex>
 #include <sstream>
 
@@ -221,6 +222,8 @@ Tracer::mergeFrom(const Tracer &other)
         e.name = intern(src.name);
         append(e);
     }
+    // The events the source's ring lost stay counted as lost here.
+    totalRecorded_ += other.dropped();
 }
 
 std::vector<TraceEvent>
@@ -238,10 +241,9 @@ Tracer::lastEvents(size_t n) const
     return out;
 }
 
-std::string
-Tracer::chromeJson() const
+void
+Tracer::chromeJson(std::ostream &out) const
 {
-    std::ostringstream out;
     out << "{\"traceEvents\":[";
     bool first = true;
     // Metadata: name each channel as a thread so Perfetto labels rows.
@@ -253,7 +255,12 @@ Tracer::chromeJson() const
             << "\"tid\":" << c << ",\"args\":{\"name\":\""
             << jsonEscape(channels_[c].name.c_str()) << "\"}}";
     }
-    for (const TraceEvent &e : lastEvents(count_)) {
+    // Oldest first, read in place: a folded trace can be millions of
+    // events, so neither the events nor the text are copied whole.
+    size_t start = count_ ? (head_ + ring_.size() - count_) % ring_.size()
+                          : 0;
+    for (size_t i = 0; i < count_; i++) {
+        const TraceEvent &e = ring_[(start + i) % ring_.size()];
         if (!first)
             out << ",";
         first = false;
@@ -271,6 +278,13 @@ Tracer::chromeJson() const
     out << "],\"displayTimeUnit\":\"ns\",\"otherData\":{"
         << "\"clock\":\"machine cycles (1 cycle = 1us in this view)\","
         << "\"dropped\":" << dropped() << "}}";
+}
+
+std::string
+Tracer::chromeJson() const
+{
+    std::ostringstream out;
+    chromeJson(out);
     return out.str();
 }
 
@@ -305,7 +319,12 @@ writeFile(const std::string &path, const std::string &content)
 bool
 Tracer::writeChromeJson(const std::string &path) const
 {
-    return writeFile(path, chromeJson());
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    if (!f)
+        return false;
+    chromeJson(f);
+    f.close();
+    return !f.fail();
 }
 
 bool

@@ -29,6 +29,7 @@
 #define ISRF_SIM_TRACE_H
 
 #include <cstdio>
+#include <iosfwd>
 #include <set>
 #include <string>
 #include <vector>
@@ -109,7 +110,8 @@ class Tracer
      * channels by name (registering them here as needed) and
      * re-interning event names so they outlive the source. Events are
      * appended regardless of this tracer's channel enablement — the
-     * source already filtered. Thread-safe against concurrent
+     * source already filtered — and the source's dropped() adds to
+     * this one's. Thread-safe against concurrent
      * mergeFrom() calls on the same destination (parallel sweep
      * workers may fold into one shared tracer); not against concurrent
      * record()/export on it.
@@ -176,6 +178,8 @@ class Tracer
 
     /** Render the buffer as Chrome trace-event JSON. */
     std::string chromeJson() const;
+    /** Stream chromeJson()'s text to `out`. */
+    void chromeJson(std::ostream &out) const;
 
     /** Render the buffer as "cycle,channel,type,name,arg" CSV. */
     std::string csv() const;

@@ -123,6 +123,41 @@ TEST(BenchRun, TraceFoldsRunsInSubmissionOrder)
     std::remove(args.tracePath.c_str());
 }
 
+TEST(BenchRun, TraceKeepsEveryRunsEventsAndSumsTheirDrops)
+{
+    // Runs whose rings overflow: the file holds every event each run
+    // kept (more than one ring's worth together) and reports the
+    // events the runs themselves lost, no more.
+    const BenchArgs args = outputArgs("keep", 2);
+    std::vector<SweepJob> jobs = shortJobs(args);
+    const size_t ring = 16;
+    for (SweepJob &j : jobs)
+        j.cfg.traceCapacity = ring;
+    const BenchRun run(args, jobs);
+    finishBench(args, run);
+
+    size_t kept = 0;
+    uint64_t dropped = 0;
+    for (const SweepOutcome &o : run.outcomes()) {
+        ASSERT_TRUE(o.result.trace);
+        EXPECT_LE(o.result.trace->size(), ring);
+        kept += o.result.trace->size();
+        dropped += o.result.trace->dropped();
+    }
+    EXPECT_GT(kept, ring);
+    EXPECT_GT(dropped, 0u);
+    const std::string file = readFile(args.tracePath);
+    size_t events = 0;
+    for (size_t p = file.find("\"ph\":\""); p != std::string::npos;
+         p = file.find("\"ph\":\"", p + 1))
+        events += file[p + 6] != 'M';
+    EXPECT_EQ(events, kept);
+    EXPECT_NE(file.find("\"dropped\":" + std::to_string(dropped) + "}"),
+              std::string::npos);
+    std::remove(args.jsonPath.c_str());
+    std::remove(args.tracePath.c_str());
+}
+
 TEST(BenchRun, JsonResultsNoneWritesAnEmptyReport)
 {
     BenchArgs args;
