@@ -322,7 +322,7 @@ class BenchRun
               machineKindName(kind));
     }
 
-    /** Timing and own-phase profile of the sweep that ran the jobs. */
+    /** Timing of the sweep that ran the jobs. */
     const SweepRunner &runner() const { return runner_; }
 
   private:
@@ -369,20 +369,14 @@ writeBenchJson(const std::string &path,
         std::fprintf(stderr, "ERROR: could not write %s\n", path.c_str());
 }
 
-/**
- * The host profile a binary reports: every run's, folded in submission
- * order, plus the sweep runner's own phases.
- */
-inline void
-foldProfiles(const BenchArgs &args, const BenchRun &run,
-             Profiler &profile)
+/** The host profile a binary reports: the sum of every run's. */
+inline Profiler
+foldProfiles(const BenchRun &run)
 {
-    const MachineConfig cfg = benchConfig(MachineKind::Base, args);
-    profile.configure(cfg.profileEnabled, cfg.profileStride);
+    Profiler profile;
     for (const SweepOutcome &o : run.outcomes())
-        if (o.result.profile)
-            profile.mergeFrom(*o.result.profile);
-    profile.mergeFrom(run.runner().profiler());
+        profile.mergeFrom(o.result.profile);
+    return profile;
 }
 
 /** What a binary's --json lists. */
@@ -406,9 +400,8 @@ finishBench(const BenchArgs &args, const BenchRun &run = {},
         writeBenchJson(args.jsonPath,
                        json == JsonResults::Keyed ? run.outcomes() : none);
     if (!args.profilePath.empty()) {
-        Profiler profile;
-        foldProfiles(args, run, profile);
-        if (profile.writeChromeTrace(args.profilePath))
+        if (writeTextFile(args.profilePath,
+                          foldProfiles(run).chromeTraceJson()))
             std::fprintf(stderr, "wrote host profile to %s\n",
                          args.profilePath.c_str());
         else
@@ -469,9 +462,8 @@ gitSha()
  * Write one perf record (schema isrf-perf-record-v1) for a finished
  * sweep: host metadata, sweep totals (wall time, parallel speedup,
  * simulated cycles per host second), per-job wall times, and — when
- * profiling is on — the host-time profile: every job's, plus the
- * runner's own phases. This is the BENCH_*.json format tools/perf_diff
- * compares.
+ * profiling is on — the host-time profile summed over every job.
+ * This is the BENCH_*.json format tools/perf_diff compares.
  */
 inline void
 writeBenchPerfJson(const std::string &path, const std::string &bench,
@@ -531,11 +523,9 @@ writeBenchPerfJson(const std::string &path, const std::string &bench,
         w.endObject();
     }
     w.endArray();
-    Profiler profile;
-    foldProfiles(args, run, profile);
-    if (profile.enabled() && profile.hasData()) {
+    if (!args.profilePath.empty()) {
         w.key("profile");
-        profile.reportJson(w);
+        foldProfiles(run).reportJson(w);
     }
     w.endObject();
     if (writeTextFile(path, w.str()))

@@ -88,9 +88,6 @@ struct MachineConfig
      */
     bool profileEnabled = false;
 
-    /** Hot-phase sampling stride: time 1 of every N scope entries. */
-    uint64_t profileStride = 64;
-
     std::string name() const { return machineKindName(kind); }
 
     /**

@@ -30,8 +30,7 @@ Machine::init(const MachineConfig &cfg)
         tracer_.disable();
         tracer_.clear();
     }
-    profiler_.configure(cfg_.profileEnabled, cfg_.profileStride);
-    profiler_.reset();
+    profiler_.configure(cfg_.profileEnabled);
     dataNet_.init(cfg.srf.lanes, 1, 1, cfg.srf.netTopology);
     srf_.init(cfg.srf, cfg.srfMode, &dataNet_, &tracer_);
     mem_.init(cfg.mem, cfg.dram, cfg.cache, &srf_, &tracer_);
@@ -231,7 +230,22 @@ Machine::finishKernelIfDone(Cycle now)
 void
 Machine::tick(Cycle now)
 {
-    Profiler::Scope prof(profiler_, Profiler::MachineTick);
+    if (profiler_.sampleCycle())
+        tickPhases<true>(now);
+    else
+        tickPhases<false>(now);
+}
+
+template <bool Timed>
+void
+Machine::tickPhases(Cycle now)
+{
+    [[maybe_unused]] Profiler::TickTimes t;
+    auto mark = [&](Profiler::TickMark m) {
+        if constexpr (Timed)
+            t[m] = Profiler::now();
+    };
+    mark(Profiler::TickBegin);
     dataNet_.newCycle();
     srf_.beginCycle(now);
 
@@ -247,19 +261,14 @@ Machine::tick(Cycle now)
                 dataNet_.claimSource(l);
     }
 
-    {
-        Profiler::Scope memProf(profiler_, Profiler::MemTick);
-        mem_.tick(now);
-    }
-    {
-        Profiler::Scope clProf(profiler_, Profiler::ClusterTick);
-        for (auto &c : clusters_)
-            c.tick(now);
-    }
-    {
-        Profiler::Scope srfProf(profiler_, Profiler::SrfCycle);
-        srf_.endCycle(now);
-    }
+    mark(Profiler::MemBegin);
+    mem_.tick(now);
+    mark(Profiler::ClusterBegin);
+    for (auto &c : clusters_)
+        c.tick(now);
+    mark(Profiler::SrfBegin);
+    srf_.endCycle(now);
+    mark(Profiler::SrfEnd);
 
     // Figure 12 accounting.
     if (active_) {
@@ -278,6 +287,9 @@ Machine::tick(Cycle now)
     }
 
     finishKernelIfDone(now);
+    mark(Profiler::TickEnd);
+    if constexpr (Timed)
+        profiler_.recordTick(t);
 }
 
 void
@@ -326,6 +338,7 @@ RunResult
 Machine::runUntil(const std::function<bool()> &pred, uint64_t limit)
 {
     const Cycle start = now_;
+    Profiler::Timer prof(profiler_, Profiler::RunLoop);
     RunStatus s = RunStatus::Done;
     while (!pred()) {
         s = stopStatus(now_ - start, limit);

@@ -93,9 +93,8 @@ class Machine
 
     /**
      * This machine's private host-time profiler (same isolation rule
-     * as the tracer). Configured from cfg.profileEnabled /
-     * cfg.profileStride at init; copied into the WorkloadResult at
-     * harvest.
+     * as the tracer). Configured from cfg.profileEnabled at init;
+     * copied into the WorkloadResult at harvest.
      */
     Profiler &profiler() { return profiler_; }
     const Profiler &profiler() const { return profiler_; }
@@ -255,6 +254,8 @@ class Machine
   private:
     /** One machine cycle: networks, SRF, memory, clusters, accounting. */
     void tick(Cycle now);
+    /** tick()'s body; Timed reads the clock at each Profiler::TickMark. */
+    template <bool Timed> void tickPhases(Cycle now);
     void finishKernelIfDone(Cycle now);
     void initSampler();
     void initFaults();

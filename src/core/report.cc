@@ -170,7 +170,7 @@ machineReportJson(Machine &m)
 
     // Present only on profiled machines, so unprofiled reports are
     // byte-identical with profiling compiled in.
-    if (m.profiler().enabled() && m.profiler().hasData()) {
+    if (m.profiler().enabled()) {
         w.key("profile");
         m.profiler().reportJson(w);
     }

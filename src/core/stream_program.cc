@@ -519,7 +519,6 @@ StreamProgram::run(uint64_t maxCycles)
 {
     const Cycle start = machine_.now();
     status_ = RunStatus::Done;
-    Profiler::Scope prof(machine_.profiler(), Profiler::Run);
     // Mid-job checkpointing (DESIGN.md §17): resume from the newest
     // valid checkpoint before the first step — `start` stays at the
     // pre-restore clock, so the returned cycle count (and every
@@ -528,6 +527,8 @@ StreamProgram::run(uint64_t maxCycles)
     if (ckpt)
         maybeRestore(*ckpt);
     buildScoreboard();
+    // run_loop times the cycle loop; restore and build are job set-up.
+    Profiler::Timer prof(machine_.profiler(), Profiler::RunLoop);
     const Cycle execStart = machine_.now();
     uint64_t cycles = execStart - start;
     while (true) {

@@ -22,14 +22,6 @@ namespace isrf {
 
 namespace {
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 // ----------------------------------------------------------------------
 // Fingerprinting
 // ----------------------------------------------------------------------
@@ -49,7 +41,6 @@ constexpr uint64_t kJournalVersion = 1;
  *                       (canonicalJob pins its legacy key to the
  *                       default 0 — see there)
  *   profileEnabled      host-time profiling reads only the wall clock
- *   profileStride       ditto
  *
  * Keep this list and canonicalJob() in sync; tests assert canonical
  * text is unchanged for non-observability configs, so growing the
@@ -59,8 +50,8 @@ const std::vector<std::string> &
 observabilityKnobList()
 {
     static const std::vector<std::string> knobs = {
-        "traceSpec",      "traceCapacity",  "statSampleInterval",
-        "profileEnabled", "profileStride",
+        "traceSpec", "traceCapacity", "statSampleInterval",
+        "profileEnabled",
     };
     return knobs;
 }
@@ -461,16 +452,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
     // starts. Magic statics are thread-safe, but initializing it here
     // keeps worker wall times honest and the first jobs fast.
     workloadRegistry();
-    // The runner's own phases (Report, Journal) are profiled exactly
-    // when its jobs are.
-    profiler_.configure(false);
-    for (const SweepJob &job : jobs) {
-        if (job.cfg.profileEnabled) {
-            profiler_.configure(true, job.cfg.profileStride);
-            break;
-        }
-    }
-    profiler_.reset();
 
     std::vector<SweepOutcome> out(jobs.size());
     timing_ = SweepTiming();
@@ -609,7 +590,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
             if (ckpt)
                 opts.checkpoint = ckpt.get();
 
-            auto t0 = std::chrono::steady_clock::now();
+            const int64_t t0 = Profiler::now();
             WorkloadResult r;
             try {
                 r = job.runner ? job.runner(job.cfg, opts)
@@ -636,23 +617,27 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
                           "exception", job.workload.c_str(),
                           job.cfg.name().c_str());
             }
-            double wall = secondsSince(t0);
+            double wall = static_cast<double>(Profiler::now() - t0) / 1e9;
 
+            // The attempt's own phases go into its own profile, on this
+            // worker, before the outcome is published.
             o.result = std::move(r);
             o.status = o.result.status;
             o.attempts = attempt;
             o.wallSeconds += wall;
+            Profiler &prof = o.result.profile;
             {
-                Profiler::Scope prof(profiler_, Profiler::Report);
+                Profiler::Timer timer(prof, Profiler::ReportSerialize);
                 o.resultText = resultJson(o.result);
             }
 
             if (journal.isOpen()) {
-                Profiler::Scope prof(profiler_, Profiler::Journal);
+                Profiler::Timer timer(prof, Profiler::Journal);
                 std::lock_guard<std::mutex> lock(journalMu);
                 journal.append(attemptRecord(fps[idx], o, attempt,
                                              wall));
             }
+            prof.record(Profiler::Job, t0, Profiler::now());
 
             // Only a wall-clock deadline can be transient (host
             // overload); every other status is final. A stall is
@@ -717,7 +702,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
         }
     };
 
-    auto sweepStart = std::chrono::steady_clock::now();
+    const int64_t sweepStart = Profiler::now();
     if (timing_.threads <= 1) {
         worker();
     } else {
@@ -728,7 +713,8 @@ SweepRunner::run(const std::vector<SweepJob> &jobs,
         for (auto &t : pool)
             t.join();
     }
-    timing_.wallSeconds = secondsSince(sweepStart);
+    timing_.wallSeconds =
+        static_cast<double>(Profiler::now() - sweepStart) / 1e9;
     for (const auto &o : out)
         if (!o.fromJournal)
             timing_.sumJobSeconds += o.wallSeconds;

@@ -13,8 +13,9 @@
  * owns its Tracer, Profiler and StatSampler, and reads only the
  * MachineConfig its job carries — never the process environment. A
  * job therefore touches no mutable process-global state; its trace
- * and profile come back inside its WorkloadResult, and the runner's
- * own phases record into a Profiler the runner owns.
+ * and profile come back inside its WorkloadResult, and the worker
+ * that ran it adds the job's own phases (job, report_serialize,
+ * journal) to that profile.
  *
  * Determinism guarantee: each job's WorkloadResult depends only on
  * (workload, config, options), all captured at submission time, so a
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "core/config.h"
-#include "sim/profiler.h"
 #include "sim/run_status.h"
 #include "workloads/workload.h"
 
@@ -272,13 +272,6 @@ class SweepRunner
     const SweepTiming &timing() const { return timing_; }
 
     /**
-     * Host-time profile of the most recent run()'s own phases (result
-     * serialization, journal appends). Enabled when any job's config
-     * profiles; the jobs' machine profiles are in their results.
-     */
-    const Profiler &profiler() const { return profiler_; }
-
-    /**
      * Build the full benchmarks x machine-kinds job matrix in figure
      * order, each job on the plain Table 2 config make(kind).
      */
@@ -290,7 +283,6 @@ class SweepRunner
   private:
     unsigned threads_ = 1;
     SweepTiming timing_;
-    Profiler profiler_;
 };
 
 } // namespace isrf

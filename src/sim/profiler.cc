@@ -1,216 +1,209 @@
 #include "sim/profiler.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "util/json.h"
+#include "util/log.h"
 
 namespace isrf {
 
 namespace {
 
-int64_t
-nowNs()
-{
-    return std::chrono::steady_clock::now().time_since_epoch().count();
-}
+/** Every profile's gap seed: counts do not depend on which worker ran
+ *  a job, nor on what ran before it. */
+constexpr uint64_t kGapSeed = 0x5eed0f11e5ull;
 
 } // namespace
 
 const char *
 Profiler::phaseName(Phase p)
 {
-    switch (p) {
-      case MachineTick: return "machine_tick";
-      case ClusterTick: return "cluster_tick";
-      case SrfCycle: return "srf_port_arb";
-      case MemTick: return "mem_tick";
-      case Journal: return "journal";
-      case Report: return "report_serialize";
-      case Run: return "run_loop";
-      case kPhaseCount: break;
-    }
-    return "?";
+    static const char *const kNames[kPhaseCount] = {
+        "job", "run_loop", "machine_tick", "mem_tick", "cluster_tick",
+        "srf_port_arb", "report_serialize", "journal",
+    };
+    return p < kPhaseCount ? kNames[p] : "?";
 }
 
-bool
-Profiler::phaseSampled(Phase p)
+int64_t
+Profiler::now()
 {
-    switch (p) {
-      case MachineTick:
-      case ClusterTick:
-      case SrfCycle:
-      case MemTick:
-        return true;
-      default:
-        return false;
-    }
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
 }
 
 void
-Profiler::configure(bool enabled, uint64_t stride)
+Profiler::configure(bool enabled)
 {
+    *this = Profiler();
     enabled_ = enabled;
-    stride_ = stride ? stride : 1;
+    gaps_.reseed(kGapSeed);
+    untilSample_ = 1 + gaps_.below(127);
+    if (!enabled)
+        return;
+    // The fastest of a few runs of back-to-back reads: a noisy run can
+    // only leave timer cost in an interval, never take work out.
+    constexpr int kReads = 16;
+    timerNs_ = INT64_MAX;
+    for (int run = 0; run < 4; run++) {
+        int64_t t0 = now();
+        for (int i = 1; i < kReads; i++)
+            now();
+        timerNs_ = std::min(timerNs_, (now() - t0) / kReads);
+    }
+}
+
+int64_t
+Profiler::span(int64_t t0, int64_t t1) const
+{
+    return std::max<int64_t>(0, t1 - t0 - timerNs_);
 }
 
 void
-Profiler::reset()
+Profiler::recordTick(const TickTimes &t)
 {
-    for (auto &a : acc_) {
-        a.calls.store(0, std::memory_order_relaxed);
-        a.timed.store(0, std::memory_order_relaxed);
-        a.ns.store(0, std::memory_order_relaxed);
-        a.depth.store(0, std::memory_order_relaxed);
-    }
+    openNs_[MemTick] = span(t[MemBegin], t[ClusterBegin]);
+    openNs_[ClusterTick] = span(t[ClusterBegin], t[SrfBegin]);
+    openNs_[SrfPortArb] = span(t[SrfBegin], t[SrfEnd]);
+    openNs_[MachineTick] = span(t[TickBegin], t[MemBegin]) +
+        openNs_[MemTick] + openNs_[ClusterTick] + openNs_[SrfPortArb] +
+        span(t[SrfEnd], t[TickEnd]);
+    openEnd_ = t[TickEnd];
+    open_ = true;
+}
+
+void
+Profiler::close(int64_t t)
+{
+    for (int p = MachineTick; p <= SrfPortArb; p++)
+        ns_[p] += openNs_[p];
+    restNs_ += span(openEnd_, t);
+    open_ = false;
+}
+
+void
+Profiler::record(Phase p, int64_t t0, int64_t t1)
+{
+    if (!enabled_)
+        return;
+    calls_[p]++;
+    ns_[p] += span(t0, t1);
+    if (p == RunLoop)
+        open_ = false;  // an iteration never spans two run loops
 }
 
 void
 Profiler::mergeFrom(const Profiler &other)
 {
+    cycles_ += other.cycles_;
+    sampled_ += other.sampled_;
+    restNs_ += other.restNs_;
     for (int p = 0; p < kPhaseCount; p++) {
-        const Acc &src = other.acc_[p];
-        Acc &dst = acc_[p];
-        dst.calls.fetch_add(src.calls.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-        dst.timed.fetch_add(src.timed.load(std::memory_order_relaxed),
-                            std::memory_order_relaxed);
-        dst.ns.fetch_add(src.ns.load(std::memory_order_relaxed),
-                         std::memory_order_relaxed);
+        calls_[p] += other.calls_[p];
+        ns_[p] += other.ns_[p];
     }
 }
 
-void
-Profiler::enter(Scope &s, Phase ph)
+uint64_t
+Profiler::calls(Phase p) const
 {
-    Acc &a = acc_[ph];
-    // Reentrancy guard: only the outermost scope of a phase counts or
-    // times — an inner scope's cost is already inside the outer span.
-    if (a.depth.fetch_add(1, std::memory_order_relaxed) != 0)
-        return;
-    s.outer_ = true;
-    uint64_t call = a.calls.fetch_add(1, std::memory_order_relaxed);
-    if (phaseSampled(ph) && call % stride_ != 0)
-        return;
-    s.timing_ = true;
-    s.t0_ = nowNs();
+    return inTick(p) ? cycles_ : calls_[p];
 }
 
-void
-Profiler::leave(Scope &s, Phase ph)
+int64_t
+Profiler::totalNs(Phase p) const
 {
-    Acc &a = acc_[ph];
-    if (s.timing_) {
-        a.ns.fetch_add(static_cast<uint64_t>(nowNs() - s.t0_),
-                       std::memory_order_relaxed);
-        a.timed.fetch_add(1, std::memory_order_relaxed);
-    }
-    a.depth.fetch_sub(1, std::memory_order_relaxed);
+    if (!inTick(p))
+        return ns_[p];
+    // One factor, run_loop / sampled iterations. Flooring a product by
+    // one factor is superadditive: children never sum past the parent.
+    using Wide = unsigned __int128;
+    const int64_t iterations = ns_[MachineTick] + restNs_;
+    if (iterations == 0)
+        return 0;
+    return static_cast<int64_t>(Wide(ns_[p]) * Wide(ns_[RunLoop]) /
+                                Wide(iterations));
 }
 
-Profiler::PhaseStats
-Profiler::phase(Phase p) const
+int64_t
+Profiler::selfNs(Phase p) const
 {
-    const Acc &a = acc_[p];
-    PhaseStats s;
-    s.calls = a.calls.load(std::memory_order_relaxed);
-    s.timed = a.timed.load(std::memory_order_relaxed);
-    s.ns = a.ns.load(std::memory_order_relaxed);
-    return s;
-}
-
-double
-Profiler::leafEstNs() const
-{
-    double total = 0.0;
-    for (int p = 0; p < kPhaseCount; p++) {
-        if (p == MachineTick || p == Run)
-            continue;  // umbrellas: they contain the leaf phases
-        total += phase(static_cast<Phase>(p)).estNs();
-    }
-    return total;
-}
-
-bool
-Profiler::hasData() const
-{
-    for (int p = 0; p < kPhaseCount; p++)
-        if (acc_[p].calls.load(std::memory_order_relaxed) > 0)
-            return true;
-    return false;
+    int64_t self = totalNs(p);
+    for (int c = p + 1; c < kPhaseCount; c++)
+        if (parent(static_cast<Phase>(c)) == p)
+            self -= totalNs(static_cast<Phase>(c));
+    return self;
 }
 
 void
 Profiler::reportJson(JsonWriter &w) const
 {
     w.beginObject();
-    w.field("stride", stride_);
+    w.field("cycles", cycles_);
+    w.field("sampled_cycles", sampled_);
     w.key("phases").beginObject();
-    for (int p = 0; p < kPhaseCount; p++) {
-        PhaseStats s = phase(static_cast<Phase>(p));
-        if (s.calls == 0)
+    for (int i = 0; i < kPhaseCount; i++) {
+        Phase p = static_cast<Phase>(i);
+        if (calls(p) == 0)
             continue;
-        w.key(phaseName(static_cast<Phase>(p))).beginObject();
-        w.field("calls", s.calls);
-        w.field("timed", s.timed);
-        w.field("ns", s.ns);
-        w.field("est_ns", s.estNs());
+        w.key(phaseName(p)).beginObject();
+        if (parent(p) != kRoot)
+            w.field("parent", std::string(phaseName(parent(p))));
+        w.field("calls", calls(p));
+        w.field("total_ns", totalNs(p));
+        w.field("self_ns", selfNs(p));
         w.endObject();
     }
     w.endObject();
     w.endObject();
-}
-
-std::string
-Profiler::reportJson() const
-{
-    JsonWriter w;
-    reportJson(w);
-    return w.str();
 }
 
 std::string
 Profiler::chromeTraceJson() const
 {
-    // One complete ("X") event per phase, laid end to end on a
-    // synthetic timeline: the aggregate has durations, not start
-    // times, and every Chrome-trace consumer (chrome://tracing,
-    // Perfetto, speedscope) renders this as a per-phase cost bar.
+    // Times are exact nanoseconds printed as microseconds, so a child
+    // never ends past its parent by rounding.
+    auto us = [](int64_t ns) {
+        return strprintf("%lld.%03lld", static_cast<long long>(ns / 1000),
+                         static_cast<long long>(ns % 1000));
+    };
+    // Pre-order: a parent's event comes before its children's, and
+    // next[p] is where p's next child starts. A phase whose parent
+    // never ran is a root.
+    std::array<int64_t, kPhaseCount + 1> next{};
     JsonWriter w;
     w.beginObject();
     w.key("traceEvents").beginArray();
-    double tsUs = 0.0;
-    for (int p = 0; p < kPhaseCount; p++) {
-        PhaseStats s = phase(static_cast<Phase>(p));
-        if (s.calls == 0)
+    for (int i = 0; i < kPhaseCount; i++) {
+        Phase p = static_cast<Phase>(i);
+        if (calls(p) == 0)
             continue;
-        double durUs = s.estNs() / 1e3;
+        Phase up = parent(p) != kRoot && calls(parent(p)) > 0
+            ? parent(p) : kRoot;
+        next[p] = next[up];
+        next[up] += totalNs(p);
         w.beginObject();
-        w.field("name",
-                std::string(phaseName(static_cast<Phase>(p))));
+        w.field("name", std::string(phaseName(p)));
         w.field("ph", std::string("X"));
         w.field("cat", std::string("host-profile"));
-        w.field("ts", tsUs);
-        w.field("dur", durUs);
+        w.key("ts").raw(us(next[p]));
+        w.key("dur").raw(us(totalNs(p)));
         w.field("pid", uint64_t{0});
         w.field("tid", uint64_t{0});
         w.key("args").beginObject();
-        w.field("calls", s.calls);
-        w.field("timed", s.timed);
-        w.field("measured_ns", s.ns);
+        if (up != kRoot)
+            w.field("parent", std::string(phaseName(up)));
+        w.field("calls", calls(p));
+        w.field("self_ns", selfNs(p));
         w.endObject();
         w.endObject();
-        tsUs += durUs;
     }
     w.endArray();
     w.field("displayTimeUnit", std::string("ms"));
     w.endObject();
     return w.str();
-}
-
-bool
-Profiler::writeChromeTrace(const std::string &path) const
-{
-    return writeTextFile(path, chromeTraceJson());
 }
 
 } // namespace isrf

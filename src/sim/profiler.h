@@ -1,45 +1,53 @@
 /**
  * @file
  * Host-side self-profiler: where does the simulator's *wall-clock*
- * time go?
+ * time go? (The tracer and sampler observe *simulated* time.)
  *
- * The tracer and sampler (sim/trace.h, sim/stat_sampler.h) observe
- * *simulated* time; this profiler attributes *host* time to a fixed
- * set of phases (component ticks, SRF port arbitration, the memory
- * system, journal fsyncs, report serialization) so the ROADMAP's
- * "as fast as the hardware allows" work can be profile-driven instead
- * of guessed.
+ * One phase tree, fixed at compile time:
  *
- * Design constraints, in order:
- *  1. Zero observable effect on simulation results. The profiler only
- *     reads the wall clock — it never touches machine state, so a
- *     profiled run's resultJson() is byte-identical to an unprofiled
- *     one (asserted in tests and CI).
- *  2. Low overhead. Disabled: one predictable branch per scope.
- *     Enabled: hot per-cycle phases count every entry but read the
- *     clock only once per `stride` entries (per phase); the report
- *     extrapolates (ns * calls / timed). Coarse phases (journal,
- *     report serialization, whole runs) are always timed.
- *  3. Isolation. Each Machine owns a Profiler (like its Tracer), so
- *     parallel sweep workers never contend. A finished run's profile
- *     travels in its WorkloadResult; a bench binary folds those into
- *     its own aggregate via lock-free mergeFrom (all accumulators are
- *     relaxed atomics). There is no process-global profiler.
+ *   job ─┬─ run_loop ── machine_tick ─┬─ mem_tick
+ *        │                            ├─ cluster_tick
+ *        │                            └─ srf_port_arb
+ *        ├─ report_serialize
+ *        └─ journal
  *
- * Enabling: MachineConfig::profileEnabled / profileStride, which a
- * bench binary's --profile <file> flag turns on (default stride).
+ * Every node reports its total and its self time (total minus its
+ * children's), and no node's children sum past it. job.self is set-up
+ * (input generation, checkpoint restore, scoreboard build), harvest
+ * and validation; run_loop.self is the scoreboard, the stop checks and
+ * checkpoint saves. A run outside the sweep runner has no job node.
  *
- * Exports: a "profile" section in machineReportJson (profiled machines
- * only), a Chrome-trace/speedscope-compatible dump (--profile <file>),
- * and the aggregate "profile" object in bench_sweep's BENCH_*.json
- * perf records.
+ * Machine::tick makes one sampling decision per cycle, sampleCycle();
+ * on an unsampled cycle no other profiler code runs. A sampled tick
+ * reads the clock at each TickMark and hands the reads over in one
+ * recordTick() call, so the children are disjoint sub-intervals of
+ * the tick. Gaps between samples are uniform in [1, 127] (mean 64)
+ * from the profiler's own seeded PRNG: deterministic, and unable to
+ * alias with a kernel's initiation interval as a fixed stride can.
+ *
+ * The whole is measured, the split is sampled. Reading the clock
+ * slows the tick it reads (each read drains the pipeline, and the
+ * timed code runs cold), so cycles x mean sampled tick overshoots the
+ * run loop around it. The next cycle's decision therefore also reads
+ * the clock, ending the sampled tick's run-loop iteration, and the
+ * tick subtree is scaled by one factor: run_loop / sampled iterations.
+ * A tick is part of its iteration, so machine_tick <= run_loop holds
+ * by construction. Ticks outside any run loop are counted, not timed.
+ * The cost of one clock read, measured by configure(), is subtracted
+ * from every interval.
+ *
+ * One writer per profile: each Machine owns one, and the sweep runner
+ * adds a job's own phases to its result's copy on the worker that ran
+ * the job. Plain counters; folding profiles is a sum.
  */
 #ifndef ISRF_SIM_PROFILER_H
 #define ISRF_SIM_PROFILER_H
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <string>
+
+#include "util/random.h"
 
 namespace isrf {
 
@@ -48,154 +56,160 @@ class JsonWriter;
 class Profiler
 {
   public:
-    /**
-     * Host-time attribution buckets. A fixed enum (not a string map)
-     * keeps the hot path to array indexing; extend it when a new
-     * subsystem becomes worth attributing.
-     */
+    /** Host-time phases, in tree pre-order (see parent()). */
     enum Phase : uint8_t {
-        MachineTick,  ///< Machine::tick, whole cycle (sampled)
-        ClusterTick,  ///< all lanes' cluster ticks (sampled)
-        SrfCycle,     ///< SRF endCycle: port arbitration (sampled)
-        MemTick,      ///< memory system tick (sampled)
-        Journal,      ///< sweep journal append + fsync (always timed)
-        Report,       ///< report/result JSON serialization (always timed)
-        Run,          ///< whole StreamProgram::run drive loops (timed)
+        Job,             ///< one sweep job attempt, journal included
+        RunLoop,         ///< StreamProgram::run / Machine::runUntil
+        MachineTick,     ///< Machine::tick (sampled cycles)
+        MemTick,         ///< memory system tick (sampled cycles)
+        ClusterTick,     ///< all lanes' cluster ticks (sampled cycles)
+        SrfPortArb,      ///< SRF endCycle: port arbitration (sampled)
+        ReportSerialize, ///< the job's result JSON
+        Journal,         ///< sweep journal append + fsync
         kPhaseCount,
+        kRoot = kPhaseCount,
     };
+
+    /** The phase's parent in the tree (kRoot for job). */
+    static constexpr Phase
+    parent(Phase p)
+    {
+        constexpr Phase kParent[kPhaseCount] = {
+            kRoot, Job, RunLoop, MachineTick, MachineTick, MachineTick,
+            Job, Job,
+        };
+        return kParent[p];
+    }
 
     static const char *phaseName(Phase p);
 
-    /** True for hot per-cycle phases that are stride-sampled. */
-    static bool phaseSampled(Phase p);
+    /** Clock reads of a sampled Machine::tick, in order. */
+    enum TickMark : uint8_t {
+        TickBegin,
+        MemBegin,
+        ClusterBegin,  ///< = mem end
+        SrfBegin,      ///< = cluster end
+        SrfEnd,
+        TickEnd,
+        kTickMarks,
+    };
+    using TickTimes = std::array<int64_t, kTickMarks>;
 
-    /** Default hot-phase sampling stride (1 of every N entries). */
-    static constexpr uint64_t kDefaultStride = 64;
+    /** The profiler's clock: steady-clock nanoseconds. */
+    static int64_t now();
 
-    Profiler() = default;
-    Profiler(const Profiler &) = delete;
-    Profiler &operator=(const Profiler &) = delete;
-
-    /** Enable/disable and set the hot-phase stride (min 1). */
-    void configure(bool enabled, uint64_t stride = kDefaultStride);
+    /**
+     * Enable or disable, zero every counter, restart the sample gaps
+     * and (when enabled) measure the cost of one clock read.
+     */
+    void configure(bool enabled);
 
     bool enabled() const { return enabled_; }
-    uint64_t stride() const { return stride_; }
 
-    /** Zero every accumulator (enablement and stride survive). */
-    void reset();
+    /** Machine::tick's one question per cycle: time this tick? */
+    bool
+    sampleCycle()
+    {
+        if (!enabled_)
+            return false;
+        cycles_++;
+        if (open_)
+            close(now());
+        if (--untilSample_ != 0)
+            return false;
+        untilSample_ = 1 + gaps_.below(127);
+        sampled_++;
+        return true;
+    }
 
-    /**
-     * Fold another profiler's accumulators into this one. Safe against
-     * concurrent mergeFrom/Scope recording on the destination (relaxed
-     * atomics); `other` must be quiescent, which holds at harvest time
-     * when its owning machine has finished running.
-     */
+    /** A sampled tick's clock reads. */
+    void recordTick(const TickTimes &t);
+
+    /** One interval [t0, t1] of a phase outside the tick subtree. */
+    void record(Phase p, int64_t t0, int64_t t1);
+
+    /** Add another profile's counters to this one's. */
     void mergeFrom(const Profiler &other);
 
-    /** Snapshot of one phase's accumulators. */
-    struct PhaseStats
-    {
-        uint64_t calls = 0;  ///< top-level scope entries
-        uint64_t timed = 0;  ///< entries that read the clock
-        uint64_t ns = 0;     ///< wall nanoseconds over the timed entries
-        /** Extrapolated total ns: ns * calls / timed (0 when untimed). */
-        double
-        estNs() const
-        {
-            return timed ? static_cast<double>(ns) *
-                    static_cast<double>(calls) /
-                    static_cast<double>(timed)
-                         : 0.0;
-        }
-    };
+    /** Cycles ticked, and how many of them were timed. */
+    uint64_t cycles() const { return cycles_; }
+    uint64_t sampledCycles() const { return sampled_; }
 
-    PhaseStats phase(Phase p) const;
+    /** Entries of a phase (every cycle for the tick subtree). */
+    uint64_t calls(Phase p) const;
 
-    /** Sum of estNs() over all phases except the MachineTick/Run
-     *  umbrellas (which contain the others). */
-    double leafEstNs() const;
+    /** Nanoseconds in the phase (the tick subtree scaled up). */
+    int64_t totalNs(Phase p) const;
 
-    /** True when any phase recorded at least one call. */
-    bool hasData() const;
-
-    /** Emit {"stride":...,"phases":{...}} in value position. */
-    void reportJson(JsonWriter &w) const;
-
-    /** reportJson() as a standalone string. */
-    std::string reportJson() const;
+    /** totalNs(p) minus its children's totals. */
+    int64_t selfNs(Phase p) const;
 
     /**
-     * The aggregate as Chrome trace-event JSON (one "X" complete event
-     * per phase, laid end to end, dur = extrapolated time). Loads in
-     * chrome://tracing, Perfetto, and speedscope; the per-phase call
-     * counts ride in "args".
+     * Emit {"cycles":...,"sampled_cycles":...,"phases":{...}} in value
+     * position: each phase with calls, in tree pre-order, with its
+     * parent (unless a root), calls, total_ns and self_ns.
+     */
+    void reportJson(JsonWriter &w) const;
+
+    /**
+     * The tree as Chrome trace-event JSON: one "X" event per phase,
+     * children laid end to end from their parent's start, roots end to
+     * end from 0. Loads in chrome://tracing, Perfetto and speedscope.
      */
     std::string chromeTraceJson() const;
 
-    /** Write chromeTraceJson() to a file. @return false on I/O error. */
-    bool writeChromeTrace(const std::string &path) const;
-
-    /**
-     * RAII scoped timer. Construction/destruction is a single branch
-     * when the profiler is disabled. Reentrant scopes on the same
-     * (profiler, phase) are no-ops past the outermost one — recursion
-     * neither double-counts time nor inflates the call count (the
-     * outer scope's measurement already contains the inner's).
-     */
-    class Scope
+    /** RAII timer for one interval of a phase outside the tick. */
+    class Timer
     {
       public:
-        Scope(Profiler &p, Phase ph)
-        {
-            if (!p.enabled_)
-                return;
-            p_ = &p;
-            ph_ = ph;
-            p.enter(*this, ph);
-        }
+        Timer(Profiler &p, Phase ph)
+            : p_(p.enabled_ ? &p : nullptr), ph_(ph),
+              t0_(p_ ? now() : 0)
+        {}
 
-        ~Scope()
+        ~Timer()
         {
             if (p_)
-                p_->leave(*this, ph_);
+                p_->record(ph_, t0_, now());
         }
 
-        Scope(const Scope &) = delete;
-        Scope &operator=(const Scope &) = delete;
+        Timer(const Timer &) = delete;
+        Timer &operator=(const Timer &) = delete;
 
       private:
-        friend class Profiler;
-        Profiler *p_ = nullptr;
-        Phase ph_ = MachineTick;
-        int64_t t0_ = 0;
-        bool outer_ = false;   ///< outermost scope for this phase
-        bool timing_ = false;  ///< this entry reads the clock
+        Profiler *p_;
+        Phase ph_;
+        int64_t t0_;
     };
 
   private:
-    friend class Scope;
-
-    struct Acc
+    static constexpr bool
+    inTick(Phase p)
     {
-        std::atomic<uint64_t> calls{0};
-        std::atomic<uint64_t> timed{0};
-        std::atomic<uint64_t> ns{0};
-        /**
-         * Live scope nesting for the reentrancy guard. On a profiler
-         * shared by threads (the SweepRunner's) a concurrent
-         * same-phase scope on another thread is treated like a
-         * reentrant one (not timed, not counted).
-         */
-        std::atomic<uint32_t> depth{0};
-    };
+        return p >= MachineTick && p <= SrfPortArb;
+    }
 
-    void enter(Scope &s, Phase ph);
-    void leave(Scope &s, Phase ph);
+    /** [t0, t1] less the cost of one clock read. */
+    int64_t span(int64_t t0, int64_t t1) const;
+
+    /** Commit the open sample; its run-loop iteration ended at t. */
+    void close(int64_t t);
 
     bool enabled_ = false;
-    uint64_t stride_ = kDefaultStride;
-    Acc acc_[kPhaseCount];
+    int64_t timerNs_ = 0;       ///< cost of one clock read
+    Rng gaps_;                  ///< sample gaps; never the machine's
+    uint64_t untilSample_ = 0;  ///< cycles to the next sampled one
+    uint64_t cycles_ = 0;
+    uint64_t sampled_ = 0;
+    /** The sample whose iteration has not ended yet. */
+    bool open_ = false;
+    int64_t openEnd_ = 0;       ///< its TickEnd read
+    std::array<int64_t, kPhaseCount> openNs_{};
+    /** Closed samples' iterations, less their ticks. */
+    int64_t restNs_ = 0;
+    /** Per phase: entries, and ns (closed samples only in the tick). */
+    std::array<uint64_t, kPhaseCount> calls_{};
+    std::array<int64_t, kPhaseCount> ns_{};
 };
 
 } // namespace isrf

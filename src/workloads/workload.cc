@@ -114,12 +114,7 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
         trace->mergeFrom(m.tracer());
         res.trace = std::move(trace);
     }
-    if (m.profiler().enabled()) {
-        auto profile = std::make_shared<Profiler>();
-        profile->configure(true, m.profiler().stride());
-        profile->mergeFrom(m.profiler());
-        res.profile = std::move(profile);
-    }
+    res.profile = m.profiler();
     res.kind = m.config().kind;
     res.cycles = cycles;
     res.breakdown = m.breakdown();

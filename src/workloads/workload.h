@@ -54,13 +54,13 @@ struct WorkloadResult
     /** Workload-specific extras (strip sizes, schedule lengths, ...). */
     std::map<std::string, double> extra;
     /**
-     * This run's trace events (null unless its machine recorded any)
-     * and host-time profile (null unless profiling was on). They are
-     * observability only: resultJson() never serialises them, and
-     * copies of a result share them.
+     * This run's trace events (null unless its machine recorded any;
+     * copies of a result share them) and host-time profile (disabled
+     * unless profiling was on; the sweep runner adds the job's own
+     * phases). Observability only: resultJson() serialises neither.
      */
     std::shared_ptr<const Tracer> trace;
-    std::shared_ptr<const Profiler> profile;
+    Profiler profile;
     /**
      * DRAM pages (Dram::kPageWords words each) the run touched: its
      * storage footprint. Host-side like trace and profile: resultJson()

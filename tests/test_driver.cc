@@ -152,7 +152,6 @@ TEST(SweepRunner, TracesAndProfilesInvariantUnderThreadCount)
         j.cfg.traceSpec = "all";
         j.cfg.traceCapacity = 1 << 12;
         j.cfg.profileEnabled = true;
-        j.cfg.profileStride = 8;
         j.opts = opts;
         jobs.push_back(std::move(j));
     }
@@ -176,21 +175,20 @@ TEST(SweepRunner, TracesAndProfilesInvariantUnderThreadCount)
                       eventText(*rb.trace, eb[k]))
                 << "job " << i << " event " << k;
 
-        ASSERT_NE(ra.profile, nullptr) << i;
-        ASSERT_NE(rb.profile, nullptr) << i;
-        EXPECT_GT(ra.profile->phase(Profiler::Run).calls, 0u) << i;
+        // Each job's profile is its own, whichever worker ran it:
+        // the same sampled cycles, and exactly one serialization.
+        EXPECT_GT(ra.profile.calls(Profiler::RunLoop), 0u) << i;
+        EXPECT_GT(ra.profile.sampledCycles(), 0u) << i;
+        EXPECT_EQ(ra.profile.sampledCycles(), rb.profile.sampledCycles())
+            << i;
+        EXPECT_EQ(rb.profile.calls(Profiler::ReportSerialize), 1u) << i;
+        EXPECT_EQ(rb.profile.calls(Profiler::Job), 1u) << i;
         for (int p = 0; p < Profiler::kPhaseCount; p++) {
             auto ph = static_cast<Profiler::Phase>(p);
-            EXPECT_EQ(ra.profile->phase(ph).calls,
-                      rb.profile->phase(ph).calls)
+            EXPECT_EQ(ra.profile.calls(ph), rb.profile.calls(ph))
                 << "job " << i << " phase " << Profiler::phaseName(ph);
         }
     }
-    // The runner's own phases go to its own profiler: one result
-    // serialization per job on the serial run.
-    EXPECT_TRUE(serial.profiler().enabled());
-    EXPECT_EQ(serial.profiler().phase(Profiler::Report).calls,
-              jobs.size());
 }
 
 TEST(MachineIsolation, FaultAndTraceConfigsDoNotLeak)
@@ -268,7 +266,7 @@ TEST(EnvSnapshot, MakeNeverReadsEnvironment)
     WorkloadResult r = runWorkload("Sort", MachineKind::Base);
     EXPECT_TRUE(r.correct);
     EXPECT_EQ(r.trace, nullptr);
-    EXPECT_EQ(r.profile, nullptr);
+    EXPECT_FALSE(r.profile.enabled());
     EXPECT_EQ(r.extra.count("faults_injected"), 0u);
 
     // Every matrix job runs on exactly make(kind).
@@ -286,7 +284,6 @@ TEST(EnvSnapshot, MakeNeverReadsEnvironment)
         EXPECT_EQ(j.cfg.traceSpec, plain.cfg.traceSpec);
         EXPECT_EQ(j.cfg.traceCapacity, plain.cfg.traceCapacity);
         EXPECT_EQ(j.cfg.profileEnabled, plain.cfg.profileEnabled);
-        EXPECT_EQ(j.cfg.profileStride, plain.cfg.profileStride);
     }
 }
 
@@ -785,7 +782,6 @@ TEST(SweepResilience, FingerprintSeparatesExperiments)
     other.cfg.traceSpec = "all";
     other.cfg.traceCapacity = 4096;
     other.cfg.profileEnabled = true;
-    other.cfg.profileStride = 8;
     other.cfg.statSampleInterval = 100;
     EXPECT_EQ(SweepRunner::fingerprint(base),
               SweepRunner::fingerprint(other));

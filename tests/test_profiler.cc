@@ -5,19 +5,22 @@
  *
  * The profiler's cardinal rule is zero observable effect: a profiled
  * run's resultJson() and machineReportJson() (minus its own "profile"
- * section) must be byte-identical to an unprofiled run's. The
- * perf_diff tests pin the CI gate's threshold
+ * section) must be byte-identical to an unprofiled run's. Its second
+ * rule is that its phase tree adds up: no node's children sum past
+ * the node. The perf_diff tests pin the CI gate's threshold
  * semantics: regression vs improvement direction handling, the
  * absolute noise floor, and missing-metric classification.
  */
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "core/machine.h"
 #include "core/report.h"
 #include "driver/perf_diff.h"
+#include "driver/sweep_runner.h"
 #include "sim/profiler.h"
 #include "util/json.h"
 #include "workloads/workload.h"
@@ -25,121 +28,146 @@
 namespace isrf {
 namespace {
 
+/** Every phase's children sum to at most the phase. */
+void
+expectTreeAddsUp(const Profiler &p)
+{
+    for (int i = 0; i < Profiler::kPhaseCount; i++) {
+        auto ph = static_cast<Profiler::Phase>(i);
+        EXPECT_GE(p.selfNs(ph), 0) << Profiler::phaseName(ph);
+        EXPECT_GE(p.totalNs(ph), 0) << Profiler::phaseName(ph);
+    }
+}
+
 // ----------------------------------------------------------------------
-// Scoped timers
+// Timers and the per-cycle sample
 // ----------------------------------------------------------------------
 
 TEST(ProfilerScope, DisabledProfilerRecordsNothing)
 {
     Profiler p;
     {
-        Profiler::Scope s(p, Profiler::Report);
+        Profiler::Timer t(p, Profiler::ReportSerialize);
     }
+    for (int i = 0; i < 1000; i++)
+        EXPECT_FALSE(p.sampleCycle());
     EXPECT_FALSE(p.enabled());
-    EXPECT_FALSE(p.hasData());
-    EXPECT_EQ(p.phase(Profiler::Report).calls, 0u);
+    EXPECT_EQ(p.calls(Profiler::ReportSerialize), 0u);
+    EXPECT_EQ(p.cycles(), 0u);
 }
 
 TEST(ProfilerScope, CountsAndTimesTopLevelScopes)
 {
     Profiler p;
-    p.configure(true, 1);
+    p.configure(true);
     for (int i = 0; i < 5; i++) {
-        Profiler::Scope s(p, Profiler::Report);
+        Profiler::Timer t(p, Profiler::ReportSerialize);
     }
-    Profiler::PhaseStats s = p.phase(Profiler::Report);
-    EXPECT_EQ(s.calls, 5u);
-    EXPECT_EQ(s.timed, 5u);  // Report is always timed
-    EXPECT_TRUE(p.hasData());
-}
-
-TEST(ProfilerScope, ReentrantSamePhaseCountsOnce)
-{
-    Profiler p;
-    p.configure(true, 1);
-    {
-        Profiler::Scope outer(p, Profiler::Run);
-        {
-            Profiler::Scope inner(p, Profiler::Run);
-            {
-                Profiler::Scope inner2(p, Profiler::Run);
-            }
-        }
-    }
-    // Only the outermost scope counts — recursion must not inflate
-    // call counts or double-book the same wall time.
-    Profiler::PhaseStats s = p.phase(Profiler::Run);
-    EXPECT_EQ(s.calls, 1u);
-    EXPECT_EQ(s.timed, 1u);
-
-    // And the guard resets: a later top-level scope counts again.
-    {
-        Profiler::Scope again(p, Profiler::Run);
-    }
-    EXPECT_EQ(p.phase(Profiler::Run).calls, 2u);
+    EXPECT_EQ(p.calls(Profiler::ReportSerialize), 5u);
+    EXPECT_GE(p.totalNs(Profiler::ReportSerialize), 0);
 }
 
 TEST(ProfilerScope, DifferentPhasesNestIndependently)
 {
     Profiler p;
-    p.configure(true, 1);
+    p.configure(true);
     {
-        Profiler::Scope outer(p, Profiler::MachineTick);
+        Profiler::Timer job(p, Profiler::Job);
         {
-            Profiler::Scope inner(p, Profiler::MemTick);
+            Profiler::Timer r(p, Profiler::ReportSerialize);
         }
         {
-            Profiler::Scope inner(p, Profiler::ClusterTick);
+            Profiler::Timer j(p, Profiler::Journal);
         }
     }
-    EXPECT_EQ(p.phase(Profiler::MachineTick).calls, 1u);
-    EXPECT_EQ(p.phase(Profiler::MemTick).calls, 1u);
-    EXPECT_EQ(p.phase(Profiler::ClusterTick).calls, 1u);
-}
-
-TEST(ProfilerScope, StrideSamplesHotPhases)
-{
-    Profiler p;
-    p.configure(true, 4);
-    ASSERT_TRUE(Profiler::phaseSampled(Profiler::MachineTick));
-    ASSERT_FALSE(Profiler::phaseSampled(Profiler::Report));
-    for (int i = 0; i < 8; i++) {
-        Profiler::Scope s(p, Profiler::MachineTick);
-        Profiler::Scope r(p, Profiler::Report);
-    }
-    // Sampled phase: every call counted, 1 in 4 timed (entries 0, 4).
-    Profiler::PhaseStats hot = p.phase(Profiler::MachineTick);
-    EXPECT_EQ(hot.calls, 8u);
-    EXPECT_EQ(hot.timed, 2u);
-    // Coarse phase: always timed regardless of stride.
-    Profiler::PhaseStats coarse = p.phase(Profiler::Report);
-    EXPECT_EQ(coarse.calls, 8u);
-    EXPECT_EQ(coarse.timed, 8u);
-    // Extrapolation scales measured ns to the full call count.
-    if (hot.ns > 0) {
-        EXPECT_GT(hot.estNs(), static_cast<double>(hot.ns));
-    }
+    EXPECT_EQ(p.calls(Profiler::Job), 1u);
+    EXPECT_EQ(p.calls(Profiler::ReportSerialize), 1u);
+    EXPECT_EQ(p.calls(Profiler::Journal), 1u);
+    EXPECT_EQ(p.selfNs(Profiler::Job),
+              p.totalNs(Profiler::Job) -
+                  p.totalNs(Profiler::ReportSerialize) -
+                  p.totalNs(Profiler::Journal));
+    expectTreeAddsUp(p);
 }
 
 TEST(ProfilerScope, MergeAndResetAccumulate)
 {
     Profiler a, b;
-    a.configure(true, 1);
-    b.configure(true, 1);
-    {
-        Profiler::Scope s(a, Profiler::Journal);
-    }
-    {
-        Profiler::Scope s(b, Profiler::Journal);
-        Profiler::Scope t(b, Profiler::Report);
-    }
+    a.configure(true);
+    b.configure(true);
+    a.record(Profiler::Journal, 0, 1000);
+    b.record(Profiler::Journal, 0, 1000);
+    b.record(Profiler::ReportSerialize, 0, 1000);
+    for (int i = 0; i < 300; i++)
+        b.sampleCycle();
     a.mergeFrom(b);
-    EXPECT_EQ(a.phase(Profiler::Journal).calls, 2u);
-    EXPECT_EQ(a.phase(Profiler::Report).calls, 1u);
+    EXPECT_EQ(a.calls(Profiler::Journal), 2u);
+    EXPECT_EQ(a.calls(Profiler::ReportSerialize), 1u);
+    EXPECT_EQ(a.cycles(), 300u);
+    EXPECT_EQ(a.sampledCycles(), b.sampledCycles());
 
-    a.reset();
-    EXPECT_FALSE(a.hasData());
-    EXPECT_TRUE(a.enabled()) << "reset clears data, not configuration";
+    a.configure(true);
+    EXPECT_EQ(a.calls(Profiler::Journal), 0u)
+        << "configure() starts a fresh profile";
+    EXPECT_EQ(a.cycles(), 0u);
+    EXPECT_TRUE(a.enabled());
+}
+
+TEST(ProfilerSampling, GapsAreNotAStride)
+{
+    // One decision per cycle, with random gaps of mean 64: about one
+    // cycle in 64 is timed, and the timed cycles fall on every phase
+    // of a 64-cycle loop, which a fixed stride of 64 never could.
+    Profiler p;
+    p.configure(true);
+    constexpr uint64_t kCycles = 65536;
+    std::set<uint64_t> residues;
+    uint64_t sampled = 0;
+    for (uint64_t c = 0; c < kCycles; c++) {
+        if (p.sampleCycle()) {
+            sampled++;
+            residues.insert(c % 64);
+        }
+    }
+    EXPECT_EQ(p.cycles(), kCycles);
+    EXPECT_EQ(p.sampledCycles(), sampled);
+    EXPECT_NEAR(static_cast<double>(sampled), kCycles / 64.0,
+                0.05 * kCycles / 64.0);
+    EXPECT_EQ(residues.size(), 64u);
+
+    // Deterministic: a fresh profile samples the same cycles.
+    Profiler q;
+    q.configure(true);
+    for (uint64_t c = 0; c < kCycles; c++)
+        q.sampleCycle();
+    EXPECT_EQ(q.sampledCycles(), sampled);
+}
+
+TEST(ProfilerTree, ChildrenNeverExceedParent)
+{
+    // One profiled job through the runner: machine_tick sits inside
+    // run_loop, which sits inside job, and every node's children add
+    // up to at most the node.
+    SweepJob job;
+    job.workload = "Sort";
+    job.cfg = MachineConfig::make(MachineKind::ISRF4);
+    job.cfg.profileEnabled = true;
+    job.opts.repeats = 1;
+    SweepRunner runner(1);
+    auto out = runner.run({job});
+    ASSERT_EQ(out.size(), 1u);
+    const Profiler &p = out[0].result.profile;
+    ASSERT_TRUE(p.enabled());
+    EXPECT_EQ(p.cycles(), out[0].result.cycles);
+    EXPECT_GT(p.sampledCycles(), 0u);
+    EXPECT_EQ(p.calls(Profiler::Job), 1u);
+    EXPECT_EQ(p.calls(Profiler::ReportSerialize), 1u);
+    EXPECT_GT(p.calls(Profiler::RunLoop), 0u);
+    expectTreeAddsUp(p);
+    EXPECT_LE(p.totalNs(Profiler::MachineTick),
+              p.totalNs(Profiler::RunLoop));
+    EXPECT_LE(p.totalNs(Profiler::RunLoop), p.totalNs(Profiler::Job));
+    EXPECT_GT(p.totalNs(Profiler::ClusterTick), 0);
 }
 
 // ----------------------------------------------------------------------
@@ -149,25 +177,35 @@ TEST(ProfilerScope, MergeAndResetAccumulate)
 TEST(ProfilerExport, ReportAndChromeTraceAreValidJson)
 {
     Profiler p;
-    p.configure(true, 2);
-    for (int i = 0; i < 6; i++) {
-        Profiler::Scope s(p, Profiler::MachineTick);
-        Profiler::Scope r(p, Profiler::Report);
+    p.configure(true);
+    for (int i = 0; i < 600; i++) {
+        if (!p.sampleCycle())
+            continue;
+        Profiler::TickTimes t;
+        for (int m = 0; m < Profiler::kTickMarks; m++)
+            t[m] = Profiler::now();
+        p.recordTick(t);
     }
-    std::string rep = p.reportJson();
+    p.record(Profiler::RunLoop, 0, 1000000);
+    p.record(Profiler::ReportSerialize, 0, 5000);
+    JsonWriter w;
+    p.reportJson(w);
+    std::string rep = w.str();
     EXPECT_TRUE(jsonValid(rep)) << rep;
-    EXPECT_NE(rep.find("\"stride\":2"), std::string::npos);
+    EXPECT_EQ(rep.find("\"stride\""), std::string::npos);
+    EXPECT_NE(rep.find("\"cycles\":600"), std::string::npos) << rep;
     EXPECT_NE(rep.find("\"machine_tick\""), std::string::npos);
+    EXPECT_NE(rep.find("\"parent\":\"machine_tick\""), std::string::npos);
     EXPECT_NE(rep.find("\"report_serialize\""), std::string::npos);
+    EXPECT_NE(rep.find("\"self_ns\""), std::string::npos);
+    EXPECT_EQ(rep.find("\"job\":{"), std::string::npos)
+        << "no job node outside the runner";
 
     std::string trace = p.chromeTraceJson();
     EXPECT_TRUE(jsonValid(trace)) << trace;
     EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
 
-    std::string path = ::testing::TempDir() + "isrf_prof_trace.json";
-    EXPECT_TRUE(p.writeChromeTrace(path));
-    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------------------
@@ -179,7 +217,6 @@ runProfiled(bool profiled)
 {
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
     cfg.profileEnabled = profiled;
-    cfg.profileStride = 8;
     WorkloadOptions opts;
     opts.repeats = 1;
     return runWorkload("FFT 2D", cfg, opts);
@@ -214,21 +251,22 @@ TEST(ProfilerInvariance, ResultCarriesItsOwnProfile)
     // A run's host profile travels in its result; nothing is folded
     // into process-wide state, so runs never see each other's counts.
     WorkloadResult first = runProfiled(true);
-    ASSERT_NE(first.profile, nullptr)
+    EXPECT_TRUE(first.profile.enabled())
         << "a profiled result must carry its profile";
-    EXPECT_TRUE(first.profile->enabled());
-    EXPECT_EQ(first.profile->stride(), 8u);
-    uint64_t runCalls = first.profile->phase(Profiler::Run).calls;
+    uint64_t runCalls = first.profile.calls(Profiler::RunLoop);
+    uint64_t sampled = first.profile.sampledCycles();
     EXPECT_GT(runCalls, 0u);
+    EXPECT_EQ(first.profile.cycles(), first.cycles);
 
     WorkloadResult second = runProfiled(true);
-    ASSERT_NE(second.profile, nullptr);
-    EXPECT_EQ(second.profile->phase(Profiler::Run).calls, runCalls)
+    EXPECT_EQ(second.profile.calls(Profiler::RunLoop), runCalls)
         << "a second run must not accumulate onto the first";
-    EXPECT_EQ(first.profile->phase(Profiler::Run).calls, runCalls);
+    EXPECT_EQ(second.profile.sampledCycles(), sampled);
+    EXPECT_EQ(first.profile.calls(Profiler::RunLoop), runCalls);
 
     WorkloadResult off = runProfiled(false);
-    EXPECT_EQ(off.profile, nullptr)
+    EXPECT_FALSE(off.profile.enabled());
+    EXPECT_EQ(off.profile.cycles(), 0u)
         << "an unprofiled result must carry no profile";
     EXPECT_EQ(off.trace, nullptr) << "nor a trace when untraced";
 }
