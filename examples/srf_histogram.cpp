@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/report.h"
 #include "core/stream_program.h"
 #include "kernel/builder.h"
 #include "util/random.h"

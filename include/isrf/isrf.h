@@ -31,13 +31,11 @@
 #include "core/machine.h"
 #include "core/stream.h"
 #include "core/stream_program.h"
-#include "core/report.h"
 #include "fault/ecc.h"
 #include "fault/fault_config.h"
 #include "fault/fault_injector.h"
 #include "fault/watchdog.h"
 #include "kernel/builder.h"
-#include "kernel/schedule_dump.h"
 #include "kernel/scheduler.h"
 #include "workloads/fft.h"
 #include "workloads/filter.h"

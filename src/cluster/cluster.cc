@@ -363,34 +363,27 @@ Cluster::snapshot(SnapshotIo &io)
                    io.each(e.data);
                });
     }
-    io.asU8(lastCat_);
     io.b(doneReported_);
     if (io.loading())
         deriveMasks();
 }
 
-void
+CycleCat
 Cluster::tick(Cycle now)
 {
-    if (!inv_) {
-        lastCat_ = CycleCat::Idle;
-        return;
-    }
+    if (!inv_)
+        return CycleCat::Idle;
     // Kernel dispatch overhead (microcode load, stream descriptor setup).
-    if (now < bindCycle_ + inv_->startOverhead) {
-        lastCat_ = CycleCat::Overhead;
-        return;
-    }
+    if (now < bindCycle_ + inv_->startOverhead)
+        return CycleCat::Overhead;
     // Drain pending statically scheduled communications.
     if (pendingCommSends_ > 0 && dataNet_) {
         if (dataNet_->claimSource(lane_))
             pendingCommSends_--;
     }
     drainPending(now);
-    if (!consumeDueData(now)) {
-        lastCat_ = CycleCat::SrfStall;
-        return;
-    }
+    if (!consumeDueData(now))
+        return CycleCat::SrfStall;
     uint64_t total = inv_->laneTraces[lane_].iterations;
     if (itersIssued_ >= total) {
         if (!doneReported_) {
@@ -401,21 +394,17 @@ Cluster::tick(Cycle now)
         }
         // Pipe drain / waiting for other lanes: kernel overhead
         // (software-pipeline drain + load imbalance).
-        lastCat_ = CycleCat::Overhead;
-        return;
+        return CycleCat::Overhead;
     }
     bool steady = itersIssued_ + 1 >= inv_->sched.stages() &&
         total >= inv_->sched.stages();
-    if (now < nextIssue_) {
-        lastCat_ = steady ? CycleCat::Loop : CycleCat::Overhead;
-        return;
-    }
-    if (!resourcesReady()) {
-        lastCat_ = CycleCat::SrfStall;
-        return;
-    }
+    const CycleCat issuing = steady ? CycleCat::Loop : CycleCat::Overhead;
+    if (now < nextIssue_)
+        return issuing;
+    if (!resourcesReady())
+        return CycleCat::SrfStall;
     issueIteration(now);
-    lastCat_ = steady ? CycleCat::Loop : CycleCat::Overhead;
+    return issuing;
 }
 
 } // namespace isrf

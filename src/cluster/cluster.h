@@ -183,15 +183,13 @@ class Cluster
     /** All iterations issued, all indexed data consumed, pipe drained. */
     bool done(Cycle now) const;
 
-    void tick(Cycle now);
+    /** Advance one cycle. @return how this lane spent it. */
+    CycleCat tick(Cycle now);
 
     uint32_t lane() const { return lane_; }
 
     /** Iterations issued so far (progress/debug). */
     uint64_t itersIssued() const { return itersIssued_; }
-
-    /** How this lane spent the most recent cycle. */
-    CycleCat lastCat() const { return lastCat_; }
 
     // ------------------------------------------------------------------
     // Snapshot (util/snapshot.h, DESIGN.md §17)
@@ -277,8 +275,6 @@ class Cluster
     uint64_t needMask_ = 0;
     /** Earliest front of the dataNeeds in needMask_; kNever if none. */
     Cycle earliestDue_ = kNever;
-
-    CycleCat lastCat_ = CycleCat::Idle;
 
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;

@@ -55,12 +55,6 @@ struct MachineConfig
      */
     double commOccupancy = 0.0;
 
-    /**
-     * Snapshot machine stats every N cycles into the StatSampler
-     * (0 = sampling off).
-     */
-    uint64_t statSampleInterval = 0;
-
     uint64_t seed = 1;
 
     /**

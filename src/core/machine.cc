@@ -10,8 +10,8 @@ Machine::init(const MachineConfig &cfg)
 {
     cfg.validate();
     cfg_ = cfg;
-    // A re-initialized machine restarts its clock with its watchdog
-    // and sampler, which latch absolute cycle numbers.
+    // A re-initialized machine restarts its clock with its watchdog,
+    // which latches absolute cycle numbers.
     now_ = 0;
     nextDeadlineCheck_ = 0;
     active_.reset();
@@ -41,10 +41,10 @@ Machine::init(const MachineConfig &cfg)
     scheduler_ = ModuloScheduler(cfg.cluster, cfg.seed);
     rng_.reseed(cfg.seed * 7919 + 13);
     traceCh_ = tracer_.channel("machine");
-    initFaults();
-    initSampler();
+    // Before initFaults(): the watchdog reads breakdown_ as progress.
     breakdown_.reset();
     kernelBw_.clear();
+    initFaults();
 }
 
 void
@@ -79,54 +79,6 @@ uint64_t
 Machine::scrubFaults()
 {
     return srf_.scrubFaults() + mem_.dram().scrubEcc();
-}
-
-void
-Machine::syncFaultStats()
-{
-    srf_.syncFaultStats();
-    mem_.syncFaultStats();
-}
-
-void
-Machine::initSampler()
-{
-    uint64_t interval = cfg_.statSampleInterval;
-    if (interval == 0) {
-        sampler_.reset();
-        return;
-    }
-    sampler_ = std::make_unique<StatSampler>(interval);
-    sampler_->setTracer(&tracer_);
-    sampler_->addGroup(&srf_.stats());
-    sampler_->addGroup(&mem_.stats());
-    if (injector_)
-        sampler_->addGroup(&injector_->stats());
-    sampler_->addCounterFn("dram.words",
-        [this]() { return mem_.dram().wordsTransferred(); });
-    sampler_->addCounterFn("dram.row_hits",
-        [this]() { return mem_.dram().rowHits(); });
-    sampler_->addCounterFn("dram.row_misses",
-        [this]() { return mem_.dram().rowMisses(); });
-    sampler_->addCounterFn("cache.hits",
-        [this]() { return mem_.cache().hits(); });
-    sampler_->addCounterFn("cache.misses",
-        [this]() { return mem_.cache().misses(); });
-    sampler_->addGauge("mem.in_flight",
-        [this]() { return static_cast<double>(mem_.inFlight()); });
-    sampler_->addGauge("srf.remote_queue_depth",
-        [this]() {
-            return static_cast<double>(srf_.maxRemoteQueueDepth());
-        });
-    sampler_->addGauge("cluster.busy_frac", [this]() {
-        uint32_t busy = 0;
-        for (const auto &c : clusters_)
-            if (c.lastCat() != CycleCat::Idle)
-                busy++;
-        return clusters_.empty() ? 0.0
-            : static_cast<double>(busy) /
-              static_cast<double>(clusters_.size());
-    });
 }
 
 KernelSchedule
@@ -264,22 +216,26 @@ Machine::tickPhases(Cycle now)
     mark(Profiler::MemBegin);
     mem_.tick(now);
     mark(Profiler::ClusterBegin);
-    for (auto &c : clusters_)
-        c.tick(now);
+    // Each lane says how it spent this cycle (Figure 12); an idle or
+    // overhead lane-cycle is overhead.
+    uint64_t loop = 0, srfStall = 0;
+    for (auto &c : clusters_) {
+        switch (c.tick(now)) {
+          case CycleCat::Loop: loop++; break;
+          case CycleCat::SrfStall: srfStall++; break;
+          case CycleCat::Overhead:
+          case CycleCat::Idle: break;
+        }
+    }
     mark(Profiler::SrfBegin);
     srf_.endCycle(now);
     mark(Profiler::SrfEnd);
 
     // Figure 12 accounting.
     if (active_) {
-        for (auto &c : clusters_) {
-            switch (c.lastCat()) {
-              case CycleCat::Loop: breakdown_.loopBody++; break;
-              case CycleCat::SrfStall: breakdown_.srfStall++; break;
-              case CycleCat::Overhead:
-              case CycleCat::Idle: breakdown_.overhead++; break;
-            }
-        }
+        breakdown_.loopBody += loop;
+        breakdown_.srfStall += srfStall;
+        breakdown_.overhead += lanes() - loop - srfStall;
     } else if (mem_.inFlight() > 0) {
         breakdown_.memStall += lanes();
     } else {
@@ -299,8 +255,6 @@ Machine::step(uint64_t n)
         tick(now_);
         if (watchdog_)
             watchdog_->tick(now_);
-        if (sampler_)
-            sampler_->tick(now_);
         now_++;
     }
 }
@@ -366,7 +320,7 @@ Machine::geometryHash() const
     std::string canon = strprintf(
         "kind=%u srf=%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u,%u "
         "mode=%u dram=%llu,%u,%u,%u cache=%u,%u,%u,%u mem=%u,%u,%u "
-        "sep=%u,%u ovh=%u comm=%.17g sample=%llu seed=%llu "
+        "sep=%u,%u ovh=%u comm=%.17g seed=%llu "
         "faults=%u,%llu,%zu wd=%llu,%u",
         static_cast<unsigned>(cfg_.kind), g.lanes, g.laneWords,
         g.seqWidth, g.subArrays, g.streamBufWords, g.addrFifoSize,
@@ -383,7 +337,6 @@ Machine::geometryHash() const
         cfg_.mem.cacheEnabled ? 1u : 0u, cfg_.inLaneSeparation,
         cfg_.crossLaneSeparation, cfg_.kernelStartOverhead,
         cfg_.commOccupancy,
-        static_cast<unsigned long long>(cfg_.statSampleInterval),
         static_cast<unsigned long long>(cfg_.seed),
         cfg_.faults.enabled ? 1u : 0u,
         static_cast<unsigned long long>(cfg_.faults.seed),
@@ -448,7 +401,6 @@ Machine::snapshotSections()
          false},
         {kSnapMemory, "memory", of(&mem_), false},
         {kSnapWatchdog, "watchdog", of(watchdog_.get()), true},
-        {kSnapSampler, "sampler", of(sampler_.get()), true},
         {kSnapFaults, "faults", of(injector_.get()), true},
     };
 }

@@ -23,7 +23,6 @@
 #include "mem/memory_system.h"
 #include "sim/profiler.h"
 #include "sim/run_status.h"
-#include "sim/stat_sampler.h"
 #include "sim/trace.h"
 #include "util/random.h"
 
@@ -117,8 +116,8 @@ class Machine
 
     /**
      * Advance n cycles. Each cycle ticks the machine (tick()), then
-     * the watchdog and the stat sampler when configured — so both see
-     * the cycle's finished state — and then advances the clock.
+     * the watchdog when configured — so it sees the cycle's finished
+     * state — and then advances the clock.
      */
     void step(uint64_t n = 1);
 
@@ -168,8 +167,7 @@ class Machine
 
     /**
      * How the most recent drive loop over this machine ended (set by
-     * runUntil() and StreamProgram::run); surfaces in
-     * machineReportJson when not Done. Done before any run.
+     * runUntil() and StreamProgram::run). Done before any run.
      */
     RunStatus lastRunStatus() const { return lastRunStatus_; }
     void noteRunStatus(RunStatus s) { lastRunStatus_ = s; }
@@ -182,13 +180,6 @@ class Machine
 
     /** Zero breakdown/bandwidth/DRAM statistics (not machine state). */
     void resetStats();
-
-    /**
-     * Interval stat sampler; non-null only when sampling is enabled
-     * (cfg.statSampleInterval nonzero).
-     */
-    StatSampler *sampler() { return sampler_.get(); }
-    const StatSampler *sampler() const { return sampler_.get(); }
 
     // --- fault model (src/fault/, DESIGN.md §Fault model) ---
 
@@ -210,9 +201,6 @@ class Machine
     /** Repair all pending correctable faults. @return words repaired. */
     uint64_t scrubFaults();
 
-    /** Publish SRF/memory fault counters into their stat groups. */
-    void syncFaultStats();
-
     // ------------------------------------------------------------------
     // Snapshot (util/snapshot.h, DESIGN.md §17)
     // ------------------------------------------------------------------
@@ -227,7 +215,7 @@ class Machine
     /**
      * FNV-1a over every config field that shapes snapshot section
      * layout (kind, SRF geometry, memory/cache/DRAM sizing, seed,
-     * fault/sampler wiring). Stored in the snapshot header and checked
+     * fault/watchdog wiring). Stored in the snapshot header and checked
      * by loadSnapshot() before any component state is touched.
      */
     uint64_t geometryHash() const;
@@ -257,7 +245,6 @@ class Machine
     /** tick()'s body; Timed reads the clock at each Profiler::TickMark. */
     template <bool Timed> void tickPhases(Cycle now);
     void finishKernelIfDone(Cycle now);
-    void initSampler();
     void initFaults();
 
     /** One row of the snapshot section table (DESIGN.md §17). */
@@ -291,7 +278,6 @@ class Machine
     ModuloScheduler scheduler_;
     Rng rng_;
 
-    std::unique_ptr<StatSampler> sampler_;
     std::unique_ptr<FaultInjector> injector_;
     std::unique_ptr<Watchdog> watchdog_;
     bool faultsEnabled_ = false;

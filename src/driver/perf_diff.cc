@@ -88,6 +88,10 @@ oneLine(const std::string &text)
 struct Metrics
 {
     std::map<std::string, double> values;
+    /** Per-job wall times ("job[<workload>/<machine>].wall_seconds"). */
+    std::map<std::string, double> jobs;
+    /** host.jobs == 1: each job had the host to itself. */
+    bool serial = false;
     std::string error;
 
     bool ok() const { return error.empty(); }
@@ -135,8 +139,7 @@ addJobs(const std::string &raw, Metrics &m)
             !job.getString("machine", machine) ||
             !job.getDouble("wall_seconds", wall))
             continue;
-        m.values["job[" + workload + "/" + machine + "].wall_seconds"] =
-            wall;
+        m.jobs["job[" + workload + "/" + machine + "].wall_seconds"] = wall;
     }
 }
 
@@ -156,11 +159,14 @@ extractMetrics(const std::string &recordJson, const char *label)
         return m;
     }
     std::string raw;
+    uint64_t jobs = 0;
+    m.serial = rec.getRaw("host", raw) &&
+        JsonLineView(raw).getU64("jobs", jobs) && jobs == 1;
     if (rec.getRaw("totals", raw))
         addTotals(raw, m);
     if (m.ok() && rec.getRaw("jobs", raw))
         addJobs(raw, m);
-    if (m.ok() && m.values.empty())
+    if (m.ok() && m.values.empty() && m.jobs.empty())
         m.error = strprintf("%s: no comparable metrics", label);
     if (!m.ok())
         m.error = strprintf("%s (%s)", m.error.c_str(), label);
@@ -223,6 +229,9 @@ PerfDiffResult::summary() const
     if (!ok())
         return "perf_diff error: " + error + "\n";
     std::string out;
+    if (jobsSkipped)
+        out += "per-job wall_seconds not compared: a record ran its jobs "
+               "concurrently (host.jobs != 1)\n";
     for (const PerfDelta &d : deltas) {
         if (d.kind == PerfDeltaKind::MissingInCurrent ||
             d.kind == PerfDeltaKind::MissingInBaseline) {
@@ -251,6 +260,15 @@ perfDiff(const std::string &baselineJson, const std::string &currentJson,
     if (!cur.ok()) {
         res.error = cur.error;
         return res;
+    }
+    // Concurrent jobs share the CPUs, so one job's wall time moves with
+    // its neighbours' scheduling: compare per-job times only when both
+    // records ran one job at a time, and the totals always.
+    if (base.serial && cur.serial) {
+        base.values.insert(base.jobs.begin(), base.jobs.end());
+        cur.values.insert(cur.jobs.begin(), cur.jobs.end());
+    } else {
+        res.jobsSkipped = !base.jobs.empty() || !cur.jobs.empty();
     }
     for (const auto &kv : base.values) {
         auto it = cur.values.find(kv.first);

@@ -10,6 +10,8 @@
  * change only counts as a regression when it exceeds BOTH the
  * fractional threshold and (for seconds metrics) an absolute floor —
  * a 30% blowup of a 3 ms job is scheduler noise, not a regression.
+ * Per-job wall times are compared only when both records ran one job
+ * at a time (host.jobs == 1); otherwise only the totals are.
  *
  * The tools/perf_diff CLI wraps this for CI: exit 0 on no regression,
  * 1 on regression (or a metric that vanished from the current record),
@@ -70,6 +72,8 @@ struct PerfDelta
 struct PerfDiffResult
 {
     std::vector<PerfDelta> deltas;
+    /** Per-job wall times left out: a record had host.jobs != 1. */
+    bool jobsSkipped = false;
     /** Non-empty when either record failed to parse. */
     std::string error;
 

@@ -37,9 +37,6 @@ constexpr uint64_t kJournalVersion = 1;
  *
  *   traceSpec           event tracing is side-effect-free
  *   traceCapacity       ring size only bounds what --trace exports
- *   statSampleInterval  samples read counters, never write state
- *                       (canonicalJob pins its legacy key to the
- *                       default 0 — see there)
  *   profileEnabled      host-time profiling reads only the wall clock
  *
  * Keep this list and canonicalJob() in sync; tests assert canonical
@@ -50,8 +47,7 @@ const std::vector<std::string> &
 observabilityKnobList()
 {
     static const std::vector<std::string> knobs = {
-        "traceSpec", "traceCapacity", "statSampleInterval",
-        "profileEnabled",
+        "traceSpec", "traceCapacity", "profileEnabled",
     };
     return knobs;
 }
@@ -142,11 +138,9 @@ canonicalJob(const SweepJob &job)
     addU("crossLaneSeparation", c.crossLaneSeparation);
     addU("kernelStartOverhead", c.kernelStartOverhead);
     addD("commOccupancy", c.commOccupancy);
-    // statSampleInterval became an excluded observability knob after
-    // journals containing this key already existed: the key stays, but
-    // pinned to its default so every sampling setting produces the
-    // same canonical text (and pre-existing journals — all written
-    // with the default — resume without a version bump).
+    // The deleted interval sampler's knob: journals written while it
+    // existed hold this key at 0, so it stays, pinned, and every job
+    // fingerprint (and every existing journal) resumes unchanged.
     addU("statSampleInterval", 0);
     addU("seed", c.seed);
 

@@ -10,7 +10,7 @@
  * regardless of completion order.
  *
  * Soundness rests on the de-globalized simulation core: every Machine
- * owns its Tracer, Profiler and StatSampler, and reads only the
+ * owns its Tracer and Profiler, and reads only the
  * MachineConfig its job carries — never the process environment. A
  * job therefore touches no mutable process-global state; its trace
  * and profile come back inside its WorkloadResult, and the worker
@@ -228,8 +228,8 @@ class SweepRunner
      * canonicalJobText() — a canonical dump of every
      * simulation-affecting field of (workload, config, options).
      * Observability-only knobs (see observabilityKnobs()) are
-     * deliberately excluded so a journal resumes cleanly with tracing,
-     * sampling or profiling toggled.
+     * deliberately excluded so a journal resumes cleanly with tracing
+     * or profiling toggled.
      */
     static uint64_t fingerprint(const SweepJob &job);
 

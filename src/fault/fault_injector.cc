@@ -50,7 +50,6 @@ FaultInjector::randomMask(uint32_t bits)
 void
 FaultInjector::fire(const FaultScheduleEntry &e, Cycle now)
 {
-    stats_.counter(faultKindName(e.kind)).inc();
     if (trc_ && trc_->on())
         trc_->instant(traceCh_, faultKindName(e.kind), now);
 
@@ -80,11 +79,9 @@ FaultInjector::fire(const FaultScheduleEntry &e, Cycle now)
         mem_->injectDelay(e.delayCycles, now);
         break;
       case FaultKind::XbarStall:
-        if (xbar_) {
+        if (xbar_)
             xbar_->claimSource(static_cast<uint32_t>(
                 rng_.below(srf_->geometry().lanes)));
-            stats_.counter("xbar_stall_cycles").inc();
-        }
         break;
     }
 }
@@ -110,7 +107,6 @@ FaultInjector::snapshot(SnapshotIo &io)
         io.u64(st.next);
         io.u64(st.remaining);
     }
-    stats_.snapshot(io);
 }
 
 } // namespace isrf

@@ -17,7 +17,6 @@
 #include "fault/fault_config.h"
 #include "sim/types.h"
 #include "util/random.h"
-#include "util/stats.h"
 
 namespace isrf {
 
@@ -41,11 +40,9 @@ class FaultInjector
     /** True once every schedule entry has fired its full count. */
     bool exhausted() const;
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
     const FaultConfig &config() const { return cfg_; }
 
-    /** RNG + per-entry fire schedule + stats (util/snapshot.h).
+    /** RNG + per-entry fire schedule (util/snapshot.h).
      *  The schedule itself is init() config and must match. */
     void snapshot(SnapshotIo &io);
 
@@ -66,7 +63,6 @@ class FaultInjector
     MemorySystem *mem_ = nullptr;
     Crossbar *xbar_ = nullptr;
     std::vector<EntryState> sched_;
-    StatGroup stats_{"fault"};
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
 };

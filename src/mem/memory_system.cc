@@ -39,10 +39,7 @@ MemorySystem::init(const MemSystemConfig &cfg, const DramConfig &dramCfg,
     }
     queue_.clear();
     nextId_ = 1;
-    stats_.resetAll();
     traceCh_ = trc_ ? trc_->channel("mem") : 0;
-    queueDepthHist_ = &stats_.histogram("queue_depth", 0,
-        static_cast<double>(cfg.units + 16), cfg.units + 16);
 }
 
 MemOpId
@@ -54,7 +51,6 @@ MemorySystem::submit(MemOp op)
         op.cached = false;
     MemOpId id = nextId_++;
     queue_.push_back({id, std::move(op)});
-    stats_.counter("ops_submitted").inc();
     return id;
 }
 
@@ -99,10 +95,6 @@ MemorySystem::tick(Cycle now)
     MemBandwidth bw;
     bw.cacheTokens = cfg_.cacheEnabled ? cache_.config().wordsPerCycle : 0;
 
-    size_t busyBefore = inFlight();
-    if (busyBefore > 0)
-        queueDepthHist_->sample(static_cast<double>(busyBefore));
-
     // Dispatch queued ops to free units.
     for (size_t u = 0; u < units_.size() && !queue_.empty(); u++) {
         if (units_[u].busy())
@@ -115,21 +107,14 @@ MemorySystem::tick(Cycle now)
                 static_cast<uint64_t>(queue_.front().id));
         }
         queue_.pop_front();
-        stats_.counter("ops_started").inc();
     }
 
     for (size_t u = 0; u < units_.size(); u++) {
         bool wasBusy = units_[u].busy();
         units_[u].tick(now, bw);
-        if (wasBusy && !units_[u].busy()) {
-            stats_.counter("ops_completed").inc();
-            if (units_[u].opPoisoned())
-                stats_.counter("ops_poisoned").inc();
-            if (trc_ && trc_->on()) {
-                trc_->instant(traceCh_, "op_done", now,
-                    static_cast<uint64_t>(unitOpId_[u]));
-            }
-        }
+        if (wasBusy && !units_[u].busy() && trc_ && trc_->on())
+            trc_->instant(traceCh_, "op_done", now,
+                static_cast<uint64_t>(unitOpId_[u]));
     }
 }
 
@@ -175,27 +160,6 @@ MemorySystem::poisonedWords() const
     return n;
 }
 
-uint64_t
-MemorySystem::droppedWords() const
-{
-    uint64_t n = 0;
-    for (const auto &u : units_)
-        n += u.droppedWords();
-    return n;
-}
-
-void
-MemorySystem::syncFaultStats()
-{
-    stats_.counter("retries").set(retries());
-    stats_.counter("poisoned_words").set(poisonedWords());
-    stats_.counter("dropped_words").set(droppedWords());
-    stats_.counter("ecc_corrected").set(dram_.ecc().corrected());
-    stats_.counter("ecc_detected_uncorrectable")
-        .set(dram_.ecc().uncorrectable());
-    stats_.counter("faults_injected").set(dram_.ecc().faultsInjected());
-}
-
 void
 MemorySystem::snapshot(SnapshotIo &io)
 {
@@ -210,7 +174,6 @@ MemorySystem::snapshot(SnapshotIo &io)
         snapshotMemOp(io, p.op);
     });
     io.i64(nextId_);
-    stats_.snapshot(io);
 }
 
 } // namespace isrf

@@ -57,8 +57,6 @@ class MemorySystem
     const Cache &cache() const { return cache_; }
     bool cacheEnabled() const { return cfg_.cacheEnabled; }
 
-    StatGroup &stats() { return stats_; }
-
     // --- fault model (src/fault/, DESIGN.md §Fault model) ---
 
     /** Apply the retry/timeout policy to every stream memory unit. */
@@ -73,12 +71,8 @@ class MemorySystem
 
     uint64_t retries() const;
     uint64_t poisonedWords() const;
-    uint64_t droppedWords() const;
 
-    /** Publish fault/ECC counters into this group's stats. */
-    void syncFaultStats();
-
-    /** Queue, units, DRAM, cache and stats (util/snapshot.h). */
+    /** Queue, units, DRAM and cache (util/snapshot.h). */
     void snapshot(SnapshotIo &io);
 
   private:
@@ -96,11 +90,8 @@ class MemorySystem
     std::vector<MemOpId> unitOpId_;
     std::deque<Pending> queue_;
     MemOpId nextId_ = 1;
-    StatGroup stats_{"mem"};
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
-    /** Distribution of in-flight ops while the system is busy. */
-    Histogram *queueDepthHist_ = nullptr;
 };
 
 } // namespace isrf

@@ -38,26 +38,29 @@ StreamMemUnit::start(const MemOp &op, Cycle now)
     staging_.clear();
     retriesThisWord_ = 0;
     retryNotBefore_ = 0;
-    opPoisoned_ = false;
+    wordCost_ = wordCostOf(op_);
+}
 
+double
+StreamMemUnit::wordCostOf(const MemOp &op) const
+{
+    if (op.kind != MemOpKind::Gather && op.kind != MemOpKind::Scatter)
+        return 1.0;
     // Gathers/scatters over a small footprint (e.g. lookup tables) hit
     // open DRAM rows after the memory system's access reordering and
     // run at near-streaming efficiency; large-footprint index patterns
     // pay the full random-access cost.
-    dramCostFactor_ = 1.0;
-    if (op_.kind == MemOpKind::Gather || op_.kind == MemOpKind::Scatter) {
-        uint32_t lo = ~0u, hi = 0;
-        for (uint32_t idx : op_.indices) {
-            lo = std::min(lo, idx);
-            hi = std::max(hi, idx);
-        }
-        uint64_t footprintWords = op_.indices.empty() ? 0
-            : (static_cast<uint64_t>(hi - lo) + 1) * op_.recordWords;
-        // 16 KB footprint ~ a handful of DRAM rows.
-        dramCostFactor_ = footprintWords <= 4096
-            ? dram_->config().smallFootprintCostFactor
-            : dram_->config().randomCostFactor;
+    uint32_t lo = ~0u, hi = 0;
+    for (uint32_t idx : op.indices) {
+        lo = std::min(lo, idx);
+        hi = std::max(hi, idx);
     }
+    uint64_t footprintWords = op.indices.empty() ? 0
+        : (static_cast<uint64_t>(hi - lo) + 1) * op.recordWords;
+    // 16 KB footprint ~ a handful of DRAM rows.
+    return footprintWords <= 4096
+        ? dram_->config().smallFootprintCostFactor
+        : dram_->config().randomCostFactor;
 }
 
 uint64_t
@@ -87,7 +90,7 @@ StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw,
     if (!op_.cached || !cache_) {
         if (dram_->config().rowBufferModel)
             return dram_->tryAccessWord(memAddr, now);
-        return dram_->tryConsumeExactCost(1, dramCostFactor_);
+        return dram_->tryConsumeExactCost(1, wordCost_);
     }
 
     uint64_t line = memAddr / cache_->config().lineWords;
@@ -115,7 +118,7 @@ StreamMemUnit::payWordCost(uint64_t memAddr, bool isWrite, MemBandwidth &bw,
                 return false;
             for (uint32_t i = 1; i < lw; i++)
                 dram_->tryAccessWord(lineBase + i, now);
-        } else if (!dram_->tryConsumeExactCost(lw, dramCostFactor_)) {
+        } else if (!dram_->tryConsumeExactCost(lw, wordCost_)) {
             return false;
         }
     }
@@ -167,7 +170,6 @@ StreamMemUnit::readWithRetry(uint64_t addr, Word *out, Cycle now)
     // with a poison marker instead of aborting the run.
     retriesThisWord_ = 0;
     poisonedWords_++;
-    opPoisoned_ = true;
     ISRF_WARN("StreamMemUnit: uncorrectable DRAM word at %llu after %u "
               "retries; poisoning",
               static_cast<unsigned long long>(addr), faults_.retryLimit);
@@ -255,7 +257,6 @@ StreamMemUnit::injectDrop(Cycle now)
         return false;
     staging_.pop_back();
     dramCursor_--;
-    droppedWords_++;
     if (trc_ && trc_->on())
         trc_->instant(faultTraceCh_, "mem_drop", now, dramCursor_);
     return true;
@@ -307,7 +308,8 @@ StreamMemUnit::snapshot(SnapshotIo &io)
 {
     io.b(busy_);
     snapshotMemOp(io, op_);
-    io.f64(dramCostFactor_);
+    if (io.loading())
+        wordCost_ = wordCostOf(op_);
     io.u64(startCycle_);
     io.u64(dramCursor_);
     io.u64(srfCursor_);
@@ -315,10 +317,8 @@ StreamMemUnit::snapshot(SnapshotIo &io)
     io.u32(retriesThisWord_);
     io.u64(retryNotBefore_);
     io.u64(stallUntil_);
-    io.b(opPoisoned_);
     io.u64(retries_);
     io.u64(poisonedWords_);
-    io.u64(droppedWords_);
 }
 
 } // namespace isrf

@@ -100,9 +100,6 @@ class StreamMemUnit
 
     uint64_t retries() const { return retries_; }
     uint64_t poisonedWords() const { return poisonedWords_; }
-    uint64_t droppedWords() const { return droppedWords_; }
-    /** True if the current/last op completed with poisoned words. */
-    bool opPoisoned() const { return opPoisoned_; }
 
     /** In-flight op + cursors + staging + retry state (snapshot). */
     void snapshot(SnapshotIo &io);
@@ -112,8 +109,11 @@ class StreamMemUnit
     uint64_t totalWords() const;
     /** DRAM word address of stream word i. */
     uint64_t memAddrOf(uint64_t i) const;
-    /** Per-word DRAM token cost of this op's access pattern. */
-    double dramCost() const { return dramCostFactor_; }
+    /**
+     * Per-word DRAM token cost of `op`'s access pattern: start() and a
+     * snapshot load derive wordCost_ from the op alone.
+     */
+    double wordCostOf(const MemOp &op) const;
     /**
      * Pay the timing cost of touching one DRAM word (through the cache
      * when op.cached). @return false if bandwidth is exhausted.
@@ -138,7 +138,7 @@ class StreamMemUnit
 
     bool busy_ = false;
     MemOp op_;
-    double dramCostFactor_ = 1.0;
+    double wordCost_ = 1.0;  ///< wordCostOf(op_); never checkpointed
     Cycle startCycle_ = 0;
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t cacheTraceCh_ = 0;
@@ -150,10 +150,8 @@ class StreamMemUnit
     uint32_t retriesThisWord_ = 0;
     Cycle retryNotBefore_ = 0; ///< exponential-backoff gate
     Cycle stallUntil_ = 0;     ///< injected delay gate
-    bool opPoisoned_ = false;
     uint64_t retries_ = 0;
     uint64_t poisonedWords_ = 0;
-    uint64_t droppedWords_ = 0;
     uint16_t faultTraceCh_ = 0;
 };
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Host-side self-profiler: where does the simulator's *wall-clock*
- * time go? (The tracer and sampler observe *simulated* time.)
+ * time go? (The tracer observes *simulated* time.)
  *
  * One phase tree, fixed at compile time:
  *

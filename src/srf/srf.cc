@@ -943,15 +943,6 @@ Srf::subArrayConflicts() const
     return n;
 }
 
-uint32_t
-Srf::maxRemoteQueueDepth() const
-{
-    size_t n = 0;
-    for (const auto &b : banks_)
-        n = std::max(n, b.remoteQueueSize());
-    return static_cast<uint32_t>(n);
-}
-
 // ----------------------------------------------------------------------
 // Fault model
 // ----------------------------------------------------------------------
@@ -1023,15 +1014,6 @@ Srf::faultsInjected() const
     for (const auto &b : banks_)
         n += b.ecc().faultsInjected();
     return n;
-}
-
-void
-Srf::syncFaultStats()
-{
-    stats_.counter("ecc_corrected").set(eccCorrected());
-    stats_.counter("ecc_detected_uncorrectable").set(eccUncorrectable());
-    stats_.counter("faults_injected").set(faultsInjected());
-    stats_.counter("degraded_subarrays").set(offlineSubArrays());
 }
 
 void

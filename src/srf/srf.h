@@ -234,9 +234,6 @@ class Srf
     uint64_t idxCrossWords() const { return idxCrossWords_; }
     uint64_t subArrayConflicts() const;
 
-    /** Deepest per-bank cross-lane request queue right now (gauge). */
-    uint32_t maxRemoteQueueDepth() const;
-
     // ------------------------------------------------------------------
     // Fault model (src/fault/, DESIGN.md §Fault model)
     // ------------------------------------------------------------------
@@ -261,9 +258,6 @@ class Srf
     uint64_t eccCorrected() const;
     uint64_t eccUncorrectable() const;
     uint64_t faultsInjected() const;
-
-    /** Publish the fault counters into this group's stats. */
-    void syncFaultStats();
 
     // ------------------------------------------------------------------
     // Snapshot (util/snapshot.h, DESIGN.md §17)

@@ -427,7 +427,6 @@ constexpr uint32_t kSnapSrf = snapTag('S', 'R', 'F', ' ');
 constexpr uint32_t kSnapClusters = snapTag('C', 'L', 'U', 'S');
 constexpr uint32_t kSnapMemory = snapTag('M', 'E', 'M', 'S');
 constexpr uint32_t kSnapWatchdog = snapTag('W', 'D', 'O', 'G');
-constexpr uint32_t kSnapSampler = snapTag('S', 'A', 'M', 'P');
 constexpr uint32_t kSnapFaults = snapTag('F', 'I', 'N', 'J');
 constexpr uint32_t kSnapProgram = snapTag('P', 'R', 'O', 'G');
 
@@ -436,9 +435,11 @@ constexpr uint32_t kSnapProgram = snapTag('P', 'R', 'O', 'G');
  * MACH and MEMS fields that only the retired skip engine read;
  * version 3 dropped the components' copies of the machine clock,
  * every write-only counter and the XBAR section, and stores DRAM as
- * its touched pages.
+ * its touched pages; version 4 dropped the SAMP section, the memory
+ * and fault stat groups, each lane's last cycle category and each
+ * memory unit's cost factor, poisoned flag and dropped-word count.
  */
-constexpr uint32_t kSnapshotFormatVersion = 3;
+constexpr uint32_t kSnapshotFormatVersion = 4;
 
 /**
  * An in-memory snapshot: header fields plus tagged sections. The

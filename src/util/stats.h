@@ -71,8 +71,7 @@ class Histogram
 /**
  * A named collection of statistics owned by one component.
  *
- * Stats are registered by name on first access and read back through
- * the counters()/histograms() maps.
+ * Stats are registered by name on first access and read back by name.
  */
 class StatGroup
 {
@@ -101,14 +100,6 @@ class StatGroup
     void resetAll();
 
     const std::string &name() const { return name_; }
-    const std::map<std::string, Counter> &counters() const
-    {
-        return counters_;
-    }
-    const std::map<std::string, Histogram> &histograms() const
-    {
-        return histograms_;
-    }
 
     /**
      * Every named stat. A load restores in place: existing entries are

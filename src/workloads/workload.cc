@@ -129,7 +129,6 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
         // Background-scrub before harvesting so lingering correctable
         // faults are repaired (and counted) ahead of validation dumps.
         m.scrubFaults();
-        m.syncFaultStats();
         uint64_t injected = m.srf().faultsInjected() +
             m.mem().dram().ecc().faultsInjected();
         uint64_t corrected = m.srf().eccCorrected() +

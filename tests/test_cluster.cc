@@ -344,7 +344,7 @@ struct ClusterRig
         // buffer: pops = 2 * issued - (change in outstanding).
         uint64_t issued0 = srf.stats().counterValue("idx_reads_issued");
         size_t out0 = idxSlot >= 0 ? srf.idxOutstanding(0, idxSlot) : 0;
-        cl->tick(now);
+        const CycleCat cat = cl->tick(now);
         uint64_t issued =
             srf.stats().counterValue("idx_reads_issued") - issued0;
         size_t out1 = idxSlot >= 0 ? srf.idxOutstanding(0, idxSlot) : 0;
@@ -355,7 +355,7 @@ struct ClusterRig
         std::string line = strprintf(
             "%llu %c pop=%lld seq=%llu idx=%llu iss=%llu",
             static_cast<unsigned long long>(now),
-            kCat[static_cast<int>(cl->lastCat())],
+            kCat[static_cast<int>(cat)],
             static_cast<long long>(pops),
             static_cast<unsigned long long>(srf.seqWordsAccessed()),
             static_cast<unsigned long long>(srf.idxInLaneWords()),
@@ -380,7 +380,7 @@ struct ClusterRig
 };
 
 /**
- * The wire layout of a CLUS section (format 3), parsed independently of
+ * The wire layout of a CLUS section (format 4), parsed independently of
  * Cluster so a test can read a saved lane's queues and forge bad ones.
  */
 struct ClusImage
@@ -394,7 +394,6 @@ struct ClusImage
     std::vector<uint32_t> pendingIn;
     std::vector<std::vector<uint32_t>> pendingIdxR;
     std::vector<std::vector<std::array<uint32_t, 5>>> pendingIdxW;
-    uint8_t lastCat = 0;
     bool doneReported = false;
 
     void
@@ -430,7 +429,6 @@ struct ClusImage
             io.seq(q);
         for (auto &q : pendingIdxW)
             io.seq(q, 20, [&](std::array<uint32_t, 5> &e) { io.each(e); });
-        io.u8(lastCat);
         io.b(doneReported);
     }
 };

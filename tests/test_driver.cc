@@ -245,20 +245,17 @@ TEST(MachineIsolation, ConcurrentTracedMachinesStayPrivate)
 TEST(EnvSnapshot, MakeNeverReadsEnvironment)
 {
     ScopedEnv faults("ISRF_FAULTS", "seed=1;srf_bit");
-    ScopedEnv sample("ISRF_SAMPLE", "128");
     ScopedEnv trace("ISRF_TRACE", "srf,dram");
     ScopedEnv profile("ISRF_PROFILE", "on");
 
     MachineConfig cfg = MachineConfig::make(MachineKind::ISRF4);
     EXPECT_FALSE(cfg.faults.enabled);
-    EXPECT_EQ(cfg.statSampleInterval, 0u);
     EXPECT_TRUE(cfg.traceSpec.empty());
 
     // A Machine built from an env-free config ignores the environment.
     Machine m;
     m.init(cfg);
     EXPECT_EQ(m.faultInjector(), nullptr);
-    EXPECT_EQ(m.sampler(), nullptr);
     EXPECT_FALSE(m.tracer().on());
 
     // Nor do the kind-only conveniences: a run comes back untraced,
@@ -280,7 +277,6 @@ TEST(EnvSnapshot, MakeNeverReadsEnvironment)
         EXPECT_EQ(SweepRunner::canonicalJobText(j),
                   SweepRunner::canonicalJobText(plain));
         EXPECT_FALSE(j.cfg.faults.enabled);
-        EXPECT_EQ(j.cfg.statSampleInterval, plain.cfg.statSampleInterval);
         EXPECT_EQ(j.cfg.traceSpec, plain.cfg.traceSpec);
         EXPECT_EQ(j.cfg.traceCapacity, plain.cfg.traceCapacity);
         EXPECT_EQ(j.cfg.profileEnabled, plain.cfg.profileEnabled);
@@ -777,12 +773,11 @@ TEST(SweepResilience, FingerprintSeparatesExperiments)
               SweepRunner::fingerprint(other));
 
     // Observability-only knobs do NOT change the fingerprint: a
-    // journal resumes traced or not, profiled or not, sampled or not.
+    // journal resumes traced or not, profiled or not.
     other = base;
     other.cfg.traceSpec = "all";
     other.cfg.traceCapacity = 4096;
     other.cfg.profileEnabled = true;
-    other.cfg.statSampleInterval = 100;
     EXPECT_EQ(SweepRunner::fingerprint(base),
               SweepRunner::fingerprint(other));
 }
@@ -795,27 +790,16 @@ TEST(SweepResilience, CanonicalTextExcludesObservabilityKnobs)
     std::string text = SweepRunner::canonicalJobText(job);
 
     // The centralized exclusion list and the canonical text must
-    // agree: no excluded knob may appear as a key. (statSampleInterval
-    // is the one exception — its key predates the exclusion list and
-    // stays in the text for journal compatibility, pinned to the
-    // default value 0 so the knob's setting cannot affect it.)
+    // agree: no excluded knob may appear as a key.
     for (const std::string &knob : SweepRunner::observabilityKnobs()) {
-        if (knob == "statSampleInterval") {
-            EXPECT_NE(text.find("statSampleInterval=0;"),
-                      std::string::npos)
-                << text;
-            continue;
-        }
         EXPECT_EQ(text.find(knob + "="), std::string::npos)
             << "excluded knob '" << knob
             << "' leaked into canonical text: " << text;
     }
-
-    // Pinned means pinned: setting the sampler knob leaves the text
-    // byte-identical.
-    auto sampled = job;
-    sampled.cfg.statSampleInterval = 1000;
-    EXPECT_EQ(text, SweepRunner::canonicalJobText(sampled));
+    // The deleted interval sampler's key stays, pinned to 0, so job
+    // fingerprints and existing journals are unchanged.
+    EXPECT_NE(text.find("statSampleInterval=0;"), std::string::npos)
+        << text;
 }
 
 TEST(SweepResilience, FingerprintsMatchGoldenSeedValues)

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/breakdown.h"
-#include "core/report.h"
 #include "core/stream_program.h"
 #include "test_helpers.h"
 #include "workloads/trace_util.h"
@@ -32,25 +31,18 @@ idleConfig()
 
 TEST(Engine, StepInvokesTickAndPostTickInOrder)
 {
-    // Each step ticks the machine, then the sampler (configured here),
-    // then advances the clock: every idle machine cycle adds one SRF
-    // port-idle cycle, and the sampler's first interval must see all
-    // four of its cycles' ticks.
-    MachineConfig cfg = idleConfig();
-    cfg.statSampleInterval = 4;
+    // Each step ticks the machine, then advances the clock: every idle
+    // machine cycle adds one SRF port-idle cycle and one lanes-wide
+    // breakdown cycle.
     Machine m;
-    m.init(cfg);
+    m.init(idleConfig());
     m.step();
     EXPECT_EQ(m.now(), 1u);
     EXPECT_EQ(m.breakdown().total(), m.lanes());
     m.step(9);
     EXPECT_EQ(m.now(), 10u) << "step(n) advances exactly n cycles";
     EXPECT_EQ(m.breakdown().total(), 10u * m.lanes());
-    ASSERT_NE(m.sampler(), nullptr);
-    const auto &iv = m.sampler()->intervals();
-    ASSERT_EQ(iv.size(), 2u);
-    EXPECT_EQ(iv[0].end, 4u);
-    EXPECT_EQ(iv[0].deltas.at("srf.port_idle_cycles"), 4u);
+    EXPECT_EQ(m.srf().stats().counterValue("port_idle_cycles"), 10u);
 }
 
 TEST(Engine, RunUntilStopsOnPredicate)
@@ -252,18 +244,16 @@ runCopyProgram(Machine &m)
 
 TEST(MachineReinit, SecondInitMatchesFreshMachine)
 {
-    // The watchdog and sampler are owned by unique_ptrs that init()
-    // re-creates and latch absolute cycle numbers, so a second init()
-    // must also rewind the clock (run under ASan in CI).
+    // The watchdog is owned by a unique_ptr that init() re-creates
+    // and latches absolute cycle numbers, so a second init() must also
+    // rewind the clock (run under ASan in CI).
     MachineConfig cfg = MachineConfig::isrf4();
     cfg.faults.watchdogInterval = 512;
-    cfg.statSampleInterval = 256;
     cfg.dram.capacityWords = 1 << 16;
 
     Machine fresh;
     fresh.init(cfg);
     const uint64_t freshCycles = runCopyProgram(fresh);
-    const std::string freshReport = machineReportJson(fresh);
 
     Machine m;
     m.init(cfg);
@@ -280,11 +270,11 @@ TEST(MachineReinit, SecondInitMatchesFreshMachine)
     }
     EXPECT_GT(m.now(), 0u);
 
-    // Re-init the dirty machine and run the reference program: every
-    // stat, the clock, and the report must match a fresh machine.
+    // Re-init the dirty machine and run the reference program: the
+    // clock and every checkpointed byte must match a fresh machine.
     m.init(cfg);
     EXPECT_EQ(runCopyProgram(m), freshCycles);
-    EXPECT_EQ(machineReportJson(m), freshReport);
+    EXPECT_TRUE(test::sameMachineState(m, fresh));
 }
 
 TEST(StreamProgramDeathTest, CycleCapDumpsTraceTailBeforePanic)

@@ -211,13 +211,11 @@ struct SnapshotJob
     uint64_t every;
     /** FaultConfig::parse spec ("" = faults off). */
     std::string faults = "";
-    /** MachineConfig::statSampleInterval. */
-    uint64_t sampleInterval = 0;
 };
 
 /**
  * All four kinds; the indexed SRFs and the cache each appear, and the
- * last job adds the optional sections (watchdog, sampler, injector)
+ * last job adds the optional sections (watchdog, injector)
  * and pending ECC faults in the SRF and DRAM.
  */
 std::vector<SnapshotJob>
@@ -230,8 +228,7 @@ snapshotJobs()
             {"Filter", MachineKind::ISRF4, 25000},
             {"Histogram", MachineKind::ISRF4, 20000,
              "seed=3;watchdog=5000;srf_bit:start=100,period=97,count=60;"
-             "dram_bit:start=50,period=89,count=60",
-             2000}};
+             "dram_bit:start=50,period=89,count=60"}};
 }
 
 /** One section of one job's checkpoint. */
@@ -261,7 +258,6 @@ computeSectionPins(const SnapshotJob &job)
     opts.checkpoint = &ctx;
     MachineConfig cfg = MachineConfig::make(job.kind);
     cfg.faults = FaultConfig::parse(job.faults);
-    cfg.statSampleInterval = job.sampleInterval;
     runWorkload(job.workload, cfg, opts);
     Snapshot snap;
     std::string err;

@@ -1,16 +1,20 @@
 /**
  * @file
- * Shared helpers for machine-level tests: small kernels and invocation
- * builders.
+ * Shared helpers for machine-level tests: small kernels, invocation
+ * builders and the whole-machine state oracle.
  */
 #ifndef ISRF_TESTS_TEST_HELPERS_H
 #define ISRF_TESTS_TEST_HELPERS_H
 
+#include <gtest/gtest.h>
+
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/machine.h"
 #include "kernel/builder.h"
+#include "util/snapshot.h"
 
 namespace isrf {
 namespace test {
@@ -68,6 +72,55 @@ makeCopyInvocation(Machine &m, const KernelGraph *graph, SlotId in,
         t.seqWrites.resize(2);
     inv->finalize();
     return inv;
+}
+
+/** A section tag as its four characters ("MACH", "SRF ", ...). */
+inline std::string
+tagName(uint32_t tag)
+{
+    std::string s;
+    for (int i = 0; i < 4; i++)
+        s += static_cast<char>(tag >> (8 * i) & 0xff);
+    return s;
+}
+
+/**
+ * Two snapshots hold the same state: the same cycle and the same
+ * sections, in order, byte for byte. A checkpoint carries every piece
+ * of state a machine reads, so this is the strongest equality of two
+ * machines there is. @return false on the first mismatch.
+ */
+inline ::testing::AssertionResult
+sameSnapshotState(const Snapshot &got, const Snapshot &want)
+{
+    if (got.cycle != want.cycle)
+        return ::testing::AssertionFailure()
+            << "cycle " << got.cycle << " != " << want.cycle;
+    if (got.sections.size() != want.sections.size())
+        return ::testing::AssertionFailure()
+            << got.sections.size() << " sections != "
+            << want.sections.size();
+    for (size_t i = 0; i < want.sections.size(); i++) {
+        if (got.sections[i].tag != want.sections[i].tag)
+            return ::testing::AssertionFailure()
+                << "section " << i << " is " << tagName(got.sections[i].tag)
+                << ", not " << tagName(want.sections[i].tag);
+        if (got.sections[i].payload != want.sections[i].payload)
+            return ::testing::AssertionFailure()
+                << "section " << tagName(want.sections[i].tag)
+                << " differs";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/** sameSnapshotState() of two machines saved at their current cycle. */
+inline ::testing::AssertionResult
+sameMachineState(Machine &got, Machine &want)
+{
+    Snapshot a, b;
+    got.saveSnapshot(a);
+    want.saveSnapshot(b);
+    return sameSnapshotState(a, b);
 }
 
 } // namespace test

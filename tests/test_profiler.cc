@@ -4,8 +4,7 @@
  * (driver/perf_diff.h) tests.
  *
  * The profiler's cardinal rule is zero observable effect: a profiled
- * run's resultJson() and machineReportJson() (minus its own "profile"
- * section) must be byte-identical to an unprofiled run's. Its second
+ * run's resultJson() must be byte-identical to an unprofiled run's. Its second
  * rule is that its phase tree adds up: no node's children sum past
  * the node. The perf_diff tests pin the CI gate's threshold
  * semantics: regression vs improvement direction handling, the
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "core/machine.h"
-#include "core/report.h"
 #include "driver/perf_diff.h"
 #include "driver/sweep_runner.h"
 #include "sim/profiler.h"
@@ -230,22 +228,6 @@ TEST(ProfilerInvariance, ResultJsonByteIdenticalDense)
         << "profiling must not perturb simulation results";
 }
 
-TEST(ProfilerInvariance, MachineReportGainsProfileOnlyWhenEnabled)
-{
-    MachineConfig cfg = MachineConfig::make(MachineKind::Base);
-    for (bool profiled : {false, true}) {
-        cfg.profileEnabled = profiled;
-        Machine m;
-        m.init(cfg);
-        m.step(64);
-        std::string json = machineReportJson(m);
-        EXPECT_TRUE(jsonValid(json));
-        EXPECT_EQ(json.find("\"profile\"") != std::string::npos,
-                  profiled)
-            << "profile section present iff profiling enabled";
-    }
-}
-
 TEST(ProfilerInvariance, ResultCarriesItsOwnProfile)
 {
     // A run's host profile travels in its result; nothing is folded
@@ -278,12 +260,16 @@ TEST(ProfilerInvariance, ResultCarriesItsOwnProfile)
 std::string
 record(double wallSeconds, double cyclesPerSecond,
        double sortSeconds = 0.5, bool sortReplayed = false,
-       const char *schema = "isrf-perf-record-v1")
+       const char *schema = "isrf-perf-record-v1", uint64_t hostJobs = 1)
 {
     JsonWriter w;
     w.beginObject();
     w.field("schema", std::string(schema));
     w.field("bench", std::string("sweep"));
+    w.key("host").beginObject();
+    w.field("cpus", uint64_t{4});
+    w.field("jobs", hostJobs);
+    w.endObject();
     w.key("totals").beginObject();
     w.field("wall_seconds", wallSeconds);
     w.field("sum_job_seconds", wallSeconds);
@@ -372,6 +358,38 @@ TEST(PerfDiff, MinSecondsFloorsTinyAbsoluteChanges)
     res = perfDiff(record(10.0, 1e6, 0.5), record(10.0, 1e6, 1.0),
                    opts);
     ASSERT_TRUE(res.ok());
+    EXPECT_TRUE(res.regression()) << res.summary();
+}
+
+TEST(PerfDiff, ConcurrentJobsCompareTotalsOnly)
+{
+    // At --jobs 4 one job's wall time moves with its neighbours'
+    // scheduling: +41% on one job with flat totals is not a regression.
+    const char *schema = "isrf-perf-record-v1";
+    auto res = perfDiff(record(10.0, 1e6, 0.5, false, schema, 4),
+                        record(10.1, 1e6, 0.705, false, schema, 4));
+    ASSERT_TRUE(res.ok()) << res.error;
+    EXPECT_FALSE(res.regression()) << res.summary();
+    EXPECT_TRUE(res.jobsSkipped);
+    for (const auto &d : res.deltas)
+        EXPECT_EQ(d.metric.rfind("totals.", 0), 0u) << d.metric;
+    EXPECT_NE(res.summary().find("per-job wall_seconds not compared"),
+              std::string::npos);
+
+    // One serial side is not enough: both must have had the host.
+    res = perfDiff(record(10.0, 1e6, 0.5),
+                   record(10.1, 1e6, 0.705, false, schema, 4));
+    EXPECT_TRUE(res.jobsSkipped);
+    EXPECT_FALSE(res.regression()) << res.summary();
+
+    // The same job delta between two serial records is a regression.
+    res = perfDiff(record(10.0, 1e6, 0.5), record(10.1, 1e6, 0.705));
+    EXPECT_FALSE(res.jobsSkipped);
+    EXPECT_TRUE(res.regression()) << res.summary();
+
+    // Totals are still compared: a concurrent 2x slowdown is flagged.
+    res = perfDiff(record(10.0, 1e6, 0.5, false, schema, 4),
+                   record(20.0, 0.5e6, 1.0, false, schema, 4));
     EXPECT_TRUE(res.regression()) << res.summary();
 }
 

@@ -1,45 +1,15 @@
 /**
  * @file
- * Tests for the schedule visualizer and the optional DRAM row-buffer
- * model.
+ * Tests for the optional DRAM row-buffer model.
  */
 #include <gtest/gtest.h>
 
-#include "kernel/schedule_dump.h"
 #include "mem/memory_system.h"
 #include "util/random.h"
 #include "workloads/rijndael.h"
-#include "workloads/sort.h"
 
 namespace isrf {
 namespace {
-
-TEST(ScheduleDump, FlatScheduleListsEveryRealOp)
-{
-    KernelGraph g = sortLocalIdxGraph();
-    ModuloScheduler sched;
-    KernelSchedule s = sched.schedule(g, 6);
-    std::string flat = dumpFlatSchedule(g, s);
-    EXPECT_NE(flat.find("kernel sort1"), std::string::npos);
-    EXPECT_NE(flat.find("II="), std::string::npos);
-    // Every stream-touching op appears with its stream name.
-    EXPECT_NE(flat.find("idx_addr(runs)"), std::string::npos);
-    EXPECT_NE(flat.find("seq_write(merged)"), std::string::npos);
-}
-
-TEST(ScheduleDump, ReservationTableHasIiRows)
-{
-    KernelGraph g = rijndaelRoundIdxGraph();
-    ModuloScheduler sched;
-    KernelSchedule s = sched.schedule(g, 6);
-    std::string rt = dumpReservationTable(g, s);
-    // Header + II data rows + 3 border lines.
-    size_t rows = static_cast<size_t>(
-        std::count(rt.begin(), rt.end(), '\n'));
-    EXPECT_EQ(rows, s.ii + 4u);
-    EXPECT_NE(rt.find("ALU"), std::string::npos);
-    EXPECT_NE(rt.find("SBUF"), std::string::npos);
-}
 
 class RowModelTest : public ::testing::Test
 {
