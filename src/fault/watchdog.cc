@@ -1,7 +1,6 @@
 #include "fault/watchdog.h"
 
 #include "sim/trace.h"
-#include "util/json.h"
 #include "util/log.h"
 
 namespace isrf {
@@ -23,7 +22,6 @@ Watchdog::init(uint64_t intervalCycles, uint32_t stallIntervals,
     lastProgress_ = progress_ ? progress_() : 0;
     stalled_ = 0;
     triggered_ = false;
-    triggeredCycle_ = 0;
 }
 
 void
@@ -47,7 +45,6 @@ Watchdog::tick(Cycle now)
     if (++stalled_ < stallIntervals_)
         return;
     triggered_ = true;
-    triggeredCycle_ = now;
     // Same diagnosis aid as the cycle-cap deadlock path: the last
     // grants/stalls in the trace buffer say who stopped making progress.
     if (tracer_)
@@ -59,20 +56,6 @@ Watchdog::tick(Cycle now)
                   static_cast<uint64_t>(stalled_) * interval_),
               stalled_, static_cast<unsigned long long>(interval_),
               static_cast<unsigned long long>(now));
-}
-
-std::string
-Watchdog::reportJson() const
-{
-    JsonWriter w;
-    w.beginObject();
-    w.field("triggered", triggered_);
-    w.field("triggered_cycle", static_cast<uint64_t>(triggeredCycle_));
-    w.field("interval_cycles", interval_);
-    w.field("stall_intervals", static_cast<uint64_t>(stallIntervals_));
-    w.field("last_progress", lastProgress_);
-    w.endObject();
-    return w.str();
 }
 
 void
@@ -92,7 +75,6 @@ Watchdog::snapshot(SnapshotIo &io)
     io.u64(lastProgress_);
     io.u32(stalled_);
     io.b(triggered_);
-    io.u64(triggeredCycle_);
 }
 
 } // namespace isrf

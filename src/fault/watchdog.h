@@ -6,10 +6,9 @@
  * monitor that Machine::step ticks every cycle: every `interval`
  * cycles it samples a
  * monotonically increasing retired-work metric; after `stallIntervals`
- * consecutive intervals without progress it trips, records a
- * structured diagnostic (JSON) plus the trace tail, and lets the run
- * exit through a distinct status (RunStatus::Stalled) instead of an
- * abort.
+ * consecutive intervals without progress it trips, dumps the trace
+ * tail with a warning, and lets the run exit through a distinct
+ * status (RunStatus::Stalled) instead of an abort.
  */
 #ifndef ISRF_FAULT_WATCHDOG_H
 #define ISRF_FAULT_WATCHDOG_H
@@ -44,12 +43,8 @@ class Watchdog
 
     /** True once the stall threshold has been reached. */
     bool triggered() const { return triggered_; }
-    Cycle triggeredCycle() const { return triggeredCycle_; }
 
-    /** Structured diagnostic of the (last) trip as a JSON object. */
-    std::string reportJson() const;
-
-    /** Re-arm after a trip (diagnostics are kept until the next one). */
+    /** Re-arm after a trip. */
     void rearm();
 
     /** Check schedule + stall progress state (util/snapshot.h). */
@@ -72,7 +67,6 @@ class Watchdog
     uint64_t lastProgress_ = 0;
     uint32_t stalled_ = 0;
     bool triggered_ = false;
-    Cycle triggeredCycle_ = 0;
 };
 
 } // namespace isrf

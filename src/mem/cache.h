@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "sim/types.h"
-#include "util/stats.h"
+#include "util/snapshot.h"
 
 namespace isrf {
 

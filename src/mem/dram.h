@@ -28,7 +28,7 @@
 
 #include "fault/ecc.h"
 #include "sim/types.h"
-#include "util/stats.h"
+#include "util/snapshot.h"
 
 namespace isrf {
 

@@ -48,7 +48,6 @@ typeName(TraceEventType t)
       case TraceEventType::Begin: return "B";
       case TraceEventType::End: return "E";
       case TraceEventType::Instant: return "i";
-      case TraceEventType::Counter: return "C";
     }
     return "?";
 }
@@ -267,9 +266,7 @@ Tracer::chromeJson(std::ostream &out) const
         out << "{\"name\":\"" << jsonEscape(e.name) << "\",\"ph\":\""
             << typeName(e.type) << "\",\"ts\":" << e.ts
             << ",\"pid\":0,\"tid\":" << e.channel;
-        if (e.type == TraceEventType::Counter)
-            out << ",\"args\":{\"value\":" << e.arg << "}";
-        else if (e.type == TraceEventType::Instant)
+        if (e.type == TraceEventType::Instant)
             out << ",\"s\":\"t\",\"args\":{\"arg\":" << e.arg << "}";
         else
             out << ",\"args\":{\"arg\":" << e.arg << "}";

@@ -3,8 +3,8 @@
  * Cycle-accurate event tracer for the simulator.
  *
  * Components register named *channels* ("srf", "mem", "dram", ...) and
- * emit timestamped events into a bounded ring buffer: Begin/End spans,
- * Instant markers, and Counter samples. Tracing is runtime-enabled —
+ * emit timestamped events into a bounded ring buffer: Begin/End spans
+ * and Instant markers. Tracing is runtime-enabled —
  * through Tracer::enableChannels(), which Machine::init feeds from
  * MachineConfig::traceSpec (a bench binary's --trace and
  * --trace-channels flags) — and costs a single predictable branch per
@@ -43,7 +43,6 @@ enum class TraceEventType : uint8_t {
     Begin,    ///< opens a span on its channel ("ph":"B")
     End,      ///< closes the innermost span ("ph":"E")
     Instant,  ///< a point-in-time marker ("ph":"i")
-    Counter,  ///< a named value sample ("ph":"C")
 };
 
 /** One entry in the trace ring buffer. */
@@ -53,7 +52,7 @@ struct TraceEvent
     uint16_t channel = 0;   ///< channel id from Tracer::channel()
     TraceEventType type = TraceEventType::Instant;
     const char *name = "";  ///< static string; not owned
-    uint64_t arg = 0;       ///< payload: counter value, slot id, ...
+    uint64_t arg = 0;       ///< payload: slot id, conflict degree, ...
 };
 
 /**
@@ -150,11 +149,6 @@ class Tracer
     instant(uint16_t ch, const char *name, Cycle ts, uint64_t arg = 0)
     {
         record(ch, TraceEventType::Instant, name, ts, arg);
-    }
-    void
-    counter(uint16_t ch, const char *name, Cycle ts, uint64_t value)
-    {
-        record(ch, TraceEventType::Counter, name, ts, value);
     }
 
     // ------------------------------------------------------------------

@@ -43,26 +43,10 @@ Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
     crossFifoEntries_ = 0;
     remoteEntries_ = 0;
     returnEntries_ = 0;
-    stats_.resetAll();
-    // Cached counter pointers stay valid across resetAll() (map nodes
-    // are stable), but re-arming them keeps a freshly constructed Srf
-    // and a re-initialized one on the identical lazy-registration path.
-    portIdleC_ = nullptr;
-    seqGrantC_ = nullptr;
-    idxGrantC_ = nullptr;
-    dmaGrantC_ = nullptr;
-    crossRoutedC_ = nullptr;
-    idxReadsC_ = nullptr;
-    idxWritesC_ = nullptr;
     seqWords_ = 0;
     idxInLaneWords_ = 0;
     idxCrossWords_ = 0;
     traceCh_ = trc_ ? trc_->channel("srf") : 0;
-    // Conflict degree caps at the per-cycle indexed access attempts:
-    // lanes x sub-arrays is a generous upper bound for the range.
-    conflictHist_ = &stats_.histogram("idx_conflict_degree", 0,
-        static_cast<double>(geom.lanes * geom.subArrays),
-        geom.lanes * geom.subArrays);
 }
 
 // ----------------------------------------------------------------------
@@ -94,7 +78,6 @@ Srf::openSlot(const SlotConfig &cfg)
                 std::max<uint32_t>(1,
                     geom_.streamBufWords / cfg.recordWords));
         }
-        stats_.counter("slots_opened").inc();
         recomputeIdxOpenMasks();
         recomputeSeqClaim(id);
         return id;
@@ -428,7 +411,6 @@ Srf::idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex,
         crossFifoEntries_++;
     else
         inLaneFifoEntries_++;
-    lazyCounter(idxReadsC_, "idx_reads_issued").inc();
     return true;
 }
 
@@ -449,7 +431,6 @@ Srf::idxIssueWrite(uint32_t lane, SlotId slot, uint32_t recordIndex,
     ls.fifo.push(recordIndex, seqNo, now, data, s.cfg.recordWords);
     ls.pendingWrites++;
     inLaneFifoEntries_++;  // cross-lane writes are rejected above
-    lazyCounter(idxWritesC_, "idx_writes_issued").inc();
     return true;
 }
 
@@ -669,7 +650,6 @@ Srf::serviceSeqSlot(SlotId id)
         }
     }
     recomputeSeqClaim(id);
-    lazyCounter(seqGrantC_, "seq_grant_cycles").inc();
 }
 
 void
@@ -719,7 +699,6 @@ Srf::routeCrossLane(Cycle now)
                 ls.fifo.advanceHead();
                 if (ls.fifo.size() < before)
                     crossFifoEntries_--;
-                lazyCounter(crossRoutedC_, "cross_indices_routed").inc();
                 laneDone = true;  // one injection per lane per cycle
             }
             if (laneDone)
@@ -734,8 +713,10 @@ Srf::routeCrossLane(Cycle now)
 void
 Srf::serviceIndexed(Cycle now)
 {
-    lazyCounter(idxGrantC_, "idx_grant_cycles").inc();
-    const uint64_t conflicts0 = subArrayConflicts();
+    // Sub-array conflicts this cycle (the Figure 15/17 throughput-loss
+    // mechanism) feed only the idx_conflicts trace instant.
+    const bool traced = trc_ && trc_->on();
+    const uint64_t conflicts0 = traced ? subArrayConflicts() : 0;
     const uint32_t budgetMax = geom_.indexedPerBank(mode_);
     const uint32_t nSlots = static_cast<uint32_t>(slots_.size());
     for (uint32_t l = 0; l < geom_.lanes; l++) {
@@ -816,11 +797,10 @@ Srf::serviceIndexed(Cycle now)
         }
         laneIdxRr_[l] = (laneIdxRr_[l] + 1) % nSlots;
     }
-    // Distribution of how many sub-array conflicts each indexed-access
-    // cycle suffered (the Figure 15/17 throughput-loss mechanism).
-    uint64_t degree = subArrayConflicts() - conflicts0;
-    conflictHist_->sample(static_cast<double>(degree));
-    if (trc_ && trc_->on() && degree > 0)
+    if (!traced)
+        return;
+    const uint64_t degree = subArrayConflicts() - conflicts0;
+    if (degree > 0)
         trc_->instant(traceCh_, "idx_conflicts", now, degree);
 }
 
@@ -862,8 +842,8 @@ Srf::endCycle(Cycle now)
     // sequential stream (or DMA transfer) or the indexed-access bundle;
     // stage two (per-lane) happens inside serviceIndexed(). Claims are
     // maintained at enqueue/dequeue time (DESIGN.md §15), so a fully
-    // quiescent cycle costs an idle arbitration, an idle-counter bump
-    // and the cross-route rotation — no slot scans.
+    // quiescent cycle costs an idle arbitration and the cross-route
+    // rotation — no slot scans.
     const uint32_t nSlots = geom_.maxStreamSlots;
     const bool idxWork = inLaneFifoEntries_ > 0 || remoteEntries_ > 0;
     uint64_t claims = seqClaimMask_;
@@ -908,7 +888,6 @@ Srf::endCycle(Cycle now)
             if (mc.slot == granted) {
                 mc.onGrant();
                 dmaServed = true;
-                lazyCounter(dmaGrantC_, "dma_grant_cycles").inc();
                 break;
             }
         }
@@ -918,8 +897,6 @@ Srf::endCycle(Cycle now)
                 static_cast<uint64_t>(granted));
         if (!dmaServed)
             serviceSeqSlot(granted);
-    } else {
-        lazyCounter(portIdleC_, "port_idle_cycles").inc();
     }
 
     // routeCrossLane rotates its round-robin pointer every cycle even
@@ -1074,7 +1051,6 @@ Srf::snapshot(SnapshotIo &io)
     io.expect(banks_.size(), 1);
     for (SrfBank &b : banks_)
         b.snapshot(io);
-    stats_.snapshot(io);
     if (!io.loading() || !io.ok())
         return;
 

@@ -33,7 +33,7 @@
 #include "srf/srf_bank.h"
 #include "srf/srf_types.h"
 #include "srf/stream_buffer.h"
-#include "util/stats.h"
+#include "util/snapshot.h"
 
 namespace isrf {
 
@@ -225,9 +225,6 @@ class Srf
     // Statistics
     // ------------------------------------------------------------------
 
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
-
     /** Cluster-side words popped/pushed on sequential buffers. */
     uint64_t seqWordsAccessed() const { return seqWords_; }
     uint64_t idxInLaneWords() const { return idxInLaneWords_; }
@@ -266,9 +263,9 @@ class Srf
     /**
      * Serialize all architectural state: slots with their buffers and
      * FIFOs, bank storage and remote queues, return queues,
-     * arbitration rotation and statistics. The event-driven masks and
-     * occupancy counters are derived state and are recomputed after a
-     * load; memClaims_ is intra-cycle state (cleared every
+     * arbitration rotation and word counters. The event-driven masks
+     * and occupancy counters are derived state and are recomputed
+     * after a load; memClaims_ is intra-cycle state (cleared every
      * beginCycle()) and is likewise not persisted.
      */
     void snapshot(SnapshotIo &io);
@@ -340,15 +337,6 @@ class Srf
      *  the slot's crossLane flag changes). */
     void uncountSlotFifos(const Slot &s);
 
-    /** Cached stats-counter lookup (map nodes are address-stable). */
-    Counter &
-    lazyCounter(Counter *&c, const char *name)
-    {
-        if (!c)
-            c = &stats_.counter(name);
-        return *c;
-    }
-
     const Slot &slotRef(SlotId slot) const;
     Slot &slotRef(SlotId slot);
 
@@ -384,25 +372,11 @@ class Srf
     uint64_t remoteEntries_ = 0;
     uint64_t returnEntries_ = 0;
 
-    // Lazily cached hot-path counters (see lazyCounter): caching keeps
-    // stats registration — and therefore report contents — identical
-    // to on-demand stats_.counter() lookups.
-    Counter *portIdleC_ = nullptr;
-    Counter *seqGrantC_ = nullptr;
-    Counter *idxGrantC_ = nullptr;
-    Counter *dmaGrantC_ = nullptr;
-    Counter *crossRoutedC_ = nullptr;
-    Counter *idxReadsC_ = nullptr;
-    Counter *idxWritesC_ = nullptr;
-
-    StatGroup stats_{"srf"};
     uint64_t seqWords_ = 0;
     uint64_t idxInLaneWords_ = 0;
     uint64_t idxCrossWords_ = 0;
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
-    /** Per-idx-cycle sub-array conflict-degree distribution. */
-    Histogram *conflictHist_ = nullptr;
 };
 
 } // namespace isrf

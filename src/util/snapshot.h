@@ -379,15 +379,6 @@ class SnapshotIo
         }
     }
 
-    /** map() of plain u64 / f64 values. */
-    template <typename M>
-    void
-    map(M &m, size_t elemBytes)
-    {
-        using T = typename M::mapped_type;
-        map(m, elemBytes, [this](T &v) { scalar(v); });
-    }
-
     /** Each element of a geometry-fixed container, no length prefix. */
     template <typename C>
     void
@@ -437,9 +428,11 @@ constexpr uint32_t kSnapProgram = snapTag('P', 'R', 'O', 'G');
  * every write-only counter and the XBAR section, and stores DRAM as
  * its touched pages; version 4 dropped the SAMP section, the memory
  * and fault stat groups, each lane's last cycle category and each
- * memory unit's cost factor, poisoned flag and dropped-word count.
+ * memory unit's cost factor, poisoned flag and dropped-word count;
+ * version 5 dropped the SRF stat group (its counters and conflict
+ * histogram) and the watchdog's trip cycle.
  */
-constexpr uint32_t kSnapshotFormatVersion = 4;
+constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /**
  * An in-memory snapshot: header fields plus tagged sections. The

@@ -285,6 +285,9 @@ TEST(Cluster, DoneRequiresPipelineDrain)
 // Cluster bookkeeping: one lane on a standalone SRF, observed per cycle
 // ----------------------------------------------------------------------
 
+/** Indexed reads `c` has issued to the SRF since its bind (from CLUS). */
+uint64_t idxReadsIssued(Cluster &c);
+
 /**
  * Lane 0 of an ISRF4 SRF with one Cluster, ticked in Machine::tick's
  * order (network, SRF begin, cluster, SRF end). `cl` may be pointed at
@@ -342,11 +345,11 @@ struct ClusterRig
         // A cluster tick adds each issued read to the address FIFO and
         // the data buffer, and takes each popped record off the data
         // buffer: pops = 2 * issued - (change in outstanding).
-        uint64_t issued0 = srf.stats().counterValue("idx_reads_issued");
+        const uint64_t issued0 = idxReadsIssued(*cl);
         size_t out0 = idxSlot >= 0 ? srf.idxOutstanding(0, idxSlot) : 0;
         const CycleCat cat = cl->tick(now);
-        uint64_t issued =
-            srf.stats().counterValue("idx_reads_issued") - issued0;
+        const uint64_t issuedTotal = idxReadsIssued(*cl);
+        const uint64_t issued = issuedTotal - issued0;
         size_t out1 = idxSlot >= 0 ? srf.idxOutstanding(0, idxSlot) : 0;
         int64_t pops = 2 * static_cast<int64_t>(issued) -
             (static_cast<int64_t>(out1) - static_cast<int64_t>(out0));
@@ -359,8 +362,7 @@ struct ClusterRig
             static_cast<long long>(pops),
             static_cast<unsigned long long>(srf.seqWordsAccessed()),
             static_cast<unsigned long long>(srf.idxInLaneWords()),
-            static_cast<unsigned long long>(
-                srf.stats().counterValue("idx_reads_issued")));
+            static_cast<unsigned long long>(issuedTotal));
         now++;
         return line;
     }
@@ -451,6 +453,18 @@ parseClus(const std::string &bytes)
     img.io(io);
     EXPECT_TRUE(r.atEnd());
     return img;
+}
+
+uint64_t
+idxReadsIssued(Cluster &c)
+{
+    // A read leaves its slot's trace cursor into the unissued queue and
+    // leaves that queue when the SRF accepts it.
+    ClusImage img = parseClus(saveClus(c));
+    uint64_t n = 0;
+    for (size_t s = 0; s < img.idxReadCur.size(); s++)
+        n += img.idxReadCur[s] - img.pendingIdxR[s].size();
+    return n;
 }
 
 std::string

@@ -29,20 +29,39 @@ idleConfig()
     return cfg;
 }
 
+/** The SRF section of a standalone Srf of `cfg` after `n` idle cycles. */
+std::string
+idleSrfSection(const MachineConfig &cfg, Cycle n)
+{
+    Srf srf;
+    srf.init(cfg.srf, cfg.srfMode, nullptr);
+    for (Cycle c = 0; c < n; c++) {
+        srf.beginCycle(c);
+        srf.endCycle(c);
+    }
+    return test::srfSection(srf);
+}
+
 TEST(Engine, StepInvokesTickAndPostTickInOrder)
 {
     // Each step ticks the machine, then advances the clock: every idle
-    // machine cycle adds one SRF port-idle cycle and one lanes-wide
-    // breakdown cycle.
+    // machine cycle adds one lanes-wide breakdown cycle and ends one SRF
+    // cycle, so the SRF's state is a standalone Srf's after as many
+    // idle cycles (its cross-lane route pointer turns once per cycle).
+    const MachineConfig cfg = idleConfig();
     Machine m;
-    m.init(idleConfig());
+    m.init(cfg);
     m.step();
     EXPECT_EQ(m.now(), 1u);
     EXPECT_EQ(m.breakdown().total(), m.lanes());
+    EXPECT_EQ(test::srfSection(m.srf()), idleSrfSection(cfg, 1));
     m.step(9);
     EXPECT_EQ(m.now(), 10u) << "step(n) advances exactly n cycles";
     EXPECT_EQ(m.breakdown().total(), 10u * m.lanes());
-    EXPECT_EQ(m.srf().stats().counterValue("port_idle_cycles"), 10u);
+    const std::string srf = test::srfSection(m.srf());
+    EXPECT_EQ(srf, idleSrfSection(cfg, 10));
+    EXPECT_NE(srf, idleSrfSection(cfg, 9));
+    EXPECT_NE(srf, idleSrfSection(cfg, 11));
 }
 
 TEST(Engine, RunUntilStopsOnPredicate)

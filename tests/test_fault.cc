@@ -360,7 +360,6 @@ TEST(Watchdog, TriggersAfterStalledIntervals)
     // may still see the load's last words).
     m.step(300);
     EXPECT_TRUE(m.watchdogTriggered());
-    EXPECT_TRUE(jsonValid(m.watchdog()->reportJson()));
     m.watchdog()->rearm();
     EXPECT_FALSE(m.watchdogTriggered());
 }
@@ -380,7 +379,6 @@ TEST(Watchdog, MachineRunUntilReportsStalled)
     // The loop stops as soon as the watchdog trips, not at the cap.
     EXPECT_LT(r.cycles, 1000u);
     EXPECT_TRUE(m.watchdogTriggered());
-    EXPECT_TRUE(jsonValid(m.watchdog()->reportJson()));
 }
 
 // -------------------------------------------------- acceptance soak

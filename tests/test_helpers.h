@@ -113,6 +113,16 @@ sameSnapshotState(const Snapshot &got, const Snapshot &want)
     return ::testing::AssertionSuccess();
 }
 
+/** An Srf's `SRF ` checkpoint section payload. */
+inline std::string
+srfSection(Srf &srf)
+{
+    SnapshotWriter w;
+    SnapshotIo io(w);
+    srf.snapshot(io);
+    return w.data();
+}
+
 /** sameSnapshotState() of two machines saved at their current cycle. */
 inline ::testing::AssertionResult
 sameMachineState(Machine &got, Machine &want)

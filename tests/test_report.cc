@@ -83,14 +83,5 @@ TEST(ReportJson, IsValidAndMatchesTextCounters)
     EXPECT_NE(json.find("\"name\":\"copy\""), std::string::npos);
 }
 
-TEST(ReportJson, ConflictHistogramPresentOnIndexedRun)
-{
-    Machine m;
-    runCopyProgram(m, MachineConfig::isrf4());
-    // The conflict-degree histogram registers at machine init even if
-    // this program never issues indexed reads.
-    EXPECT_TRUE(m.srf().stats().hasHistogram("idx_conflict_degree"));
-}
-
 } // namespace
 } // namespace isrf

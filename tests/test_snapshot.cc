@@ -843,7 +843,8 @@ TEST(CheckpointResume, OldFormatVersionQuarantinedAndRestartsClean)
     // (version 1 carried MACH/MEMS fields of the retired skip engine,
     // version 2 the components' clock copies and DRAM as runs,
     // version 3 the SAMP section, the memory and fault stat groups and
-    // each lane's last cycle category) is checksum-valid but
+    // each lane's last cycle category, version 4 the SRF stat group
+    // and the watchdog's trip cycle) is checksum-valid but
     // unreadable: for every older version the loader must refuse it,
     // the job must quarantine it and rerun from cycle 0 to the
     // byte-identical report.
@@ -869,7 +870,7 @@ TEST(CheckpointResume, OldFormatVersionQuarantinedAndRestartsClean)
     std::string err;
     ASSERT_TRUE(snap.parse(readBytes(path), err)) << err;
 
-    ASSERT_GE(kSnapshotFormatVersion, 4u);
+    ASSERT_GE(kSnapshotFormatVersion, 5u);
     for (uint32_t version = 1; version < kSnapshotFormatVersion;
          version++) {
         SCOPED_TRACE("version " + std::to_string(version));

@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "net/crossbar.h"
+#include "sim/trace.h"
 #include "srf/srf.h"
 
 namespace isrf {
@@ -16,11 +19,11 @@ class SrfIdxTest : public ::testing::Test
 {
   protected:
     void
-    initSrf(SrfMode mode)
+    initSrf(SrfMode mode, Tracer *tracer = nullptr)
     {
         geom_ = SrfGeometry{};
         net_.init(geom_.lanes, 1, 1);
-        srf_.init(geom_, mode, &net_);
+        srf_.init(geom_, mode, &net_, tracer);
     }
 
     void
@@ -280,7 +283,11 @@ TEST_F(SrfIdxTest, CrossLaneWriteRejected)
 
 TEST_F(SrfIdxTest, SequentialAndIndexedShareThePort)
 {
-    initSrf(SrfMode::Indexed4);
+    // Every port grant leaves a seq_grant or idx_grant instant on the
+    // srf channel.
+    Tracer trc;
+    trc.enableChannels("srf");
+    initSrf(SrfMode::Indexed4, &trc);
     SlotId tbl = openTable(64, 0);
 
     SlotConfig scfg;
@@ -291,7 +298,6 @@ TEST_F(SrfIdxTest, SequentialAndIndexedShareThePort)
     SlotId seq = srf_.openSlot(scfg);
 
     // Keep both sides demanding for 40 cycles.
-    uint64_t seqGrants0 = srf_.stats().counterValue("seq_grant_cycles");
     for (int i = 0; i < 40; i++) {
         srf_.beginCycle(now_);
         for (uint32_t l = 0; l < 8; l++) {
@@ -303,9 +309,16 @@ TEST_F(SrfIdxTest, SequentialAndIndexedShareThePort)
         srf_.endCycle(now_);
         now_++;
     }
-    uint64_t seqGrants =
-        srf_.stats().counterValue("seq_grant_cycles") - seqGrants0;
-    uint64_t idxGrants = srf_.stats().counterValue("idx_grant_cycles");
+    ASSERT_EQ(trc.dropped(), 0u);
+    uint64_t seqGrants = 0, idxGrants = 0;
+    for (const TraceEvent &e : trc.lastEvents(trc.size())) {
+        seqGrants += std::strcmp(e.name, "seq_grant") == 0;
+        idxGrants += std::strcmp(e.name, "idx_grant") == 0;
+    }
+    EXPECT_LE(seqGrants + idxGrants, 40u);
+    // Both sides moved words through the port.
+    EXPECT_GT(srf_.seqWordsAccessed(), 0u);
+    EXPECT_GT(srf_.idxInLaneWords(), 0u);
     // Round-robin between one sequential claimant and the indexed
     // bundle: roughly half the cycles each.
     EXPECT_GE(seqGrants, 15u);

@@ -100,7 +100,6 @@ TEST_F(TraceTest, ChromeJsonStructure)
     t.begin(a, "span", 5);
     t.end(a, "span", 9);
     t.instant(b, "mark", 6, 42);
-    t.counter(b, "value", 7, 13);
 
     std::string json = t.chromeJson();
     EXPECT_TRUE(jsonValid(json)) << json;
@@ -108,13 +107,12 @@ TEST_F(TraceTest, ChromeJsonStructure)
     // Channel metadata names each tid for Perfetto.
     EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
     EXPECT_NE(json.find("\"trace_test_ch1\""), std::string::npos);
-    // All four phases appear.
+    // All three phases appear.
     EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-    // Counter events carry their value; timestamps are cycles.
-    EXPECT_NE(json.find("\"value\":13"), std::string::npos);
+    // Instants carry their argument; timestamps are cycles.
+    EXPECT_NE(json.find("\"arg\":42"), std::string::npos);
     EXPECT_NE(json.find("\"ts\":5"), std::string::npos);
 }
 

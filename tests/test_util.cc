@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the utility layer: RNG, statistics, tables, logging.
+ * Unit tests for the utility layer: RNG, tables, JSON, logging.
  */
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "util/json.h"
 #include "util/log.h"
 #include "util/random.h"
-#include "util/stats.h"
 #include "util/table.h"
 
 namespace isrf {
@@ -74,47 +73,6 @@ TEST(Rng, ReseedReproduces)
     r.next();
     r.reseed(5);
     EXPECT_EQ(r.next(), first);
-}
-
-TEST(Counter, IncAndReset)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(41);
-    EXPECT_EQ(c.value(), 42u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0, 10, 5);
-    h.sample(-1);
-    h.sample(0);
-    h.sample(3.9);
-    h.sample(10);
-    h.sample(25);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.totalSamples(), 5u);
-    EXPECT_EQ(h.buckets()[0], 1u);
-    EXPECT_EQ(h.buckets()[1], 1u);
-    EXPECT_DOUBLE_EQ(h.bucketLow(1), 2.0);
-    EXPECT_DOUBLE_EQ(h.bucketHigh(1), 4.0);
-}
-
-TEST(StatGroup, CountersByName)
-{
-    StatGroup g("grp");
-    g.counter("a").inc(3);
-    g.counter("a").inc();
-    EXPECT_EQ(g.counterValue("a"), 4u);
-    EXPECT_EQ(g.counterValue("missing"), 0u);
-    EXPECT_TRUE(g.hasCounter("a"));
-    EXPECT_FALSE(g.hasCounter("b"));
-    g.resetAll();
-    EXPECT_EQ(g.counterValue("a"), 0u);
 }
 
 TEST(Table, RendersAlignedCells)
@@ -323,37 +281,6 @@ TEST(JsonValid, AcceptsAndRejects)
     EXPECT_FALSE(jsonValid("{} trailing"));
     EXPECT_FALSE(jsonValid("{'a':1}"));
     EXPECT_FALSE(jsonValid("\"unterminated"));
-}
-
-TEST(Stats, HistogramRegistersInGroup)
-{
-    StatGroup g("grp");
-    EXPECT_FALSE(g.hasHistogram("dist"));
-    Histogram &h = g.histogram("dist", 0, 8, 8);
-    EXPECT_TRUE(g.hasHistogram("dist"));
-    h.sample(0);
-    h.sample(3);
-    h.sample(3);
-    h.sample(100);  // overflow bin
-    // Re-lookup returns the same histogram; range params are ignored
-    // after creation.
-    Histogram &again = g.histogram("dist", 0, 999, 2);
-    EXPECT_EQ(&again, &h);
-    EXPECT_EQ(again.totalSamples(), 4u);
-    EXPECT_EQ(again.overflow(), 1u);
-    const Histogram *found = g.findHistogram("dist");
-    ASSERT_NE(found, nullptr);
-    EXPECT_EQ(found->buckets()[3], 2u);
-    EXPECT_EQ(g.findHistogram("missing"), nullptr);
-}
-
-TEST(Stats, HistogramResetsWithGroup)
-{
-    StatGroup g("grp");
-    Histogram &h = g.histogram("d", 0, 4, 4);
-    h.sample(1);
-    g.resetAll();
-    EXPECT_EQ(h.totalSamples(), 0u);
 }
 
 } // namespace
