@@ -27,12 +27,13 @@ echo "==> full-matrix parallel sweep ($JOBS jobs)"
     | grep -E "wall time|speedup|replayed|all done"
 
 echo "==> running paper benches (Tables 2-4, Figures 11-18, ablations)"
-for b in "$BUILD"/bench/bench_*; do
-    [ -x "$b" ] || continue
-    name="$(basename "$b")"
+# One binary per bench/bench_*.cc source in the tree: a reused build
+# directory may still hold binaries whose targets were deleted.
+for src in bench/bench_*.cc; do
+    name="$(basename "$src" .cc)"
     [ "$name" = bench_sweep ] && continue   # already run above
     echo "############ $name ############"
-    "$b" --jobs "$JOBS" --json "$REPORTS/$name.json"
+    "$BUILD/bench/$name" --jobs "$JOBS" --json "$REPORTS/$name.json"
 done 2>/dev/null | tee bench_output.txt | grep -E "^Reproduces|speedup range"
 
 echo "==> machine-readable results in $REPORTS/*.json"

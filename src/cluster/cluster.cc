@@ -159,12 +159,11 @@ Cluster::consumeDueData(Cycle now)
         Ring<Cycle> &q = work_[s].dataNeeds;
         SlotId slot = inv_->slots[s];
         while (!q.empty() && q.front() <= now) {
-            if (!srf_->idxDataReady(lane_, slot, now)) {
+            Word tmp[4];
+            if (!srf_->idxDataTryPop(lane_, slot, now, tmp)) {
                 ready = false;
                 break;
             }
-            Word tmp[4];
-            srf_->idxDataPop(lane_, slot, tmp);
             q.pop();
         }
         if (q.empty())
@@ -195,9 +194,10 @@ Cluster::drainPending(Cycle now)
             srf_->seqWrite(lane_, slot, w.pendingOut.front());
             w.pendingOut.pop();
         }
-        // Indexed reads: push addresses into the FIFO as space frees;
+        // Indexed reads: push addresses into the FIFO as space frees
+        // (idxIssueRead refuses while the FIFO or data buffer is full);
         // the data-need clock starts at the FIFO issue.
-        while (!w.pendingIdxR.empty() && srf_->idxCanIssue(lane_, slot)) {
+        while (!w.pendingIdxR.empty()) {
             if (!srf_->idxIssueRead(lane_, slot, w.pendingIdxR.front(),
                                     now))
                 break;
@@ -212,7 +212,8 @@ Cluster::drainPending(Cycle now)
             }
             w.dataNeeds.pushGrow(due);
         }
-        // Indexed writes.
+        // Indexed writes. idxCanIssue also checks the data buffer on a
+        // read-write slot bound as input, which idxIssueWrite does not.
         while (!w.pendingIdxW.empty() && srf_->idxCanIssue(lane_, slot)) {
             const IdxWriteTraceEntry &e = w.pendingIdxW.front();
             if (!srf_->idxIssueWrite(lane_, slot, e.recordIndex, e.data,
@@ -269,41 +270,6 @@ Cluster::deriveMasks()
     refreshEarliestDue();
 }
 
-namespace {
-
-/**
- * A ring as a length-prefixed sequence, front to back (the bytes
- * SnapshotIo::seq writes for a deque). A loaded length above
- * `maxLen` rejects the payload.
- */
-template <typename T, typename F>
-void
-ringIo(SnapshotIo &io, Ring<T> &r, size_t elemBytes, size_t maxLen,
-       F &&field)
-{
-    uint64_t n = r.size();
-    if (!io.len(n, elemBytes))
-        return;
-    if (io.saving()) {
-        for (size_t i = 0; i < n; i++) {
-            T e = r[i];
-            field(e);
-        }
-        return;
-    }
-    if (!io.require(n <= maxLen))
-        return;
-    r.clear();
-    for (uint64_t i = 0; i < n && io.ok(); i++) {
-        T e{};
-        field(e);
-        if (io.ok())
-            r.pushGrow(e);
-    }
-}
-
-} // namespace
-
 void
 Cluster::snapshot(SnapshotIo &io)
 {
@@ -336,11 +302,8 @@ Cluster::snapshot(SnapshotIo &io)
             w.pendingIdxW.reset(inv_ ? inv_->idxWritesPerIter[s] : 0);
         }
     }
-    const size_t unbounded = std::numeric_limits<size_t>::max();
-    auto u32 = [&](uint32_t &v) { io.u32(v); };
     for (size_t s = 0; s < nSlots_; s++)
-        ringIo(io, work_[s].dataNeeds, 8, unbounded,
-               [&](Cycle &c) { io.u64(c); });
+        io.seq(work_[s].dataNeeds);
     for (size_t s = 0; s < nSlots_; s++)
         io.u64(work_[s].seqWriteCur);
     for (size_t s = 0; s < nSlots_; s++)
@@ -348,20 +311,16 @@ Cluster::snapshot(SnapshotIo &io)
     for (size_t s = 0; s < nSlots_; s++)
         io.u64(work_[s].idxWriteCur);
     for (size_t s = 0; s < nSlots_; s++)
-        ringIo(io, work_[s].pendingOut, 4, work_[s].pendingOut.capacity(),
-               u32);
+        io.seq(work_[s].pendingOut, work_[s].pendingOut.capacity());
     for (size_t s = 0; s < nSlots_; s++)
         io.u32(work_[s].pendingIn);
     for (size_t s = 0; s < nSlots_; s++)
-        ringIo(io, work_[s].pendingIdxR, 4,
-               work_[s].pendingIdxR.capacity(), u32);
+        io.seq(work_[s].pendingIdxR, work_[s].pendingIdxR.capacity());
     for (size_t s = 0; s < nSlots_; s++) {
-        ringIo(io, work_[s].pendingIdxW, 20,
-               work_[s].pendingIdxW.capacity(),
-               [&](IdxWriteTraceEntry &e) {
-                   io.u32(e.recordIndex);
-                   io.each(e.data);
-               });
+        io.seq(work_[s].pendingIdxW, 20, [&](IdxWriteTraceEntry &e) {
+            io.u32(e.recordIndex);
+            io.each(e.data);
+        }, work_[s].pendingIdxW.capacity());
     }
     io.b(doneReported_);
     if (io.loading())

@@ -25,6 +25,7 @@
 #include "net/crossbar.h"
 #include "srf/srf.h"
 #include "util/log.h"
+#include "util/ring.h"
 
 namespace isrf {
 
@@ -81,76 +82,6 @@ struct KernelInvocation
 
     /** Compute derived metadata; call once after filling the fields. */
     void finalize();
-};
-
-/**
- * A FIFO in one contiguous buffer whose storage outlives clear() and
- * reset(), so a cluster that rebinds stops allocating once warm.
- * reset(cap) empties it and fixes its capacity: push() past it panics.
- * pushGrow() doubles the capacity instead, for queues that no
- * per-iteration count bounds.
- */
-template <typename T>
-class Ring
-{
-  public:
-    void
-    reset(size_t cap)
-    {
-        if (buf_.size() < cap)
-            buf_.resize(cap);
-        cap_ = cap;
-        clear();
-    }
-
-    /** Empty, keeping the capacity. */
-    void clear() { head_ = size_ = 0; }
-
-    size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    size_t capacity() const { return cap_; }
-
-    const T &front() const { return buf_[head_]; }
-    /** The i-th oldest element. */
-    const T &operator[](size_t i) const { return buf_[wrap(head_ + i)]; }
-
-    void
-    push(const T &v)
-    {
-        if (size_ == cap_)
-            panic("Ring: push past capacity %zu", cap_);
-        buf_[wrap(head_ + size_)] = v;
-        size_++;
-    }
-
-    void
-    pushGrow(const T &v)
-    {
-        if (size_ == cap_) {
-            std::vector<T> next(std::max<size_t>(8, 2 * cap_));
-            for (size_t i = 0; i < size_; i++)
-                next[i] = (*this)[i];
-            buf_.swap(next);
-            cap_ = buf_.size();
-            head_ = 0;
-        }
-        push(v);
-    }
-
-    void
-    pop()
-    {
-        head_ = wrap(head_ + 1);
-        size_--;
-    }
-
-  private:
-    size_t wrap(size_t i) const { return i >= cap_ ? i - cap_ : i; }
-
-    std::vector<T> buf_;
-    size_t cap_ = 0;
-    size_t head_ = 0;
-    size_t size_ = 0;
 };
 
 /** Why a cluster failed to make progress in a cycle. */

@@ -65,6 +65,9 @@ MachineConfig::validate() const
                        "must all be nonzero");
     if (srf.lanes != 0 && !powerOfTwo(srf.lanes))
         errs.push_back("lanes must be a power of two");
+    if (srf.lanes > 64)
+        errs.push_back("lanes must be at most 64 (the SRF's lane work "
+                       "masks)");
     if (srf.subArrays != 0 && !powerOfTwo(srf.subArrays))
         errs.push_back("subArrays must be a power of two");
     if (srf.seqWidth != 0 && srf.laneWords % srf.seqWidth != 0)

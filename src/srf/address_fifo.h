@@ -11,9 +11,9 @@
 #define ISRF_SRF_ADDRESS_FIFO_H
 
 #include <cstdint>
-#include <deque>
 
 #include "sim/types.h"
+#include "util/ring.h"
 #include "util/snapshot.h"
 
 namespace isrf {
@@ -36,24 +36,26 @@ struct AddrEntry
  *
  * Head-of-line semantics: only the head entry's next word is a
  * candidate for SRAM access each cycle; a sub-array conflict therefore
- * blocks all younger requests in this FIFO (§5.4 / Figure 17).
+ * blocks all younger requests in this FIFO (§5.4 / Figure 17). The
+ * capacity (Table 3: 8 entries) is fixed by configure(); a
+ * default-constructed FIFO holds nothing until configured.
  */
 class AddressFifo
 {
   public:
-    explicit AddressFifo(uint32_t capacity = 8, uint32_t recordWords = 1)
-        : capacity_(capacity), recordWords_(recordWords)
+    explicit AddressFifo(uint32_t capacity = 0, uint32_t recordWords = 1)
     {
+        configure(capacity, recordWords);
     }
 
     void
     configure(uint32_t capacity, uint32_t recordWords)
     {
-        capacity_ = capacity;
+        entries_.reset(capacity);
         recordWords_ = recordWords;
     }
 
-    bool full() const { return entries_.size() >= capacity_; }
+    bool full() const { return entries_.full(); }
     bool empty() const { return entries_.empty(); }
     size_t size() const { return entries_.size(); }
     uint32_t recordWords() const { return recordWords_; }
@@ -72,7 +74,7 @@ class AddressFifo
         e.isWrite = writeWords > 0;
         for (uint32_t i = 0; i < writeWords && i < 4; i++)
             e.writeData[i] = writeData[i];
-        entries_.push_back(e);
+        entries_.push(e);
         return true;
     }
 
@@ -93,24 +95,30 @@ class AddressFifo
 
     /**
      * Mark one word of the head as issued; pops the entry when the whole
-     * record has been issued. @return the completed entry's seqNo and
-     * word offset (for data delivery bookkeeping).
+     * record has been issued. @return true if it popped.
      */
-    void
+    bool
     advanceHead()
     {
-        entries_.front().wordsIssued++;
-        if (entries_.front().wordsIssued >= recordWords_)
-            entries_.pop_front();
+        if (++entries_.front().wordsIssued < recordWords_)
+            return false;
+        entries_.pop();
+        return true;
     }
 
     void clear() { entries_.clear(); }
 
+    /** Capacity and record size must match configure()'s; a longer
+     *  load is rejected. */
     void
     snapshot(SnapshotIo &io)
     {
-        io.u32(capacity_);
-        io.u32(recordWords_);
+        auto cap = static_cast<uint32_t>(entries_.capacity());
+        uint32_t rw = recordWords_;
+        io.u32(cap);
+        io.u32(rw);
+        if (!io.require(cap == entries_.capacity() && rw == recordWords_))
+            return;
         io.seq(entries_, 41, [&](AddrEntry &e) {
             io.u32(e.recordIndex);
             io.u64(e.seqNo);
@@ -118,13 +126,12 @@ class AddressFifo
             io.b(e.isWrite);
             io.u32(e.wordsIssued);
             io.each(e.writeData);
-        });
+        }, cap);
     }
 
   private:
-    uint32_t capacity_;
-    uint32_t recordWords_;
-    std::deque<AddrEntry> entries_;
+    uint32_t recordWords_ = 1;
+    Ring<AddrEntry> entries_;
 };
 
 } // namespace isrf

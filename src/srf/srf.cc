@@ -19,6 +19,9 @@ Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
     if (geom.seqWidth > 8)
         panic("Srf: seqWidth %u > 8 unsupported (rejected by "
               "MachineConfig::validate)", geom.seqWidth);
+    if (geom.lanes > 64)
+        panic("Srf: %u lanes; the lane work masks hold at most 64 "
+              "(rejected by MachineConfig::validate)", geom.lanes);
     geom_ = geom;
     mode_ = mode;
     dataNet_ = dataNet;
@@ -34,15 +37,14 @@ Srf::init(const SrfGeometry &geom, SrfMode mode, Crossbar *dataNet,
     // priority pointer, or a rebuilt Machine would arbitrate
     // differently from a fresh one.
     globalArb_ = RoundRobinArbiter(geom.maxStreamSlots + 1);
-    laneIdxRr_.assign(geom.lanes, 0);
+    idxRr_ = 0;
     crossRouteRr_ = 0;
     seqClaimMask_ = 0;
-    inLaneIdxOpenMask_ = 0;
-    crossIdxOpenMask_ = 0;
-    inLaneFifoEntries_ = 0;
-    crossFifoEntries_ = 0;
-    remoteEntries_ = 0;
-    returnEntries_ = 0;
+    laneFifoMask_.assign(geom.lanes, 0);
+    laneCrossFifoMask_.assign(geom.lanes, 0);
+    fifoLanes_ = crossFifoLanes_ = 0;
+    remoteBanks_ = returnBanks_ = 0;
+    dirtyBanks_ = 0;
     seqWords_ = 0;
     idxInLaneWords_ = 0;
     idxCrossWords_ = 0;
@@ -71,14 +73,7 @@ Srf::openSlot(const SlotConfig &cfg)
         s.flushing = false;
         s.cfg = cfg;
         s.lanes.assign(geom_.lanes, LaneSlotState());
-        for (auto &ls : s.lanes) {
-            ls.seq.configure(geom_.streamBufWords);
-            ls.fifo.configure(geom_.addrFifoSize, cfg.recordWords);
-            ls.idata.configure(geom_.addrFifoSize +
-                std::max<uint32_t>(1,
-                    geom_.streamBufWords / cfg.recordWords));
-        }
-        recomputeIdxOpenMasks();
+        configureLanes(s);
         recomputeSeqClaim(id);
         return id;
     }
@@ -86,21 +81,34 @@ Srf::openSlot(const SlotConfig &cfg)
 }
 
 void
+Srf::configureLanes(Slot &s)
+{
+    // The indexed data buffer holds what the FIFO can have in flight
+    // plus a stream buffer's worth of records.
+    const uint32_t dataCap = geom_.addrFifoSize +
+        std::max<uint32_t>(1, geom_.streamBufWords / s.cfg.recordWords);
+    for (auto &ls : s.lanes) {
+        ls.seq.configure(geom_.streamBufWords);
+        ls.fifo.configure(geom_.addrFifoSize, s.cfg.recordWords);
+        ls.idata.configure(dataCap);
+    }
+}
+
+void
 Srf::closeSlot(SlotId slot)
 {
     Slot &s = slotRef(slot);
-    uncountSlotFifos(s);
+    unmarkSlotFifos(slot);
     s.open = false;
     s.lanes.clear();
     seqClaimMask_ &= ~(uint64_t{1} << slot);
-    recomputeIdxOpenMasks();
 }
 
 void
 Srf::rewindSlot(SlotId slot)
 {
     Slot &s = slotRef(slot);
-    uncountSlotFifos(s);
+    unmarkSlotFifos(slot);
     s.flushing = false;
     for (auto &ls : s.lanes) {
         ls.seq.clear();
@@ -128,15 +136,13 @@ Srf::configureSlotBinding(SlotId slot, StreamDir dir, bool indexed,
               "(paper §4.7)");
     if (readWrite && !indexed)
         panic("Srf: read-write bindings require an indexed stream");
-    // Rewind under the *old* binding first: it un-counts the slot's
-    // address-FIFO entries, which are categorized by the current
-    // crossLane flag.
+    // Rewind first: it empties the slot's address FIFOs, whose mask
+    // bits are filed under the old crossLane flag.
     rewindSlot(slot);
     s.cfg.dir = dir;
     s.cfg.indexed = indexed;
     s.cfg.crossLane = crossLane;
     s.cfg.readWrite = readWrite;
-    recomputeIdxOpenMasks();
     recomputeSeqClaim(slot);
 }
 
@@ -340,44 +346,6 @@ Srf::seqWordsRemaining(uint32_t lane, SlotId slot) const
     return inStorage + ls.seq.size();
 }
 
-uint32_t
-Srf::seqBuffered(uint32_t lane, SlotId slot) const
-{
-    return static_cast<uint32_t>(slotRef(slot).lanes[lane].seq.size());
-}
-
-uint32_t
-Srf::seqSpace(uint32_t lane, SlotId slot) const
-{
-    return slotRef(slot).lanes[lane].seq.freeSpace();
-}
-
-uint32_t
-Srf::idxIssueSpace(uint32_t lane, SlotId slot) const
-{
-    const Slot &s = slotRef(slot);
-    const LaneSlotState &ls = s.lanes[lane];
-    auto fifoFree = static_cast<uint32_t>(
-        geom_.addrFifoSize > ls.fifo.size()
-            ? geom_.addrFifoSize - ls.fifo.size() : 0);
-    if (s.cfg.dir == StreamDir::Out)
-        return fifoFree;
-    uint32_t dataCap = geom_.addrFifoSize +
-        std::max<uint32_t>(1, geom_.streamBufWords / s.cfg.recordWords);
-    uint32_t dataFree = dataCap > ls.idata.size()
-        ? dataCap - static_cast<uint32_t>(ls.idata.size()) : 0;
-    return std::min(fifoFree, dataFree);
-}
-
-bool
-Srf::seqStarved(uint32_t lane, SlotId slot) const
-{
-    const Slot &s = slotRef(slot);
-    const LaneSlotState &ls = s.lanes[lane];
-    return ls.seq.empty() &&
-        ls.srfWordsRead < laneStreamWords(s, lane);
-}
-
 // ----------------------------------------------------------------------
 // Cluster-side indexed access
 // ----------------------------------------------------------------------
@@ -405,12 +373,10 @@ Srf::idxIssueRead(uint32_t lane, SlotId slot, uint32_t recordIndex,
     if (ls.fifo.full() || ls.idata.full())
         return false;
     uint64_t seqNo = ls.nextSeqNo++;
+    if (ls.fifo.empty())
+        markFifo(slot, s.cfg.crossLane, lane);
     ls.fifo.push(recordIndex, seqNo, now);
     ls.idata.registerRequest(seqNo, s.cfg.recordWords);
-    if (s.cfg.crossLane)
-        crossFifoEntries_++;
-    else
-        inLaneFifoEntries_++;
     return true;
 }
 
@@ -428,9 +394,10 @@ Srf::idxIssueWrite(uint32_t lane, SlotId slot, uint32_t recordIndex,
     if (ls.fifo.full())
         return false;
     uint64_t seqNo = ls.nextSeqNo++;
+    if (ls.fifo.empty())
+        markFifo(slot, false, lane);  // cross-lane writes are rejected
     ls.fifo.push(recordIndex, seqNo, now, data, s.cfg.recordWords);
     ls.pendingWrites++;
-    inLaneFifoEntries_++;  // cross-lane writes are rejected above
     return true;
 }
 
@@ -444,6 +411,13 @@ uint32_t
 Srf::idxDataPop(uint32_t lane, SlotId slot, Word *out)
 {
     return slotRef(slot).lanes[lane].idata.popHead(out);
+}
+
+uint32_t
+Srf::idxDataTryPop(uint32_t lane, SlotId slot, Cycle now, Word *out)
+{
+    IdxDataBuffer &d = slotRef(slot).lanes[lane].idata;
+    return d.headReady(now) ? d.popHead(out) : 0;
 }
 
 size_t
@@ -461,6 +435,25 @@ Srf::idxWritesDrained(SlotId slot) const
         if (ls.pendingWrites > 0)
             return false;
     return true;
+}
+
+Srf::IdxInFlight
+Srf::idxInFlight() const
+{
+    IdxInFlight f;
+    f.inLaneFifoLanes = fifoLanes_;
+    f.crossFifoLanes = crossFifoLanes_;
+    f.remoteBanks = remoteBanks_;
+    f.returnBanks = returnBanks_;
+    for (const Slot &s : slots_) {
+        if (!s.open || !s.cfg.indexed)
+            continue;
+        for (const LaneSlotState &ls : s.lanes) {
+            f.undeliveredRecords += ls.idata.size();
+            f.unretiredWrites += ls.pendingWrites;
+        }
+    }
+    return f;
 }
 
 // ----------------------------------------------------------------------
@@ -539,8 +532,9 @@ Srf::fillSlot(SlotId slot, const std::vector<Word> &data)
 void
 Srf::beginCycle(Cycle)
 {
-    for (auto &b : banks_)
-        b.newCycle();
+    for (uint64_t m = dirtyBanks_; m; m &= m - 1)
+        banks_[__builtin_ctzll(m)].newCycle();
+    dirtyBanks_ = 0;
     indexNet_.newCycle();
     memClaims_.clear();
 }
@@ -582,33 +576,39 @@ Srf::recomputeSeqClaim(SlotId id)
 }
 
 void
-Srf::recomputeIdxOpenMasks()
+Srf::markFifo(SlotId id, bool crossLane, uint32_t lane)
 {
-    inLaneIdxOpenMask_ = 0;
-    crossIdxOpenMask_ = 0;
-    for (SlotId id = 0; id < static_cast<SlotId>(slots_.size()); id++) {
-        const Slot &s = slots_[id];
-        if (!s.open || !s.cfg.indexed)
-            continue;
-        if (s.cfg.crossLane)
-            crossIdxOpenMask_ |= uint64_t{1} << id;
-        else
-            inLaneIdxOpenMask_ |= uint64_t{1} << id;
+    const uint64_t laneBit = uint64_t{1} << lane;
+    if (crossLane) {
+        laneCrossFifoMask_[lane] |= uint64_t{1} << id;
+        crossFifoLanes_ |= laneBit;
+    } else {
+        laneFifoMask_[lane] |= uint64_t{1} << id;
+        fifoLanes_ |= laneBit;
     }
 }
 
 void
-Srf::uncountSlotFifos(const Slot &s)
+Srf::unmarkFifo(SlotId id, bool crossLane, uint32_t lane)
 {
-    if (!s.cfg.indexed || s.lanes.empty())
-        return;
-    uint64_t n = 0;
-    for (const auto &ls : s.lanes)
-        n += ls.fifo.size();
-    if (s.cfg.crossLane)
-        crossFifoEntries_ -= n;
-    else
-        inLaneFifoEntries_ -= n;
+    const uint64_t laneBit = uint64_t{1} << lane;
+    if (crossLane) {
+        if (!(laneCrossFifoMask_[lane] &= ~(uint64_t{1} << id)))
+            crossFifoLanes_ &= ~laneBit;
+    } else {
+        if (!(laneFifoMask_[lane] &= ~(uint64_t{1} << id)))
+            fifoLanes_ &= ~laneBit;
+    }
+}
+
+void
+Srf::unmarkSlotFifos(SlotId id)
+{
+    for (uint64_t m = fifoLanes_ | crossFifoLanes_; m; m &= m - 1) {
+        const auto l = static_cast<uint32_t>(__builtin_ctzll(m));
+        unmarkFifo(id, false, l);
+        unmarkFifo(id, true, l);
+    }
 }
 
 void
@@ -628,6 +628,7 @@ Srf::serviceSeqSlot(SlotId id)
                 std::min<uint64_t>(m, remaining));
             uint32_t rowAddr = laneRowAddr(s, ls.readRow);
             banks_[l].claimSequentialRow(rowAddr);
+            dirtyBanks_ |= uint64_t{1} << l;
             Word block[8];
             for (uint32_t i = 0; i < k; i++)
                 block[i] = banks_[l].read(rowAddr + i);
@@ -641,6 +642,7 @@ Srf::serviceSeqSlot(SlotId id)
                 continue;
             uint32_t rowAddr = laneRowAddr(s, ls.writeRow);
             banks_[l].claimSequentialRow(rowAddr);
+            dirtyBanks_ |= uint64_t{1} << l;
             Word block[8];
             uint32_t k = ls.seq.drain(block, m);
             for (uint32_t i = 0; i < k; i++)
@@ -657,57 +659,42 @@ Srf::routeCrossLane(Cycle now)
 {
     // The dedicated SRF address network (Figure 8(c)) routes one index
     // per source lane per cycle toward the owning bank, bounded by the
-    // bank's network ports and remote queue space. The round-robin
-    // visits only open cross-lane slots: the mask split at the rotation
-    // pointer preserves the exact (crossRouteRr_ + k) % nSlots order of
-    // a full-slot scan with the non-cross slots skipped.
-    const uint64_t hi =
-        crossIdxOpenMask_ & ~((uint64_t{1} << crossRouteRr_) - 1);
-    const uint64_t lo = crossIdxOpenMask_ & ~hi;
-    for (uint32_t l = 0; l < geom_.lanes; l++) {
-        bool laneDone = false;
-        for (uint64_t part : {hi, lo}) {
-            for (uint64_t m = part; m != 0 && !laneDone; m &= m - 1) {
-                SlotId id = static_cast<SlotId>(__builtin_ctzll(m));
-                Slot &s = slots_[id];
-                LaneSlotState &ls = s.lanes[l];
-                if (ls.fifo.empty())
-                    continue;
-                uint32_t wordIndex = ls.fifo.headWordIndex();
-                auto [bank, addr] = idxLocation(s, l, wordIndex);
-                if (banks_[bank].remoteQueueFull()) {
-                    laneDone = true;  // head blocks: lane stalls
-                    break;
-                }
-                if (!indexNet_.tryTransfer(l, bank)) {
-                    laneDone = true;  // no network port left this cycle
-                    break;
-                }
-                RemoteRequest r;
-                r.sourceLane = l;
-                r.slot = id;
-                r.laneAddr = addr;
-                r.seqNo = ls.fifo.head().seqNo;
-                r.wordOffset = ls.fifo.head().wordsIssued;
-                r.issueCycle = ls.fifo.head().issueCycle;
-                r.arrival = now + 1 + indexNet_.extraLatency(l, bank);
-                r.isWrite = false;
-                r.writeData = 0;
-                banks_[bank].pushRemote(r);
-                remoteEntries_++;
-                size_t before = ls.fifo.size();
-                ls.fifo.advanceHead();
-                if (ls.fifo.size() < before)
-                    crossFifoEntries_--;
-                laneDone = true;  // one injection per lane per cycle
-            }
-            if (laneDone)
-                break;
-        }
+    // bank's network ports and remote queue space. A lane offers the
+    // head of its first non-empty cross-lane FIFO in rotation order
+    // (crossRouteRr_ + k) % nSlots: the lowest bit of its FIFO mask at
+    // or above the pointer, else its lowest bit. Whether that head is
+    // routed or blocked, the lane is done for the cycle.
+    const uint64_t hiMask = ~((uint64_t{1} << crossRouteRr_) - 1);
+    for (uint64_t lanes = crossFifoLanes_; lanes; lanes &= lanes - 1) {
+        const auto l = static_cast<uint32_t>(__builtin_ctzll(lanes));
+        const uint64_t work = laneCrossFifoMask_[l];
+        const uint64_t hi = work & hiMask;
+        const auto id = static_cast<SlotId>(__builtin_ctzll(hi ? hi : work));
+        Slot &s = slots_[id];
+        LaneSlotState &ls = s.lanes[l];
+        uint32_t wordIndex = ls.fifo.headWordIndex();
+        auto [bank, addr] = idxLocation(s, l, wordIndex);
+        if (banks_[bank].remoteQueueFull())
+            continue;  // head blocks: lane stalls
+        if (!indexNet_.tryTransfer(l, bank))
+            continue;  // no network port left this cycle
+        RemoteRequest r;
+        r.sourceLane = l;
+        r.slot = id;
+        r.laneAddr = addr;
+        r.seqNo = ls.fifo.head().seqNo;
+        r.wordOffset = ls.fifo.head().wordsIssued;
+        r.issueCycle = ls.fifo.head().issueCycle;
+        r.arrival = now + 1 + indexNet_.extraLatency(l, bank);
+        r.isWrite = false;
+        r.writeData = 0;
+        banks_[bank].pushRemote(r);
+        remoteBanks_ |= uint64_t{1} << bank;
+        if (ls.fifo.advanceHead() && ls.fifo.empty())
+            unmarkFifo(id, true, l);
     }
     crossRouteRr_ = (crossRouteRr_ + 1) %
         static_cast<uint32_t>(slots_.size());
-    (void)now;
 }
 
 void
@@ -718,85 +705,87 @@ Srf::serviceIndexed(Cycle now)
     const bool traced = trc_ && trc_->on();
     const uint64_t conflicts0 = traced ? subArrayConflicts() : 0;
     const uint32_t budgetMax = geom_.indexedPerBank(mode_);
-    const uint32_t nSlots = static_cast<uint32_t>(slots_.size());
-    for (uint32_t l = 0; l < geom_.lanes; l++) {
+    // Lanes are independent here (a lane claims only its own bank and
+    // fills only its own return queue), so visiting just the lanes
+    // with remote requests or in-lane FIFO entries, in ascending
+    // order, does what a scan of every lane does.
+    const uint64_t hiMask = ~((uint64_t{1} << idxRr_) - 1);
+    for (uint64_t lanes = remoteBanks_ | fifoLanes_; lanes;
+            lanes &= lanes - 1) {
+        const auto l = static_cast<uint32_t>(__builtin_ctzll(lanes));
+        const uint64_t laneBit = uint64_t{1} << l;
+        SrfBank &bank = banks_[l];
         uint32_t budget = budgetMax;
         // Remote (cross-lane) requests first: bounded additionally by
         // the bank's return-network ports so the return queue stays
         // small.
         uint32_t remoteBudget =
             std::min(budget, geom_.netPortsPerBank);
-        while (remoteBudget > 0 && banks_[l].hasRemote() && budget > 0) {
-            RemoteRequest &r = banks_[l].remoteHead();
+        while (remoteBudget > 0 && bank.hasRemote() && budget > 0) {
+            RemoteRequest &r = bank.remoteHead();
             if (r.arrival > now)
                 break;  // index still in flight (ring hops)
-            if (!banks_[l].claimIndexedWord(r.laneAddr))
+            dirtyBanks_ |= laneBit;
+            if (!bank.claimIndexedWord(r.laneAddr))
                 break;  // sub-array conflict: head blocks
             ReturnEntry ret;
-            ret.data = banks_[l].read(r.laneAddr);
+            ret.data = bank.read(r.laneAddr);
             ret.sourceLane = r.sourceLane;
             ret.slot = r.slot;
             ret.seqNo = r.seqNo;
             ret.wordOffset = r.wordOffset;
             ret.earliest = now + 1;
             ret.issueCycle = r.issueCycle;
-            returnQueues_[l].push_back(ret);
-            returnEntries_++;
-            banks_[l].popRemote();
-            remoteEntries_--;
+            returnQueues_[l].pushGrow(ret);
+            returnBanks_ |= laneBit;
+            bank.popRemote();
+            if (!bank.hasRemote())
+                remoteBanks_ &= ~laneBit;
             idxCrossWords_++;
             budget--;
             remoteBudget--;
         }
-        // In-lane FIFO heads, rotating priority across the open
-        // in-lane indexed slots; the mask split at this lane's rotation
-        // pointer preserves the exact (laneIdxRr_ + k) % nSlots visit
-        // order of a full-slot scan with the non-indexed slots skipped.
-        const uint64_t hi = inLaneIdxOpenMask_ &
-            ~((uint64_t{1} << laneIdxRr_[l]) - 1);
-        const uint64_t lo = inLaneIdxOpenMask_ & ~hi;
-        for (uint64_t part : {hi, lo}) {
+        // In-lane FIFO heads, rotating priority across the in-lane
+        // slots with entries at this lane; the mask split at the
+        // rotation pointer preserves the exact (idxRr_ + k) % nSlots
+        // visit order of a full-slot scan that skips empty FIFOs.
+        const uint64_t work = laneFifoMask_[l];
+        for (uint64_t part : {work & hiMask, work & ~hiMask}) {
             for (uint64_t m = part; m != 0 && budget > 0; m &= m - 1) {
                 SlotId id = static_cast<SlotId>(__builtin_ctzll(m));
                 Slot &s = slots_[id];
                 LaneSlotState &ls = s.lanes[l];
-                if (ls.fifo.empty())
-                    continue;
+                AddrEntry &head = ls.fifo.head();
                 // Addresses become eligible the cycle after they enter
                 // the FIFO (the FIFO is a pipeline stage, Figure 9).
-                if (ls.fifo.head().issueCycle >= now)
+                if (head.issueCycle >= now)
                     continue;
-                uint32_t wordIndex = ls.fifo.headWordIndex();
-                auto [lane, addr] = idxLocation(s, l, wordIndex);
-                if (!banks_[lane].claimIndexedWord(addr))
+                // In-lane: the word lives in this lane's own bank.
+                const uint32_t addr = s.cfg.base + ls.fifo.headWordIndex();
+                dirtyBanks_ |= laneBit;
+                if (!bank.claimIndexedWord(addr))
                     continue;  // conflict: this FIFO's head stalls
-                if (!ls.fifo.head().isWrite) {
-                    Word w = banks_[lane].read(addr);
+                if (!head.isWrite) {
+                    Word w = bank.read(addr);
                     Cycle ready = std::max(now + 2,
-                        ls.fifo.head().issueCycle + geom_.inLaneLatency);
-                    ls.idata.deliver(ls.fifo.head().seqNo,
-                                     ls.fifo.head().wordsIssued, w,
+                        head.issueCycle + geom_.inLaneLatency);
+                    ls.idata.deliver(head.seqNo, head.wordsIssued, w,
                                      ready);
                 } else {
-                    banks_[lane].write(addr,
-                        ls.fifo.head()
-                            .writeData[ls.fifo.head().wordsIssued]);
-                    if (ls.fifo.head().wordsIssued + 1 >=
-                            s.cfg.recordWords)
+                    bank.write(addr, head.writeData[head.wordsIssued]);
+                    if (head.wordsIssued + 1 >= s.cfg.recordWords)
                         ls.pendingWrites--;
                 }
-                size_t before = ls.fifo.size();
-                ls.fifo.advanceHead();
-                if (ls.fifo.size() < before)
-                    inLaneFifoEntries_--;
+                if (ls.fifo.advanceHead() && ls.fifo.empty())
+                    unmarkFifo(id, false, l);
                 idxInLaneWords_++;
                 budget--;
             }
             if (budget == 0)
                 break;
         }
-        laneIdxRr_[l] = (laneIdxRr_[l] + 1) % nSlots;
     }
+    idxRr_ = (idxRr_ + 1) % static_cast<uint32_t>(slots_.size());
     if (!traced)
         return;
     const uint64_t degree = subArrayConflicts() - conflicts0;
@@ -813,7 +802,8 @@ Srf::progressReturns(Cycle now)
     // serves these returns.
     if (!dataNet_)
         return;
-    for (uint32_t b = 0; b < geom_.lanes; b++) {
+    for (uint64_t banks = returnBanks_; banks; banks &= banks - 1) {
+        const auto b = static_cast<uint32_t>(__builtin_ctzll(banks));
         auto &q = returnQueues_[b];
         while (!q.empty()) {
             ReturnEntry &r = q.front();
@@ -829,9 +819,10 @@ Srf::progressReturns(Cycle now)
                 s.lanes[r.sourceLane].idata.deliver(
                     r.seqNo, r.wordOffset, r.data, ready);
             }
-            q.pop_front();
-            returnEntries_--;
+            q.pop();
         }
+        if (q.empty())
+            returnBanks_ &= ~(uint64_t{1} << b);
     }
 }
 
@@ -845,7 +836,7 @@ Srf::endCycle(Cycle now)
     // quiescent cycle costs an idle arbitration and the cross-route
     // rotation — no slot scans.
     const uint32_t nSlots = geom_.maxStreamSlots;
-    const bool idxWork = inLaneFifoEntries_ > 0 || remoteEntries_ > 0;
+    const bool idxWork = fifoLanes_ != 0 || remoteBanks_ != 0;
     uint64_t claims = seqClaimMask_;
     for (const auto &mc : memClaims_) {
         if (mc.slot >= 0 && mc.slot < static_cast<SlotId>(nSlots))
@@ -862,16 +853,19 @@ Srf::endCycle(Cycle now)
     if (geom_.arbPolicy == ArbPolicy::IndexedPriority && idxWork) {
         uint32_t threshold = geom_.addrFifoSize -
             std::max(1u, geom_.addrFifoSize / 4);
-        uint64_t open = inLaneIdxOpenMask_ | crossIdxOpenMask_;
-        for (uint64_t m = open; m != 0 && !idxUrgent; m &= m - 1) {
-            const Slot &s =
-                slots_[static_cast<size_t>(__builtin_ctzll(m))];
-            for (const auto &ls : s.lanes) {
-                if (ls.fifo.size() >= threshold) {
-                    idxUrgent = true;
-                    break;
-                }
-            }
+        if (threshold == 0) {
+            // A one-entry FIFO: any open indexed slot is urgent, even
+            // with an empty FIFO.
+            for (const Slot &s : slots_)
+                idxUrgent = idxUrgent || (s.open && s.cfg.indexed);
+        }
+        for (uint64_t lanes = fifoLanes_ | crossFifoLanes_;
+                lanes && !idxUrgent; lanes &= lanes - 1) {
+            const auto l = static_cast<uint32_t>(__builtin_ctzll(lanes));
+            for (uint64_t m = laneFifoMask_[l] | laneCrossFifoMask_[l];
+                    m && !idxUrgent; m &= m - 1)
+                idxUrgent = slots_[__builtin_ctzll(m)].lanes[l].fifo
+                    .size() >= threshold;
         }
     }
 
@@ -900,14 +894,14 @@ Srf::endCycle(Cycle now)
     }
 
     // routeCrossLane rotates its round-robin pointer every cycle even
-    // with nothing to route; only pay the full routing pass when a
+    // with nothing to route; only pay the routing pass when a
     // cross-lane address FIFO actually holds entries.
-    if (crossFifoEntries_ > 0)
+    if (crossFifoLanes_)
         routeCrossLane(now);
     else
         crossRouteRr_ = (crossRouteRr_ + 1) %
             static_cast<uint32_t>(slots_.size());
-    if (returnEntries_ > 0)
+    if (returnBanks_)
         progressReturns(now);
 }
 
@@ -996,9 +990,21 @@ Srf::faultsInjected() const
 void
 Srf::snapshot(SnapshotIo &io)
 {
+    const auto nSlots = static_cast<uint32_t>(slots_.size());
     io.u32(crossRouteRr_);
-    io.expect(laneIdxRr_.size(), 4);
-    io.each(laneIdxRr_);
+    // The in-lane rotation pointer, once per lane (the per-lane layout
+    // predates the single pointer); a load requires the copies equal.
+    io.expect(geom_.lanes, 4);
+    uint32_t rr = idxRr_;
+    for (uint32_t l = 0; l < geom_.lanes; l++) {
+        uint32_t v = idxRr_;
+        io.u32(v);
+        if (l == 0)
+            rr = v;
+        io.require(v == rr);
+    }
+    idxRr_ = rr;
+    io.require(crossRouteRr_ < nSlots && idxRr_ < nSlots);
     globalArb_.snapshot(io);
     io.u64(seqWords_);
     io.u64(idxInLaneWords_);
@@ -1020,8 +1026,14 @@ Srf::snapshot(SnapshotIo &io)
         uint64_t nlanes = s.lanes.size();
         io.len(nlanes, 1);
         if (io.loading() &&
-                io.require(nlanes == 0 || nlanes == geom_.lanes))
+                io.require(nlanes == 0 || nlanes == geom_.lanes) &&
+                io.require(s.cfg.recordWords >= 1 &&
+                           s.cfg.recordWords <= 4)) {
+            // Buffers are sized as openSlot() sizes them; a loaded
+            // queue longer than its capacity rejects the payload.
             s.lanes.assign(static_cast<size_t>(nlanes), LaneSlotState());
+            configureLanes(s);
+        }
         for (LaneSlotState &ls : s.lanes) {
             ls.seq.snapshot(io);
             ls.fifo.snapshot(io);
@@ -1054,33 +1066,33 @@ Srf::snapshot(SnapshotIo &io)
     if (!io.loading() || !io.ok())
         return;
 
-    // Derived state: intra-cycle claims are dead at a cycle boundary;
-    // the event-driven masks and occupancy counters mirror the queues
-    // just restored (DESIGN.md §15) and are rebuilt from them.
+    // Derived state: intra-cycle claims are dead at a cycle boundary
+    // (the banks restore their ports free); the event-driven masks
+    // mirror the queues just restored (DESIGN.md §15) and are rebuilt
+    // from them.
     memClaims_.clear();
+    dirtyBanks_ = 0;
     seqClaimMask_ = 0;
-    for (SlotId id = 0; id < static_cast<SlotId>(slots_.size()); id++)
+    for (SlotId id = 0; id < static_cast<SlotId>(nSlots); id++)
         recomputeSeqClaim(id);
-    recomputeIdxOpenMasks();
-    inLaneFifoEntries_ = 0;
-    crossFifoEntries_ = 0;
-    for (const Slot &s : slots_) {
+    laneFifoMask_.assign(geom_.lanes, 0);
+    laneCrossFifoMask_.assign(geom_.lanes, 0);
+    fifoLanes_ = crossFifoLanes_ = 0;
+    for (SlotId id = 0; id < static_cast<SlotId>(nSlots); id++) {
+        const Slot &s = slots_[id];
         if (!s.open || !s.cfg.indexed)
             continue;
-        uint64_t entries = 0;
-        for (const LaneSlotState &ls : s.lanes)
-            entries += ls.fifo.size();
-        if (s.cfg.crossLane)
-            crossFifoEntries_ += entries;
-        else
-            inLaneFifoEntries_ += entries;
+        for (uint32_t l = 0; l < s.lanes.size(); l++)
+            if (!s.lanes[l].fifo.empty())
+                markFifo(id, s.cfg.crossLane, l);
     }
-    remoteEntries_ = 0;
-    for (const SrfBank &b : banks_)
-        remoteEntries_ += b.remoteQueueSize();
-    returnEntries_ = 0;
-    for (const auto &q : returnQueues_)
-        returnEntries_ += q.size();
+    remoteBanks_ = returnBanks_ = 0;
+    for (uint32_t l = 0; l < geom_.lanes; l++) {
+        if (banks_[l].hasRemote())
+            remoteBanks_ |= uint64_t{1} << l;
+        if (!returnQueues_[l].empty())
+            returnBanks_ |= uint64_t{1} << l;
+    }
 }
 
 } // namespace isrf

@@ -23,7 +23,6 @@
 #ifndef ISRF_SRF_SRF_H
 #define ISRF_SRF_SRF_H
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -33,6 +32,7 @@
 #include "srf/srf_bank.h"
 #include "srf/srf_types.h"
 #include "srf/stream_buffer.h"
+#include "util/ring.h"
 #include "util/snapshot.h"
 
 namespace isrf {
@@ -132,19 +132,6 @@ class Srf
     /** Words this lane has not yet consumed (buffered + in storage). */
     uint64_t seqWordsRemaining(uint32_t lane, SlotId slot) const;
 
-    /** Words currently buffered for this lane (sequential slot). */
-    uint32_t seqBuffered(uint32_t lane, SlotId slot) const;
-
-    /** Free buffer space for this lane (sequential output slot). */
-    uint32_t seqSpace(uint32_t lane, SlotId slot) const;
-
-    /** Indexed requests that can be issued before backpressure. */
-    uint32_t idxIssueSpace(uint32_t lane, SlotId slot) const;
-
-    /** True when a refill for this lane is blocked on the SRF port (the
-     *  buffer is empty but storage words remain). */
-    bool seqStarved(uint32_t lane, SlotId slot) const;
-
     // ------------------------------------------------------------------
     // Cluster-side indexed access (§4.4)
     // ------------------------------------------------------------------
@@ -168,11 +155,35 @@ class Srf
     /** Pop the oldest read's record into out[]; returns word count. */
     uint32_t idxDataPop(uint32_t lane, SlotId slot, Word *out);
 
+    /** idxDataReady() then idxDataPop() in one call: the word count
+     *  popped, or 0 if the oldest record is not consumable now. */
+    uint32_t idxDataTryPop(uint32_t lane, SlotId slot, Cycle now, Word *out);
+
     /** Outstanding indexed requests (addresses + undelivered data). */
     size_t idxOutstanding(uint32_t lane, SlotId slot) const;
 
     /** True if all indexed writes of this slot have retired. */
     bool idxWritesDrained(SlotId slot) const;
+
+    /** Indexed work the SRF still holds; all zero once every issued
+     *  indexed access has completed and been consumed. */
+    struct IdxInFlight
+    {
+        uint64_t inLaneFifoLanes = 0;  ///< bit l: in-lane FIFO entries
+        uint64_t crossFifoLanes = 0;   ///< bit l: cross-lane FIFO entries
+        uint64_t remoteBanks = 0;      ///< bit l: queued remote requests
+        uint64_t returnBanks = 0;      ///< bit l: queued return entries
+        uint64_t undeliveredRecords = 0;  ///< over open slots and lanes
+        uint64_t unretiredWrites = 0;     ///< over open slots and lanes
+
+        bool
+        any() const
+        {
+            return inLaneFifoLanes || crossFifoLanes || remoteBanks ||
+                returnBanks || undeliveredRecords || unretiredWrites;
+        }
+    };
+    IdxInFlight idxInFlight() const;
 
     // ------------------------------------------------------------------
     // Memory-system DMA port
@@ -263,10 +274,10 @@ class Srf
     /**
      * Serialize all architectural state: slots with their buffers and
      * FIFOs, bank storage and remote queues, return queues,
-     * arbitration rotation and word counters. The event-driven masks
-     * and occupancy counters are derived state and are recomputed
-     * after a load; memClaims_ is intra-cycle state (cleared every
-     * beginCycle()) and is likewise not persisted.
+     * arbitration rotation and word counters. The event-driven work
+     * masks are derived state and are recomputed after a load;
+     * memClaims_ and the dirty-bank mask are intra-cycle state
+     * (cleared every beginCycle()) and are likewise not persisted.
      */
     void snapshot(SnapshotIo &io);
 
@@ -329,13 +340,16 @@ class Srf
     /** Recompute slot id's bit of seqClaimMask_ from buffer state. */
     void recomputeSeqClaim(SlotId id);
 
-    /** Recompute the open-indexed-slot masks (slot open/close/rebind). */
-    void recomputeIdxOpenMasks();
+    /** Size a slot's per-lane buffers and FIFOs from the geometry and
+     *  the slot's record size (open, and snapshot load). */
+    void configureLanes(Slot &s);
 
-    /** Remove a slot's address-FIFO entries from the pending counters
-     *  (rewind/close; must run before the FIFOs are cleared and before
-     *  the slot's crossLane flag changes). */
-    void uncountSlotFifos(const Slot &s);
+    /** Slot id's FIFO at `lane` went from empty to non-empty. */
+    void markFifo(SlotId id, bool crossLane, uint32_t lane);
+    /** Slot id's FIFO at `lane` went empty. */
+    void unmarkFifo(SlotId id, bool crossLane, uint32_t lane);
+    /** Drop slot id from every lane's FIFO masks (rewind/close). */
+    void unmarkSlotFifos(SlotId id);
 
     const Slot &slotRef(SlotId slot) const;
     Slot &slotRef(SlotId slot);
@@ -354,23 +368,34 @@ class Srf
     std::vector<SrfBank> banks_;
     std::vector<Slot> slots_;
     std::vector<MemClaim> memClaims_;
-    std::vector<std::deque<ReturnEntry>> returnQueues_;
+    /** [bank] data words waiting for the data network; no geometric
+     *  bound, so they grow (Ring::pushGrow). */
+    std::vector<Ring<ReturnEntry>> returnQueues_;
     RoundRobinArbiter globalArb_;
-    std::vector<uint32_t> laneIdxRr_;  ///< per-lane local RR pointer
+    /**
+     * In-lane rotation pointer. Every indexed grant turns it once for
+     * all lanes, so one value serves them all (the `SRF ` section
+     * still writes it once per lane).
+     */
+    uint32_t idxRr_ = 0;
     uint32_t crossRouteRr_ = 0;
 
-    // Event-driven arbitration state (DESIGN.md §15): claims are
-    // tracked at enqueue/dequeue time so endCycle() never scans
-    // quiescent slots. seqClaimMask_ bit i mirrors slotWantsSeqPort(i)
-    // exactly; the occupancy counters mirror the address FIFOs /
-    // remote queues / return queues of open slots.
+    // Event-driven arbitration state (DESIGN.md §15): claims and work
+    // are tracked at enqueue/dequeue time so endCycle() never scans
+    // quiescent slots or lanes. seqClaimMask_ bit i mirrors
+    // slotWantsSeqPort(i) exactly; the lane masks mirror the address
+    // FIFOs, remote queues and return queues of open slots.
     uint64_t seqClaimMask_ = 0;
-    uint64_t inLaneIdxOpenMask_ = 0;  ///< open && indexed && !crossLane
-    uint64_t crossIdxOpenMask_ = 0;   ///< open && indexed && crossLane
-    uint64_t inLaneFifoEntries_ = 0;
-    uint64_t crossFifoEntries_ = 0;
-    uint64_t remoteEntries_ = 0;
-    uint64_t returnEntries_ = 0;
+    /** [lane] bit s: open in-lane indexed slot s has FIFO entries. */
+    std::vector<uint64_t> laneFifoMask_;
+    /** [lane] bit s: open cross-lane slot s has FIFO entries. */
+    std::vector<uint64_t> laneCrossFifoMask_;
+    uint64_t fifoLanes_ = 0;       ///< bit l: laneFifoMask_[l] != 0
+    uint64_t crossFifoLanes_ = 0;  ///< bit l: laneCrossFifoMask_[l] != 0
+    uint64_t remoteBanks_ = 0;     ///< bit l: bank l has remote requests
+    uint64_t returnBanks_ = 0;     ///< bit l: returnQueues_[l] non-empty
+    /** Bit l: bank l's sub-array ports were claimed this cycle. */
+    uint64_t dirtyBanks_ = 0;
 
     uint64_t seqWords_ = 0;
     uint64_t idxInLaneWords_ = 0;

@@ -9,11 +9,9 @@ SrfBank::init(const SrfGeometry &geom, uint32_t laneId)
 {
     geom_ = geom;
     laneId_ = laneId;
-    remoteDepth_ = geom.remoteQueueDepth;
     words_.assign(geom.laneWords, 0);
     subArrays_.assign(geom.subArrays, SubArray());
-    remoteQueue_.clear();
-    portsDirty_ = true;  // fresh sub-arrays: force one clean reset
+    remoteQueue_.reset(geom.remoteQueueDepth);
     ecc_.clear();
     offline_.assign(geom.subArrays, 0);
     subUncorrectable_.assign(geom.subArrays, 0);
@@ -23,13 +21,8 @@ SrfBank::init(const SrfGeometry &geom, uint32_t laneId)
 void
 SrfBank::newCycle()
 {
-    // Sub-array ports only become busy through the claim calls below;
-    // with none since the last reset every port is already free.
-    if (!portsDirty_)
-        return;
     for (auto &sa : subArrays_)
         sa.newCycle();
-    portsDirty_ = false;
 }
 
 Word
@@ -80,7 +73,6 @@ SrfBank::claimSequentialRow(uint32_t addr)
     if (addr % geom_.seqWidth != 0)
         panic("SrfBank[%u]: unaligned sequential row address %u", laneId_,
               addr);
-    portsDirty_ = true;
     return subArrays_[portFor(addr)].claim();
 }
 
@@ -89,7 +81,6 @@ SrfBank::claimIndexedWord(uint32_t addr)
 {
     if (addr >= words_.size())
         panic("SrfBank[%u]: indexed address %u out of range", laneId_, addr);
-    portsDirty_ = true;
     return subArrays_[portFor(addr)].claim();
 }
 
@@ -169,7 +160,7 @@ SrfBank::snapshot(SnapshotIo &io)
         io.u64(rq.arrival);
         io.b(rq.isWrite);
         io.u32(rq.writeData);
-    });
+    }, remoteQueue_.capacity());
     ecc_.snapshot(io);
     io.expect(offline_.size(), 1);
     for (uint8_t &off : offline_)
@@ -184,7 +175,6 @@ SrfBank::snapshot(SnapshotIo &io)
     for (uint8_t off : offline_)
         if (!off)
             onlineCount_++;
-    portsDirty_ = false;
 }
 
 } // namespace isrf

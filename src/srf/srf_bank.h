@@ -7,12 +7,12 @@
 #ifndef ISRF_SRF_SRF_BANK_H
 #define ISRF_SRF_SRF_BANK_H
 
-#include <deque>
 #include <vector>
 
 #include "fault/ecc.h"
 #include "srf/srf_types.h"
 #include "srf/sub_array.h"
+#include "util/ring.h"
 
 namespace isrf {
 
@@ -46,8 +46,8 @@ class SrfBank
 
     uint32_t laneId() const { return laneId_; }
 
-    /** Begin-of-cycle: free all sub-array ports. Skipped internally
-     *  when no claim touched them since the last reset. */
+    /** Begin-of-cycle: free all sub-array ports. The Srf calls it only
+     *  for banks whose ports were claimed since the last reset. */
     void newCycle();
 
     /** Raw storage access (functional; used by DMA and debugging). */
@@ -72,16 +72,12 @@ class SrfBank
      */
     bool claimIndexedWord(uint32_t addr);
 
-    /** Remote (cross-lane) request queue. */
-    bool remoteQueueFull() const
-    {
-        return remoteQueue_.size() >= remoteDepth_;
-    }
-    void pushRemote(const RemoteRequest &r) { remoteQueue_.push_back(r); }
+    /** Remote (cross-lane) request queue, remoteQueueDepth deep. */
+    bool remoteQueueFull() const { return remoteQueue_.full(); }
+    void pushRemote(const RemoteRequest &r) { remoteQueue_.push(r); }
     bool hasRemote() const { return !remoteQueue_.empty(); }
     RemoteRequest &remoteHead() { return remoteQueue_.front(); }
-    void popRemote() { remoteQueue_.pop_front(); }
-    size_t remoteQueueSize() const { return remoteQueue_.size(); }
+    void popRemote() { remoteQueue_.pop(); }
 
     const std::vector<SubArray> &subArrays() const { return subArrays_; }
 
@@ -125,13 +121,10 @@ class SrfBank
 
     SrfGeometry geom_;
     uint32_t laneId_ = 0;
-    uint32_t remoteDepth_ = 4;
-    /** Any sub-array port possibly claimed since the last newCycle(). */
-    bool portsDirty_ = false;
     /** mutable: read() scrubs corrected words back in place. */
     mutable std::vector<Word> words_;
     std::vector<SubArray> subArrays_;
-    std::deque<RemoteRequest> remoteQueue_;
+    Ring<RemoteRequest> remoteQueue_;
 
     mutable EccDomain ecc_;
     uint32_t degradeThreshold_ = 0;

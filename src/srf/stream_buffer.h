@@ -14,28 +14,33 @@
 #define ISRF_SRF_STREAM_BUFFER_H
 
 #include <cstdint>
-#include <deque>
 
 #include "sim/types.h"
+#include "util/ring.h"
 #include "util/snapshot.h"
 
 namespace isrf {
 
-/** Sequential-stream word FIFO (one lane, one stream). */
+/**
+ * Sequential-stream word FIFO (one lane, one stream). Its capacity is
+ * the stream buffer's (Table 3: 8 words), fixed by configure(); a
+ * default-constructed buffer holds nothing until configured.
+ */
 class SeqBuffer
 {
   public:
-    explicit SeqBuffer(uint32_t capacity = 8) : capacity_(capacity) {}
+    explicit SeqBuffer(uint32_t capacity = 0) { configure(capacity); }
 
-    void configure(uint32_t capacity) { capacity_ = capacity; }
+    void configure(uint32_t capacity) { words_.reset(capacity); }
 
     size_t size() const { return words_.size(); }
-    uint32_t freeSpace() const
+    uint32_t
+    freeSpace() const
     {
-        return capacity_ - static_cast<uint32_t>(words_.size());
+        return static_cast<uint32_t>(words_.capacity() - words_.size());
     }
     bool empty() const { return words_.empty(); }
-    bool full() const { return words_.size() >= capacity_; }
+    bool full() const { return words_.full(); }
 
     /** Cluster-side single-word access. */
     bool canPop() const { return !words_.empty(); }
@@ -43,18 +48,18 @@ class SeqBuffer
     pop()
     {
         Word w = words_.front();
-        words_.pop_front();
+        words_.pop();
         return w;
     }
     bool canPush() const { return !full(); }
-    void push(Word w) { words_.push_back(w); }
+    void push(Word w) { words_.push(w); }
 
     /** SRF-side block access. */
     bool canRefill(uint32_t m) const { return freeSpace() >= m; }
     void refill(const Word *data, uint32_t m)
     {
         for (uint32_t i = 0; i < m; i++)
-            words_.push_back(data[i]);
+            words_.push(data[i]);
     }
     bool canDrain(uint32_t m) const { return words_.size() >= m; }
     uint32_t
@@ -63,7 +68,7 @@ class SeqBuffer
         uint32_t n = 0;
         while (n < m && !words_.empty()) {
             out[n++] = words_.front();
-            words_.pop_front();
+            words_.pop();
         }
         return n;
     }
@@ -76,16 +81,19 @@ class SeqBuffer
 
     void clear() { words_.clear(); }
 
+    /** The capacity must match configure()'s; a longer load is
+     *  rejected. */
     void
     snapshot(SnapshotIo &io)
     {
-        io.u32(capacity_);
-        io.seq(words_);
+        auto cap = static_cast<uint32_t>(words_.capacity());
+        io.u32(cap);
+        if (io.require(cap == words_.capacity()))
+            io.seq(words_, cap);
     }
 
   private:
-    uint32_t capacity_;
-    std::deque<Word> words_;
+    Ring<Word> words_;
 };
 
 /** One in-flight indexed record access awaiting data. */
@@ -104,46 +112,51 @@ struct IdxPending
  * Requests are registered at address-issue time; the SRF delivers each
  * word with a completion cycle. The cluster may consume the head record
  * once all its words have arrived and the current cycle has reached the
- * pipeline delivery time.
+ * pipeline delivery time. Registered seqNos ascend, and on a read-only
+ * slot they are consecutive, so a delivery finds its record by offset
+ * from the head.
  */
 class IdxDataBuffer
 {
   public:
-    explicit IdxDataBuffer(uint32_t capacityRecords = 8)
-        : capacity_(capacityRecords)
+    explicit IdxDataBuffer(uint32_t capacityRecords = 0)
     {
+        configure(capacityRecords);
     }
 
-    void configure(uint32_t capacityRecords) { capacity_ = capacityRecords; }
+    void configure(uint32_t capacityRecords)
+    {
+        pending_.reset(capacityRecords);
+    }
 
-    bool full() const { return pending_.size() >= capacity_; }
+    bool full() const { return pending_.full(); }
     bool empty() const { return pending_.empty(); }
     size_t size() const { return pending_.size(); }
 
-    /** Register a new request at address-issue time. */
+    /** Register a new request at address-issue time (must not be
+     *  full). */
     void
     registerRequest(uint64_t seqNo, uint32_t wordsNeeded)
     {
         IdxPending p;
         p.seqNo = seqNo;
         p.wordsNeeded = wordsNeeded;
-        pending_.push_back(p);
+        pending_.push(p);
     }
 
-    /** Deliver one word for request seqNo (word wordOffset of record). */
+    /** Deliver one word for request seqNo (word wordOffset of record);
+     *  a seqNo with no pending record is dropped. */
     void
     deliver(uint64_t seqNo, uint32_t wordOffset, Word w, Cycle readyCycle)
     {
-        for (auto &p : pending_) {
-            if (p.seqNo != seqNo)
-                continue;
-            if (wordOffset < 4)
-                p.data[wordOffset] = w;
-            p.wordsDone++;
-            if (readyCycle > p.readyCycle)
-                p.readyCycle = readyCycle;
+        IdxPending *p = find(seqNo);
+        if (!p)
             return;
-        }
+        if (wordOffset < 4)
+            p->data[wordOffset] = w;
+        p->wordsDone++;
+        if (readyCycle > p->readyCycle)
+            p->readyCycle = readyCycle;
     }
 
     /** True if the oldest record is fully delivered at cycle now. */
@@ -163,28 +176,48 @@ class IdxDataBuffer
         uint32_t n = p.wordsNeeded;
         for (uint32_t i = 0; i < n && i < 4; i++)
             out[i] = p.data[i];
-        pending_.pop_front();
+        pending_.pop();
         return n;
     }
 
     void clear() { pending_.clear(); }
 
+    /** The capacity must match configure()'s; a longer load is
+     *  rejected. */
     void
     snapshot(SnapshotIo &io)
     {
-        io.u32(capacity_);
+        auto cap = static_cast<uint32_t>(pending_.capacity());
+        io.u32(cap);
+        if (!io.require(cap == pending_.capacity()))
+            return;
         io.seq(pending_, 40, [&](IdxPending &p) {
             io.u64(p.seqNo);
             io.u32(p.wordsNeeded);
             io.u32(p.wordsDone);
             io.each(p.data);
             io.u64(p.readyCycle);
-        });
+        }, cap);
     }
 
   private:
-    uint32_t capacity_;
-    std::deque<IdxPending> pending_;
+    IdxPending *
+    find(uint64_t seqNo)
+    {
+        if (pending_.empty())
+            return nullptr;
+        const uint64_t i = seqNo - pending_.front().seqNo;
+        if (i < pending_.size() && pending_[i].seqNo == seqNo)
+            return &pending_[i];
+        // A read-write slot's writes take seqNos too, so a read can sit
+        // before its offset from the head.
+        for (IdxPending &p : pending_)
+            if (p.seqNo == seqNo)
+                return &p;
+        return nullptr;
+    }
+
+    Ring<IdxPending> pending_;
 };
 
 } // namespace isrf

@@ -315,16 +315,17 @@ class SnapshotIo
     }
 
     /**
-     * A length-prefixed sequence (vector or deque). `field(elem)` lists
-     * one element's fields; on load the container is cleared and
-     * refilled with the elements read.
+     * A length-prefixed sequence (vector, deque or Ring). `field(elem)`
+     * lists one element's fields; on load the container is cleared and
+     * refilled with the elements read. A loaded length above `maxLen`
+     * (a fixed-capacity queue's bound) rejects the payload.
      */
     template <typename C, typename F>
     void
-    seq(C &c, size_t elemBytes, F &&field)
+    seq(C &c, size_t elemBytes, F &&field, uint64_t maxLen = UINT64_MAX)
     {
         uint64_t n = c.size();
-        if (!len(n, elemBytes))
+        if (!len(n, elemBytes) || !require(n <= maxLen))
             return;
         if (w_) {
             for (auto &e : c)
@@ -343,10 +344,10 @@ class SnapshotIo
     /** seq() of plain u32 / u64 / i64 values. */
     template <typename C>
     void
-    seq(C &c)
+    seq(C &c, uint64_t maxLen = UINT64_MAX)
     {
         using T = typename C::value_type;
-        seq(c, sizeof(T), [this](T &v) { scalar(v); });
+        seq(c, sizeof(T), [this](T &v) { scalar(v); }, maxLen);
     }
 
     /**

@@ -237,7 +237,17 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
         return laneRow * g.seqWidth + cc % g.seqWidth;
     };
 
+    // Lane l owns the seqWidth-column groups l, l + lanes, ...: the
+    // column after c, skipping the other lanes' groups at a group end.
+    auto nextLaneCol = [&](uint32_t c) {
+        return (c + 1) % g.seqWidth ? c + 1
+                                    : c + 1 + (g.lanes - 1) * g.seqWidth;
+    };
+
     ProgOpId lastKernelOnBuf[2] = {-1, -1};
+    // A strip's lane traces depend only on the strip, so the first
+    // repeat builds them and later repeats copy them.
+    std::vector<std::vector<LaneTrace>> stripTraces(strips);
     for (uint32_t rep = 0; rep < opts.repeats; rep++) {
         SlotId inCur = inA, inNxt = inB;
         SlotId outCur = outA, outNxt = outB;
@@ -262,7 +272,8 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
             }
             auto inv = newInvocation(m, kg, binding);
             const size_t outSlot = indexed ? views : 1;
-            for (uint32_t l = 0; l < g.lanes; l++) {
+            // Repeats after the first copy the strip's traces (below).
+            for (uint32_t l = 0; rep == 0 && l < g.lanes; l++) {
                 auto &tr = inv->laneTraces[l];
                 std::vector<Word> outWords;
                 const uint32_t pLo = sh.is3d ? s * sh.stripSize : 0;
@@ -273,9 +284,8 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
                     : rLo + sh.stripSize;
                 for (uint32_t p = pLo; p < pHi; p++) {
                     for (uint32_t r = rLo; r < rHi; r++) {
-                        for (uint32_t c = 0; c < n; c++) {
-                            if ((c / g.seqWidth) % g.lanes != l)
-                                continue;
+                        for (uint32_t c = l * g.seqWidth; c < n;
+                                c = nextLaneCol(c)) {
                             tr.iterations++;
                             // Functional value via column partial
                             // sums (different summation order than
@@ -348,6 +358,10 @@ runStencil(const std::string &name, const MachineConfig &machineCfg,
                 }
                 tr.seqWrites[outSlot] = std::move(outWords);
             }
+            if (rep > 0)
+                inv->laneTraces = stripTraces[s];
+            else if (opts.repeats > 1)
+                stripTraces[s] = inv->laneTraces;
             inv->finalize();
             ProgOpId kid = prog.kernel(inv);
             if (indexed) {

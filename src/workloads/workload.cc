@@ -125,6 +125,7 @@ harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles)
     res.cacheWords = m.mem().cache().hits();
     res.kernelBw = m.kernelBw();
     checkBreakdownInvariant(res, m.lanes());
+    checkIdxDrainInvariant(res, m.srf());
     if (m.faultsEnabled()) {
         // Background-scrub before harvesting so lingering correctable
         // faults are repaired (and counted) ahead of validation dumps.
@@ -166,6 +167,30 @@ checkBreakdownInvariant(WorkloadResult &res, uint32_t lanes)
         static_cast<unsigned long long>(b.total()), lanes,
         static_cast<unsigned long long>(res.cycles),
         static_cast<unsigned long long>(want));
+    return false;
+}
+
+bool
+checkIdxDrainInvariant(WorkloadResult &res, const Srf &srf)
+{
+    if (res.status != RunStatus::Done)
+        return true;
+    const Srf::IdxInFlight f = srf.idxInFlight();
+    if (!f.any())
+        return true;
+    res.status = RunStatus::Failed;
+    res.correct = false;
+    res.error = strprintf(
+        "indexed drain invariant violated at Done: in-lane FIFO lanes "
+        "0x%llx, cross-lane FIFO lanes 0x%llx, remote-request banks "
+        "0x%llx, return-queue banks 0x%llx, %llu undelivered records, "
+        "%llu unretired writes",
+        static_cast<unsigned long long>(f.inLaneFifoLanes),
+        static_cast<unsigned long long>(f.crossFifoLanes),
+        static_cast<unsigned long long>(f.remoteBanks),
+        static_cast<unsigned long long>(f.returnBanks),
+        static_cast<unsigned long long>(f.undeliveredRecords),
+        static_cast<unsigned long long>(f.unretiredWrites));
     return false;
 }
 

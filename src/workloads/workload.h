@@ -155,6 +155,16 @@ void harvestResult(WorkloadResult &res, Machine &m, uint64_t cycles);
  */
 bool checkBreakdownInvariant(WorkloadResult &res, uint32_t lanes);
 
+/**
+ * No indexed word in flight at Done: a finished job's SRF holds no
+ * address-FIFO entry, remote request, return entry, undelivered
+ * indexed record or unretired indexed write (Srf::idxInFlight). On
+ * violation marks a Done `res` Failed with what is left in `error` and
+ * returns false; any other status passes (an interrupted run stops
+ * with work in flight).
+ */
+bool checkIdxDrainInvariant(WorkloadResult &res, const Srf &srf);
+
 class JsonWriter;
 
 /** Append a WorkloadResult as a JSON object to an open writer. */

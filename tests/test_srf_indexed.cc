@@ -1,16 +1,19 @@
 /**
  * @file
  * Tests for indexed SRF access: in-lane reads/writes, latency, in-order
- * delivery, sub-array conflicts, ISRF1 vs ISRF4 bandwidth, records, and
- * cross-lane access through the index network and data crossbar.
+ * delivery, sub-array conflicts, ISRF1 vs ISRF4 bandwidth, records,
+ * cross-lane access through the index network and data crossbar, and
+ * the `SRF ` section's restore of the indexed path's queues and masks.
  */
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "net/crossbar.h"
 #include "sim/trace.h"
 #include "srf/srf.h"
+#include "test_helpers.h"
 
 namespace isrf {
 namespace {
@@ -323,6 +326,262 @@ TEST_F(SrfIdxTest, SequentialAndIndexedShareThePort)
     // bundle: roughly half the cycles each.
     EXPECT_GE(seqGrants, 15u);
     EXPECT_GE(idxGrants, 15u);
+}
+
+// ----------------------------------------------------------------------
+// Restore of the indexed path: queues, rotation and derived work masks
+// ----------------------------------------------------------------------
+
+/** An Srf with its own data network, driven by a deterministic mixed
+ *  indexed load: in-lane reads, cross-lane reads that pile onto two
+ *  banks, and interleaved reads and writes on a read-write slot. From
+ *  cycle kIssueEnd on it only drains. */
+struct MixedIdxRig
+{
+    static constexpr Cycle kIssueEnd = 150;
+
+    SrfGeometry geom;
+    Crossbar net;
+    Srf srf;
+    SlotId inLane = kNoSlot, cross = kNoSlot, rw = kNoSlot;
+
+    MixedIdxRig()
+    {
+        geom.laneWords = 1024;  // small sections to compare every cycle
+        net.init(geom.lanes, 1, 1);
+        srf.init(geom, SrfMode::Indexed4, &net);
+        SlotConfig t;
+        t.dir = StreamDir::In;
+        t.indexed = true;
+        t.layout = StreamLayout::PerLane;
+        t.lengthWords = 64;
+        t.recordWords = 2;
+        inLane = srf.openSlot(t);
+        SlotConfig x;
+        x.dir = StreamDir::In;
+        x.indexed = true;
+        x.crossLane = true;
+        x.base = 128;
+        x.lengthWords = 1024;
+        cross = srf.openSlot(x);
+        SlotConfig w = t;
+        w.base = 512;
+        w.recordWords = 1;
+        w.readWrite = true;
+        rw = srf.openSlot(w);
+        srf.configureSlotBinding(rw, StreamDir::In, true, false, true);
+        for (uint32_t l = 0; l < geom.lanes; l++)
+            for (uint32_t a = 0; a < 64; a++) {
+                srf.writeWord(l, a, l * 1000 + a);
+                srf.writeWord(l, 512 + a, l * 1000 + 500 + a);
+            }
+    }
+
+    /** One cycle of the load; decisions depend only on (now, lane). */
+    void
+    cycle(Cycle now)
+    {
+        net.newCycle();
+        srf.beginCycle(now);
+        Word out[4];
+        for (uint32_t l = 0; l < geom.lanes; l++) {
+            const uint32_t h = static_cast<uint32_t>(now * 7 + l * 13);
+            for (SlotId id : {inLane, cross, rw})
+                if (h % 3 != 0)
+                    srf.idxDataTryPop(l, id, now, out);
+            if (now >= kIssueEnd)
+                continue;
+            // Word indices 0..7 live in banks 0 and 1: every lane
+            // crowds the same two banks' remote queues.
+            srf.idxIssueRead(l, cross, h % 8, now);
+            // Lanes 0 and 1 issue only cross-lane reads, so their banks
+            // serve remote requests alone.
+            if (l < 2)
+                continue;
+            srf.idxIssueRead(l, inLane, h % 32, now);
+            if (h % 5 == 0) {
+                Word d[1] = {h};
+                if (srf.idxCanIssue(l, rw))
+                    srf.idxIssueWrite(l, rw, h % 64, d, now);
+            } else {
+                srf.idxIssueRead(l, rw, (h / 5) % 64, now);
+            }
+        }
+        srf.endCycle(now);
+    }
+};
+
+TEST(SrfIdxRestore, LoadedSrfContinuesLikeTheOriginal)
+{
+    // Save points through the load and its drain: a fresh Srf loaded
+    // from each must rebuild its work masks and then keep the
+    // original's section, cycle for cycle, as queue after queue runs
+    // dry.
+    bool allBusy = false, returnNoRemote = false, remoteNoFifo = false;
+    for (Cycle save = 40; save < 240; save += 5) {
+        MixedIdxRig a;
+        Cycle now = 0;
+        for (; now < save; now++)
+            a.cycle(now);
+        const Srf::IdxInFlight f = a.srf.idxInFlight();
+        allBusy = allBusy || (f.inLaneFifoLanes && f.crossFifoLanes &&
+            f.remoteBanks && f.returnBanks && f.unretiredWrites);
+        returnNoRemote = returnNoRemote ||
+            (f.returnBanks & ~f.remoteBanks) != 0;
+        remoteNoFifo = remoteNoFifo ||
+            (f.remoteBanks & ~f.inLaneFifoLanes) != 0;
+
+        MixedIdxRig b;
+        const std::string saved = test::srfSection(a.srf);
+        SnapshotReader rd(saved);
+        SnapshotIo in(rd);
+        b.srf.snapshot(in);
+        ASSERT_TRUE(in.ok() && rd.atEnd()) << "save at " << save;
+        ASSERT_EQ(test::srfSection(b.srf), saved) << "save at " << save;
+        for (Cycle end = save + 60; now < end; now++) {
+            a.cycle(now);
+            b.cycle(now);
+            ASSERT_TRUE(test::srfSection(a.srf) == test::srfSection(b.srf))
+                << "save at " << save << ": sections diverge at cycle "
+                << now;
+        }
+    }
+    // The save points covered every kind of indexed work at once, a
+    // bank whose only work is its return queue, and a bank whose remote
+    // requests are its lane's only indexed work.
+    EXPECT_TRUE(allBusy);
+    EXPECT_TRUE(returnNoRemote);
+    EXPECT_TRUE(remoteNoFifo);
+}
+
+TEST(SrfIdxReadWrite, InterleavedReadsAndWritesDeliverInIssueOrder)
+{
+    SrfGeometry geom;
+    Srf srf;
+    srf.init(geom, SrfMode::Indexed4, nullptr);
+    SlotConfig cfg;
+    cfg.dir = StreamDir::In;
+    cfg.indexed = true;
+    cfg.readWrite = true;
+    cfg.layout = StreamLayout::PerLane;
+    cfg.lengthWords = 16;
+    SlotId id = srf.openSlot(cfg);
+    srf.configureSlotBinding(id, StreamDir::In, true, false, true);
+    std::vector<Word> model(16);
+    for (uint32_t a = 0; a < 16; a++)
+        srf.writeWord(1, a, model[a] = 100 + a);
+
+    // Every third op is a write, so the reads' seqNos skip: a delivery
+    // misses its offset from the head and takes the ordered search.
+    // Reads see every older write (one FIFO, serviced in order).
+    std::vector<Word> want;
+    std::vector<Word> got;
+    const uint32_t ops = 300;
+    uint32_t k = 0;
+    Word out[4];
+    for (Cycle now = 0; got.size() < want.size() || k < ops; now++) {
+        ASSERT_LT(now, 10000u);
+        srf.beginCycle(now);
+        while (srf.idxDataTryPop(1, id, now, out))
+            got.push_back(out[0]);
+        for (int i = 0; i < 2 && k < ops; i++) {
+            const uint32_t rec = (k * 7) % 16;
+            if (k % 3 == 1) {
+                Word d[1] = {1000 + k};
+                if (!srf.idxCanIssue(1, id) ||
+                        !srf.idxIssueWrite(1, id, rec, d, now))
+                    break;
+                model[rec] = d[0];
+            } else {
+                if (!srf.idxIssueRead(1, id, rec, now))
+                    break;
+                want.push_back(model[rec]);
+            }
+            k++;
+        }
+        srf.endCycle(now);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_TRUE(srf.idxWritesDrained(id));
+    for (uint32_t a = 0; a < 16; a++)
+        EXPECT_EQ(srf.readWord(1, a), model[a]) << "record " << a;
+}
+
+/**
+ * `sec` with `extra` more copies of the first element of the sequence
+ * whose encoding starts with `needle` (a capacity prefix, the u64
+ * length at `lenAt`, then the first element's leading bytes).
+ */
+std::string
+growSeq(const std::string &sec, const std::string &needle, size_t lenAt,
+        size_t elemBytes, uint64_t extra)
+{
+    size_t pos = sec.find(needle);
+    EXPECT_NE(pos, std::string::npos);
+    EXPECT_EQ(sec.find(needle, pos + 1), std::string::npos);
+    std::string out = sec;
+    uint64_t n;
+    std::memcpy(&n, out.data() + pos + lenAt, 8);
+    n += extra;
+    std::memcpy(&out[pos + lenAt], &n, 8);
+    const size_t first = pos + lenAt + 8;
+    const std::string elem = out.substr(first, elemBytes);
+    for (uint64_t i = 0; i < extra; i++)
+        out.insert(first, elem);
+    return out;
+}
+
+TEST(SrfIdxLoad, QueueLongerThanItsCapacityIsRejected)
+{
+    SrfGeometry geom;
+    auto fresh = [&](Srf &srf) { srf.init(geom, SrfMode::Indexed4, nullptr); };
+    Srf a;
+    fresh(a);
+    SlotConfig cfg;
+    cfg.dir = StreamDir::In;
+    cfg.indexed = true;
+    cfg.layout = StreamLayout::PerLane;
+    cfg.lengthWords = 64;
+    SlotId id = a.openSlot(cfg);
+    const uint32_t rec0 = 0x5EC7AB1Eu;  // marks lane 0's FIFO
+    ASSERT_TRUE(a.idxIssueRead(0, id, rec0, 0));
+    ASSERT_TRUE(a.idxIssueRead(0, id, 1, 0));
+    ASSERT_TRUE(a.idxIssueRead(0, id, 2, 0));
+    const std::string sec = test::srfSection(a);
+
+    auto loads = [&](const std::string &bytes) {
+        Srf b;
+        fresh(b);
+        SnapshotReader rd(bytes);
+        SnapshotIo in(rd);
+        b.snapshot(in);
+        return in.ok() && rd.atEnd();
+    };
+    ASSERT_TRUE(loads(sec));
+
+    // Address FIFO: capacity 8, record size 1, 3 entries.
+    SnapshotWriter f;
+    f.u32(geom.addrFifoSize);
+    f.u32(1);
+    f.u64(3);
+    f.u32(rec0);
+    EXPECT_TRUE(loads(growSeq(sec, f.data(), 8, 41, 5)))
+        << "a full FIFO loads";
+    EXPECT_FALSE(loads(growSeq(sec, f.data(), 8, 41, 6)))
+        << "one entry past the FIFO's capacity";
+
+    // Indexed data buffer: capacity 8 + 8 records, 3 pending, the first
+    // with seqNo 0 and one word.
+    const uint32_t dataCap = geom.addrFifoSize + geom.streamBufWords;
+    SnapshotWriter d;
+    d.u32(dataCap);
+    d.u64(3);
+    d.u64(0);
+    d.u32(1);
+    EXPECT_TRUE(loads(growSeq(sec, d.data(), 4, 40, dataCap - 3)))
+        << "a full data buffer loads";
+    EXPECT_FALSE(loads(growSeq(sec, d.data(), 4, 40, dataCap - 2)))
+        << "one record past the data buffer's capacity";
 }
 
 } // namespace

@@ -1,16 +1,20 @@
 /**
  * @file
- * Unit tests for the utility layer: RNG, tables, JSON, logging.
+ * Unit tests for the utility layer: RNG, tables, JSON, logging, rings.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <set>
+#include <vector>
 
 #include "util/json.h"
 #include "util/log.h"
 #include "util/random.h"
+#include "util/ring.h"
+#include "util/snapshot.h"
 #include "util/table.h"
 
 namespace isrf {
@@ -281,6 +285,106 @@ TEST(JsonValid, AcceptsAndRejects)
     EXPECT_FALSE(jsonValid("{} trailing"));
     EXPECT_FALSE(jsonValid("{'a':1}"));
     EXPECT_FALSE(jsonValid("\"unterminated"));
+}
+
+// ----------------------------------------------------------------------
+// Ring
+// ----------------------------------------------------------------------
+
+std::vector<uint32_t>
+contents(const Ring<uint32_t> &r)
+{
+    std::vector<uint32_t> v;
+    for (uint32_t x : r)
+        v.push_back(x);
+    return v;
+}
+
+TEST(Ring, WrapsAroundInOrder)
+{
+    Ring<uint32_t> r;
+    r.reset(4);
+    for (uint32_t i = 0; i < 3; i++)
+        r.push(i);
+    r.pop();
+    r.pop();
+    // Head at slot 2: these three pushes wrap past the end.
+    for (uint32_t i = 3; i < 6; i++)
+        r.push(i);
+    EXPECT_TRUE(r.full());
+    EXPECT_EQ(r.front(), 2u);
+    EXPECT_EQ(r[3], 5u);
+    EXPECT_EQ(contents(r), (std::vector<uint32_t>{2, 3, 4, 5}));
+    r[1] = 30;
+    EXPECT_EQ(contents(r), (std::vector<uint32_t>{2, 30, 4, 5}));
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 4u);
+}
+
+TEST(Ring, PushPastFixedCapacityPanics)
+{
+    Ring<uint32_t> r;
+    r.reset(2);
+    r.push(1);
+    r.push(2);
+    EXPECT_DEATH(r.push(3), "push past capacity 2");
+}
+
+TEST(Ring, PushGrowKeepsOrder)
+{
+    Ring<uint32_t> r;
+    r.reset(3);
+    r.push(0);
+    r.push(1);
+    r.pop();  // head off slot 0, so the growth copies a wrapped ring
+    std::vector<uint32_t> want = {1};
+    for (uint32_t i = 2; i < 40; i++) {
+        r.pushGrow(i);
+        want.push_back(i);
+    }
+    EXPECT_GE(r.capacity(), 39u);
+    EXPECT_EQ(contents(r), want);
+    r.reset(4);  // back to a fixed capacity; the storage is kept
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(r.capacity(), 4u);
+}
+
+TEST(Ring, SnapshotSeqMatchesDequeBytes)
+{
+    Ring<uint32_t> r;
+    r.reset(5);
+    std::deque<uint32_t> d;
+    for (uint32_t i = 0; i < 4; i++)
+        r.push(i);
+    r.pop();
+    r.pop();
+    for (uint32_t i = 4; i < 7; i++)
+        r.push(i);  // wrapped: 2 3 4 5 6
+    d = {2, 3, 4, 5, 6};
+    SnapshotWriter wr, wd;
+    SnapshotIo ior(wr), iod(wd);
+    ior.seq(r, r.capacity());
+    iod.seq(d);
+    EXPECT_EQ(wr.data(), wd.data());
+
+    // The deque's bytes load into a fresh ring of the same capacity...
+    Ring<uint32_t> back;
+    back.reset(5);
+    SnapshotReader rd(wd.data());
+    SnapshotIo in(rd);
+    in.seq(back, back.capacity());
+    EXPECT_TRUE(in.ok());
+    EXPECT_EQ(contents(back), contents(r));
+
+    // ...but not into a smaller one: the load is rejected, not grown.
+    Ring<uint32_t> small;
+    small.reset(4);
+    SnapshotReader rs(wd.data());
+    SnapshotIo ins(rs);
+    ins.seq(small, small.capacity());
+    EXPECT_FALSE(ins.ok());
+    EXPECT_EQ(small.capacity(), 4u);
 }
 
 } // namespace

@@ -343,6 +343,82 @@ TEST(HarvestInvariant, HarvestFailsAJobWhoseCyclesDisagree)
         << off.error;
 }
 
+// ----------------------------------------------------------------------
+// Harvest-time invariant: no indexed word in flight at Done
+// ----------------------------------------------------------------------
+
+/** A Done result run through checkIdxDrainInvariant on `srf`. */
+WorkloadResult
+drainChecked(const Srf &srf)
+{
+    WorkloadResult res;
+    res.status = RunStatus::Done;
+    res.correct = true;
+    checkIdxDrainInvariant(res, srf);
+    return res;
+}
+
+TEST(HarvestInvariant, IssuedButNeverServicedReadFailsTheJob)
+{
+    SrfGeometry geom;
+    Srf srf;
+    srf.init(geom, SrfMode::Indexed4, nullptr);
+    SlotConfig cfg;
+    cfg.dir = StreamDir::In;
+    cfg.indexed = true;
+    cfg.layout = StreamLayout::PerLane;
+    cfg.lengthWords = 64;
+    SlotId id = srf.openSlot(cfg);
+    EXPECT_EQ(drainChecked(srf).status, RunStatus::Done);
+
+    ASSERT_TRUE(srf.idxIssueRead(3, id, 7, 0));  // never serviced
+    WorkloadResult bad = drainChecked(srf);
+    EXPECT_EQ(bad.status, RunStatus::Failed);
+    EXPECT_FALSE(bad.correct);
+    EXPECT_NE(bad.error.find("indexed drain invariant violated"),
+              std::string::npos) << bad.error;
+    EXPECT_NE(bad.error.find("in-lane FIFO lanes 0x8"), std::string::npos)
+        << bad.error;
+    EXPECT_NE(bad.error.find("1 undelivered records"), std::string::npos)
+        << bad.error;
+
+    // An interrupted run stops with work in flight: not a violation.
+    WorkloadResult stopped;
+    stopped.status = RunStatus::Cancelled;
+    EXPECT_TRUE(checkIdxDrainInvariant(stopped, srf));
+    EXPECT_EQ(stopped.status, RunStatus::Cancelled);
+}
+
+TEST(HarvestInvariant, StaleReturnEntryFailsTheJob)
+{
+    // Without a data network the serviced cross-lane word never leaves
+    // bank 0's return queue; closing the slot drops its FIFO and data
+    // buffer, so the return entry is all that is left.
+    SrfGeometry geom;
+    Srf srf;
+    srf.init(geom, SrfMode::Indexed4, nullptr);
+    SlotConfig cfg;
+    cfg.dir = StreamDir::In;
+    cfg.indexed = true;
+    cfg.crossLane = true;
+    cfg.lengthWords = 1024;
+    SlotId id = srf.openSlot(cfg);
+    ASSERT_TRUE(srf.idxIssueRead(5, id, 2, 0));  // word 2: bank 0
+    for (Cycle now = 0; now < 20; now++) {
+        srf.beginCycle(now);
+        srf.endCycle(now);
+    }
+    srf.closeSlot(id);
+    const Srf::IdxInFlight f = srf.idxInFlight();
+    EXPECT_EQ(f.returnBanks, 1u);
+    EXPECT_EQ(f.crossFifoLanes | f.remoteBanks | f.undeliveredRecords, 0u);
+
+    WorkloadResult bad = drainChecked(srf);
+    EXPECT_EQ(bad.status, RunStatus::Failed);
+    EXPECT_NE(bad.error.find("return-queue banks 0x1"), std::string::npos)
+        << bad.error;
+}
+
 } // namespace
 } // namespace isrf
 
