@@ -51,12 +51,10 @@ main(int argc, char **argv)
             w.value(bw);
         w.endArray();
         w.endObject();
-        if (writeTextFile(args.jsonPath, w.str()))
-            std::fprintf(stderr, "wrote JSON results to %s\n",
-                         args.jsonPath.c_str());
-        else
-            std::fprintf(stderr, "ERROR: could not write %s\n",
-                         args.jsonPath.c_str());
+        if (!writeTextFile(args.jsonPath, w.str()))
+            reportWriteFailed("JSON results", args.jsonPath);
+        std::fprintf(stderr, "wrote JSON results to %s\n",
+                     args.jsonPath.c_str());
     }
     BenchArgs traceOnly = args;
     traceOnly.jsonPath.clear();

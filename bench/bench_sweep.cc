@@ -11,10 +11,8 @@
  * parallel speedup (sum of job times / sweep wall time). The --json
  * results report contains *only* simulation results — no timing — so
  * it is byte-identical for any --jobs value; timing goes to the
- * separate --timing-json report, and --bench-json writes the
- * isrf-perf-record-v1 perf record (git SHA, host metadata, per-job
- * wall times, sim-cycles/second, aggregated --profile host profile)
- * consumed by tools/perf_diff and CI's perf job (DESIGN.md §13).
+ * separate --timing-json report. Host performance is measured by
+ * perfbench/run.py, not by this binary (DESIGN.md §13).
  *
  * Resilience (DESIGN.md §Sweep resilience): with --journal each
  * finished job is durably appended to a JSONL journal; --resume
@@ -97,11 +95,9 @@ writeTimingJson(const std::string &path, const BenchRun &run)
     }
     w.endArray();
     w.endObject();
-    if (writeTextFile(path, w.str()))
-        std::fprintf(stderr, "wrote timing JSON to %s\n", path.c_str());
-    else
-        std::fprintf(stderr, "ERROR: could not write %s\n",
-                     path.c_str());
+    if (!writeTextFile(path, w.str()))
+        reportWriteFailed("timing JSON", path);
+    std::fprintf(stderr, "wrote timing JSON to %s\n", path.c_str());
 }
 
 /**
@@ -134,7 +130,6 @@ main(int argc, char **argv)
     SweepPolicy policy;
     std::vector<std::string> datasetWorkloads;
     std::string timingPath;
-    std::string benchJsonPath;
     std::string suite = "paper";
     uint64_t checkpointEvery = 250000;  // default cadence
     bool withHang = false;
@@ -182,8 +177,6 @@ main(int argc, char **argv)
          "[--dataset <file.mtx>]..."},
         {"--timing-json", true,
          [&](const std::string &v) { timingPath = v; }},
-        {"--bench-json", true,
-         [&](const std::string &v) { benchJsonPath = v; }},
         {"--suite", true,
          [&](const std::string &v) {
              if (v != "paper" && v != "sparse" && v != "all") {
@@ -313,8 +306,6 @@ main(int argc, char **argv)
 
     if (!timingPath.empty())
         writeTimingJson(timingPath, run);
-    if (!benchJsonPath.empty())
-        writeBenchPerfJson(benchJsonPath, "sweep", args, run);
     finishBench(args, run);
     return allGood ? 0 : 1;
 }

@@ -8,9 +8,9 @@
  * it as a BenchRun -- one SweepRunner, --jobs wide, outcomes in
  * submission order -- renders its tables from the outcomes, and hands
  * the BenchRun to finishBench(), which writes --json, --trace and
- * --profile. Binaries that simulate no workload (tables, and the
- * micro-throughput drivers that tick standalone components) call
- * finishBench(args) alone.
+ * --profile, and exits 1 if it cannot. Binaries that simulate no
+ * workload (tables, and the micro-throughput drivers that tick
+ * standalone components) call finishBench(args) alone.
  */
 #ifndef ISRF_BENCH_BENCH_UTIL_H
 #define ISRF_BENCH_BENCH_UTIL_H
@@ -23,10 +23,8 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "driver/perf_diff.h"
 #include "driver/sweep_runner.h"
 #include "sim/profiler.h"
 #include "sim/trace.h"
@@ -344,6 +342,19 @@ class BenchRun
 };
 
 /**
+ * A report the command line asked for could not be written: print an
+ * ERROR line and exit 1, so a script that runs the binary sees the
+ * failure even with stderr discarded.
+ */
+[[noreturn]] inline void
+reportWriteFailed(const char *what, const std::string &path)
+{
+    std::fprintf(stderr, "ERROR: could not write %s to %s\n", what,
+                 path.c_str());
+    std::exit(1);
+}
+
+/**
  * Write outcomes as {"results":{...}} keyed "workload/machine" (the
  * first job per key). Each result is its outcome's resultText, so a
  * job replayed from a journal writes the journaled bytes.
@@ -363,10 +374,9 @@ writeBenchJson(const std::string &path,
                                              : o->resultText);
     w.endObject();
     w.endObject();
-    if (writeTextFile(path, w.str()))
-        std::fprintf(stderr, "wrote JSON results to %s\n", path.c_str());
-    else
-        std::fprintf(stderr, "ERROR: could not write %s\n", path.c_str());
+    if (!writeTextFile(path, w.str()))
+        reportWriteFailed("JSON results", path);
+    std::fprintf(stderr, "wrote JSON results to %s\n", path.c_str());
 }
 
 /** The host profile a binary reports: the sum of every run's. */
@@ -387,7 +397,8 @@ enum class JsonResults
 };
 
 /**
- * Write the --json/--trace/--profile outputs (no-ops without them).
+ * Write the --json/--profile/--trace outputs (no-ops without them);
+ * exit 1 at the first one that cannot be written.
  * --trace and --profile export the runs' traces and host profiles,
  * folded in submission order, so the files do not depend on --jobs.
  */
@@ -400,13 +411,11 @@ finishBench(const BenchArgs &args, const BenchRun &run = {},
         writeBenchJson(args.jsonPath,
                        json == JsonResults::Keyed ? run.outcomes() : none);
     if (!args.profilePath.empty()) {
-        if (writeTextFile(args.profilePath,
-                          foldProfiles(run).chromeTraceJson()))
-            std::fprintf(stderr, "wrote host profile to %s\n",
-                         args.profilePath.c_str());
-        else
-            std::fprintf(stderr, "ERROR: could not write profile to "
-                         "%s\n", args.profilePath.c_str());
+        if (!writeTextFile(args.profilePath,
+                           foldProfiles(run).chromeTraceJson()))
+            reportWriteFailed("host profile", args.profilePath);
+        std::fprintf(stderr, "wrote host profile to %s\n",
+                     args.profilePath.c_str());
     }
     if (args.tracePath.empty())
         return;
@@ -421,118 +430,10 @@ finishBench(const BenchArgs &args, const BenchRun &run = {},
     for (const SweepOutcome &o : run.outcomes())
         if (o.result.trace)
             trace.mergeFrom(*o.result.trace);
-    if (trace.writeChromeJson(args.tracePath)) {
-        std::fprintf(stderr, "wrote trace to %s (%zu events)\n",
-                     args.tracePath.c_str(), trace.size());
-    } else {
-        std::fprintf(stderr, "ERROR: could not write trace to %s\n",
-                     args.tracePath.c_str());
-    }
-}
-
-// ----------------------------------------------------------------------
-// Perf records (BENCH_*.json, schema isrf-perf-record-v1)
-// ----------------------------------------------------------------------
-
-/**
- * Commit being measured: GITHUB_SHA when CI exports it, else the local
- * `git rev-parse HEAD`, else "unknown". Best-effort metadata only —
- * perf records stay valid outside a checkout.
- */
-inline std::string
-gitSha()
-{
-    const char *env = std::getenv("GITHUB_SHA");
-    std::string sha = env ? env : "";
-    if (!sha.empty())
-        return sha;
-    std::FILE *p = ::popen("git rev-parse HEAD 2>/dev/null", "r");
-    if (p) {
-        char buf[128] = {0};
-        if (std::fgets(buf, sizeof buf, p))
-            sha = buf;
-        ::pclose(p);
-    }
-    while (!sha.empty() && (sha.back() == '\n' || sha.back() == '\r'))
-        sha.pop_back();
-    return sha.empty() ? "unknown" : sha;
-}
-
-/**
- * Write one perf record (schema isrf-perf-record-v1) for a finished
- * sweep: host metadata, sweep totals (wall time, parallel speedup,
- * simulated cycles per host second), per-job wall times, and — when
- * profiling is on — the host-time profile summed over every job.
- * This is the BENCH_*.json format tools/perf_diff compares.
- */
-inline void
-writeBenchPerfJson(const std::string &path, const std::string &bench,
-                   const BenchArgs &args, const BenchRun &run)
-{
-    const SweepTiming &t = run.runner().timing();
-    const std::vector<SweepOutcome> &outcomes = run.outcomes();
-    uint64_t simCycles = 0, freshCycles = 0;
-    size_t failed = 0;
-    for (const auto &o : outcomes) {
-        simCycles += o.result.cycles;
-        if (!o.fromJournal)
-            freshCycles += o.result.cycles;
-        if (o.status != RunStatus::Done)
-            failed++;
-    }
-    JsonWriter w;
-    w.beginObject();
-    w.field("schema", std::string(kPerfRecordSchema));
-    w.field("bench", bench);
-    w.field("git_sha", gitSha());
-    w.key("host").beginObject();
-    w.field("cpus", static_cast<uint64_t>(
-        std::thread::hardware_concurrency()));
-    w.field("jobs", static_cast<uint64_t>(args.jobs));
-    w.endObject();
-    w.key("totals").beginObject();
-    w.field("wall_seconds", t.wallSeconds);
-    w.field("sum_job_seconds", t.sumJobSeconds);
-    w.field("speedup", t.speedup());
-    w.field("jobs", static_cast<uint64_t>(outcomes.size()));
-    w.field("failed", static_cast<uint64_t>(failed));
-    w.field("replayed", static_cast<uint64_t>(t.replayed));
-    w.field("sim_cycles", simCycles);
-    // Throughput over *executed* work only: replayed jobs contribute
-    // neither cycles nor seconds, so a resumed sweep's rate is
-    // comparable to a fresh one's.
-    w.field("sim_cycles_per_second",
-            t.sumJobSeconds > 0.0
-                ? static_cast<double>(freshCycles) / t.sumJobSeconds
-                : 0.0);
-    w.endObject();
-    w.key("jobs").beginArray();
-    for (const auto &o : outcomes) {
-        w.beginObject();
-        w.field("workload", o.workload);
-        w.field("machine", std::string(machineKindName(o.kind)));
-        w.field("status", std::string(runStatusName(o.status)));
-        w.field("wall_seconds", o.wallSeconds);
-        w.field("sim_cycles", o.result.cycles);
-        w.field("sim_cycles_per_second",
-                o.wallSeconds > 0.0
-                    ? static_cast<double>(o.result.cycles) /
-                          o.wallSeconds
-                    : 0.0);
-        w.field("replayed", o.fromJournal);
-        w.endObject();
-    }
-    w.endArray();
-    if (!args.profilePath.empty()) {
-        w.key("profile");
-        foldProfiles(run).reportJson(w);
-    }
-    w.endObject();
-    if (writeTextFile(path, w.str()))
-        std::fprintf(stderr, "wrote perf record to %s\n", path.c_str());
-    else
-        std::fprintf(stderr, "ERROR: could not write %s\n",
-                     path.c_str());
+    if (!trace.writeChromeJson(args.tracePath))
+        reportWriteFailed("trace", args.tracePath);
+    std::fprintf(stderr, "wrote trace to %s (%zu events)\n",
+                 args.tracePath.c_str(), trace.size());
 }
 
 inline void

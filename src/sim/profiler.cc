@@ -137,29 +137,6 @@ Profiler::selfNs(Phase p) const
     return self;
 }
 
-void
-Profiler::reportJson(JsonWriter &w) const
-{
-    w.beginObject();
-    w.field("cycles", cycles_);
-    w.field("sampled_cycles", sampled_);
-    w.key("phases").beginObject();
-    for (int i = 0; i < kPhaseCount; i++) {
-        Phase p = static_cast<Phase>(i);
-        if (calls(p) == 0)
-            continue;
-        w.key(phaseName(p)).beginObject();
-        if (parent(p) != kRoot)
-            w.field("parent", std::string(phaseName(parent(p))));
-        w.field("calls", calls(p));
-        w.field("total_ns", totalNs(p));
-        w.field("self_ns", selfNs(p));
-        w.endObject();
-    }
-    w.endObject();
-    w.endObject();
-}
-
 std::string
 Profiler::chromeTraceJson() const
 {

@@ -51,8 +51,6 @@
 
 namespace isrf {
 
-class JsonWriter;
-
 class Profiler
 {
   public:
@@ -143,13 +141,6 @@ class Profiler
 
     /** totalNs(p) minus its children's totals. */
     int64_t selfNs(Phase p) const;
-
-    /**
-     * Emit {"cycles":...,"sampled_cycles":...,"phases":{...}} in value
-     * position: each phase with calls, in tree pre-order, with its
-     * parent (unless a root), calls, total_ns and self_ns.
-     */
-    void reportJson(JsonWriter &w) const;
 
     /**
      * The tree as Chrome trace-event JSON: one "X" event per phase,

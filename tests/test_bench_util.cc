@@ -3,8 +3,8 @@
  * The bench binaries' shared job path (bench/bench_util.h): a BenchRun
  * returns outcomes in submission order whatever --jobs says,
  * finishBench() folds them into --json and --trace files that do not
- * depend on --jobs, and the shared parser rejects the flags only
- * bench_sweep honours.
+ * depend on --jobs and exits 1 when it cannot write one, and the
+ * shared parser rejects the flags only bench_sweep honours.
  */
 #include <gtest/gtest.h>
 
@@ -166,6 +166,21 @@ TEST(BenchRun, JsonResultsNoneWritesAnEmptyReport)
     finishBench(args, run, JsonResults::None);
     EXPECT_EQ(readFile(args.jsonPath), "{\"results\":{}}");
     std::remove(args.jsonPath.c_str());
+}
+
+TEST(BenchRunDeathTest, UnwritableReportExitsNonZero)
+{
+    // A report the command line asked for and finishBench() could not
+    // write fails the binary, even with no job run at all.
+    const std::string missing = "/nonexistent-isrf-dir/report.json";
+    BenchArgs json;
+    json.jsonPath = missing;
+    EXPECT_EXIT(finishBench(json), ::testing::ExitedWithCode(1),
+                "ERROR: could not write JSON results to " + missing);
+    BenchArgs profile;
+    profile.profilePath = missing;
+    EXPECT_EXIT(finishBench(profile), ::testing::ExitedWithCode(1),
+                "ERROR: could not write host profile to " + missing);
 }
 
 TEST(BenchArgsDeathTest, SharedParserRejectsSweepOnlyFlags)

@@ -274,6 +274,41 @@ TEST_F(SrfIdxTest, CrossLaneBankPortLimitsThroughput)
     EXPECT_EQ(srf_.idxCrossWords(), 8u);
 }
 
+TEST_F(SrfIdxTest, RemoteRequestsBeatInLaneHeadOnTheSameSubArray)
+{
+    // A bank serves its remote (cross-lane) requests before its own
+    // lane's in-lane FIFO heads (DESIGN.md §15). Lanes 1-4 read words
+    // 0-3 of a striped table, which all live in bank 0's sub-array 0;
+    // lane 0 reads its own table at lane address 32, sub-array 0 too.
+    // While remote requests keep arriving, lane 0's head stays blocked.
+    initSrf(SrfMode::Indexed4);
+    SlotConfig cfg;
+    cfg.dir = StreamDir::In;
+    cfg.indexed = true;
+    cfg.crossLane = true;
+    cfg.layout = StreamLayout::Striped;
+    cfg.base = 0;
+    cfg.lengthWords = 256;
+    SlotId cross = srf_.openSlot(cfg);
+    SlotId own = openTable(16, 32);
+    ASSERT_EQ(geom_.subArrayOf(0), geom_.subArrayOf(32));
+
+    constexpr uint32_t kRemote = 4;
+    srf_.beginCycle(now_);
+    for (uint32_t l = 1; l <= kRemote; l++)
+        ASSERT_TRUE(srf_.idxIssueRead(l, cross, l - 1, now_));
+    ASSERT_TRUE(srf_.idxIssueRead(0, own, 0, now_));
+    srf_.endCycle(now_);
+    now_++;
+    for (int i = 0; i < 40 && srf_.idxInLaneWords() == 0; i++)
+        cycle();
+    ASSERT_EQ(srf_.idxInLaneWords(), 1u);
+    EXPECT_EQ(srf_.idxCrossWords(), kRemote)
+        << "the in-lane head was served before a remote word";
+    EXPECT_GE(srf_.subArrayConflicts(), kRemote)
+        << "the in-lane head must have lost a conflict to each remote word";
+}
+
 TEST_F(SrfIdxTest, CrossLaneWriteRejected)
 {
     initSrf(SrfMode::Indexed4);
