@@ -99,6 +99,7 @@ Cluster::bind(const KernelInvocation *inv, Cycle now)
     }
     pendingMask_ = needMask_ = 0;
     earliestDue_ = kNever;
+    wake_ = 0;
     doneReported_ = false;
     if (trc_ && trc_->on())
         trc_->instant(traceCh_, "bind", now, lane_);
@@ -108,6 +109,7 @@ void
 Cluster::unbind()
 {
     inv_ = nullptr;
+    wake_ = 0;
 }
 
 bool
@@ -323,12 +325,71 @@ Cluster::snapshot(SnapshotIo &io)
         }, work_[s].pendingIdxW.capacity());
     }
     io.b(doneReported_);
-    if (io.loading())
+    if (io.loading()) {
         deriveMasks();
+        wake_ = 0;
+    }
 }
 
 CycleCat
 Cluster::tick(Cycle now)
+{
+    CycleCat cat = advance(now);
+    planSleep(now);
+    return cat;
+}
+
+CycleCat
+Cluster::issuingCat() const
+{
+    uint64_t total = inv_->laneTraces[lane_].iterations;
+    bool steady = itersIssued_ + 1 >= inv_->sched.stages() &&
+        total >= inv_->sched.stages();
+    return steady ? CycleCat::Loop : CycleCat::Overhead;
+}
+
+void
+Cluster::planSleep(Cycle now)
+{
+    // Each case is a state in which advance() touches nothing (no SRF
+    // or network call, no trace event) and returns the same category
+    // on every cycle before the wake: the start overhead, an II wait
+    // with no queued work (drainPending and consumeDueData are no-ops
+    // before earliestDue_), and a drained lane whose done() can flip
+    // only at lastIssue_ + sched.length. Waking early is always safe.
+    wake_ = now + 1;
+    if (!inv_) {
+        wake_ = kNever;
+        sleepCat_ = CycleCat::Idle;
+        return;
+    }
+    if (now + 1 < bindCycle_ + inv_->startOverhead) {
+        wake_ = bindCycle_ + inv_->startOverhead;
+        sleepCat_ = CycleCat::Overhead;
+        return;
+    }
+    if (pendingMask_ != 0 || pendingCommSends_ > 0)
+        return;
+    uint64_t total = inv_->laneTraces[lane_].iterations;
+    Cycle wake;
+    if (itersIssued_ < total) {
+        wake = std::min(nextIssue_, earliestDue_);
+        sleepCat_ = issuingCat();
+    } else {
+        // The first drained tick emits lane_done.
+        if (!doneReported_)
+            return;
+        wake = earliestDue_;
+        Cycle drained = lastIssue_ + inv_->sched.length;
+        if (total > 0 && drained > now)
+            wake = std::min(wake, drained);
+        sleepCat_ = CycleCat::Overhead;
+    }
+    wake_ = std::max(wake, now + 1);
+}
+
+CycleCat
+Cluster::advance(Cycle now)
 {
     if (!inv_)
         return CycleCat::Idle;
@@ -355,9 +416,7 @@ Cluster::tick(Cycle now)
         // (software-pipeline drain + load imbalance).
         return CycleCat::Overhead;
     }
-    bool steady = itersIssued_ + 1 >= inv_->sched.stages() &&
-        total >= inv_->sched.stages();
-    const CycleCat issuing = steady ? CycleCat::Loop : CycleCat::Overhead;
+    const CycleCat issuing = issuingCat();
     if (now < nextIssue_)
         return issuing;
     if (!resourcesReady())

@@ -100,6 +100,8 @@ enum class CycleCat : uint8_t { Idle, Loop, Overhead, SrfStall };
 class Cluster
 {
   public:
+    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
     void init(uint32_t lane, Srf *srf, Crossbar *dataNet,
               Tracer *tracer = nullptr);
 
@@ -114,8 +116,23 @@ class Cluster
     /** All iterations issued, all indexed data consumed, pipe drained. */
     bool done(Cycle now) const;
 
-    /** Advance one cycle. @return how this lane spent it. */
+    /**
+     * Advance one cycle. @return how this lane spent it. Before it
+     * returns, the lane records when it next needs a tick (wake()).
+     */
     CycleCat tick(Cycle now);
+
+    /**
+     * First cycle on which tick() may do more than return sleepCat()
+     * and change nothing: on every earlier cycle the lane sleeps. A
+     * lane with queued stream work, pending comm sends or a stall
+     * wakes on the next cycle. Derived, never checkpointed: bind(),
+     * unbind() and a snapshot load reset it to 0.
+     */
+    Cycle wake() const { return wake_; }
+
+    /** What tick() returns on each cycle before wake(). */
+    CycleCat sleepCat() const { return sleepCat_; }
 
     uint32_t lane() const { return lane_; }
 
@@ -137,10 +154,14 @@ class Cluster
     void snapshot(SnapshotIo &io);
 
   private:
-    static constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
-
     /** All of the previous iteration's stream work has drained. */
     bool resourcesReady() const { return pendingMask_ == 0; }
+    /** tick()'s cycle, before planSleep(). */
+    CycleCat advance(Cycle now);
+    /** Set wake_ and sleepCat_ from the state tick() leaves at `now`. */
+    void planSleep(Cycle now);
+    /** Loop once the pipeline is full, else Overhead (fill). */
+    CycleCat issuingCat() const;
     void issueIteration(Cycle now);
     /** Drain due indexed data; false if a due record is not ready. */
     bool consumeDueData(Cycle now);
@@ -206,6 +227,9 @@ class Cluster
     uint64_t needMask_ = 0;
     /** Earliest front of the dataNeeds in needMask_; kNever if none. */
     Cycle earliestDue_ = kNever;
+    /** wake() and sleepCat(); 0 after bind, unbind or load. */
+    Cycle wake_ = 0;
+    CycleCat sleepCat_ = CycleCat::Idle;
 
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;

@@ -1,5 +1,7 @@
 #include "core/machine.h"
 
+#include <algorithm>
+
 #include "util/hash.h"
 #include "util/log.h"
 
@@ -37,8 +39,10 @@ Machine::init(const MachineConfig &cfg)
     clusters_.assign(cfg.srf.lanes, Cluster());
     for (uint32_t l = 0; l < cfg.srf.lanes; l++)
         clusters_[l].init(l, &srf_, &dataNet_, &tracer_);
+    lanesWake_ = 0;
     alloc_.init(cfg.srf);
     scheduler_ = ModuloScheduler(cfg.cluster, cfg.seed);
+    schedules_.clear();
     rng_.reseed(cfg.seed * 7919 + 13);
     traceCh_ = tracer_.channel("machine");
     // Before initFaults(): the watchdog reads breakdown_ as progress.
@@ -84,13 +88,20 @@ Machine::scrubFaults()
 KernelSchedule
 Machine::scheduleKernel(const KernelGraph &graph)
 {
-    bool crossLane = false;
-    for (const auto &slot : graph.streamSlots())
-        if (slot.kind == StreamKind::IdxCross)
-            crossLane = true;
-    uint32_t sep = crossLane ? cfg_.crossLaneSeparation
-                             : cfg_.inLaneSeparation;
-    return scheduler_.schedule(graph, sep);
+    // The scheduler is a pure function of the graph, the separation
+    // and the seed, and the last two come from cfg_: one schedule per
+    // graph holds until the next init().
+    auto [it, fresh] = schedules_.try_emplace(graph.uid());
+    if (fresh) {
+        bool crossLane = false;
+        for (const auto &slot : graph.streamSlots())
+            if (slot.kind == StreamKind::IdxCross)
+                crossLane = true;
+        uint32_t sep = crossLane ? cfg_.crossLaneSeparation
+                                 : cfg_.inLaneSeparation;
+        it->second = scheduler_.schedule(graph, sep);
+    }
+    return it->second;
 }
 
 void
@@ -128,6 +139,7 @@ Machine::launchKernel(std::shared_ptr<KernelInvocation> inv)
     }
     for (auto &c : clusters_)
         c.bind(active_.get(), now_);
+    lanesWake_ = 0;
 
     if (tracer_.on()) {
         activeKernelName_ = tracer_.intern(active_->graph->name());
@@ -140,11 +152,16 @@ Machine::launchKernel(std::shared_ptr<KernelInvocation> inv)
 }
 
 void
-Machine::finishKernelIfDone(Cycle now)
+Machine::finishKernelIfDone(Cycle now, bool lanesTicked)
 {
     if (!active_)
         return;
     if (!flushing_) {
+        // A lane's done() changes only on a cycle it ticks (its wake
+        // covers the end of the pipeline drain), so a cycle on which
+        // every lane slept cannot finish the kernel.
+        if (!lanesTicked)
+            return;
         for (auto &c : clusters_)
             if (!c.done(now))
                 return;
@@ -170,6 +187,7 @@ Machine::finishKernelIfDone(Cycle now)
 
     for (auto &c : clusters_)
         c.unbind();
+    lanesWake_ = 0;
     if (activeKernelName_) {
         if (tracer_.on())
             tracer_.end(traceCh_, activeKernelName_, now);
@@ -217,14 +235,26 @@ Machine::tickPhases(Cycle now)
     mem_.tick(now);
     mark(Profiler::ClusterBegin);
     // Each lane says how it spent this cycle (Figure 12); an idle or
-    // overhead lane-cycle is overhead.
+    // overhead lane-cycle is overhead. A sleeping lane (DESIGN.md §19)
+    // is not ticked: it spends the cycle as its sleepCat() says, and
+    // before the earliest wake no lane is visited at all.
     uint64_t loop = 0, srfStall = 0;
-    for (auto &c : clusters_) {
-        switch (c.tick(now)) {
-          case CycleCat::Loop: loop++; break;
-          case CycleCat::SrfStall: srfStall++; break;
-          case CycleCat::Overhead:
-          case CycleCat::Idle: break;
+    const bool lanesTicked = now >= lanesWake_;
+    if (!lanesTicked) {
+        loop = sleepLoop_;
+    } else {
+        lanesWake_ = Cluster::kNever;
+        sleepLoop_ = 0;
+        for (auto &c : clusters_) {
+            CycleCat cat = now < c.wake() ? c.sleepCat() : c.tick(now);
+            switch (cat) {
+              case CycleCat::Loop: loop++; break;
+              case CycleCat::SrfStall: srfStall++; break;
+              case CycleCat::Overhead:
+              case CycleCat::Idle: break;
+            }
+            lanesWake_ = std::min(lanesWake_, c.wake());
+            sleepLoop_ += c.sleepCat() == CycleCat::Loop;
         }
     }
     mark(Profiler::SrfBegin);
@@ -242,7 +272,7 @@ Machine::tickPhases(Cycle now)
         breakdown_.overhead += lanes();
     }
 
-    finishKernelIfDone(now);
+    finishKernelIfDone(now, lanesTicked);
     mark(Profiler::TickEnd);
     if constexpr (Timed)
         profiler_.recordTick(t);
@@ -454,6 +484,7 @@ Machine::loadSnapshot(const Snapshot &snap,
         active_->startOverhead = cfg_.kernelStartOverhead;
     for (Cluster &c : clusters_)
         c.restoreBind(active_.get());
+    lanesWake_ = 0;
     activeKernelName_ = active_ && tracer_.on()
         ? tracer_.intern(active_->graph->name()) : nullptr;
 

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -101,6 +102,7 @@ class Machine
     /**
      * Schedule a kernel with this machine's separation settings
      * (cross-lane separation if the kernel has a cross-lane stream).
+     * Memoized per graph (KernelGraph::uid()) until the next init().
      */
     KernelSchedule scheduleKernel(const KernelGraph &graph);
 
@@ -244,7 +246,8 @@ class Machine
     void tick(Cycle now);
     /** tick()'s body; Timed reads the clock at each Profiler::TickMark. */
     template <bool Timed> void tickPhases(Cycle now);
-    void finishKernelIfDone(Cycle now);
+    /** `lanesTicked`: some lane ticked this cycle (none slept all). */
+    void finishKernelIfDone(Cycle now, bool lanesTicked);
     void initFaults();
 
     /** One row of the snapshot section table (DESIGN.md §17). */
@@ -274,8 +277,19 @@ class Machine
     Srf srf_;
     MemorySystem mem_;
     std::vector<Cluster> clusters_;
+    /**
+     * Lane sleep (DESIGN.md §19): the earliest Cluster::wake(), and
+     * how many lanes sleep as Loop. Before lanesWake_ no lane ticks
+     * and a cycle has sleepLoop_ loop lane-cycles, the rest overhead.
+     * Derived, never saved: init, launchKernel, the kernel's unbind
+     * and a snapshot load reset lanesWake_ to 0.
+     */
+    Cycle lanesWake_ = 0;
+    uint64_t sleepLoop_ = 0;
     SrfAllocator alloc_;
     ModuloScheduler scheduler_;
+    /** scheduleKernel()'s results by KernelGraph::uid(); init() clears. */
+    std::unordered_map<uint64_t, KernelSchedule> schedules_;
     Rng rng_;
 
     std::unique_ptr<FaultInjector> injector_;

@@ -238,6 +238,7 @@ StreamProgram::buildScoreboard()
     readyMem_.clear();
     readyKernels_ = {};
     inFlight_.clear();
+    memEventsSeen_.reset();
     completedOps_ = 0;
     for (size_t i = 0; i < n; i++) {
         const Op &op = ops_[i];
@@ -288,10 +289,12 @@ StreamProgram::tryIssue()
     // every ready mem op is submitted, and the lowest ready kernel is
     // launched at its index position when no kernel is active. A
     // kernel blocked by the active one never holds back mem ops.
+    const bool kernelFree = !machine_.kernelActive() && activeKernelOp_ < 0;
+    if (readyMem_.empty() && (readyKernels_.empty() || !kernelFree))
+        return;
     std::sort(readyMem_.begin(), readyMem_.end());
     ProgOpId kernelOp = -1;
-    if (!readyKernels_.empty() && !machine_.kernelActive() &&
-            activeKernelOp_ < 0)
+    if (!readyKernels_.empty() && kernelFree)
         kernelOp = readyKernels_.top();
     size_t m = 0;
     auto submitUpTo = [&](ProgOpId limit) {
@@ -316,14 +319,20 @@ StreamProgram::tryIssue()
 void
 StreamProgram::updateCompletion()
 {
-    for (size_t j = 0; j < inFlight_.size();) {
-        ProgOpId id = inFlight_[j];
-        if (machine_.mem().done(ops_[id].memId)) {
-            inFlight_[j] = inFlight_.back();
-            inFlight_.pop_back();
-            retire(id);
-        } else {
-            j++;
+    // A mem op's done() flips only on a memory event (DESIGN.md §18);
+    // buildScoreboard() forces the first scan of each run.
+    const uint64_t events = machine_.mem().events();
+    if (memEventsSeen_ != events) {
+        memEventsSeen_ = events;
+        for (size_t j = 0; j < inFlight_.size();) {
+            ProgOpId id = inFlight_[j];
+            if (machine_.mem().done(ops_[id].memId)) {
+                inFlight_[j] = inFlight_.back();
+                inFlight_.pop_back();
+                retire(id);
+            } else {
+                j++;
+            }
         }
     }
     if (activeKernelOp_ >= 0 && !machine_.kernelActive()) {

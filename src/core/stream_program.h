@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <queue>
 #include <string>
 #include <vector>
@@ -229,6 +230,8 @@ class StreamProgram
                         std::greater<ProgOpId>> readyKernels_;
     /** Issued, incomplete mem ops (unordered). */
     std::vector<ProgOpId> inFlight_;
+    /** MemorySystem::events() at the last inFlight_ scan; none yet. */
+    std::optional<uint64_t> memEventsSeen_;
     size_t completedOps_ = 0;
     /** Per-slot last writer / readers since last write (dep inference). */
     std::vector<ProgOpId> lastWriter_;

@@ -1,13 +1,23 @@
 #include "kernel/graph.h"
 
+#include <atomic>
+
 #include "util/log.h"
 
 namespace isrf {
+
+uint64_t
+KernelGraph::nextUid()
+{
+    static std::atomic<uint64_t> next{1};
+    return next.fetch_add(1, std::memory_order_relaxed);
+}
 
 int
 KernelGraph::addStreamSlot(StreamSlot slot)
 {
     slots_.push_back(std::move(slot));
+    uid_ = nextUid();
     return static_cast<int>(slots_.size() - 1);
 }
 
@@ -21,6 +31,7 @@ KernelGraph::addNode(Node n)
                   name_.c_str(), operand, id);
     }
     nodes_.push_back(n);
+    uid_ = nextUid();
     return id;
 }
 
@@ -31,6 +42,7 @@ KernelGraph::addEdge(NodeId from, NodeId to, uint32_t latency,
     if (from >= nodes_.size() || to >= nodes_.size())
         panic("KernelGraph(%s): edge references unknown node", name_.c_str());
     edges_.push_back({from, to, latency, distance});
+    uid_ = nextUid();
 }
 
 size_t

@@ -81,6 +81,14 @@ class KernelGraph
 
     const std::string &name() const { return name_; }
 
+    /**
+     * Process-unique id of this graph's contents: construction and
+     * every add*() draw a fresh one, and a copy shares its source's.
+     * Ids are never reused, so a graph built at the address of a
+     * freed one never shares its id (Machine::scheduleKernel's memo).
+     */
+    uint64_t uid() const { return uid_; }
+
     /** Add a stream slot; returns its index. */
     int addStreamSlot(StreamSlot slot);
 
@@ -122,10 +130,13 @@ class KernelGraph
     std::vector<Edge> fullEdges(uint32_t separation) const;
 
   private:
+    static uint64_t nextUid();
+
     std::string name_;
     std::vector<Node> nodes_;
     std::vector<Edge> edges_;
     std::vector<StreamSlot> slots_;
+    uint64_t uid_ = nextUid();
 };
 
 } // namespace isrf

@@ -39,6 +39,7 @@ MemorySystem::init(const MemSystemConfig &cfg, const DramConfig &dramCfg,
     }
     queue_.clear();
     nextId_ = 1;
+    events_ = 0;
     traceCh_ = trc_ ? trc_->channel("mem") : 0;
 }
 
@@ -101,6 +102,7 @@ MemorySystem::tick(Cycle now)
             continue;
         units_[u].start(queue_.front().op, now);
         unitOpId_[u] = queue_.front().id;
+        events_++;
         if (trc_ && trc_->on()) {
             trc_->instant(traceCh_,
                 memOpName(queue_.front().op.kind), now,
@@ -110,9 +112,13 @@ MemorySystem::tick(Cycle now)
     }
 
     for (size_t u = 0; u < units_.size(); u++) {
-        bool wasBusy = units_[u].busy();
+        if (!units_[u].busy())
+            continue;
         units_[u].tick(now, bw);
-        if (wasBusy && !units_[u].busy() && trc_ && trc_->on())
+        if (units_[u].busy())
+            continue;
+        events_++;
+        if (trc_ && trc_->on())
             trc_->instant(traceCh_, "op_done", now,
                 static_cast<uint64_t>(unitOpId_[u]));
     }

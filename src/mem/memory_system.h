@@ -49,6 +49,14 @@ class MemorySystem
     /** Number of ops queued or executing. */
     size_t inFlight() const;
 
+    /**
+     * Dispatches plus unit finishes so far. done() of an op can flip
+     * only when this moves, so a poller may skip its rescan while it
+     * stands still. Derived, never saved: it restarts at 0 on init()
+     * and stays put on a snapshot load.
+     */
+    uint64_t events() const { return events_; }
+
     void tick(Cycle now);
 
     Dram &dram() { return dram_; }
@@ -90,6 +98,7 @@ class MemorySystem
     std::vector<MemOpId> unitOpId_;
     std::deque<Pending> queue_;
     MemOpId nextId_ = 1;
+    uint64_t events_ = 0;
     Tracer *trc_ = nullptr;  ///< owning machine's; null = untraced
     uint16_t traceCh_ = 0;
 };

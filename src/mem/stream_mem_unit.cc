@@ -200,19 +200,8 @@ StreamMemUnit::tickLoadSide(MemBandwidth &bw, Cycle now)
     // staging -> SRF storage via the SRF port (block transfer).
     uint32_t block = srf_->geometry().seqAccessWords();
     bool lastChunk = dramCursor_ >= total;
-    if (staging_.size() >= block || (lastChunk && !staging_.empty())) {
-        srf_->memClaim(op_.srfSlot, [this, block]() {
-            uint32_t k = static_cast<uint32_t>(
-                std::min<size_t>(block, staging_.size()));
-            for (uint32_t i = 0; i < k; i++) {
-                auto [lane, addr] = srf_->slotWordLocation(
-                    op_.srfSlot, op_.dstOffsetWords + srfCursor_);
-                srf_->writeWord(lane, addr, staging_.front());
-                staging_.pop_front();
-                srfCursor_++;
-            }
-        });
-    }
+    if (staging_.size() >= block || (lastChunk && !staging_.empty()))
+        srf_->memClaim(op_.srfSlot, this);
 }
 
 void
@@ -221,18 +210,8 @@ StreamMemUnit::tickStoreSide(MemBandwidth &bw, Cycle now)
     uint64_t total = totalWords();
     // SRF storage -> staging via the SRF port.
     uint32_t block = srf_->geometry().seqAccessWords();
-    if (srfCursor_ < total && staging_.size() + block <= stagingCap_) {
-        srf_->memClaim(op_.srfSlot, [this, block, total]() {
-            uint32_t k = static_cast<uint32_t>(
-                std::min<uint64_t>(block, total - srfCursor_));
-            for (uint32_t i = 0; i < k; i++) {
-                auto [lane, addr] = srf_->slotWordLocation(
-                    op_.srfSlot, op_.dstOffsetWords + srfCursor_);
-                staging_.push_back(srf_->readWord(lane, addr));
-                srfCursor_++;
-            }
-        });
-    }
+    if (srfCursor_ < total && staging_.size() + block <= stagingCap_)
+        srf_->memClaim(op_.srfSlot, this);
     // staging -> DRAM/cache.
     uint32_t moved = 0;
     while (!staging_.empty() && moved < 16) {
@@ -243,6 +222,28 @@ StreamMemUnit::tickStoreSide(MemBandwidth &bw, Cycle now)
         staging_.pop_front();
         dramCursor_++;
         moved++;
+    }
+}
+
+void
+StreamMemUnit::onPortGrant()
+{
+    uint32_t block = srf_->geometry().seqAccessWords();
+    bool load = op_.kind == MemOpKind::Load ||
+        op_.kind == MemOpKind::Gather;
+    uint32_t k = static_cast<uint32_t>(load
+        ? std::min<uint64_t>(block, staging_.size())
+        : std::min<uint64_t>(block, totalWords() - srfCursor_));
+    for (uint32_t i = 0; i < k; i++) {
+        auto [lane, addr] = srf_->slotWordLocation(
+            op_.srfSlot, op_.dstOffsetWords + srfCursor_);
+        if (load) {
+            srf_->writeWord(lane, addr, staging_.front());
+            staging_.pop_front();
+        } else {
+            staging_.push_back(srf_->readWord(lane, addr));
+        }
+        srfCursor_++;
     }
 }
 

@@ -60,7 +60,7 @@ struct MemBandwidth
  * between the DRAM side (token-bucket limited) and the SRF side
  * (block transfers through the SRF port via memClaim()).
  */
-class StreamMemUnit
+class StreamMemUnit final : private SrfPortClient
 {
   public:
     void init(Dram *dram, Cache *cache, Srf *srf, uint32_t stagingWords,
@@ -123,6 +123,8 @@ class StreamMemUnit
 
     void tickLoadSide(MemBandwidth &bw, Cycle now);
     void tickStoreSide(MemBandwidth &bw, Cycle now);
+    /** One SRF-side block: staging -> SRF (loads), SRF -> staging. */
+    void onPortGrant() override;
 
     /**
      * ECC-decode one load word with bounded-backoff retries.

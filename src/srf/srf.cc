@@ -461,9 +461,9 @@ Srf::idxInFlight() const
 // ----------------------------------------------------------------------
 
 void
-Srf::memClaim(SlotId slot, std::function<void()> onGrant)
+Srf::memClaim(SlotId slot, SrfPortClient *client)
 {
-    memClaims_.push_back({slot, std::move(onGrant)});
+    memClaims_.push_back({slot, client});
 }
 
 // ----------------------------------------------------------------------
@@ -880,7 +880,7 @@ Srf::endCycle(Cycle now)
         bool dmaServed = false;
         for (auto &mc : memClaims_) {
             if (mc.slot == granted) {
-                mc.onGrant();
+                mc.client->onPortGrant();
                 dmaServed = true;
                 break;
             }

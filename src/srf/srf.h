@@ -23,7 +23,6 @@
 #ifndef ISRF_SRF_SRF_H
 #define ISRF_SRF_SRF_H
 
-#include <functional>
 #include <vector>
 
 #include "net/crossbar.h"
@@ -63,6 +62,20 @@ struct SlotConfig
      * writes share the address FIFO and retire in issue order.
      */
     bool readWrite = false;
+};
+
+/**
+ * The memory side of the SRF port: a DMA engine whose claim, once
+ * granted, moves one block of words (Srf::memClaim).
+ */
+class SrfPortClient
+{
+  public:
+    /** This cycle's claim won the port: move the block now. */
+    virtual void onPortGrant() = 0;
+
+  protected:
+    ~SrfPortClient() = default;
 };
 
 /**
@@ -190,12 +203,12 @@ class Srf
     // ------------------------------------------------------------------
 
     /**
-     * Claim the SRF port for a DMA block transfer this cycle. The
-     * callback runs during endCycle() if the claim wins arbitration and
-     * must perform the actual word movement via readWord/writeWord.
-     * Claims are single-cycle: re-claim every cycle until done.
+     * Claim the SRF port for a DMA block transfer this cycle. If the
+     * claim wins arbitration, endCycle() calls client->onPortGrant(),
+     * which moves the words via readWord/writeWord. Claims are
+     * single-cycle: re-claim every cycle until done.
      */
-    void memClaim(SlotId slot, std::function<void()> onGrant);
+    void memClaim(SlotId slot, SrfPortClient *client);
 
     // ------------------------------------------------------------------
     // Functional storage access (DMA, program setup, validation)
@@ -317,7 +330,7 @@ class Srf
     struct MemClaim
     {
         SlotId slot;
-        std::function<void()> onGrant;
+        SrfPortClient *client;
     };
 
     /** Words available to lane in storage for sequential streaming. */

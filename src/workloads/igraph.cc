@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "kernel/builder.h"
 #include "util/log.h"
@@ -253,8 +252,12 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
         uint32_t startNode, endNode;
         std::vector<std::vector<uint32_t>> laneEdges;  // nb ids per lane
         std::vector<uint32_t> extIds;                  // out-of-strip
-        std::unordered_map<uint32_t, uint32_t> extIndex;
     };
+    // extSlot[nb]: nb's position in one strip's extIds. Every
+    // out-of-strip neighbor of a strip is in its extIds, so a strip
+    // that sets its own entries never reads another strip's.
+    constexpr uint32_t kNoExt = ~0u;
+    std::vector<uint32_t> extSlot(ds.nodes, kNoExt);
     std::vector<Strip> stripList;
     for (uint32_t start = 0; start < ds.nodes; start += stripNodes) {
         Strip s;
@@ -266,13 +269,14 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
             for (uint32_t nb : graph.adj[i]) {
                 s.laneEdges[lane].push_back(nb);
                 if ((nb < s.startNode || nb >= s.endNode) &&
-                        !s.extIndex.count(nb)) {
-                    s.extIndex[nb] =
-                        static_cast<uint32_t>(s.extIds.size());
+                        extSlot[nb] == kNoExt) {
+                    extSlot[nb] = static_cast<uint32_t>(s.extIds.size());
                     s.extIds.push_back(nb);
                 }
             }
         }
+        for (uint32_t nb : s.extIds)
+            extSlot[nb] = kNoExt;
         stripList.push_back(std::move(s));
     }
     uint32_t maxExt = 0;
@@ -378,10 +382,19 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
             auto inv = newInvocation(m, kg,
                 indexed ? std::vector<SlotId>{eCur, nCur, oCur}
                         : std::vector<SlotId>{eCur, nCur, oCur});
+            for (size_t k = 0; k < s.extIds.size(); k++)
+                extSlot[s.extIds[k]] = static_cast<uint32_t>(k);
             for (uint32_t l = 0; l < g.lanes; l++) {
                 auto &tr = inv->laneTraces[l];
                 uint64_t laneNodes = 0;
                 std::vector<Word> outWords;
+                // Lane l holds the nodes start+l, start+l+lanes, ...
+                if (s.startNode + l < s.endNode)
+                    outWords.reserve(static_cast<size_t>(
+                        (s.endNode - s.startNode - l + g.lanes - 1) /
+                        g.lanes) * kIgRecordWords);
+                if (indexed)
+                    tr.idxReads[1].reserve(s.laneEdges[l].size());
                 for (uint32_t i = s.startNode + l; i < s.endNode;
                         i += g.lanes) {
                     laneNodes++;
@@ -394,7 +407,7 @@ runIgraph(const std::string &dataset, const MachineConfig &machineCfg,
                             if (nb >= s.startNode && nb < s.endNode)
                                 recIdx = nb - s.startNode;
                             else
-                                recIdx = nNodes + s.extIndex.at(nb);
+                                recIdx = nNodes + extSlot[nb];
                             tr.idxReads[1].push_back(recIdx * 2);
                         }
                     }

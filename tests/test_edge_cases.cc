@@ -92,12 +92,12 @@ TEST(SrfEdge, DmaAndIndexedShareCyclesFairly)
     SlotId dma = srf.openSlot(dc);
 
     Rng rng(1);
-    int dmaGrants = 0;
+    test::GrantCounter dmaGrants;
     Cycle now = 0;
     Word out[4];
     for (int c = 0; c < 40; c++) {
         srf.beginCycle(now);
-        srf.memClaim(dma, [&]() { dmaGrants++; });
+        srf.memClaim(dma, &dmaGrants);
         for (uint32_t l = 0; l < geom.lanes; l++) {
             while (srf.idxDataReady(l, tbl, now))
                 srf.idxDataPop(l, tbl, out);
@@ -109,8 +109,8 @@ TEST(SrfEdge, DmaAndIndexedShareCyclesFairly)
         now++;
     }
     // Round-robin between the DMA claimant and the indexed bundle.
-    EXPECT_GE(dmaGrants, 15);
-    EXPECT_LE(dmaGrants, 25);
+    EXPECT_GE(dmaGrants.grants, 15u);
+    EXPECT_LE(dmaGrants.grants, 25u);
     EXPECT_GT(srf.idxInLaneWords(), 50u);
 }
 

@@ -19,6 +19,13 @@
 namespace isrf {
 namespace test {
 
+/** An SRF port client that only counts its grants. */
+struct GrantCounter final : SrfPortClient
+{
+    uint64_t grants = 0;
+    void onPortGrant() override { grants++; }
+};
+
 /** copy: out[i] = in[i] * 1 (one ALU op to keep the loop non-trivial). */
 inline KernelGraph
 makeCopyKernel()

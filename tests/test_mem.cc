@@ -658,6 +658,61 @@ TEST_F(MemSysTest, DoneMatchesBruteForceOverRandomTraffic)
     EXPECT_GT(lastId, 300);
 }
 
+TEST_F(MemSysTest, EventsMoveWheneverAnOpCanHaveFinished)
+{
+    // StreamProgram rescans its in-flight ops only when events() has
+    // moved, so every cycle on which some op's done() flips must move
+    // it. With a zero access latency an empty gather is dispatched and
+    // finishes within one tick, and that cycle counts too.
+    MemSystemConfig mc;
+    DramConfig dc;
+    dc.capacityWords = 1 << 16;
+    dc.accessLatency = 0;
+    mem_.init(mc, dc, CacheConfig{}, &srf_);
+    SlotId s[2] = {openStriped(64, 0), openStriped(64, 64)};
+    MemOp empty;
+    empty.kind = MemOpKind::Gather;
+    empty.srfSlot = s[0];
+    MemOpId id = mem_.submit(empty);
+    uint64_t seen = mem_.events();
+    runCycles(1);
+    EXPECT_TRUE(mem_.done(id));
+    EXPECT_NE(mem_.events(), seen);
+
+    Rng rng(99);
+    std::vector<MemOpId> ids;
+    std::vector<bool> wasDone;
+    for (uint32_t cycle = 0; cycle < 2000 || !mem_.idle(); cycle++) {
+        ASSERT_LT(cycle, 100000u) << "memory system never drained";
+        if (cycle < 2000 && rng.below(6) == 0) {
+            MemOp op;
+            op.kind = static_cast<MemOpKind>(rng.below(4));
+            op.srfSlot = s[rng.below(2)];
+            op.memBase = rng.below(64) * 64;
+            op.lengthWords = rng.below(3) * 16;
+            if (op.kind == MemOpKind::Gather ||
+                    op.kind == MemOpKind::Scatter) {
+                op.indices.resize(rng.below(8));
+                for (uint32_t &x : op.indices)
+                    x = static_cast<uint32_t>(rng.below(4096));
+            }
+            ids.push_back(mem_.submit(op));
+            wasDone.push_back(false);
+        }
+        seen = mem_.events();
+        runCycles(1);
+        bool flipped = false;
+        for (size_t i = 0; i < ids.size(); i++) {
+            bool d = mem_.done(ids[i]);
+            flipped |= d != wasDone[i];
+            wasDone[i] = d;
+        }
+        ASSERT_TRUE(!flipped || mem_.events() != seen)
+            << "cycle " << cycle;
+    }
+    EXPECT_GT(ids.size(), 200u);
+}
+
 /** Cache-enabled memory system. */
 class CachedMemTest : public MemSysTest
 {

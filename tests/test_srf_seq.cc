@@ -169,11 +169,11 @@ TEST_F(SrfSeqTest, DmaClaimGrantedWhenPortFree)
     SlotConfig cfg;
     cfg.lengthWords = 32;
     SlotId id = srf_.openSlot(cfg);
-    int granted = 0;
+    test::GrantCounter granted;
     srf_.beginCycle(now_);
-    srf_.memClaim(id, [&]() { granted++; });
+    srf_.memClaim(id, &granted);
     srf_.endCycle(now_);
-    EXPECT_EQ(granted, 1);
+    EXPECT_EQ(granted.grants, 1u);
 }
 
 TEST_F(SrfSeqTest, DmaSharesPortWithStreams)
@@ -192,10 +192,10 @@ TEST_F(SrfSeqTest, DmaSharesPortWithStreams)
     dcfg.base = 256;
     SlotId did = srf_.openSlot(dcfg);
 
-    int dmaGrants = 0;
+    test::GrantCounter dmaGrants;
     for (int i = 0; i < 10; i++) {
         srf_.beginCycle(now_);
-        srf_.memClaim(did, [&]() { dmaGrants++; });
+        srf_.memClaim(did, &dmaGrants);
         // Keep draining lane buffers so the stream keeps claiming.
         for (uint32_t l = 0; l < 8; l++)
             while (srf_.seqCanRead(l, sid))
@@ -203,8 +203,8 @@ TEST_F(SrfSeqTest, DmaSharesPortWithStreams)
         srf_.endCycle(now_);
         now_++;
     }
-    EXPECT_GE(dmaGrants, 4);
-    EXPECT_LE(dmaGrants, 6);
+    EXPECT_GE(dmaGrants.grants, 4u);
+    EXPECT_LE(dmaGrants.grants, 6u);
 }
 
 TEST_F(SrfSeqTest, IndexedIssueOnSequentialOnlyDies)
@@ -234,10 +234,10 @@ driveMixedLoad(Srf &srf)
     dcfg.lengthWords = 32;
     dcfg.base = 512;
     SlotId dma = srf.openSlot(dcfg);
-    uint64_t dmaGrants = 0;
+    test::GrantCounter dmaGrants;
     for (int i = 0; i < 64; i++) {
         srf.beginCycle(now);
-        srf.memClaim(dma, [&] { dmaGrants++; });
+        srf.memClaim(dma, &dmaGrants);
         for (uint32_t l = 0; l < 8; l++)
             while (srf.seqCanRead(l, in))
                 srf.seqRead(l, in);
@@ -246,7 +246,7 @@ driveMixedLoad(Srf &srf)
     }
     srf.closeSlot(in);
     srf.closeSlot(dma);
-    return dmaGrants;
+    return dmaGrants.grants;
 }
 
 TEST(SrfReinit, ReinitializedSrfArbitratesLikeFresh)
